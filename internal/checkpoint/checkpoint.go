@@ -409,8 +409,10 @@ func NewAtomicFile(path string) (*AtomicFile, error) {
 // Write implements io.Writer.
 func (a *AtomicFile) Write(p []byte) (int, error) { return a.f.Write(p) }
 
-// Commit flushes the temp file to stable storage and renames it over the
-// destination. After Commit, Abort is a no-op.
+// Commit flushes the temp file to stable storage, renames it over the
+// destination and syncs the directory. A directory-sync error arrives after
+// the rename: the new content is in place but not known to survive a crash.
+// After Commit, Abort is a no-op.
 func (a *AtomicFile) Commit() error {
 	if err := a.f.Sync(); err != nil {
 		a.discard()
@@ -425,8 +427,7 @@ func (a *AtomicFile) Commit() error {
 		return err
 	}
 	a.committed = true
-	syncDir(filepath.Dir(a.path))
-	return nil
+	return syncDir(filepath.Dir(a.path))
 }
 
 // Abort discards the temp file; safe to defer alongside Commit.
@@ -442,15 +443,15 @@ func (a *AtomicFile) discard() {
 	_ = os.Remove(a.f.Name())
 }
 
-// syncDir makes the rename itself durable. Best-effort: some filesystems
-// refuse to fsync directories, and the rename is still atomic without it.
-func syncDir(dir string) {
+// syncDir makes a rename or file creation in dir durable. A failure means
+// the entry may not survive a crash, so it is returned, not swallowed.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return
+		return err
 	}
-	_ = d.Sync()
-	_ = d.Close()
+	defer d.Close()
+	return d.Sync()
 }
 
 // WriteFile atomically replaces path with data (temp + fsync + rename),

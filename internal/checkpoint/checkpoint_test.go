@@ -221,6 +221,19 @@ func TestWriteFileAtomicReplacement(t *testing.T) {
 	}
 }
 
+// TestSyncDirReportsErrors: a directory sync that cannot happen is an
+// error, not a silent best effort — rename durability is checked.
+func TestSyncDirReportsErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(dir); err != nil {
+		t.Fatalf("syncDir on a live directory: %v", err)
+	}
+	missing := filepath.Join(dir, "gone")
+	if err := syncDir(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("syncDir(%s) = %v, want a not-exist error", missing, err)
+	}
+}
+
 func TestWriterUpsertsAndPersists(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.ckpt")
 	w := NewWriter(path, 77, nil)

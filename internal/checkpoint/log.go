@@ -44,7 +44,10 @@ func OpenLog(path string) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: opening log: %w", err)
 	}
-	syncDir(filepath.Dir(path))
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
 	return &Log{f: f, path: path}, nil
 }
 

@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"runtime/debug"
 	"sort"
@@ -380,19 +379,10 @@ func runAttempt(ctx context.Context, eng *sim.Engine, w workload.Workload, run, 
 // sleepBackoff waits the capped-exponential, deterministically jittered
 // retry delay, aborting promptly if the collection is cancelled.
 func sleepBackoff(ctx context.Context, pol Resilience, seed uint64, unit string, run, attempt int) error {
-	base := pol.backoffBase()
-	d := base
-	for i := 0; i < attempt && d < backoffCap; i++ {
-		d *= 2
-	}
-	if d > backoffCap {
-		d = backoffCap
-	}
-	// Jitter in [0.5, 1.5), derived from (seed, unit, run, attempt): the
-	// schedule is decorrelated across runs yet perfectly reproducible.
-	rng := xrand.New(seed).Split(hashUnit(unit)).Split(uint64(run) + 1).Split(uint64(attempt) + 0x5eed)
-	d = time.Duration(float64(d) * (0.5 + rng.Float64()))
-	t := time.NewTimer(d)
+	// Jitter derived from (seed, unit, run, attempt): the schedule is
+	// decorrelated across runs yet perfectly reproducible.
+	rng := xrand.New(seed).Split(xrand.HashString(unit)).Split(uint64(run) + 1).Split(uint64(attempt) + 0x5eed)
+	t := time.NewTimer(xrand.Backoff(pol.backoffBase(), backoffCap, attempt, rng))
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
@@ -400,12 +390,6 @@ func sleepBackoff(ctx context.Context, pol Resilience, seed uint64, unit string,
 	case <-t.C:
 		return nil
 	}
-}
-
-func hashUnit(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
 }
 
 // assembleUnit turns a unit's per-run states into the averaged result:

@@ -7,7 +7,7 @@
 package cosim
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,6 +17,7 @@ import (
 
 	"mobilebench/internal/checkpoint"
 	"mobilebench/internal/fault"
+	"mobilebench/internal/wire"
 )
 
 // ServeOptions configures one child process.
@@ -39,42 +40,41 @@ func Serve(r io.Reader, w io.Writer, opts ServeOptions) error {
 	if err != nil {
 		return err
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), MaxFrameBytes+4096)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return fmt.Errorf("cosim: reading hello: %w", err)
-		}
+	stream := wire.NewStream[Frame](r, w, MaxFrameBytes)
+	hello, err := stream.Next()
+	if errors.Is(err, io.EOF) {
 		return nil // EOF before hello: parent went away, clean exit
 	}
-	hello, err := ParseFrame(sc.Bytes())
 	if err != nil {
-		return err
+		return fmt.Errorf("cosim: reading hello: %w", err)
 	}
 	if hello.Type != TypeHello {
 		return &ProtoError{Reason: fmt.Sprintf("expected hello, got %q", hello.Type)}
 	}
 	if hello.Proto != ProtoVersion {
-		writeFrame(w, Frame{Type: TypeReject, Error: fmt.Sprintf("parent speaks protocol %d, this child speaks %d", hello.Proto, ProtoVersion)})
+		_ = stream.Send(Frame{Type: TypeReject, Error: fmt.Sprintf("parent speaks protocol %d, this child speaks %d", hello.Proto, ProtoVersion)})
 		return &ProtoError{Reason: fmt.Sprintf("parent protocol %d unsupported", hello.Proto)}
 	}
 	answer, exact, err := modelFor(opts.Model, *hello.Memory, *hello.Storage)
 	if err != nil {
-		writeFrame(w, Frame{Type: TypeReject, Error: err.Error()})
+		_ = stream.Send(Frame{Type: TypeReject, Error: err.Error()})
 		return err
 	}
 	proto := ProtoVersion
 	if opts.Chaos.SkewVersion || (opts.Chaos.SkewAfterSpawns > 0 && spawn > opts.Chaos.SkewAfterSpawns) {
 		proto = ProtoVersion + 100
 	}
-	if err := writeFrame(w, Frame{Type: TypeWelcome, Proto: proto, Model: opts.Model, Exact: exact}); err != nil {
+	if err := stream.Send(Frame{Type: TypeWelcome, Proto: proto, Model: opts.Model, Exact: exact}); err != nil {
 		return err
 	}
 	batch := 0
-	for sc.Scan() {
-		f, err := ParseFrame(sc.Bytes())
+	for {
+		f, err := stream.Next()
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("cosim: reading batches: %w", err)
 		}
 		if f.Type != TypeBatch {
 			return &ProtoError{Reason: fmt.Sprintf("expected batch, got %q", f.Type)}
@@ -102,23 +102,10 @@ func Serve(r io.Reader, w io.Writer, opts ServeOptions) error {
 		if plan.SlowSec > 0 {
 			sleep(plan.SlowSec)
 		}
-		if err := writeFrame(w, Frame{Type: TypeReplies, ID: f.ID, Replies: reps}); err != nil {
+		if err := stream.Send(Frame{Type: TypeReplies, ID: f.ID, Replies: reps}); err != nil {
 			return err
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("cosim: reading batches: %w", err)
-	}
-	return nil
-}
-
-func writeFrame(w io.Writer, f Frame) error {
-	data, err := EncodeFrame(f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
 }
 
 func sleep(sec float64) {

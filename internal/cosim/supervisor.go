@@ -10,8 +10,8 @@
 package cosim
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os/exec"
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"mobilebench/internal/soc"
+	"mobilebench/internal/wire"
 	"mobilebench/internal/xrand"
 )
 
@@ -109,10 +110,10 @@ type ExchangeInfo struct {
 
 // child is one running model process.
 type child struct {
-	cmd   *exec.Cmd
-	stdin io.WriteCloser
-	// lines carries the child's stdout lines; closed on EOF (crash).
-	lines chan []byte
+	cmd    *exec.Cmd
+	stdin  io.WriteCloser
+	stdout io.Closer
+	stream *wire.Stream[Frame]
 }
 
 // Supervisor runs and guards one external timing process. All exchanges are
@@ -139,6 +140,8 @@ type Supervisor struct {
 	model    string
 	exact    bool
 	closed   bool
+	// done is closed by Close, waking a restart backoff in progress.
+	done chan struct{}
 }
 
 // NewSupervisor validates the config, opens the replay log, spawns the
@@ -150,7 +153,7 @@ func NewSupervisor(cfg Config) (*Supervisor, error) {
 		return nil, fmt.Errorf("cosim: empty timing-model command")
 	}
 	cfg = cfg.normalize()
-	s := &Supervisor{cfg: cfg}
+	s := &Supervisor{cfg: cfg, done: make(chan struct{})}
 	fb, _, err := modelFor(ModelAnalytic, cfg.MemHW, cfg.StorHW)
 	if err != nil {
 		return nil, err
@@ -201,6 +204,7 @@ func (s *Supervisor) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.done)
 	//mblint:ignore mutexhold Kill closes the child's pipes first, so Wait reaps promptly; teardown under s.mu is bounded
 	s.killLocked()
 	s.mu.Unlock()
@@ -370,37 +374,40 @@ func (s *Supervisor) openCircuitLocked(info *ExchangeInfo, cause error) {
 }
 
 // restartUnlocking waits the capped deterministically-jittered backoff and
-// spawns a fresh child. The backoff sleep and the replacement's handshake —
+// spawns a fresh child. The backoff wait and the replacement's handshake —
 // the two multi-second waits on the recovery path — run with s.mu released,
 // so a sick child cannot stall concurrent sessions or the status accessors;
 // after reacquiring, the shared state is revalidated (another session may
 // have recovered, opened the circuit, or Close()d the supervisor first) and
-// a child that lost the race is discarded. s.mu is held again on every
-// return path.
+// a child that lost the race is discarded. A Close during the backoff ends
+// the wait and skips the spawn. s.mu is held again on every return path.
 func (s *Supervisor) restartUnlocking(info *ExchangeInfo) error {
-	d := s.cfg.BackoffBase
-	for i := 0; i < s.restarts && d < s.cfg.BackoffCap; i++ {
-		d *= 2
-	}
-	if d > s.cfg.BackoffCap {
-		d = s.cfg.BackoffCap
-	}
-	// Jitter in [0.5, 1.5), derived from (seed, restart count): the
-	// schedule is reproducible run to run, like every other delay in the
-	// collection pipeline.
+	// Jitter derived from (seed, restart count): the schedule is
+	// reproducible run to run, like every other delay in the collection
+	// pipeline.
 	rng := xrand.New(s.cfg.Seed).Split(0xc0517).Split(uint64(s.restarts) + 1)
-	d = time.Duration(float64(d) * (0.5 + rng.Float64()))
+	t := time.NewTimer(xrand.Backoff(s.cfg.BackoffBase, s.cfg.BackoffCap, s.restarts, rng))
+	defer t.Stop()
 	s.restarts++
 	attempt := s.restarts
 	pinModel, pinExact := s.model, s.exact
 	s.mu.Unlock()
-	time.Sleep(d)
-	c, model, exact, err := s.spawn(pinModel, pinExact)
+	var (
+		c     *child
+		model string
+		exact bool
+		err   error
+	)
+	select {
+	case <-s.done: // closed mid-wait: s.closed is set, so no child to spawn
+	case <-t.C:
+		c, model, exact, err = s.spawn(pinModel, pinExact)
+	}
 	s.mu.Lock()
 	if s.closed || s.open || s.c != nil {
 		// Lost the race: the caller's loop re-reads the new state; our own
 		// child (if it came up) is surplus.
-		if err == nil {
+		if c != nil {
 			//mblint:ignore mutexhold the surplus child is killed before Wait, which then reaps promptly off its closed pipes
 			killChild(c)
 		}
@@ -435,25 +442,13 @@ func (s *Supervisor) spawn(pinModel string, pinExact bool) (*child, string, bool
 	if err := cmd.Start(); err != nil {
 		return nil, "", false, fmt.Errorf("cosim: starting %s: %w", s.cfg.Command[0], err)
 	}
-	c := &child{cmd: cmd, stdin: stdin, lines: make(chan []byte, 4)}
-	go readLines(stdout, c.lines)
+	c := &child{cmd: cmd, stdin: stdin, stdout: stdout, stream: wire.NewStream[Frame](stdout, stdin, MaxFrameBytes)}
 	model, exact, err := s.handshake(c, pinModel, pinExact)
 	if err != nil {
 		killChild(c)
 		return nil, "", false, err
 	}
 	return c, model, exact, nil
-}
-
-// readLines pumps the child's stdout lines into the channel, closing it on
-// EOF — the supervisor's crash signal.
-func readLines(r io.Reader, lines chan<- []byte) {
-	defer close(lines)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), MaxFrameBytes+4096)
-	for sc.Scan() {
-		lines <- append([]byte(nil), sc.Bytes()...)
-	}
 }
 
 // handshake sends the hello and awaits a version-matching welcome within
@@ -522,28 +517,26 @@ func (s *Supervisor) exchangeOnceLocked(queries []Query) ([]Reply, error) {
 	return f.Replies, nil
 }
 
-// roundTrip writes one frame and awaits the next within the deadline. A
-// timeout (hung child), closed line channel (crashed child) or unparsable
-// line (garbage) is an error the caller converts into a strike.
+// roundTrip writes one frame and reads the reply within the deadline. A
+// child still silent at the deadline is killed, which ends the read. That
+// (a hang), EOF (a crash) and a malformed or oversized line (garbage, a
+// *ProtoError) are errors the caller converts into a strike.
 func (s *Supervisor) roundTrip(c *child, out Frame, timeout time.Duration) (Frame, error) {
-	data, err := EncodeFrame(out)
-	if err != nil {
-		return Frame{}, err
-	}
-	if _, err := c.stdin.Write(data); err != nil {
+	if err := c.stream.Send(out); err != nil {
 		return Frame{}, fmt.Errorf("cosim: writing to child: %w", err)
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case line, ok := <-c.lines:
-		if !ok {
-			return Frame{}, fmt.Errorf("cosim: child exited (EOF on its stdout)")
-		}
-		return ParseFrame(line)
-	case <-t.C:
+	watchdog := time.AfterFunc(timeout, func() {
+		_ = c.cmd.Process.Kill()
+		_ = c.stdout.Close() // a grandchild may still hold the pipe open
+	})
+	f, err := c.stream.Next()
+	if !watchdog.Stop() {
 		return Frame{}, fmt.Errorf("cosim: child did not answer within %v (hang)", timeout)
 	}
+	if errors.Is(err, io.EOF) {
+		return Frame{}, fmt.Errorf("cosim: child exited (EOF on its stdout)")
+	}
+	return f, err
 }
 
 // killLocked tears the current child down (idempotent).
@@ -560,9 +553,7 @@ func killChild(c *child) {
 	if c.cmd.Process != nil {
 		_ = c.cmd.Process.Kill()
 	}
-	// Reap the process and drain the reader; both complete promptly after
-	// the kill closed the pipes.
+	// Reap the process; Wait completes promptly after the kill closed the
+	// pipes.
 	_ = c.cmd.Wait()
-	for range c.lines {
-	}
 }

@@ -1,6 +1,7 @@
 package cosim_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"mobilebench/internal/fault"
 	"mobilebench/internal/mem"
 	"mobilebench/internal/soc"
+	"mobilebench/internal/wire"
 )
 
 // TestMain doubles as the external timing-model child: when re-exec'd with
@@ -21,6 +23,9 @@ import (
 // deployments use with cmd/mbtiming, but available under -race and without
 // building a second binary.
 func TestMain(m *testing.M) {
+	if os.Getenv("MBCOSIM_CHILD") == "overlong" {
+		os.Exit(serveOverlong())
+	}
 	if os.Getenv("MBCOSIM_CHILD") == "1" {
 		chaos, err := fault.ParseCosim(os.Getenv("MBCOSIM_CHAOS"))
 		if err != nil {
@@ -38,6 +43,27 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// serveOverlong is a live child that welcomes, then answers every batch
+// with a line twice the frame bound, and keeps reading until stdin closes.
+func serveOverlong() int {
+	stream := wire.NewStream[cosim.Frame](os.Stdin, os.Stdout, cosim.MaxFrameBytes)
+	if _, err := stream.Next(); err != nil {
+		return 1
+	}
+	if stream.Send(cosim.Frame{Type: cosim.TypeWelcome, Proto: cosim.ProtoVersion, Model: cosim.ModelAnalytic, Exact: true}) != nil {
+		return 1
+	}
+	line := append(bytes.Repeat([]byte("x"), 2*cosim.MaxFrameBytes), '\n')
+	for {
+		if _, err := stream.Next(); err != nil {
+			return 0
+		}
+		if _, err := os.Stdout.Write(line); err != nil {
+			return 1
+		}
+	}
 }
 
 // childConfig builds a supervisor config that re-execs this test binary as
@@ -182,6 +208,62 @@ func TestSupervisorGarbageStrike(t *testing.T) {
 	}
 	if sup.Degraded() {
 		t.Fatal("one garbage frame degraded the supervisor")
+	}
+}
+
+// TestSupervisorOverlongLineStrike: a live child writing a line over the
+// frame bound is struck for a protocol error, not reported as exited.
+func TestSupervisorOverlongLineStrike(t *testing.T) {
+	cfg := childConfig("", "")
+	cfg.Env = []string{"MBCOSIM_CHILD=overlong"}
+	cfg.MaxStrikes = 1
+	sup := newSupervisor(t, cfg)
+	qs, want := distinctQueries(1)
+	info := exchangeOne(t, sup, qs[0], want[0])
+	if !notesContain(info.Notes, "exceeds the") || notesContain(info.Notes, "EOF") {
+		t.Fatalf("overlong line not struck as a protocol error: %+v", info.Notes)
+	}
+}
+
+// TestSupervisorCloseDuringBackoff: Close ends a restart backoff in
+// progress; Exchange returns promptly and no child is spawned after
+// shutdown.
+func TestSupervisorCloseDuringBackoff(t *testing.T) {
+	spawnFile := filepath.Join(t.TempDir(), "spawns")
+	cfg := childConfig("", "kill_batch=2,spawn_file="+spawnFile)
+	cfg.BackoffBase = time.Minute
+	cfg.BackoffCap = time.Minute
+	sup := newSupervisor(t, cfg)
+	qs, want := distinctQueries(2)
+	exchangeOne(t, sup, qs[0], want[0])
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := sup.Exchange(qs[1:])
+		errc <- err
+	}()
+	// Batch 2 kills the child, so the exchange enters its 30-90 s restart
+	// backoff within milliseconds. The pause makes Close land inside that
+	// backoff; the assertions hold wherever it lands.
+	time.Sleep(500 * time.Millisecond)
+	start := time.Now()
+	sup.Close()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("Exchange on a closed supervisor succeeded")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Exchange still waiting out its restart backoff after Close")
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Close took %v to end the exchange", d)
+	}
+	data, err := os.ReadFile(spawnFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(string(data)); got != "1" {
+		t.Fatalf("spawn counter = %s after Close, want 1 (a child was started after shutdown)", got)
 	}
 }
 

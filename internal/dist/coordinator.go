@@ -6,17 +6,16 @@
 package dist
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sort"
 	"sync"
 	"time"
 
+	"mobilebench/internal/wire"
 	"mobilebench/internal/xrand"
 )
 
@@ -98,7 +97,7 @@ type workerConn struct {
 	id       string
 	capacity int
 	conn     net.Conn
-	wmu      sync.Mutex // serializes frame writes
+	stream   *wire.Stream[Frame]
 	active   map[string]*lease
 }
 
@@ -158,18 +157,18 @@ func (c *Coordinator) Serve(ln net.Listener) {
 // handleConn runs one worker connection: handshake, then the frame loop.
 func (c *Coordinator) handleConn(conn net.Conn) {
 	defer conn.Close()
-	r := bufio.NewReaderSize(conn, 64<<10)
-	f, err := readFrame(r)
+	stream := wire.NewStream[Frame](conn, conn, MaxFrameBytes)
+	f, err := stream.Next()
 	if err != nil || f.Type != TypeHello {
-		_ = writeFrame(conn, &sync.Mutex{}, Frame{Type: TypeReject, Error: "expected a hello frame"})
+		_ = stream.Send(Frame{Type: TypeReject, Error: "expected a hello frame"})
 		return
 	}
 	if f.Proto != ProtoVersion {
-		_ = writeFrame(conn, &sync.Mutex{}, Frame{Type: TypeReject,
+		_ = stream.Send(Frame{Type: TypeReject,
 			Error: fmt.Sprintf("protocol version %d not supported (want %d)", f.Proto, ProtoVersion)})
 		return
 	}
-	w := &workerConn{id: f.Worker, capacity: f.Capacity, conn: conn, active: make(map[string]*lease)}
+	w := &workerConn{id: f.Worker, capacity: f.Capacity, conn: conn, stream: stream, active: make(map[string]*lease)}
 
 	c.mu.Lock()
 	if c.closed {
@@ -178,20 +177,20 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 	if _, dup := c.workers[w.id]; dup {
 		c.mu.Unlock()
-		_ = writeFrame(conn, &w.wmu, Frame{Type: TypeReject, Error: fmt.Sprintf("worker id %q already registered", w.id)})
+		_ = stream.Send(Frame{Type: TypeReject, Error: fmt.Sprintf("worker id %q already registered", w.id)})
 		return
 	}
 	c.workers[w.id] = w
 	c.mu.Unlock()
 	defer c.dropWorker(w)
 
-	if err := writeFrame(conn, &w.wmu, Frame{Type: TypeWelcome, Proto: ProtoVersion}); err != nil {
+	if err := stream.Send(Frame{Type: TypeWelcome, Proto: ProtoVersion}); err != nil {
 		return
 	}
 	c.pulseFreed() // fresh capacity: wake saturated dispatchers
 
 	for {
-		f, err := readFrame(r)
+		f, err := stream.Next()
 		if err != nil {
 			return // connection death revokes every lease via dropWorker
 		}
@@ -388,7 +387,7 @@ func (c *Coordinator) tryDispatch(jobID string, spec json.RawMessage, checkpoint
 	c.mu.Unlock()
 
 	frame := Frame{Type: TypeDispatch, Lease: l.id, Job: jobID, Spec: spec, Checkpoint: checkpointPath}
-	if err := writeFrame(best.conn, &best.wmu, frame); err != nil {
+	if err := best.stream.Send(frame); err != nil {
 		// The worker died between selection and write: drop it (revoking
 		// this lease among any others) and report "no capacity" so the
 		// caller retries against the remaining fleet.
@@ -416,18 +415,10 @@ func (c *Coordinator) abandon(l *lease) {
 // waitCapacity sleeps the capped-exponential, deterministically jittered
 // saturation backoff, returning early when capacity frees up or ctx ends.
 func (c *Coordinator) waitCapacity(ctx context.Context, jobID string, attempt int) error {
-	d := c.cfg.DispatchBackoffBase
-	for i := 0; i < attempt && d < dispatchBackoffCap; i++ {
-		d *= 2
-	}
-	if d > dispatchBackoffCap {
-		d = dispatchBackoffCap
-	}
-	// Jitter in [0.5, 1.5), derived from (seed, job, attempt): saturated
-	// dispatchers decorrelate, yet the schedule replays exactly.
-	rng := xrand.New(c.cfg.Seed).Split(hashString(jobID)).Split(uint64(attempt) + 0x5eed)
-	d = time.Duration(float64(d) * (0.5 + rng.Float64()))
-	t := time.NewTimer(d)
+	// Jitter derived from (seed, job, attempt): saturated dispatchers
+	// decorrelate, yet the schedule replays exactly.
+	rng := xrand.New(c.cfg.Seed).Split(xrand.HashString(jobID)).Split(uint64(attempt) + 0x5eed)
+	t := time.NewTimer(xrand.Backoff(c.cfg.DispatchBackoffBase, dispatchBackoffCap, attempt, rng))
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
@@ -439,12 +430,6 @@ func (c *Coordinator) waitCapacity(ctx context.Context, jobID string, attempt in
 	case <-t.C:
 		return nil
 	}
-}
-
-func hashString(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
 }
 
 // Stats reports the fleet's size and load: connected workers, their total
@@ -491,39 +476,4 @@ func (c *Coordinator) Close() {
 		c.dropWorker(w)
 	}
 	c.done.Wait()
-}
-
-// readFrame reads one newline-delimited frame, enforcing the size bound.
-func readFrame(r *bufio.Reader) (Frame, error) {
-	var line []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		line = append(line, chunk...)
-		if len(line) > MaxFrameBytes {
-			return Frame{}, &ProtoError{Reason: fmt.Sprintf("frame exceeds the %d-byte bound", MaxFrameBytes)}
-		}
-		if err == nil {
-			break
-		}
-		if errors.Is(err, bufio.ErrBufferFull) {
-			continue
-		}
-		return Frame{}, err
-	}
-	return ParseFrame(line)
-}
-
-// writeFrame encodes and writes one frame under the connection's write
-// mutex (results, heartbeats and dispatches interleave from different
-// goroutines).
-func writeFrame(conn net.Conn, mu *sync.Mutex, f Frame) error {
-	data, err := EncodeFrame(f)
-	if err != nil {
-		return err
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	//mblint:ignore mutexhold mu is this connection's dedicated write mutex — serializing writers across conn.Write is its whole job, and a wedged peer stalls only its own connection (reaped by the heartbeat deadline)
-	_, err = conn.Write(data)
-	return err
 }

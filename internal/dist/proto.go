@@ -25,9 +25,10 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"mobilebench/internal/wire"
 )
 
 // ProtoVersion is the wire-protocol version this build speaks. A hello
@@ -35,9 +36,9 @@ import (
 // single job frame is exchanged.
 const ProtoVersion = 1
 
-// MaxFrameBytes bounds one encoded frame. Specs and results are small
-// JSON documents; anything larger is a protocol error, not a buffer to
-// grow for.
+// MaxFrameBytes bounds one encoded frame, its newline excluded. Specs and
+// results are small JSON documents; anything larger is a protocol error,
+// not a buffer to grow for.
 const MaxFrameBytes = 8 << 20
 
 // MaxSpecBytes bounds the spec a dispatch frame may carry: the frame
@@ -103,35 +104,14 @@ type Frame struct {
 // ProtoError reports a frame that failed decoding or validation. The
 // connection carrying it is broken and must be torn down; leases ride on
 // connection health, so the jobs it carried are re-dispatched.
-type ProtoError struct {
-	Reason string
-}
+type ProtoError = wire.ProtoError
 
-// Error implements error.
-func (e *ProtoError) Error() string { return "dist: protocol error: " + e.Reason }
+// ParseFrame decodes and validates one frame line (see wire.Parse).
+func ParseFrame(line []byte) (Frame, error) { return wire.Parse[Frame](line, MaxFrameBytes) }
 
-// ParseFrame decodes and validates one frame line. It never panics on any
-// input: malformed JSON, oversized lines, unknown types and frames missing
-// their type's required fields all return a *ProtoError.
-func ParseFrame(line []byte) (Frame, error) {
-	var f Frame
-	if len(line) > MaxFrameBytes {
-		return f, &ProtoError{Reason: fmt.Sprintf("frame of %d bytes exceeds the %d-byte bound", len(line), MaxFrameBytes)}
-	}
-	dec := json.NewDecoder(bytes.NewReader(line))
-	if err := dec.Decode(&f); err != nil {
-		return Frame{}, &ProtoError{Reason: "undecodable frame: " + err.Error()}
-	}
-	// One object per line: trailing non-space bytes are a framing bug, not
-	// data to be silently dropped.
-	if dec.More() {
-		return Frame{}, &ProtoError{Reason: "trailing data after the frame object"}
-	}
-	if err := f.Validate(); err != nil {
-		return Frame{}, err
-	}
-	return f, nil
-}
+// EncodeFrame serializes a validated frame as one newline-terminated JSON
+// line, the exact bytes ParseFrame accepts back.
+func EncodeFrame(f Frame) ([]byte, error) { return wire.Encode(f, MaxFrameBytes) }
 
 // Validate enforces the per-type required fields.
 func (f Frame) Validate() error {
@@ -188,20 +168,4 @@ func (f Frame) Validate() error {
 		return &ProtoError{Reason: fmt.Sprintf("unknown frame type %q", f.Type)}
 	}
 	return nil
-}
-
-// EncodeFrame serializes a validated frame as one newline-terminated JSON
-// line, the exact bytes ParseFrame accepts back.
-func EncodeFrame(f Frame) ([]byte, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	data, err := json.Marshal(f)
-	if err != nil {
-		return nil, &ProtoError{Reason: "unencodable frame: " + err.Error()}
-	}
-	if len(data) > MaxFrameBytes {
-		return nil, &ProtoError{Reason: fmt.Sprintf("frame of %d bytes exceeds the %d-byte bound", len(data), MaxFrameBytes)}
-	}
-	return append(data, '\n'), nil
 }

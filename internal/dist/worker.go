@@ -6,7 +6,6 @@
 package dist
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +13,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"mobilebench/internal/wire"
 )
 
 // ExecFunc executes one dispatched job: the opaque spec document, with
@@ -149,16 +150,15 @@ func (w *Worker) session(ctx context.Context, addr string) error {
 		_ = conn.Close()
 	}()
 
-	// One write mutex per session serializes hello, heartbeat and result
-	// frames from the job goroutines.
-	var wmu sync.Mutex
-	if err := writeFrame(conn, &wmu, Frame{
+	// One stream per session serializes hello, heartbeat and result frames
+	// from the job goroutines.
+	stream := wire.NewStream[Frame](conn, conn, MaxFrameBytes)
+	if err := stream.Send(Frame{
 		Type: TypeHello, Proto: ProtoVersion, Worker: w.cfg.ID, Capacity: w.cfg.Capacity,
 	}); err != nil {
 		return err
 	}
-	r := bufio.NewReaderSize(conn, 64<<10)
-	f, err := readFrame(r)
+	f, err := stream.Next()
 	if err != nil {
 		return err
 	}
@@ -184,7 +184,7 @@ func (w *Worker) session(ctx context.Context, addr string) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		f, err := readFrame(r)
+		f, err := stream.Next()
 		if err != nil {
 			return err
 		}
@@ -194,13 +194,13 @@ func (w *Worker) session(ctx context.Context, addr string) error {
 		jobs.Add(1)
 		go func(f Frame) {
 			defer jobs.Done()
-			w.runLease(sctx, conn, &wmu, f, active)
+			w.runLease(sctx, stream, f, active)
 		}(f)
 	}
 }
 
 // runLease executes one dispatched job, heartbeating until it settles.
-func (w *Worker) runLease(ctx context.Context, conn net.Conn, wmu *sync.Mutex, f Frame, active *counter) {
+func (w *Worker) runLease(ctx context.Context, stream *wire.Stream[Frame], f Frame, active *counter) {
 	active.add(1)
 	defer active.add(-1)
 
@@ -219,7 +219,7 @@ func (w *Worker) runLease(ctx context.Context, conn net.Conn, wmu *sync.Mutex, f
 			case <-hctx.Done():
 				return
 			case <-tick.C:
-				if writeFrame(conn, wmu, Frame{Type: TypeHeartbeat, Lease: f.Lease, Active: active.get()}) != nil {
+				if stream.Send(Frame{Type: TypeHeartbeat, Lease: f.Lease, Active: active.get()}) != nil {
 					return
 				}
 			}
@@ -239,10 +239,10 @@ func (w *Worker) runLease(ctx context.Context, conn net.Conn, wmu *sync.Mutex, f
 		if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			return
 		}
-		_ = writeFrame(conn, wmu, Frame{Type: TypeFail, Lease: f.Lease, Job: f.Job, Error: err.Error()})
+		_ = stream.Send(Frame{Type: TypeFail, Lease: f.Lease, Job: f.Job, Error: err.Error()})
 		return
 	}
-	_ = writeFrame(conn, wmu, Frame{Type: TypeResult, Lease: f.Lease, Job: f.Job, Result: result})
+	_ = stream.Send(Frame{Type: TypeResult, Lease: f.Lease, Job: f.Job, Result: result})
 }
 
 // counter is a tiny gauge for the heartbeat's active-job count.

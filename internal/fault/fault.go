@@ -31,7 +31,6 @@ package fault
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strconv"
@@ -230,7 +229,7 @@ func (in *Injector) PlanFor(unit string, run, attempt int) Plan {
 		return Plan{}
 	}
 	rng := xrand.New(c.Seed).
-		Split(hashString(unit)).
+		Split(xrand.HashString(unit)).
 		Split(uint64(run) + 1).
 		Split(uint64(attempt) + 1)
 	var p Plan
@@ -432,10 +431,4 @@ func Attempt(ctx context.Context) int {
 		return v
 	}
 	return 0
-}
-
-func hashString(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
 }

@@ -125,7 +125,7 @@ func DefaultConfig() *Config {
 				Allow:    []string{"Workers", "Checkpoint", "Resume"},
 			},
 		},
-		WireframePkgs: []string{"dist", "cosim"},
+		WireframePkgs: []string{"wire", "dist", "cosim"},
 		SafeCallPkgs: []string{
 			"fmt", "strings", "strconv", "sort", "errors", "math", "math/bits",
 			"bytes", "unicode", "unicode/utf8", "slices", "maps", "cmp",

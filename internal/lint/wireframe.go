@@ -9,7 +9,8 @@ import (
 
 // WireFrame enforces the wire-protocol decoding conventions the fuzz
 // targets pin, structurally, in the protocol packages (Config.
-// WireframePkgs — internal/dist and internal/cosim):
+// WireframePkgs — internal/wire, plus internal/dist and internal/cosim,
+// which still read bytes from outside the process):
 //
 //  1. Parse entry points never panic: an exported Parse* function from
 //     which a panic call is reachable (through module-local calls,
@@ -22,7 +23,7 @@ import (
 //     before it sizes an allocation.
 //  3. Append growth in read loops is bounded: a loop that grows a
 //     slice with x = append(x, ...) needs a len(x) comparison
-//     somewhere in the function, the readFrame MaxFrameBytes shape.
+//     somewhere in the function, the wire.Stream.Next bound shape.
 //  4. Unknown-field tolerance: json.Decoder.DisallowUnknownFields is
 //     banned in wire packages — peers running one protocol version
 //     apart must be able to exchange frames.

@@ -11,6 +11,12 @@ func TestWireFrame(t *testing.T) {
 	linttest.Run(t, lint.WireFrame, nil, "wireframe/dist")
 }
 
+// TestWireFrameSharedCodec: the shared framing package is in the default
+// scope, so an unguarded growth loop there is flagged.
+func TestWireFrameSharedCodec(t *testing.T) {
+	linttest.Run(t, lint.WireFrame, nil, "wireframe/wire")
+}
+
 // TestWireFrameScope pins that packages outside the configured wire
 // segments are untouched: the same hostile shapes in a non-wire path
 // produce no findings.

@@ -15,7 +15,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"time"
@@ -526,7 +525,7 @@ func (e *Engine) runWith(ctx context.Context, w workload.Workload, run int, mode
 		return nil, &fault.InjectedError{Mode: fault.ModeCrash, Unit: w.Name, Run: run, Attempt: attempt}
 	}
 
-	rng := xrand.New(cfg.Seed).Split(hashName(w.Name)).Split(uint64(run) + 1)
+	rng := xrand.New(cfg.Seed).Split(xrand.HashString(w.Name)).Split(uint64(run) + 1)
 
 	// Jitter phase durations for this run.
 	phases := make([]workload.Phase, len(w.Phases))
@@ -1314,12 +1313,6 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-func hashName(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
 }
 
 // frameTimeMS converts a frame rate to per-frame milliseconds (0 when idle).

@@ -9,7 +9,11 @@
 // Blackman and Vigna.
 package xrand
 
-import "math"
+import (
+	"hash/fnv"
+	"math"
+	"time"
+)
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
 // It is used to derive well-distributed seeds from arbitrary user seeds.
@@ -141,6 +145,30 @@ func (r *Rand) Jitter(base, rel float64) float64 {
 		f = 0.05
 	}
 	return base * f
+}
+
+// Backoff returns the capped-exponential retry delay for a 0-based
+// attempt: base doubled attempt times and capped at maxDelay, then scaled
+// by a jitter factor in [0.5, 1.5) drawn from r. Each caller derives r
+// from its own split chain, so concurrent retriers decorrelate while every
+// schedule replays exactly.
+func Backoff(base, maxDelay time.Duration, attempt int, r *Rand) time.Duration {
+	d := base
+	for i := 0; i < attempt && d < maxDelay; i++ {
+		d *= 2
+	}
+	if d > maxDelay {
+		d = maxDelay
+	}
+	return time.Duration(float64(d) * (0.5 + r.Float64()))
+}
+
+// HashString folds a name (a unit, a job ID) into a Split label: the
+// 64-bit FNV-1a hash of its bytes.
+func HashString(s string) uint64 {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(s))
+	return h.Sum64()
 }
 
 // Zipf returns a value in [0, n) following an approximate Zipf distribution
