@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -104,7 +105,7 @@ func TestLogTornTailTolerated(t *testing.T) {
 // The crash-mid-append recovery sequence: a torn tail must be truncated
 // before appending again — the log opens O_APPEND, so without the truncate
 // the next record lands directly after the torn bytes and the merged line
-// would drop an acked record on the following read.
+// would drop an acked record on the following read. RecoverLog does both.
 func TestLogTruncateTornTailThenAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stream.log")
 	writeLogRecords(t, path, `{"seq":1}`, `{"seq":2}`)
@@ -118,19 +119,19 @@ func TestLogTruncateTornTailThenAppend(t *testing.T) {
 	}
 	f.Close()
 
-	got, valid, err := ReadLog(path)
+	l, got, err := RecoverLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
 		t.Fatalf("read %d records, want 2", len(got))
 	}
-	if err := TruncateLog(path, valid); err != nil {
-		t.Fatal(err)
-	}
 
 	// The recovered log round-trips the next acked record.
-	writeLogRecords(t, path, `{"seq":3}`)
+	if err := l.Append([]byte(`{"seq":3}`)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
 	got, _, err = ReadLog(path)
 	if err != nil {
 		t.Fatal(err)
@@ -146,23 +147,24 @@ func TestLogTruncateTornTailThenAppend(t *testing.T) {
 	}
 }
 
-// TruncateLog is a no-op on a missing file or an already-clean log.
+// Recovery is a no-op on a missing file (an empty log) or an already-clean
+// log.
 func TestLogTruncateNoop(t *testing.T) {
-	if err := TruncateLog(filepath.Join(t.TempDir(), "absent.log"), 0); err != nil {
-		t.Fatalf("TruncateLog(absent) = %v", err)
+	l, got, err := RecoverLog(filepath.Join(t.TempDir(), "absent.log"))
+	if err != nil || len(got) != 0 {
+		t.Fatalf("RecoverLog(absent) = %v, %v", got, err)
 	}
+	l.Close()
 	path := filepath.Join(t.TempDir(), "stream.log")
 	writeLogRecords(t, path, `{"seq":1}`)
-	_, valid, err := ReadLog(path)
+	l, _, err = RecoverLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := TruncateLog(path, valid); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := ReadLog(path)
+	l.Close()
+	got, _, err = ReadLog(path)
 	if err != nil || len(got) != 1 || string(got[0]) != `{"seq":1}` {
-		t.Fatalf("clean log damaged by no-op truncate: %v, %v", got, err)
+		t.Fatalf("clean log damaged by no-op recovery: %v, %v", got, err)
 	}
 }
 
@@ -211,5 +213,163 @@ func TestLogCorruptFinalRefused(t *testing.T) {
 	var ce *CorruptLogError
 	if !errors.As(err, &ce) || ce.Line != 2 {
 		t.Fatalf("ReadLog(corrupt final) = %v, want *CorruptLogError at line 2", err)
+	}
+}
+
+// faultFile is a logFile that can land only half of a write, or fail a
+// sync or truncate, on demand; it counts the calls that reach it.
+type faultFile struct {
+	*os.File
+	shortWrites, failSyncs, failTruncates int
+	writes, syncs                         int
+}
+
+func (f *faultFile) Write(p []byte) (int, error) {
+	f.writes++
+	if f.shortWrites > 0 {
+		f.shortWrites--
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, syscall.ENOSPC
+	}
+	return f.File.Write(p)
+}
+
+func (f *faultFile) Sync() error {
+	f.syncs++
+	if f.failSyncs > 0 {
+		f.failSyncs--
+		return syscall.EIO
+	}
+	return f.File.Sync()
+}
+
+func (f *faultFile) Truncate(size int64) error {
+	if f.failTruncates > 0 {
+		f.failTruncates--
+		return syscall.EIO
+	}
+	return f.File.Truncate(size)
+}
+
+// openFaultLog opens a log at path whose file is a faultFile.
+func openFaultLog(t *testing.T, path string) (*Log, *faultFile) {
+	t.Helper()
+	l, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := &faultFile{File: l.f.(*os.File)}
+	l.f = ff
+	t.Cleanup(func() { l.Close() })
+	return l, ff
+}
+
+func wantRecords(t *testing.T, path string, want ...string) {
+	t.Helper()
+	got, _, err := ReadLog(path)
+	if err != nil {
+		t.Fatalf("ReadLog: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if string(got[i]) != want[i] {
+			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// A short write (ENOSPC mid-record) leaves a fragment; the log truncates
+// it away, so the next acked record starts on a clean line and reads back
+// with no CorruptLogError.
+func TestLogShortWriteThenAppendReadsClean(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.log")
+	l, ff := openFaultLog(t, path)
+	if err := l.Append([]byte(`{"seq":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	ff.shortWrites = 1
+	if err := l.Append([]byte(`{"seq":2}`)); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("short write returned %v, want ENOSPC", err)
+	}
+	if err := l.Append([]byte(`{"seq":2}`), []byte(`{"seq":3}`)); err != nil {
+		t.Fatalf("append after a truncated short write: %v", err)
+	}
+	wantRecords(t, path, `{"seq":1}`, `{"seq":2}`, `{"seq":3}`)
+}
+
+// After a failed fsync the log is wedged: every later Append returns the
+// original error and never reaches the file again, so the fsync is never
+// retried and an unacked record that may be on disk is never followed.
+func TestLogSyncFailureWedges(t *testing.T) {
+	l, ff := openFaultLog(t, filepath.Join(t.TempDir(), "stream.log"))
+	ff.failSyncs = 1
+	first := l.Append([]byte(`{"seq":1}`))
+	if !errors.Is(first, syscall.EIO) {
+		t.Fatalf("failed sync returned %v, want EIO", first)
+	}
+	writes, syncs := ff.writes, ff.syncs
+	for i := 0; i < 3; i++ {
+		if err := l.Append([]byte(`{"seq":1}`)); err != first {
+			t.Fatalf("append %d after a failed sync = %v, want the original error %v", i, err, first)
+		}
+	}
+	if ff.writes != writes || ff.syncs != syncs {
+		t.Fatalf("wedged log issued %d writes and %d syncs", ff.writes-writes, ff.syncs-syncs)
+	}
+}
+
+// A failed write whose truncate-back also fails leaves a fragment the log
+// cannot remove, so the log wedges instead of appending after it.
+func TestLogFailedTruncateWedges(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.log")
+	l, ff := openFaultLog(t, path)
+	ff.shortWrites, ff.failTruncates = 1, 1
+	first := l.Append([]byte(`{"seq":1}`))
+	if !errors.Is(first, syscall.ENOSPC) {
+		t.Fatalf("short write returned %v, want ENOSPC", first)
+	}
+	if err := l.Append([]byte(`{"seq":1}`)); err != first {
+		t.Fatalf("append after a failed truncate = %v, want the original error", err)
+	}
+	if ff.writes != 1 {
+		t.Fatalf("wedged log issued %d more writes", ff.writes-1)
+	}
+}
+
+// A batch Append is one write and one fsync, however many records it
+// carries.
+func TestLogAppendBatchIsOneWriteOneSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.log")
+	l, ff := openFaultLog(t, path)
+	if err := l.Append([]byte("a"), []byte("b"), []byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	if ff.writes != 1 || ff.syncs != 1 {
+		t.Fatalf("batch append issued %d writes and %d syncs, want 1 and 1", ff.writes, ff.syncs)
+	}
+	if err := l.Append(); err != nil || ff.writes != 1 {
+		t.Fatalf("empty append = %v after %d writes, want a no-op", err, ff.writes)
+	}
+	wantRecords(t, path, "a", "b", "c")
+}
+
+// A file whose first bytes are not record framing is some other format
+// left at the path: reading refuses it, and recovery leaves it untouched
+// rather than truncating it away as one long torn append.
+func TestLogRefusesForeignFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.log")
+	foreign := []byte("MBRL\x01\x00\x00\x00 not a record log")
+	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := RecoverLog(path)
+	var ce *CorruptLogError
+	if !errors.As(err, &ce) || ce.Line != 1 {
+		t.Fatalf("RecoverLog(foreign) = %v, want *CorruptLogError at line 1", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(foreign) {
+		t.Fatalf("recovery modified a foreign file: %q, %v", got, err)
 	}
 }

@@ -4,39 +4,22 @@
 // -resume'd collection replays logged replies instead of re-asking, so a
 // collection is bit-reproducible even when the child crashed mid-phase —
 // the same guarantee MBCP checkpoints give completed (unit, run) pairs,
-// one protocol layer further down.
+// one protocol layer further down. Replies reach disk in batches: a kill -9
+// loses at most replayFlushEvery-1 replies since the last flush, and a
+// resumed run re-asks those (Close flushes everything).
 package cosim
 
 import (
-	"bytes"
-	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"io/fs"
-	"os"
-	"sort"
 	"sync"
 
 	"mobilebench/internal/checkpoint"
 )
 
-// Replay-log file format: magic, version, record count, records (each a
-// length-prefixed key and value), and a trailing CRC-32 (IEEE) of every
-// preceding byte. Records are written in sorted key order, so the file
-// bytes are a pure function of its contents.
-var replayMagic = [4]byte{'M', 'B', 'R', 'L'}
-
-// ReplayVersion is the log schema version.
-const ReplayVersion = 1
-
-// maxReplayRecord bounds one key or value; anything larger marks a corrupt
-// file rather than an allocation to attempt.
-const maxReplayRecord = MaxFrameBytes
-
 // replayFlushEvery is how many new records accumulate before MaybeFlush
-// rewrites the log on disk (it also flushes on Close/Flush).
+// appends them to the log (it also flushes on Close/Flush).
 const replayFlushEvery = 256
 
 // LogError reports an unusable replay-log file. Corruption is loud: a
@@ -50,103 +33,67 @@ type LogError struct {
 // Error implements error.
 func (e *LogError) Error() string { return fmt.Sprintf("cosim: replay log %s: %s", e.Path, e.Reason) }
 
+// replayRecord is one logged reply: the payload of one checkpoint.Log
+// line. JSON strings round-trip any valid UTF-8 byte-exactly, and keys and
+// replies are JSON text.
+type replayRecord struct {
+	Key   string `json:"k"`
+	Reply string `json:"r"`
+}
+
+// recordLog is the slice of *checkpoint.Log a ReplayLog appends through;
+// tests substitute a failing fake.
+type recordLog interface {
+	Append(payloads ...[]byte) error
+	Close() error
+}
+
 // ReplayLog is the supervisor's reply cache: an in-memory map persisted as
-// a CRC'd file through checkpoint.AtomicFile. A nil *ReplayLog is valid and
-// caches nothing (replay disabled). Safe for concurrent use.
+// an append-only checkpoint.Log, one CRC line per (key, reply). A nil
+// *ReplayLog is valid and caches nothing (replay disabled). Safe for
+// concurrent use.
 //
-// Persistence is deferred: Put is pure in-memory, and flushing encodes a
-// snapshot under mu but performs the file write under a separate write
-// mutex, so Get/Put/Len are never stalled behind disk I/O (the PR-8
-// supervisor-stall class: a flush under the map mutex blocked every
-// reader for the duration of an atomic rewrite).
+// Persistence is deferred: Put is pure in-memory, and flushing snapshots
+// the pending batch under mu but appends it under a separate write mutex,
+// so Get/Put/Len are never stalled behind disk I/O (a flush under the map
+// mutex would block every reader for the duration of a file write).
 type ReplayLog struct {
-	// mu guards the map and the generation counters; it is only ever held
-	// for in-memory work.
-	mu   sync.Mutex
-	path string
-	m    map[string][]byte
-	// puts counts accepted Puts; flushed is the puts value captured by the
-	// last durable flush. Their difference is the dirty-record count.
-	puts    uint64
-	flushed uint64
-	// wmu serializes flushers' file writes. Never held together with mu,
-	// and never taken by Get/Put/Len.
+	// mu guards the map and the pending batch; it is only ever held for
+	// in-memory work.
+	mu      sync.Mutex
+	m       map[string][]byte
+	pending []replayRecord // Put since the last durable flush, in order
+	// wmu serializes flushers' appends. Taken before mu, never while
+	// holding it, and never by Get/Put/Len.
 	wmu sync.Mutex
+	log recordLog
 }
 
 // OpenReplayLog loads the log at path, or starts an empty one when the file
-// does not exist yet. A corrupt, truncated or version-skewed file returns a
+// does not exist yet. A torn final append (a crash mid-flush) is dropped;
+// a damaged record, or a file that is not a record log, returns a
 // *LogError.
 func OpenReplayLog(path string) (*ReplayLog, error) {
-	l := &ReplayLog{path: path, m: make(map[string][]byte)}
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := l.decode(data); err != nil {
-			return nil, err
-		}
-	case errors.Is(err, fs.ErrNotExist):
-		// Fresh start.
-	default:
+	lg, payloads, err := checkpoint.RecoverLog(path)
+	var ce *checkpoint.CorruptLogError
+	if errors.As(err, &ce) {
+		return nil, &LogError{Path: path, Reason: fmt.Sprintf("line %d: %s", ce.Line, ce.Why)}
+	}
+	if err != nil {
 		return nil, err
+	}
+	l := &ReplayLog{m: make(map[string][]byte, len(payloads)), log: lg}
+	for i, p := range payloads {
+		var rec replayRecord
+		if err := json.Unmarshal(p, &rec); err != nil {
+			_ = lg.Close()
+			return nil, &LogError{Path: path, Reason: fmt.Sprintf("line %d: %v", i+1, err)}
+		}
+		if _, ok := l.m[rec.Key]; !ok {
+			l.m[rec.Key] = []byte(rec.Reply)
+		}
 	}
 	return l, nil
-}
-
-func (l *ReplayLog) decode(data []byte) error {
-	fail := func(reason string) error { return &LogError{Path: l.path, Reason: reason} }
-	if len(data) < len(replayMagic)+4+8+4 {
-		return fail("file too short to be a replay log")
-	}
-	if !bytes.Equal(data[:4], replayMagic[:]) {
-		return fail("bad magic (not a replay log)")
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return fail("checksum mismatch (corrupt or truncated)")
-	}
-	r := bytes.NewReader(body[4:])
-	var version uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return fail("unreadable version")
-	}
-	if version != ReplayVersion {
-		return fail(fmt.Sprintf("schema version %d (this build reads %d)", version, ReplayVersion))
-	}
-	var count uint64
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return fail("unreadable record count")
-	}
-	for i := uint64(0); i < count; i++ {
-		key, err := readBlob(r)
-		if err != nil {
-			return fail(fmt.Sprintf("record %d key: %v", i, err))
-		}
-		val, err := readBlob(r)
-		if err != nil {
-			return fail(fmt.Sprintf("record %d value: %v", i, err))
-		}
-		l.m[string(key)] = val
-	}
-	if r.Len() != 0 {
-		return fail("trailing bytes after the last record")
-	}
-	return nil
-}
-
-func readBlob(r *bytes.Reader) ([]byte, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > maxReplayRecord {
-		return nil, fmt.Errorf("blob of %d bytes exceeds the %d-byte bound", n, maxReplayRecord)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // Get returns the logged reply bytes for the query key.
@@ -174,8 +121,9 @@ func (l *ReplayLog) Put(key string, reply []byte) {
 	if _, ok := l.m[key]; ok {
 		return
 	}
-	l.m[key] = append([]byte(nil), reply...)
-	l.puts++
+	rec := replayRecord{Key: key, Reply: string(reply)}
+	l.m[key] = []byte(rec.Reply)
+	l.pending = append(l.pending, rec)
 }
 
 // Len returns the number of logged replies.
@@ -188,7 +136,7 @@ func (l *ReplayLog) Len() int {
 	return len(l.m)
 }
 
-// MaybeFlush persists the log if enough new records accumulated since
+// MaybeFlush persists the pending records once enough accumulated since
 // the last durable flush. The supervisor calls it after every exchange,
 // outside its own mutex.
 func (l *ReplayLog) MaybeFlush() error {
@@ -196,7 +144,7 @@ func (l *ReplayLog) MaybeFlush() error {
 		return nil
 	}
 	l.mu.Lock()
-	dirty := l.puts - l.flushed
+	dirty := len(l.pending)
 	l.mu.Unlock()
 	if dirty < replayFlushEvery {
 		return nil
@@ -204,12 +152,11 @@ func (l *ReplayLog) MaybeFlush() error {
 	return l.Flush()
 }
 
-// Flush persists the log atomically (temp + fsync + rename); a crash
-// mid-flush leaves the previous file intact. The snapshot is encoded
-// under the map mutex, but the file write happens under the separate
-// write mutex, so concurrent Get/Put never wait on disk. A failed write
-// leaves the flushed generation unchanged: the records stay dirty and
-// the next flush retries them.
+// Flush appends every pending record to the log in one fsynced append, so
+// the bytes written over a run equal the log's size. The batch is
+// snapshotted under the map mutex, but the append happens under the
+// separate write mutex, so concurrent Get/Put never wait on disk. A failed
+// append leaves the batch pending, and the next flush retries it.
 func (l *ReplayLog) Flush() error {
 	if l == nil {
 		return nil
@@ -217,48 +164,41 @@ func (l *ReplayLog) Flush() error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.mu.Lock()
-	if l.puts == l.flushed {
-		l.mu.Unlock()
+	batch := l.pending[:len(l.pending):len(l.pending)]
+	l.mu.Unlock()
+	if len(batch) == 0 {
 		return nil
 	}
-	gen := l.puts
-	data := l.encodeLocked()
-	l.mu.Unlock()
-	//mblint:ignore mutexhold l.wmu exists solely to serialize flushers' writes; Get/Put/Len never take it
-	if err := checkpoint.WriteFile(l.path, data, 0o644); err != nil {
+	payloads := make([][]byte, len(batch))
+	for i, rec := range batch {
+		p, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		payloads[i] = p
+	}
+	//mblint:ignore mutexhold l.wmu exists solely to serialize flushers' appends; Get/Put/Len never take it
+	if err := l.log.Append(payloads...); err != nil {
 		return err
 	}
 	l.mu.Lock()
-	// Puts that arrived while the file was being written are newer than
-	// the snapshot on disk; the generation guard keeps them dirty.
-	if l.flushed < gen {
-		l.flushed = gen
-	}
+	// Puts that arrived during the append are newer than the batch on
+	// disk; they stay pending.
+	l.pending = l.pending[len(batch):]
 	l.mu.Unlock()
 	return nil
 }
 
-// encodeLocked renders the file bytes for the current contents. l.mu held.
-func (l *ReplayLog) encodeLocked() []byte {
-	keys := make([]string, 0, len(l.m))
-	for k := range l.m {
-		keys = append(keys, k)
+// Close flushes the pending records and closes the log file.
+func (l *ReplayLog) Close() error {
+	if l == nil {
+		return nil
 	}
-	// Sorted order makes the file bytes a pure function of the contents,
-	// independent of insertion (and map-iteration) order.
-	sort.Strings(keys)
-	var b bytes.Buffer
-	b.Write(replayMagic[:])
-	_ = binary.Write(&b, binary.LittleEndian, uint32(ReplayVersion))
-	_ = binary.Write(&b, binary.LittleEndian, uint64(len(keys)))
-	for _, k := range keys {
-		_ = binary.Write(&b, binary.LittleEndian, uint32(len(k)))
-		b.WriteString(k)
-		v := l.m[k]
-		_ = binary.Write(&b, binary.LittleEndian, uint32(len(v)))
-		b.Write(v)
+	err := l.Flush()
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if cerr := l.log.Close(); err == nil {
+		err = cerr
 	}
-	sum := crc32.ChecksumIEEE(b.Bytes())
-	_ = binary.Write(&b, binary.LittleEndian, sum)
-	return b.Bytes()
+	return err
 }

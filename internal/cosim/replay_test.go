@@ -2,16 +2,38 @@ package cosim
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
 func tmpLog(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "replay.log")
+}
+
+func openLog(t *testing.T, path string) *ReplayLog {
+	t.Helper()
+	l, err := OpenReplayLog(path)
+	if err != nil {
+		t.Fatalf("OpenReplayLog: %v", err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
+func fileBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestReplayLogRoundTrip: put, flush, reopen, get the same bytes back.
@@ -36,6 +58,34 @@ func TestReplayLogRoundTrip(t *testing.T) {
 	v, ok := re.Get("q1")
 	if !ok || string(v) != `{"mem":{}}` {
 		t.Fatalf("Get(q1) = %q, %v", v, ok)
+	}
+}
+
+// TestReplayLogByteExact: keys and replies round-trip byte for byte,
+// whatever characters they hold and whether or not the reply is JSON.
+func TestReplayLogByteExact(t *testing.T) {
+	path := tmpLog(t)
+	want := map[string]string{
+		`{"q":"<a & b>"}`:                 `{"r":"x<y&z>"}`,
+		`{"q":"Snapdragon 888 — µs, 温度"}`: `{"note":"naïve ✓"}`,
+		"not json \\ \" \t key":           "not json either: <&> \x01 ünïcode",
+		"":                                "",
+	}
+	l := openLog(t, path)
+	for k, v := range want {
+		l.Put(k, []byte(v))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openLog(t, path)
+	if re.Len() != len(want) {
+		t.Fatalf("reopened log has %d records, want %d", re.Len(), len(want))
+	}
+	for k, v := range want {
+		if got, ok := re.Get(k); !ok || string(got) != v {
+			t.Fatalf("Get(%q) = %q, %v; want %q", k, got, ok, v)
+		}
 	}
 }
 
@@ -66,6 +116,9 @@ func TestReplayLogNilSafe(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if l.Len() != 0 {
 		t.Fatal("nil log has length")
 	}
@@ -77,98 +130,126 @@ func TestReplayLogNilSafe(t *testing.T) {
 // ever waits on the disk behind l.mu (the PR-8 stall class).
 func TestReplayLogMaybeFlushBatches(t *testing.T) {
 	path := tmpLog(t)
-	l, err := OpenReplayLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, path)
 	for i := 0; i < replayFlushEvery-1; i++ {
 		l.Put(fmt.Sprintf("k%04d", i), []byte("v"))
 	}
 	if err := l.MaybeFlush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); err == nil {
-		t.Fatal("MaybeFlush wrote below the batching threshold")
+	if n := len(fileBytes(t, path)); n != 0 {
+		t.Fatalf("MaybeFlush wrote %d bytes below the batching threshold", n)
 	}
 	l.Put("last", []byte("v"))
 	if err := l.MaybeFlush(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenReplayLog(path)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
+	re := openLog(t, path)
 	if re.Len() != replayFlushEvery {
 		t.Fatalf("flushed log has %d records, want %d", re.Len(), replayFlushEvery)
 	}
 	// Nothing new since the durable flush: the next flushes are no-ops.
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
+	size := len(fileBytes(t, path))
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); err == nil {
-		t.Fatal("Flush rewrote a clean log")
+	if n := len(fileBytes(t, path)); n != size {
+		t.Fatalf("Flush of a clean log changed its size from %d to %d", size, n)
 	}
 }
 
-// TestReplayLogFailedFlushStaysDirty: a failed write leaves the records
-// dirty, so the next flush retries them instead of silently dropping the
-// batch.
-func TestReplayLogFailedFlushStaysDirty(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "missing", "replay.log")
-	l, err := OpenReplayLog(path)
-	if err != nil {
-		t.Fatal(err)
+// failingLog fails its next `fails` appends, then hands them to the real
+// log.
+type failingLog struct {
+	recordLog
+	fails int
+}
+
+func (f *failingLog) Append(payloads ...[]byte) error {
+	if f.fails > 0 {
+		f.fails--
+		return errors.New("injected append failure")
 	}
+	return f.recordLog.Append(payloads...)
+}
+
+// TestReplayLogFailedFlushStaysDirty: a failed write leaves the batch
+// pending, so the next flush persists it instead of silently dropping it.
+func TestReplayLogFailedFlushStaysDirty(t *testing.T) {
+	path := tmpLog(t)
+	l := openLog(t, path)
+	l.log = &failingLog{recordLog: l.log, fails: 1}
 	l.Put("k", []byte("v"))
 	if err := l.Flush(); err == nil {
-		t.Fatal("Flush into a missing directory succeeded")
+		t.Fatal("Flush through a failing append succeeded")
 	}
-	if err := os.Mkdir(filepath.Join(dir, "missing"), 0o755); err != nil {
-		t.Fatal(err)
-	}
+	l.Put("k2", []byte("v2"))
 	if err := l.Flush(); err != nil {
 		t.Fatalf("retried Flush: %v", err)
 	}
-	re, err := OpenReplayLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Len() != 1 {
-		t.Fatalf("retried flush persisted %d records, want 1", re.Len())
+	re := openLog(t, path)
+	if re.Len() != 2 {
+		t.Fatalf("retried flush persisted %d records, want 2", re.Len())
 	}
 }
 
-// TestReplayLogDeterministicBytes: the file bytes are a pure function of
-// the contents, independent of insertion order.
-func TestReplayLogDeterministicBytes(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, keys []string) []byte {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		l, err := OpenReplayLog(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range keys {
-			l.Put(k, []byte("v-"+k))
+// TestReplayLogAppendOnly: every flush appends only what was Put since the
+// last one — the previous file bytes are a strict prefix of the new ones,
+// so bytes written over a run equal the log's final size.
+func TestReplayLogAppendOnly(t *testing.T) {
+	path := tmpLog(t)
+	l := openLog(t, path)
+	prev := fileBytes(t, path)
+	for batch := 0; batch < 4; batch++ {
+		for i := 0; i < 3; i++ {
+			l.Put(fmt.Sprintf("b%d-q%d", batch, i), []byte(fmt.Sprintf(`{"batch":%d}`, batch)))
 		}
 		if err := l.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		cur := fileBytes(t, path)
+		if len(cur) <= len(prev) || string(cur[:len(prev)]) != string(prev) {
+			t.Fatalf("flush %d rewrote the log instead of appending to it", batch)
 		}
-		return data
+		prev = cur
 	}
-	a := write("a.log", []string{"x", "y", "z"})
-	b := write("b.log", []string{"z", "x", "y"})
-	if string(a) != string(b) {
-		t.Fatal("log bytes depend on insertion order")
+}
+
+// TestReplayLogConcurrentFlush: Puts racing flushes from several
+// goroutines all reach disk exactly once — a flush drops only the batch it
+// appended, never a Put that arrived during the append.
+func TestReplayLogConcurrentFlush(t *testing.T) {
+	path := tmpLog(t)
+	l := openLog(t, path)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				l.Put(fmt.Sprintf("g%d-q%d", g, i), []byte("v"))
+				if err := l.MaybeFlush(); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%97 == 0 {
+					if err := l.Flush(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(fileBytes(t, path)), "\n"); n != 4*300 {
+		t.Fatalf("log holds %d records, want %d", n, 4*300)
+	}
+	if re := openLog(t, path); re.Len() != 4*300 {
+		t.Fatalf("reopened log has %d replies, want %d", re.Len(), 4*300)
 	}
 }
 
@@ -176,45 +257,23 @@ func TestReplayLogDeterministicBytes(t *testing.T) {
 // open instead of silently serving wrong replies.
 func TestReplayLogRefusesDamage(t *testing.T) {
 	path := tmpLog(t)
-	l, err := OpenReplayLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, path)
 	l.Put("key", []byte("value"))
-	if err := l.Flush(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	damage := map[string]func() []byte{
+	good := fileBytes(t, path)
+	damage := map[string][]byte{
 		"flipped byte": func() []byte {
 			d := append([]byte(nil), good...)
 			d[len(d)/2] ^= 0xff
 			return d
-		},
-		"truncated": func() []byte { return good[:len(good)-3] },
-		"bad magic": func() []byte {
-			d := append([]byte(nil), good...)
-			d[0] = 'X'
-			return d
-		},
-		"version skew": func() []byte {
-			d := append([]byte(nil), good...)
-			binary.LittleEndian.PutUint32(d[4:], ReplayVersion+1)
-			// Recompute the CRC so only the version is wrong.
-			binary.LittleEndian.PutUint32(d[len(d)-4:], crc32.ChecksumIEEE(d[:len(d)-4]))
-			return d
-		},
-		"trailing bytes": func() []byte {
-			d := append(append([]byte(nil), good...), "extra"...)
-			return d
-		},
-		"too short": func() []byte { return good[:6] },
+		}(),
+		// CRC-valid framing around a payload that is not a replay record.
+		"undecodable record": []byte(fmt.Sprintf("%08x [1]\n", crc32.Checksum([]byte("[1]"), crc32.MakeTable(crc32.Castagnoli)))),
 	}
-	for name, make := range damage {
-		if err := os.WriteFile(path, make(), 0o644); err != nil {
+	for name, data := range damage {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err := OpenReplayLog(path)
@@ -224,6 +283,83 @@ func TestReplayLogRefusesDamage(t *testing.T) {
 		}
 		if _, ok := err.(*LogError); !ok {
 			t.Errorf("%s: error is %T, want *LogError", name, err)
+		}
+	}
+}
+
+// TestReplayLogTornTailDropped: a crash mid-flush leaves a torn final
+// line, which was never durable. Opening drops it, keeps every complete
+// record before it, and the log appends cleanly afterwards.
+func TestReplayLogTornTailDropped(t *testing.T) {
+	path := tmpLog(t)
+	l := openLog(t, path)
+	l.Put("key1", []byte("value1"))
+	l.Put("key2", []byte("value2"))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good := fileBytes(t, path)
+	torn := map[string]struct {
+		data []byte
+		keep int
+	}{
+		"truncated":      {good[:len(good)-3], 1},
+		"trailing bytes": {append(append([]byte(nil), good...), "extra"...), 2},
+		"too short":      {good[:6], 0},
+	}
+	for name, tc := range torn {
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenReplayLog(path)
+		if err != nil {
+			t.Fatalf("%s: OpenReplayLog: %v", name, err)
+		}
+		if l.Len() != tc.keep {
+			t.Fatalf("%s: opened with %d records, want %d", name, l.Len(), tc.keep)
+		}
+		l.Put("after", []byte("crash"))
+		if err := l.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", name, err)
+		}
+		re := openLog(t, path)
+		if v, ok := re.Get("after"); re.Len() != tc.keep+1 || !ok || string(v) != "crash" {
+			t.Fatalf("%s: after recovery the log holds %d records (Get(after) = %q, %v)", name, re.Len(), v, ok)
+		}
+	}
+}
+
+// TestReplayLogRefusesMBRLFile: a replay log left by the retired MBRL
+// format (magic, version, length-prefixed records, CRC-32 trailer) fails
+// the open loudly and is left untouched — never misread as an empty log or
+// truncated away as a torn tail.
+func TestReplayLogRefusesMBRLFile(t *testing.T) {
+	mbrl := func(records ...string) []byte {
+		var b []byte
+		b = append(b, "MBRL"...)
+		b = binary.LittleEndian.AppendUint32(b, 1)
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(records)/2))
+		for _, r := range records {
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(r)))
+			b = append(b, r...)
+		}
+		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	}
+	for name, data := range map[string][]byte{
+		"no newline byte": mbrl("key", "value"),
+		"newline bytes":   mbrl(strings.Repeat("k", 10), `{"mem":{"lat":1}}`),
+	} {
+		path := tmpLog(t)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenReplayLog(path)
+		var le *LogError
+		if !errors.As(err, &le) {
+			t.Fatalf("%s: OpenReplayLog(MBRL file) = %v, want *LogError", name, err)
+		}
+		if got := fileBytes(t, path); string(got) != string(data) {
+			t.Fatalf("%s: opening modified the MBRL file", name)
 		}
 	}
 }

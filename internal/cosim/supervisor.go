@@ -166,6 +166,7 @@ func NewSupervisor(cfg Config) (*Supervisor, error) {
 	}
 	c, model, exact, err := s.spawn("", false)
 	if err != nil {
+		_ = s.log.Close()
 		return nil, err
 	}
 	s.c, s.model, s.exact = c, model, exact
@@ -195,8 +196,8 @@ func (s *Supervisor) Degraded() bool {
 	return s.open
 }
 
-// Close kills the child and flushes the replay log. The supervisor is
-// unusable afterwards.
+// Close kills the child, then flushes and closes the replay log. The
+// supervisor is unusable afterwards.
 func (s *Supervisor) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -210,14 +211,16 @@ func (s *Supervisor) Close() error {
 	s.mu.Unlock()
 	// The final flush runs outside s.mu: a slow disk at shutdown must not
 	// stall status accessors or sessions still observing the closed state.
-	return s.log.Flush()
+	return s.log.Close()
 }
 
 // Exchange answers the queries, in order: first from the replay log, then —
 // for whatever the log cannot answer — from the supervised child (or the
 // in-process fallback once the circuit is open). Every newly computed reply
-// is appended to the log before Exchange returns it, so re-asking after any
-// crash, restart or resume replays the same bytes.
+// enters the log before Exchange returns it, so re-asking after a child
+// crash or restart replays the same bytes. Replies reach disk in batches of
+// replayFlushEvery: a kill -9 loses up to replayFlushEvery-1 replies since
+// the last flush, which a resumed run re-asks; Close flushes the rest.
 func (s *Supervisor) Exchange(queries []Query) ([]Reply, ExchangeInfo, error) {
 	s.mu.Lock()
 	//mblint:ignore mutexhold exchanges are serialized by contract — s.mu IS the one-batch-at-a-time serialization, and the recovery path's long waits release it (restartUnlocking)

@@ -83,37 +83,28 @@ func newStreamEngine(stateDir string, cfg StreamConfig) (*streamEngine, error) {
 	if err := cfg.options().Validate(); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(stateDir, "stream.log")
-	payloads, validLen, err := checkpoint.ReadLog(path)
+	// RecoverLog drops any torn tail (a crash mid-append) before reopening
+	// for append, so a new record can never merge with the torn bytes.
+	log, payloads, err := checkpoint.RecoverLog(filepath.Join(stateDir, "stream.log"))
 	if err != nil {
 		return nil, err
 	}
-	// Drop any torn tail (a crash mid-append) before reopening: the log is
-	// opened O_APPEND, and a record written after torn bytes would merge
-	// with them into one unparseable line — acked, then lost on the next
-	// replay.
-	if err := checkpoint.TruncateLog(path, validLen); err != nil {
-		return nil, err
-	}
-	e := &streamEngine{opt: cfg.options(), state: core.NewStreamState(cfg.options()), nextSeq: 1}
+	e := &streamEngine{opt: cfg.options(), state: core.NewStreamState(cfg.options()), log: log, nextSeq: 1}
 	for i, payload := range payloads {
 		var rec core.StreamRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
+			_ = log.Close()
 			return nil, fmt.Errorf("server: stream log record %d: %w", i+1, err)
 		}
 		delta, err := e.state.Ingest(context.Background(), rec)
 		if err != nil {
+			_ = log.Close()
 			return nil, fmt.Errorf("server: replaying stream record %d: %w", i+1, err)
 		}
 		e.records = append(e.records, rec)
 		e.changes = append(e.changes, delta)
 		e.nextSeq = rec.Seq + 1
 	}
-	log, err := checkpoint.OpenLog(path)
-	if err != nil {
-		return nil, err
-	}
-	e.log = log
 	return e, nil
 }
 
@@ -134,7 +125,9 @@ func (e *streamEngine) ingest(rec core.StreamRecord) (core.StreamDelta, error) {
 		return core.StreamDelta{}, err
 	}
 	// Persist before accept: if the append fails the record was never
-	// acked and the engine never sees it.
+	// acked and the engine never sees it. A failed fsync wedges the log, so
+	// a record that may have reached disk anyway never has its sequence
+	// number reused.
 	//mblint:ignore mutexhold the persist-then-fold sequence IS the critical section — the fsynced append and the engine fold must land in the same order for every record, or a crash could replay records in an order the acked deltas never saw; one fsync of one line is bounded
 	if err := e.log.Append(payload); err != nil {
 		return core.StreamDelta{}, err

@@ -9,7 +9,9 @@
 #      fallback) must still converge to identical bytes, and the
 #      degradation must be visible in the provenance line on stderr,
 #   4. a replay-logged run, then a re-run over the same log — identical
-#      bytes again, now answered from the log instead of fresh queries.
+#      bytes again, now answered from the log instead of fresh queries,
+#   5. a run over the log with its final record torn (a crash mid-append)
+#      — the torn record is dropped and re-asked, identical bytes again.
 set -euo pipefail
 
 # Hard timeout guard: finish inside $MBSMOKE_TIMEOUT seconds (default 300)
@@ -82,6 +84,19 @@ same_bytes replay1 "replay-logged run"
 run replay2 -timing-model "$MBTIMING" -timing-replay "$STATE/replay"
 same_bytes replay2 "replayed run"
 echo "replay log round-trip byte-identical"
+
+# A crash mid-append leaves the log's last record torn: cut its final bytes
+# off. The next run drops the torn record, re-asks its query and appends
+# again — still the baseline bytes, and the log is never refused or emptied.
+LOG="$STATE/replay/cosim-replay.log"
+truncate -s -5 "$LOG"
+run replay3 -timing-model "$MBTIMING" -timing-replay "$STATE/replay"
+same_bytes replay3 "run over a torn replay log"
+[ -s "$LOG" ] || {
+  echo "FAIL: replay log empty after torn-tail recovery" >&2
+  exit 1
+}
+echo "torn replay-log flush recovered byte-identically"
 
 trap - EXIT
 echo "PASS"
