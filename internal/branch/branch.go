@@ -215,23 +215,33 @@ type Stream struct {
 	rng  *xrand.Rand
 	last []bool // per-site previous outcome
 	pcs  []uint64
-	// siteZipf holds the precomputed hot-site draw constants
-	// (bit-identical to rng.Zipf(len(pcs), 1.1) per branch, one
-	// math.Pow cheaper).
+	// siteZipf is the hot-site sampler: bit-identical to
+	// rng.Zipf(len(pcs), 1.1) per branch, without its math.Pow.
 	siteZipf xrand.ZipfGen
 }
 
 // NewStream creates a branch stream for the profile.
 func NewStream(prof Profile, rng *xrand.Rand) *Stream {
-	prof = prof.Clamp()
-	s := &Stream{prof: prof, rng: rng}
-	s.last = make([]bool, prof.StaticBranches)
-	s.pcs = make([]uint64, prof.StaticBranches)
-	for i := range s.pcs {
-		s.pcs[i] = 0x400000 + uint64(i)*16
-	}
-	s.siteZipf = xrand.NewZipfGen(len(s.pcs), 1.1)
+	s := new(Stream)
+	s.Reset(prof, rng)
 	return s
+}
+
+// Reset re-targets s: afterwards it measures exactly as NewStream(prof,
+// rng) would, reusing its buffers and hot-site sampler.
+func (s *Stream) Reset(prof Profile, rng *xrand.Rand) {
+	prof = prof.Clamp()
+	s.prof, s.rng = prof, rng
+	if n := prof.StaticBranches; len(s.pcs) != n {
+		s.last = make([]bool, n)
+		s.pcs = make([]uint64, n)
+		for i := range s.pcs {
+			s.pcs[i] = 0x400000 + uint64(i)*16
+		}
+	} else {
+		clear(s.last)
+	}
+	s.siteZipf.Reset(len(s.pcs), 1.1)
 }
 
 // Measure runs n branches through p and returns the number mispredicted.

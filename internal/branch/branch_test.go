@@ -177,13 +177,25 @@ func TestEntropyRaisesMisses(t *testing.T) {
 	}
 }
 
+// TestStreamDeterminism also covers Reset: a stream re-targeted after
+// measuring another profile must match a fresh one.
 func TestStreamDeterminism(t *testing.T) {
+	prof := Profile{StaticBranches: 32, TakenBias: 0.8, Entropy: 0.1}
 	mk := func() uint64 {
-		s := NewStream(Profile{StaticBranches: 32, TakenBias: 0.8, Entropy: 0.1}, xrand.New(5))
+		s := NewStream(prof, xrand.New(5))
 		return s.Measure(NewTournament(10, 8), 2000)
 	}
-	if mk() != mk() {
+	want := mk()
+	if mk() != want {
 		t.Fatal("identical seeds produced different misprediction counts")
+	}
+	for _, other := range []int{32, 256} {
+		s := NewStream(Profile{StaticBranches: other, TakenBias: 0.5, Correlated: 0.4}, xrand.New(8))
+		s.Measure(NewTournament(10, 8), 500)
+		s.Reset(prof, xrand.New(5))
+		if got := s.Measure(NewTournament(10, 8), 2000); got != want {
+			t.Fatalf("stream reset from %d sites: %d mispredictions, fresh %d", other, got, want)
+		}
 	}
 }
 

@@ -195,14 +195,22 @@ func TestPatternClamp(t *testing.T) {
 	}
 }
 
+// TestStreamDeterminism also covers Reset: a generator re-targeted from
+// another pattern mid-stream must match a fresh one.
 func TestStreamDeterminism(t *testing.T) {
-	pat := AccessPattern{WorkingSetBytes: 1 << 20, SequentialFrac: 0.5, HotFrac: 0.5}
+	pat := AccessPattern{WorkingSetBytes: 1 << 20, SequentialFrac: 0.5, HotFrac: 0.5, ReuseSkew: 0.9}
 	g1 := NewStreamGen(pat, 1, xrand.New(5))
 	g2 := NewStreamGen(pat, 1, xrand.New(5))
+	g3 := NewStreamGen(AccessPattern{WorkingSetBytes: 1 << 24, ReuseSkew: 1.4, HotBytes: 4096}, 3, xrand.New(9))
+	for i := 0; i < 100; i++ {
+		g3.Next()
+	}
+	g3.Reset(pat, 1, xrand.New(5))
 	for i := 0; i < 1000; i++ {
 		a1, s1 := g1.Next()
 		a2, s2 := g2.Next()
-		if a1 != a2 || s1 != s2 {
+		a3, s3 := g3.Next()
+		if a1 != a2 || s1 != s2 || a1 != a3 || s1 != s3 {
 			t.Fatalf("streams diverged at %d", i)
 		}
 	}

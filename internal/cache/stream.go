@@ -77,9 +77,9 @@ type StreamGen struct {
 	base   uint64 // region base address (distinct per generator)
 	// hotLines caches the number of distinct lines in the working set.
 	lines uint64
-	// Precomputed Zipf draw constants for the hot-region and reuse
-	// distributions (bit-identical to calling rng.Zipf per access, minus
-	// one math.Pow per draw — the dominant sampling cost).
+	// Zipf samplers for the hot-region and reuse distributions:
+	// bit-identical to calling rng.Zipf per access, but guide-table
+	// driven, so all but a few draws skip math.Pow.
 	hotZipf   xrand.ZipfGen
 	reuseZipf xrand.ZipfGen
 }
@@ -88,16 +88,20 @@ type StreamGen struct {
 // distinct address region so that two cores' streams do not accidentally
 // share lines unless the workload says so.
 func NewStreamGen(pat AccessPattern, region uint64, rng *xrand.Rand) *StreamGen {
-	pat = pat.Clamp()
-	g := &StreamGen{
-		pat:   pat,
-		rng:   rng,
-		base:  region << 40, // 1 TB-aligned region per generator
-		lines: pat.WorkingSetBytes / 64,
-	}
-	g.hotZipf = xrand.NewZipfGen(int(pat.HotBytes/64), 0.8)
-	g.reuseZipf = xrand.NewZipfGen(int(g.lines), pat.ReuseSkew)
+	g := new(StreamGen)
+	g.Reset(pat, region, rng)
 	return g
+}
+
+// Reset re-targets g: afterwards it generates exactly what
+// NewStreamGen(pat, region, rng) would, reusing its Zipf tables.
+func (g *StreamGen) Reset(pat AccessPattern, region uint64, rng *xrand.Rand) {
+	pat = pat.Clamp()
+	g.pat, g.rng, g.cursor = pat, rng, 0
+	g.base = region << 40 // 1 TB-aligned region per generator
+	g.lines = pat.WorkingSetBytes / 64
+	g.hotZipf.Reset(int(pat.HotBytes/64), 0.8)
+	g.reuseZipf.Reset(int(g.lines), pat.ReuseSkew)
 }
 
 // Pattern returns the generator's pattern.
@@ -111,7 +115,7 @@ func (g *StreamGen) SetWorkingSet(bytes uint64) {
 	}
 	g.pat.WorkingSetBytes = bytes
 	g.lines = bytes / 64
-	g.reuseZipf = xrand.NewZipfGen(int(g.lines), g.pat.ReuseSkew)
+	g.reuseZipf.Reset(int(g.lines), g.pat.ReuseSkew)
 }
 
 // Next returns the next address in the synthetic stream and whether it

@@ -122,7 +122,10 @@ type Model struct {
 	freqHz float64
 	tex    *cache.Cache
 	texGen *cache.StreamGen
-	rng    *xrand.Rand
+	// texLive reports whether texGen has been re-targeted since the last
+	// Reset. A stale texGen is kept so its tables can be reused.
+	texLive bool
+	rng     *xrand.Rand
 }
 
 // NewModel creates a GPU model for the platform.
@@ -135,6 +138,7 @@ func NewModel(hw soc.GPU, disp soc.Display, rng *xrand.Rand) *Model {
 		disp:   disp,
 		freqHz: hw.MinFreqHz,
 		tex:    cache.MustNew(texGeom),
+		texGen: new(cache.StreamGen),
 		rng:    rng,
 	}
 	return m
@@ -144,7 +148,7 @@ func NewModel(hw soc.GPU, disp soc.Display, rng *xrand.Rand) *Model {
 func (m *Model) Reset() {
 	m.freqHz = m.hw.MinFreqHz
 	m.tex.Flush()
-	m.texGen = nil
+	m.texLive = false
 }
 
 // ResetSeed is Reset plus re-seeding the texture-stream RNG. A flushed
@@ -225,12 +229,13 @@ func (m *Model) Step(scene Scene, dt float64) Result {
 	texMiss := 0.0
 	if scene.TextureWorkingSetMB > 0 {
 		ws := uint64(scene.TextureWorkingSetMB * 1024 * 1024)
-		if m.texGen == nil || m.texGen.Pattern().WorkingSetBytes != ws {
-			m.texGen = cache.NewStreamGen(cache.AccessPattern{
+		if !m.texLive || m.texGen.Pattern().WorkingSetBytes != ws {
+			m.texGen.Reset(cache.AccessPattern{
 				WorkingSetBytes: ws,
 				SequentialFrac:  0.35,
 				ReuseSkew:       0.9,
 			}, 7, m.rng.Split(0x9e37))
+			m.texLive = true
 		}
 		const sample = 2048
 		m.tex.ResetStats()

@@ -252,7 +252,9 @@ func ExpandPatterns(moduleDir, modPath string, patterns []string) ([]string, err
 			}
 			name := d.Name()
 			if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
+				name == "testdata" || name == "vendor" || isFile(filepath.Join(path, "go.mod"))) {
+				// A directory holding its own go.mod is a nested module,
+				// outside this one's "./...", as with go list.
 				return filepath.SkipDir
 			}
 			if !hasNonTestGoFiles(path) {
@@ -271,6 +273,11 @@ func ExpandPatterns(moduleDir, modPath string, patterns []string) ([]string, err
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+func isFile(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.Mode().IsRegular()
 }
 
 // hasNonTestGoFiles reports whether dir holds at least one buildable

@@ -208,6 +208,11 @@ type runModels struct {
 	gpuM     *gpu.Model
 	aieM     *aie.Model
 	timingM  TimingModel
+
+	// slcPollute is the GPU texture stream polluting the SLC. Each run
+	// re-targets it per phase; it is kept across runs so its tables are
+	// reused.
+	slcPollute *cache.StreamGen
 }
 
 // newRunModels builds a fresh model set for one run.
@@ -233,6 +238,10 @@ func (e *Engine) newRunModels() (*runModels, error) {
 			pen:  cpu.DefaultPenalties(cl),
 			hier: h,
 			pred: branch.NewTournament(14, 14),
+			// Re-targeted at every phase change; kept across runs so
+			// their Zipf tables are reused.
+			stream:   new(cache.StreamGen),
+			branches: new(branch.Stream),
 		})
 	}
 	var timing TimingModel
@@ -252,9 +261,10 @@ func (e *Engine) newRunModels() (*runModels, error) {
 		// The GPU model's texture RNG is per-run; runWith re-seeds it via
 		// ResetSeed before the first tick, so the placeholder stream here is
 		// never consumed.
-		gpuM:    gpu.NewModel(e.plat.GPU, e.plat.Display, xrand.New(1)),
-		aieM:    aie.NewModel(e.plat.AIE),
-		timingM: timing,
+		gpuM:       gpu.NewModel(e.plat.GPU, e.plat.Display, xrand.New(1)),
+		aieM:       aie.NewModel(e.plat.AIE),
+		timingM:    timing,
+		slcPollute: new(cache.StreamGen),
 	}, nil
 }
 
@@ -275,8 +285,8 @@ func (m *runModels) reset(cfg Config) error {
 		cs.pred.Reset()
 		cs.freqHz = cs.cl.MinFreqHz
 		cs.gov = gov
-		cs.stream = nil
-		cs.branches = nil
+		// phaseIdx -1 re-targets stream and branches before the run's
+		// first sample.
 		cs.miss = cpu.MissProfile{}
 		cs.phaseIdx = -1
 	}
@@ -597,7 +607,6 @@ func (e *Engine) runWith(ctx context.Context, w workload.Workload, run int, mode
 		prevAIE                     aie.Result
 		prevIO                      mem.IOResult
 		agg                         Aggregates
-		slcPollute                  *cache.StreamGen
 		slcPolluteIdx               = -1
 		// tasks is this run's per-tick task scratch: truncated (never
 		// reallocated once warm) at the top of every tick. Run-local, so
@@ -696,9 +705,9 @@ func (e *Engine) runWith(ctx context.Context, w workload.Workload, run int, mode
 			active := util > 1e-4
 			if active && (cs.phaseIdx != phaseIdx || tick%cfg.RefreshTicks == 0) {
 				if cs.phaseIdx != phaseIdx {
-					cs.stream = cache.NewStreamGen(phase.CPU.Access,
+					cs.stream.Reset(phase.CPU.Access,
 						uint64(cs.kind)+1, rng.Split(uint64(phaseIdx)*16+uint64(cs.kind)))
-					cs.branches = branch.NewStream(phase.CPU.Branches,
+					cs.branches.Reset(phase.CPU.Branches,
 						rng.Split(uint64(phaseIdx)*64+uint64(cs.kind)+7))
 					cs.phaseIdx = phaseIdx
 				}
@@ -798,15 +807,15 @@ func (e *Engine) runWith(ctx context.Context, w workload.Workload, run int, mode
 		// cache, displacing CPU lines; this is the mechanism behind the
 		// depressed IPC of graphics-heavy benchmarks (Section V-A).
 		if phase.GPU.TextureWorkingSetMB > 0 && gpuRes.BusBusy > 0 {
-			if slcPollute == nil || slcPolluteIdx != phaseIdx {
-				slcPollute = cache.NewStreamGen(cache.AccessPattern{
+			if slcPolluteIdx != phaseIdx {
+				models.slcPollute.Reset(cache.AccessPattern{
 					WorkingSetBytes: uint64(phase.GPU.TextureWorkingSetMB * 1024 * 1024),
 					SequentialFrac:  0.6,
 					ReuseSkew:       0.4,
 				}, 23, rng.Split(uint64(phaseIdx)*131+5))
 				slcPolluteIdx = phaseIdx
 			}
-			slcPollute.Pollute(slc, int(gpuRes.BusBusy*float64(cfg.CacheSamples)*0.5))
+			models.slcPollute.Pollute(slc, int(gpuRes.BusBusy*float64(cfg.CacheSamples)*0.5))
 		}
 		aieRes := aieModel.Step(phase.AIE, cfg.TickSec)
 		footprint := phase.Mem

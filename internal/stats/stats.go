@@ -51,38 +51,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(n)
 }
 
-// Variance returns the population variance of the finite values of xs
-// (0 when fewer than one finite value is present). NaN/Inf samples are
-// excluded rather than propagated.
-//
-// The implementation is Welford's single-pass update: one traversal instead
-// of the previous mean-then-residuals double pass, which halves the memory
-// traffic over long tick series. Welford is at least as accurate as the
-// two-pass form but not bit-identical to it; results may differ from the
-// old implementation in the last ULPs (TestVarianceMatchesTwoPass pins the
-// delta). No dataset or golden depends on Variance bits.
-func Variance(xs []float64) float64 {
-	n := 0
-	mean, m2 := 0.0, 0.0
-	for _, x := range xs {
-		if !IsFinite(x) {
-			continue
-		}
-		n++
-		d := x - mean
-		mean += d / float64(n)
-		m2 += d * (x - mean)
-	}
-	if n == 0 {
-		return 0
-	}
-	return m2 / float64(n)
-}
-
-// StdDev returns the population standard deviation of the finite values
-// of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Pearson returns the Pearson correlation coefficient between x and y.
 // It returns an error when the lengths differ, either input contains a
 // non-finite value (wrapping ErrNonFinite), or either series has zero

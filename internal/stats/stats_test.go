@@ -8,18 +8,27 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// streamOf folds xs into a Stream, the package's one variance estimator.
+func streamOf(xs []float64) *Stream {
+	var s Stream
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return &s
+}
+
 func TestMeanVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if !almost(Mean(xs), 5) {
 		t.Fatalf("mean = %g", Mean(xs))
 	}
-	if !almost(Variance(xs), 4) {
-		t.Fatalf("variance = %g", Variance(xs))
+	if v := streamOf(xs).Variance(); !almost(v, 4) {
+		t.Fatalf("variance = %g", v)
 	}
-	if !almost(StdDev(xs), 2) {
-		t.Fatalf("stddev = %g", StdDev(xs))
+	if sd := streamOf(xs).StdDev(); !almost(sd, 2) {
+		t.Fatalf("stddev = %g", sd)
 	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
+	if Mean(nil) != 0 || streamOf(nil).Variance() != 0 {
 		t.Fatal("empty inputs should yield 0")
 	}
 }
@@ -220,8 +229,8 @@ func TestQuickNormalizeMinMaxRange(t *testing.T) {
 }
 
 // twoPassVariance is the reference double-pass (mean, then residuals)
-// population variance the Welford implementation replaced; the pinning test
-// below bounds how far the two may drift apart.
+// population variance; the pinning test below bounds how far the Welford
+// Stream may drift from it.
 func twoPassVariance(xs []float64) float64 {
 	m := Mean(xs)
 	s, n := 0.0, 0
@@ -239,12 +248,10 @@ func twoPassVariance(xs []float64) float64 {
 	return s / float64(n)
 }
 
-// TestVarianceMatchesTwoPass pins the single-pass Welford Variance against
-// the two-pass reference on tick-series-like fixtures: the results must
-// agree to within a few ULPs of the variance magnitude. Nothing in the
-// pipeline persists Variance bits (no golden depends on them), so ULP-level
-// drift between the implementations is acceptable; this test documents and
-// bounds it.
+// TestVarianceMatchesTwoPass pins the single-pass Welford Stream.Variance
+// against the two-pass reference on tick-series-like fixtures: the results
+// must agree to within a few ULPs of the variance magnitude. This test
+// documents and bounds the drift between the two forms.
 func TestVarianceMatchesTwoPass(t *testing.T) {
 	fixtures := [][]float64{
 		{2, 4, 4, 4, 5, 5, 7, 9},
@@ -262,7 +269,7 @@ func TestVarianceMatchesTwoPass(t *testing.T) {
 	fixtures = append(fixtures, long)
 
 	for fi, xs := range fixtures {
-		w := Variance(xs)
+		w := streamOf(xs).Variance()
 		ref := twoPassVariance(xs)
 		// Tolerance: rounding drift between the forms grows with the
 		// number of accumulation steps, so allow ~1 ULP of the reference

@@ -17,7 +17,7 @@ import "math"
 
 // Stream is a single-pass moment accumulator over one metric's samples.
 // The zero value is ready to use. Non-finite samples (corrupted counter
-// readings) are excluded, matching Mean and Variance.
+// readings) are excluded, matching Mean.
 type Stream struct {
 	n        int64
 	mean, m2 float64

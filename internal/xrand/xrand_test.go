@@ -233,30 +233,3 @@ func TestQuickZipfInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestZipfGenMatchesZipf pins the ZipfGen fast path to Rand.Zipf: identical
-// draws from identical generator state, for a spread of (n, s) including
-// the s == 1 branch and the memoized-constant branch.
-func TestZipfGenMatchesZipf(t *testing.T) {
-	cases := []struct {
-		n int
-		s float64
-	}{
-		{0, 0.8}, {1, 1.1}, {2, 0.5}, {384, 0.8}, {1000, 1}, {65536, 0.9}, {100000, 1.3},
-	}
-	for _, c := range cases {
-		a := New(42)
-		b := New(42)
-		z := NewZipfGen(c.n, c.s)
-		for i := 0; i < 2000; i++ {
-			want := a.Zipf(c.n, c.s)
-			got := z.Draw(b)
-			if want != got {
-				t.Fatalf("n=%d s=%g draw %d: Zipf=%d ZipfGen=%d", c.n, c.s, i, want, got)
-			}
-		}
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("n=%d s=%g: generator state diverged", c.n, c.s)
-		}
-	}
-}
