@@ -26,13 +26,13 @@
 //	curl localhost:8089/jobs/job-000000
 //
 // Streaming ingest (-stream): measurement records fold one at a time into
-// an incrementally re-clustered analysis — delta distance matrices plus
-// warm-started re-validation instead of a full batch sweep per record.
-// Every record is fsynced to an append-only log before it is acked, and a
-// restart replays the log bit-identically.
+// an incrementally re-clustered analysis — delta distance matrices instead
+// of recomputing every distance per record — whose published state is
+// byte-identical to a batch analysis of the same records. Every record is
+// fsynced to an append-only log before it is acked, and a restart replays
+// the log bit-identically.
 //
 //	mbserved -state DIR -stream [-stream-kmin 2] [-stream-kmax 9]
-//	         [-stream-churn F] [-stream-exact]
 //	curl -d '{"unit":"x","runtime_sec":9,"features":[...]}' localhost:8089/v1/stream
 //	curl localhost:8089/v1/stream/state
 //	curl 'localhost:8089/v1/stream/changes?since=0'
@@ -129,11 +129,9 @@ func main() {
 		DrainGrace:    *drainGrace,
 		CacheDir:      *cacheDir,
 		Stream: server.StreamConfig{
-			Enabled:    sf.Enable,
-			KMin:       sf.KMin,
-			KMax:       sf.KMax,
-			ChurnLimit: sf.Churn,
-			Exact:      sf.Exact,
+			Enabled: sf.Enable,
+			KMin:    sf.KMin,
+			KMax:    sf.KMax,
 		},
 	}
 	if *coordinator == "" {

@@ -80,9 +80,6 @@ func MustNew(geom soc.CacheGeometry) *Cache {
 	return c
 }
 
-// Geometry returns the cache geometry.
-func (c *Cache) Geometry() soc.CacheGeometry { return c.geom }
-
 // Stats returns accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 

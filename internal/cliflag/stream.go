@@ -1,6 +1,5 @@
 // The shared streaming-ingest flags: -stream enables mbserved's
-// /v1/stream API, with the sweep range, churn threshold and exact-mode
-// knobs riding alongside.
+// /v1/stream API, with the sweep range riding alongside.
 package cliflag
 
 import (
@@ -14,11 +13,6 @@ type Stream struct {
 	Enable bool
 	// KMin..KMax is the swept cluster-count range.
 	KMin, KMax int
-	// Churn is the warm-start acceptance threshold in [0, 1].
-	Churn float64
-	// Exact disables warm starts (every refresh re-clusters cold, reusing
-	// only the delta distance matrices).
-	Exact bool
 }
 
 // RegisterStream registers the streaming-ingest flags on the default flag
@@ -34,18 +28,14 @@ func RegisterStreamOn(fs *flag.FlagSet) *Stream {
 		"enable the streaming ingest API (/v1/stream): records fold into an incrementally re-clustered analysis")
 	fs.IntVar(&s.KMin, "stream-kmin", 2, "smallest cluster count the streaming sweep validates")
 	fs.IntVar(&s.KMax, "stream-kmax", 9, "largest cluster count the streaming sweep validates")
-	fs.Float64Var(&s.Churn, "stream-churn", 0,
-		"warm-start churn threshold: the fraction of observations a warm re-clustering may move before the cell re-clusters cold (0 = none)")
-	fs.BoolVar(&s.Exact, "stream-exact", false,
-		"disable warm starts: every refresh re-clusters cold, keeping only the delta distance matrices (bit-identical to the batch sweep on any data)")
 	return s
 }
 
 // Validate rejects flag combinations before the server starts.
 func (s *Stream) Validate() error {
 	if !s.Enable {
-		if s.KMin != 2 || s.KMax != 9 || s.Churn != 0 || s.Exact {
-			return fmt.Errorf("-stream-kmin/-stream-kmax/-stream-churn/-stream-exact require -stream")
+		if s.KMin != 2 || s.KMax != 9 {
+			return fmt.Errorf("-stream-kmin/-stream-kmax require -stream")
 		}
 		return nil
 	}
@@ -54,9 +44,6 @@ func (s *Stream) Validate() error {
 	}
 	if s.KMax < s.KMin {
 		return fmt.Errorf("-stream-kmax %d < -stream-kmin %d", s.KMax, s.KMin)
-	}
-	if s.Churn < 0 || s.Churn > 1 {
-		return fmt.Errorf("-stream-churn %v outside [0, 1]", s.Churn)
 	}
 	return nil
 }

@@ -19,7 +19,7 @@ func parseStream(t *testing.T, args ...string) *Stream {
 
 func TestStreamFlagDefaults(t *testing.T) {
 	s := parseStream(t)
-	if s.Enable || s.KMin != 2 || s.KMax != 9 || s.Churn != 0 || s.Exact {
+	if s.Enable || s.KMin != 2 || s.KMax != 9 {
 		t.Fatalf("defaults = %+v", s)
 	}
 	if err := s.Validate(); err != nil {
@@ -28,17 +28,14 @@ func TestStreamFlagDefaults(t *testing.T) {
 }
 
 func TestStreamFlagValidate(t *testing.T) {
-	good := parseStream(t, "-stream", "-stream-kmin", "2", "-stream-kmax", "6", "-stream-churn", "0.2", "-stream-exact")
+	good := parseStream(t, "-stream", "-stream-kmin", "2", "-stream-kmax", "6")
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
 	for _, args := range [][]string{
-		{"-stream-kmax", "4"},               // tuning without -stream
-		{"-stream-exact"},                   // tuning without -stream
-		{"-stream", "-stream-kmin", "1"},    // kMin below 2
-		{"-stream", "-stream-kmax", "1"},    // kMax below kMin
-		{"-stream", "-stream-churn", "1.5"}, // churn outside [0, 1]
-		{"-stream", "-stream-churn", "-1"},
+		{"-stream-kmax", "4"},            // tuning without -stream
+		{"-stream", "-stream-kmin", "1"}, // kMin below 2
+		{"-stream", "-stream-kmax", "1"}, // kMax below kMin
 	} {
 		if err := parseStream(t, args...).Validate(); err == nil {
 			t.Fatalf("args %v accepted", args)

@@ -47,8 +47,7 @@ func BenchmarkClusterSweep(b *testing.B) {
 // BenchmarkIncrementalAppend measures the streaming ingest cost of one new
 // observation: a SweepState holds the sweep over 23 of the 24 rows, and
 // each iteration clones it (cheap: matrices and assignments are shared)
-// and appends the 24th with delta distance matrices plus warm-started
-// re-validation. Same rows, algorithms and k range as BenchmarkClusterSweep,
+// and appends the 24th with delta distance matrices plus re-validation. Same rows, algorithms and k range as BenchmarkClusterSweep,
 // so ns(ClusterSweep)/ns(IncrementalAppend) is the incremental engine's
 // speedup over a cold full-sweep re-run — the ratio BENCH_pr10.json records.
 func BenchmarkIncrementalAppend(b *testing.B) {
@@ -63,34 +62,6 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := base.Clone()
 		if _, err := s.AppendRows(context.Background(), rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWarmStartSweep measures a warm re-validation after one existing
-// observation changes (the UpdateRow path): row/column deltas on every
-// distance matrix plus warm-started re-clustering of each (algorithm, k)
-// cell, against the same 24-row sweep BenchmarkClusterSweep runs cold.
-func BenchmarkWarmStartSweep(b *testing.B) {
-	rows := benchBlobRows(24, 8)
-	algs := []Algorithm{NewKMeans(), NewPAM()}
-	base, _, err := NewSweepState(context.Background(), algs, rows, SweepOptions{KMin: 2, KMax: 6, Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	updated := make([][]float64, len(rows))
-	copy(updated, rows)
-	r := append([]float64(nil), rows[11]...)
-	for j := range r {
-		r[j] += 0.01 * float64(j+1)
-	}
-	updated[11] = r
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := base.Clone()
-		if _, err := s.UpdateRow(context.Background(), updated, 11); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -145,49 +145,3 @@ func (m *Matrices) UpdateRow(rows [][]float64, ri int) *Matrices {
 	}
 	return out
 }
-
-// WarmAlgorithm is implemented by algorithms that can re-cluster
-// incrementally updated rows seeded from a previous assignment instead of
-// from scratch. A warm start converges in a handful of iterations when the
-// data barely moved, but it explores fewer basins than the cold multi-
-// restart path — so every implementation measures how far the result
-// drifts from prev (the churn: the fraction of previously-clustered
-// observations whose cluster changed) and falls back to a full cold start
-// when it exceeds churnLimit. churnLimit 0 is the conservative default:
-// any churn at all re-clusters cold.
-type WarmAlgorithm interface {
-	DistAlgorithm
-	// ClusterWarmDist clusters rows (pairwise distances in dm) into k
-	// groups seeded from prev, which must cover a prefix of rows —
-	// rows[:len(prev)] are the observations prev clustered, any remainder
-	// is new. It returns the assignment and whether the warm path was kept
-	// (false = cold fallback; the assignment is then the cold result).
-	ClusterWarmDist(rows [][]float64, dm *DistMatrix, k int, prev Assignment, churnLimit float64) (Assignment, bool, error)
-}
-
-// clusterWarm dispatches to ClusterWarmDist when the algorithm supports
-// warm starts and falls back to the cold clusterDist path otherwise
-// (hierarchical clustering has no warm form: its agglomeration is already
-// deterministic and restart-free, so a cold run is its cheapest honest
-// answer).
-func clusterWarm(alg Algorithm, rows [][]float64, dm *DistMatrix, k int, prev Assignment, churnLimit float64) (Assignment, bool, error) {
-	if wa, ok := alg.(WarmAlgorithm); ok && len(prev) > 0 {
-		return wa.ClusterWarmDist(rows, dm, k, prev, churnLimit)
-	}
-	a, err := clusterDist(alg, rows, dm, k)
-	return a, false, err
-}
-
-// churnFraction is the fraction of prev's observations that cur assigns to
-// a different cluster. cur's labels must be in prev's label space (warm
-// starts guarantee this: centroid/medoid c is derived from prev's cluster
-// c, so labels keep their identity through the refinement).
-func churnFraction(prev, cur Assignment) float64 {
-	moved := 0
-	for i, c := range prev {
-		if cur[i] != c {
-			moved++
-		}
-	}
-	return float64(moved) / float64(len(prev))
-}

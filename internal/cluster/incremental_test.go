@@ -87,60 +87,6 @@ func TestMatricesDeltaBitIdentical(t *testing.T) {
 	sameMatrices(t, NewMatrices(rows).UpdateRow(updated, 3), NewMatrices(updated))
 }
 
-// Warm-starting from an algorithm's own converged assignment over
-// unchanged rows must reproduce that assignment exactly: the seed is a
-// fixed point of the refinement, so zero observations churn and the warm
-// result is accepted bit-identically.
-func TestWarmStartFixedPoint(t *testing.T) {
-	rows := benchBlobRows(20, 6)
-	dm := NewDistMatrix(rows)
-	for _, alg := range []WarmAlgorithm{NewKMeans(), NewPAM()} {
-		for k := 2; k <= 6; k++ {
-			cold, err := alg.ClusterDist(rows, dm, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm, usedWarm, err := alg.ClusterWarmDist(rows, dm, k, cold, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !usedWarm {
-				t.Fatalf("%s k=%d: warm start fell back to cold on unchanged rows", alg.Name(), k)
-			}
-			if !SameGrouping(cold, warm) {
-				t.Fatalf("%s k=%d: warm start changed the grouping on unchanged rows\ncold: %v\nwarm: %v", alg.Name(), k, cold, warm)
-			}
-		}
-	}
-}
-
-// A degenerate previous assignment (wrong cluster count for the requested
-// k) must fall back to the cold path, not seed a broken warm start.
-func TestWarmStartFallsBackOnMismatchedPrev(t *testing.T) {
-	rows := benchBlobRows(16, 5)
-	dm := NewDistMatrix(rows)
-	for _, alg := range []WarmAlgorithm{NewKMeans(), NewPAM()} {
-		cold3, err := alg.ClusterDist(rows, dm, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev4, err := alg.ClusterDist(rows, dm, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, usedWarm, err := alg.ClusterWarmDist(rows, dm, 3, prev4, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if usedWarm {
-			t.Fatalf("%s: warm start accepted a prev with the wrong cluster count", alg.Name())
-		}
-		if !SameGrouping(cold3, warm) {
-			t.Fatalf("%s: fallback result differs from the cold result", alg.Name())
-		}
-	}
-}
-
 func sweepStateAlgs() []Algorithm {
 	return []Algorithm{NewKMeans(), NewPAM(), NewHierarchical()}
 }
@@ -171,17 +117,16 @@ func TestSweepStateColdMatchesSweepContext(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameScores(t, "cold build", s.Scores(), want)
-		if st.ColdCells != st.Cells || st.NewCells != st.Cells {
+		if st.NewCells != st.Cells || st.ShiftedCells != st.Cells {
 			t.Fatalf("cold build stats: %+v", st)
 		}
 	}
 }
 
 // asymBlobRows is benchBlobRows with strongly asymmetric center spacing:
-// every swept k has one clearly-best partition (distinct merge costs), so
-// both the cold multi-restart search and a zero-churn warm start select
-// the same basin. This is the "stable structure" regime in which warm mode
-// documents bit-identity with the cold sweep.
+// every swept k has one clearly-best partition (distinct merge costs).
+// The differential tests run it beside benchBlobRows' ambiguously spaced
+// centers, so identity is pinned on both kinds of cluster structure.
 func asymBlobRows(n, d int) [][]float64 {
 	centers := []float64{0, 7, 30, 90}
 	rows := make([][]float64, n)
@@ -203,10 +148,8 @@ func asymBlobRows(n, d int) [][]float64 {
 
 // The headline differential: streaming rows in one at a time through
 // AppendRows produces, at every generation, exactly the scores a cold
-// SweepContext computes over the same rows — across worker counts. Exact
-// mode guarantees this unconditionally (here on ambiguously-spaced blob
-// data); warm mode guarantees it while the data's cluster structure is
-// stable (asymmetric blobs), the regime the engine documents.
+// SweepContext computes over the same rows — across worker counts, on
+// ambiguously and on asymmetrically spaced blobs.
 func TestSweepStateAppendMatchesCold(t *testing.T) {
 	algs := sweepStateAlgs()
 	for _, tc := range []struct {
@@ -214,8 +157,8 @@ func TestSweepStateAppendMatchesCold(t *testing.T) {
 		rows [][]float64
 		opt  SweepOptions
 	}{
-		{"exact", benchBlobRows(24, 8), SweepOptions{KMin: 2, KMax: 6, Exact: true}},
-		{"warm", asymBlobRows(24, 8), SweepOptions{KMin: 2, KMax: 4}},
+		{"ambiguous", benchBlobRows(24, 8), SweepOptions{KMin: 2, KMax: 6}},
+		{"asymmetric", asymBlobRows(24, 8), SweepOptions{KMin: 2, KMax: 4}},
 	} {
 		for _, workers := range []int{1, 4} {
 			opt := tc.opt
@@ -225,8 +168,7 @@ func TestSweepStateAppendMatchesCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			for n := 17; n <= 24; n++ {
-				st, err := s.AppendRows(context.Background(), tc.rows[:n])
-				if err != nil {
+				if _, err := s.AppendRows(context.Background(), tc.rows[:n]); err != nil {
 					t.Fatal(err)
 				}
 				want, err := SweepContext(context.Background(), algs, tc.rows[:n], opt.KMin, opt.KMax, workers)
@@ -234,39 +176,7 @@ func TestSweepStateAppendMatchesCold(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameScores(t, tc.name+" append", s.Scores(), want)
-				if st.Cells != st.WarmCells+st.ColdCells {
-					t.Fatalf("inconsistent refresh stats: %+v", st)
-				}
-				if tc.opt.Exact && st.WarmCells != 0 {
-					t.Fatalf("exact mode must not warm-start: %+v", st)
-				}
-				if !tc.opt.Exact && st.WarmCells == 0 {
-					t.Fatalf("warm mode never warm-started: %+v", st)
-				}
 			}
-		}
-	}
-}
-
-// Warm mode's structural invariant on arbitrary (here: ambiguously
-// spaced) data: with ChurnLimit 0, a warm-accepted cell moved no
-// previously-clustered observation, so any cell whose grouping shifted
-// must have re-clustered cold — the drift a warm refresh can introduce is
-// confined to cells the refresh stats report as cold.
-func TestSweepStateWarmShiftImpliesCold(t *testing.T) {
-	rows := benchBlobRows(24, 8)
-	algs := sweepStateAlgs()
-	s, _, err := NewSweepState(context.Background(), algs, rows[:16], SweepOptions{KMin: 2, KMax: 6, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 17; n <= 24; n++ {
-		st, err := s.AppendRows(context.Background(), rows[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.ShiftedCells > st.ColdCells {
-			t.Fatalf("n=%d: %d shifted cells but only %d cold — a warm-accepted cell moved observations past ChurnLimit 0: %+v", n, st.ShiftedCells, st.ColdCells, st)
 		}
 	}
 }
@@ -276,7 +186,7 @@ func TestSweepStateWarmShiftImpliesCold(t *testing.T) {
 func TestSweepStateAppendUnlocksNewCells(t *testing.T) {
 	rows := benchBlobRows(9, 5)
 	algs := sweepStateAlgs()
-	s, _, err := NewSweepState(context.Background(), algs, rows[:5], SweepOptions{KMin: 2, KMax: 6, Workers: 2, Exact: true})
+	s, _, err := NewSweepState(context.Background(), algs, rows[:5], SweepOptions{KMin: 2, KMax: 6, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +213,8 @@ func TestSweepStateUpdateMatchesCold(t *testing.T) {
 		rows [][]float64
 		opt  SweepOptions
 	}{
-		{"exact", benchBlobRows(20, 6), SweepOptions{KMin: 2, KMax: 6, Exact: true}},
-		{"warm", asymBlobRows(20, 6), SweepOptions{KMin: 2, KMax: 4}},
+		{"ambiguous", benchBlobRows(20, 6), SweepOptions{KMin: 2, KMax: 6}},
+		{"asymmetric", asymBlobRows(20, 6), SweepOptions{KMin: 2, KMax: 4}},
 	} {
 		for _, workers := range []int{1, 4} {
 			opt := tc.opt
@@ -340,8 +250,8 @@ func TestSweepStateRebuildMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ColdCells != st.Cells {
-		t.Fatalf("rebuild must run every cell cold: %+v", st)
+	if st.NewCells != st.Cells {
+		t.Fatalf("rebuild must compare no cell with the previous generation: %+v", st)
 	}
 	want, err := SweepContext(context.Background(), algs, other, 2, 6, 2)
 	if err != nil {

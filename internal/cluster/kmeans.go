@@ -71,54 +71,10 @@ func (k *KMeans) cluster(rows [][]float64, dm *DistMatrix, kk int) (Assignment, 
 	return best.Canonical(), nil
 }
 
-// ClusterWarmDist implements WarmAlgorithm: Lloyd iterations start from
-// the centroids of prev's clusters over the current rows instead of a
-// k-means++ seeding, so an unchanged dataset converges in one verification
-// pass and a barely-changed one in a few. Rows beyond len(prev) (newly
-// appended observations) join their nearest seeded centroid in the first
-// iteration. The warm path skips the cold run's multi-restart search, so
-// if the refined assignment moves more than churnLimit of prev's
-// observations the basin evidently shifted and the result is recomputed
-// cold (best-of-restarts), keeping drifting data on the same search the
-// batch pipeline uses.
-func (k *KMeans) ClusterWarmDist(rows [][]float64, dm *DistMatrix, kk int, prev Assignment, churnLimit float64) (Assignment, bool, error) {
-	if err := validate(rows, kk); err != nil {
-		return nil, false, err
-	}
-	cold := func() (Assignment, bool, error) {
-		a, err := k.cluster(rows, dm, kk)
-		return a, false, err
-	}
-	if len(prev) == 0 || len(prev) > len(rows) || prev.K() != kk {
-		return cold()
-	}
-	maxIter := k.MaxIter
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	centers := make([][]float64, kk)
-	for c, ms := range clusterMembers(prev) {
-		if len(ms) == 0 {
-			return cold()
-		}
-		centers[c] = centroid(rows, ms)
-	}
-	assign := k.lloyd(rows, centers, kk, maxIter)
-	if churnFraction(prev, assign) > churnLimit {
-		return cold()
-	}
-	return assign.Canonical(), true, nil
-}
-
-// once runs one seeded Lloyd pass.
+// once runs one seeded Lloyd pass: k-means++ seeding, then assignment and
+// centroid updates to convergence (or maxIter).
 func (k *KMeans) once(rows [][]float64, dm *DistMatrix, kk, maxIter int, rng *xrand.Rand) Assignment {
-	return k.lloyd(rows, plusPlusSeed(rows, dm, kk, rng), kk, maxIter)
-}
-
-// lloyd iterates assignment and centroid updates from the given centers to
-// convergence (or maxIter). centers is refined in place; assignment labels
-// are center indices throughout.
-func (k *KMeans) lloyd(rows [][]float64, centers [][]float64, kk, maxIter int) Assignment {
+	centers := plusPlusSeed(rows, dm, kk, rng)
 	assign := make(Assignment, len(rows))
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false

@@ -74,44 +74,6 @@ func (p *PAM) cluster(d *DistMatrix, k int) (Assignment, error) {
 	return assignToMedoids(d, best).Canonical(), nil
 }
 
-// ClusterWarmDist implements WarmAlgorithm: the SWAP phase starts from the
-// medoids of prev's clusters — the member minimizing its cluster's total
-// distance, ties to the lowest index — instead of BUILD plus random
-// restarts. Newly appended observations (rows beyond len(prev)) simply
-// join their nearest medoid. SWAP from a near-optimal start usually
-// terminates immediately, but it searches one basin where the cold path
-// searches nine; if the result moves more than churnLimit of prev's
-// observations, the medoid structure evidently shifted and the result is
-// recomputed cold.
-func (p *PAM) ClusterWarmDist(rows [][]float64, dm *DistMatrix, k int, prev Assignment, churnLimit float64) (Assignment, bool, error) {
-	if err := validate(rows, k); err != nil {
-		return nil, false, err
-	}
-	if dm == nil {
-		dm = NewDistMatrix(rows)
-	}
-	cold := func() (Assignment, bool, error) {
-		a, err := p.cluster(dm, k)
-		return a, false, err
-	}
-	if len(prev) == 0 || len(prev) > dm.N() || prev.K() != k {
-		return cold()
-	}
-	maxSwaps := p.MaxSwaps
-	if maxSwaps <= 0 {
-		maxSwaps = 200
-	}
-	medoids, ok := medoidsOf(dm, prev)
-	if !ok {
-		return cold()
-	}
-	assign := assignToMedoids(dm, p.swapFrom(dm, medoids, maxSwaps))
-	if churnFraction(prev, assign) > churnLimit {
-		return cold()
-	}
-	return assign.Canonical(), true, nil
-}
-
 // assignToMedoids labels each observation with the index of its nearest
 // medoid (ties to the lowest index).
 func assignToMedoids(d *DistMatrix, medoids []int) Assignment {
@@ -127,32 +89,6 @@ func assignToMedoids(d *DistMatrix, medoids []int) Assignment {
 		assign[i] = bc
 	}
 	return assign
-}
-
-// medoidsOf derives per-cluster medoids from an assignment: for each
-// cluster, the member with the minimal total distance to its co-members
-// (ties to the lowest index, deterministically). ok is false when a
-// cluster is empty.
-func medoidsOf(d *DistMatrix, a Assignment) ([]int, bool) {
-	members := clusterMembers(a)
-	medoids := make([]int, len(members))
-	for c, ms := range members {
-		if len(ms) == 0 {
-			return nil, false
-		}
-		best, bestSum := -1, math.Inf(1)
-		for _, i := range ms {
-			sum := 0.0
-			for _, j := range ms {
-				sum += d.At(i, j)
-			}
-			if sum < bestSum {
-				best, bestSum = i, sum
-			}
-		}
-		medoids[c] = best
-	}
-	return medoids, true
 }
 
 // swapFrom runs the SWAP phase to convergence from the given medoids. The

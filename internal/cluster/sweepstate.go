@@ -15,22 +15,6 @@ type SweepOptions struct {
 	// Workers bounds the per-refresh (algorithm, k) fan-out (<= 0 = all
 	// CPUs). Results are worker-count invariant.
 	Workers int
-	// ChurnLimit is the warm-start acceptance threshold passed to every
-	// WarmAlgorithm: the fraction of previously-clustered observations a
-	// warm result may move before the cell re-clusters cold. 0 (the
-	// default) accepts a warm result only when no previously-clustered
-	// observation changed cluster.
-	ChurnLimit float64
-	// Exact disables warm starts entirely: every refresh re-clusters every
-	// cell cold, reusing only the delta distance matrices. Exact refreshes
-	// are unconditionally bit-identical to SweepContext over the same rows.
-	// The default (warm) mode is bit-identical whenever the data's cluster
-	// structure absorbs the change — a warm start converging with zero
-	// churn on well-separated data lands in the same basin the cold
-	// multi-restart search selects — but a cell swept past the natural
-	// cluster count can settle in a different local optimum than the cold
-	// search; the churn fall-back bounds, not eliminates, that drift.
-	Exact bool
 }
 
 // RefreshStats describes what one SweepState refresh actually did — the
@@ -38,26 +22,21 @@ type SweepOptions struct {
 type RefreshStats struct {
 	// Cells is the number of (algorithm, k) sweep cells computed.
 	Cells int
-	// WarmCells counts cells whose full-data clustering was accepted from
-	// the warm-start path; ColdCells were re-clustered from scratch
-	// (churn fallback, warm-incapable algorithms, or a cold refresh).
-	WarmCells, ColdCells int
-	// NewCells counts cells that had no previous generation to warm from
-	// (the first refresh, or k values unlocked by dataset growth).
+	// NewCells counts cells that had no previous generation to compare
+	// against (a cold build or rebuild, or k values unlocked by dataset
+	// growth).
 	NewCells int
 	// ShiftedCells counts cells whose full-data grouping of the
 	// previously-present observations changed versus the last generation.
 	ShiftedCells int
 }
 
-// cellState is one (algorithm, k) cell's retained state: the canonical
-// assignments warm starts reseed from, plus the published scores.
+// cellState is one (algorithm, k) cell's retained state: the published
+// scores and the canonical full-data assignment, which the next refresh
+// compares against to count shifted cells.
 type cellState struct {
 	scores Scores
-	// full is the full-data assignment; reduced[j] is the assignment with
-	// feature column j removed (the APN/AD stability re-clusterings).
-	full    Assignment
-	reduced []Assignment
+	full   Assignment
 }
 
 // SweepState is an incrementally maintained Figure 4 validation sweep: the
@@ -65,12 +44,11 @@ type cellState struct {
 // as observations stream in. A cold build computes exactly what
 // SweepContext computes (bit-identical, pinned by differential tests);
 // AppendRows and UpdateRow then grow the distance matrices by delta and
-// re-validate each (algorithm, k) cell warm-started from its previous
-// assignments, so a cell whose membership did not shift converges in a
-// single verification pass instead of a multi-restart search. Cells whose
-// assignments churn past SweepOptions.ChurnLimit fall back to the cold
-// path (see WarmAlgorithm), keeping drifting data on the same search the
-// batch sweep uses.
+// re-cluster every (algorithm, k) cell with the same cold multi-restart
+// search the batch sweep uses, so every refresh is bit-identical to
+// SweepContext over the same rows by construction. The delta matrices are
+// the saving: each refresh computes only the new or changed rows and
+// columns instead of all O(n²·d) distances.
 //
 // The per-column stability re-clustering is performed once per cell and
 // shared by the APN and AD measures. SweepContext clusters each column
@@ -107,7 +85,7 @@ func NewSweepState(ctx context.Context, algs []Algorithm, rows [][]float64, opt 
 	return s, st, nil
 }
 
-// Rebuild recomputes the sweep cold over rows, discarding all warm state.
+// Rebuild recomputes the sweep over rows from fresh distance matrices.
 // It is the fallback for edits the delta constructors cannot express —
 // several rows changing at once (e.g. a min-max normalization bound
 // shifting) or rows disappearing.
@@ -117,8 +95,7 @@ func (s *SweepState) Rebuild(ctx context.Context, rows [][]float64) (RefreshStat
 
 // AppendRows refreshes the sweep after appending observations: rows is the
 // full new row set, of which rows[:s.N()] are bit-unchanged. The distance
-// matrices grow by delta and every cell re-validates warm-started from its
-// previous assignments.
+// matrices grow by delta and every cell re-validates over them.
 func (s *SweepState) AppendRows(ctx context.Context, rows [][]float64) (RefreshStats, error) {
 	if s.mats == nil || len(rows) < len(s.mats.Rows) {
 		return s.refresh(ctx, NewMatrices(rows), false)
@@ -136,11 +113,12 @@ func (s *SweepState) UpdateRow(ctx context.Context, rows [][]float64, ri int) (R
 	return s.refresh(ctx, s.mats.UpdateRow(rows, ri), true)
 }
 
-// refresh recomputes every (algorithm, k) cell over mats, warm-starting
-// from the previous generation's assignments when warmable. State is only
+// refresh recomputes every (algorithm, k) cell over mats. When delta is
+// set, mats extends the previous generation's rows, so each cell is
+// compared with its predecessor for the shifted count. State is only
 // replaced on success; a cancelled or failed refresh leaves the previous
 // generation intact.
-func (s *SweepState) refresh(ctx context.Context, mats *Matrices, warmable bool) (RefreshStats, error) {
+func (s *SweepState) refresh(ctx context.Context, mats *Matrices, delta bool) (RefreshStats, error) {
 	n := len(mats.Rows)
 	kMax := s.opt.KMax
 	if kMax >= n {
@@ -156,24 +134,20 @@ func (s *SweepState) refresh(ctx context.Context, mats *Matrices, warmable bool)
 	}
 	cells := make([]cellState, len(s.algs)*nk)
 	type cellInfo struct {
-		warm, isNew, shifted bool
+		isNew, shifted bool
 	}
 	info := make([]cellInfo, len(cells))
 	err := par.ForEach(ctx, s.opt.Workers, len(cells), func(ctx context.Context, j int) error {
 		ai, ki := j/nk, j%nk
-		var prev *cellState
-		if warmable && ki < prevNK {
-			prev = &s.cells[ai*prevNK+ki]
-		}
-		cs, warm, err := s.computeCell(ctx, s.algs[ai], s.opt.KMin+ki, mats, prev)
+		cs, err := computeCell(ctx, s.algs[ai], s.opt.KMin+ki, mats)
 		if err != nil {
 			return err
 		}
 		cells[j] = cs
-		info[j] = cellInfo{
-			warm:    warm,
-			isNew:   prev == nil,
-			shifted: prev == nil || groupingShifted(prev.full, cs.full),
+		if delta && ki < prevNK {
+			info[j].shifted = groupingShifted(s.cells[ai*prevNK+ki].full, cs.full)
+		} else {
+			info[j] = cellInfo{isNew: true, shifted: true}
 		}
 		return nil
 	})
@@ -182,11 +156,6 @@ func (s *SweepState) refresh(ctx context.Context, mats *Matrices, warmable bool)
 	}
 	st := RefreshStats{Cells: len(cells)}
 	for _, ci := range info {
-		if ci.warm {
-			st.WarmCells++
-		} else {
-			st.ColdCells++
-		}
 		if ci.isNew {
 			st.NewCells++
 		}
@@ -202,50 +171,30 @@ func (s *SweepState) refresh(ctx context.Context, mats *Matrices, warmable bool)
 // computeCell produces one (algorithm, k) cell: the full-data clustering,
 // the per-column stability re-clusterings, and the four validation scores
 // accumulated in exactly the order SweepContext accumulates them.
-func (s *SweepState) computeCell(ctx context.Context, alg Algorithm, k int, mats *Matrices, prev *cellState) (cellState, bool, error) {
+func computeCell(ctx context.Context, alg Algorithm, k int, mats *Matrices) (cellState, error) {
 	if err := ctx.Err(); err != nil {
-		return cellState{}, false, err
+		return cellState{}, err
 	}
-	if s.opt.Exact {
-		prev = nil
-	}
-	var (
-		full Assignment
-		warm bool
-		err  error
-	)
-	if prev != nil {
-		full, warm, err = clusterWarm(alg, mats.Rows, mats.Full, k, prev.full, s.opt.ChurnLimit)
-	} else {
-		full, err = clusterDist(alg, mats.Rows, mats.Full, k)
-	}
+	full, err := clusterDist(alg, mats.Rows, mats.Full, k)
 	if err != nil {
-		return cellState{}, false, err
+		return cellState{}, err
 	}
 	nc := len(mats.Rows[0])
 	fullMasks := clusterMasks(full)
-	reduced := make([]Assignment, nc)
 	apn, ad := 0.0, 0.0
 	for j := 0; j < nc; j++ {
 		if err := ctx.Err(); err != nil {
-			return cellState{}, false, err
+			return cellState{}, err
 		}
-		var r Assignment
-		if prev != nil && j < len(prev.reduced) {
-			r, _, err = clusterWarm(alg, mats.DroppedRows[j], mats.Dropped[j], k, prev.reduced[j], s.opt.ChurnLimit)
-		} else {
-			r, err = clusterDist(alg, mats.DroppedRows[j], mats.Dropped[j], k)
-		}
+		r, err := clusterDist(alg, mats.DroppedRows[j], mats.Dropped[j], k)
 		if err != nil {
-			return cellState{}, false, fmt.Errorf("cluster: sweep with column %d removed: %w", j, err)
+			return cellState{}, fmt.Errorf("cluster: sweep with column %d removed: %w", j, err)
 		}
-		reduced[j] = r
 		apn += proportionNonOverlap(full, r)
 		ad += adColumn(mats.Full, full, fullMasks, r)
 	}
 	return cellState{
-		full:    full,
-		reduced: reduced,
+		full: full,
 		scores: Scores{
 			Algorithm:  alg.Name(),
 			K:          k,
@@ -254,7 +203,7 @@ func (s *SweepState) computeCell(ctx context.Context, alg Algorithm, k int, mats
 			APN:        apn / float64(nc),
 			AD:         ad / float64(nc),
 		},
-	}, warm, nil
+	}, nil
 }
 
 // groupingShifted reports whether cur groups prev's observations (a prefix

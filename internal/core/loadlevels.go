@@ -14,11 +14,6 @@ import (
 // NumLoadLevels is the number of quantization levels (4 x 25%).
 const NumLoadLevels = 4
 
-// LoadLevelNames returns the level labels in ascending order.
-func LoadLevelNames() []string {
-	return []string{"0%-25%", "25%-50%", "50%-75%", "75%-100%"}
-}
-
 // ClusterLoadProfile is one benchmark's Figure 3 column: per CPU cluster,
 // the fraction of execution time spent in each load level.
 type ClusterLoadProfile struct {

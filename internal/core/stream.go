@@ -2,11 +2,11 @@
 // pipeline. A StreamState folds measurement records one at a time and keeps
 // the Figure 4 sweep, the winning cluster count, the hierarchical grouping
 // and the Naive subset recommendation continuously up to date, reusing the
-// cluster package's delta distance matrices and warm-started re-validation
-// instead of re-running the full sweep per record. StreamBatch is the cold
-// comparator: the same records folded in the same order through the batch
-// sweep, which differential tests hold byte-identical to the incremental
-// path.
+// cluster package's delta distance matrices instead of recomputing every
+// distance per record. Every refresh re-clusters with the batch sweep's
+// own search, so the published state is byte-identical to StreamBatch —
+// the same records folded in the same order through the batch sweep — by
+// construction, and differential tests pin it.
 package core
 
 import (
@@ -61,16 +61,15 @@ type StreamOptions struct {
 	// 2..9 (the paper's Figure 4 range). KMax is capped at n-1 while the
 	// stream is still small, exactly as the batch sweep caps it.
 	KMin, KMax int
-	// ChurnLimit is the warm-start acceptance threshold (see
-	// cluster.SweepOptions.ChurnLimit). The default 0 accepts a warm result
-	// only when no previously-clustered observation moved.
+	// Deprecated: ChurnLimit tuned the removed warm-start path; nothing
+	// reads it. It remains only so existing callers still compile.
 	ChurnLimit float64
 	// Workers bounds the sweep fan-out (<= 0 = all CPUs); results are
 	// worker-count invariant.
 	Workers int
-	// Exact disables warm starts: every refresh re-clusters cold, reusing
-	// only the delta distance matrices, and is unconditionally
-	// bit-identical to the batch sweep (see cluster.SweepOptions.Exact).
+	// Deprecated: Exact selected the cold refresh, which is now the only
+	// refresh; nothing reads it. It remains only so existing callers
+	// still compile.
 	Exact bool
 }
 
@@ -96,9 +95,6 @@ func (o StreamOptions) Validate() error {
 	if d.KMax < d.KMin {
 		return fmt.Errorf("core: stream kMax %d < kMin %d", d.KMax, d.KMin)
 	}
-	if o.ChurnLimit < 0 || o.ChurnLimit > 1 {
-		return fmt.Errorf("core: stream churn limit %v outside [0, 1]", o.ChurnLimit)
-	}
 	return nil
 }
 
@@ -112,10 +108,11 @@ const (
 	StreamModeUnchanged = "unchanged"
 	// StreamModeInit: first sweep, built cold.
 	StreamModeInit = "init"
-	// StreamModeAppend: one new unit appended; delta matrices + warm starts.
+	// StreamModeAppend: one new unit appended; the distance matrices grow
+	// by delta.
 	StreamModeAppend = "append"
-	// StreamModeUpdate: one existing unit's row changed; row/column delta +
-	// warm starts.
+	// StreamModeUpdate: one existing unit's row changed; only that
+	// row/column of each distance matrix is recomputed.
 	StreamModeUpdate = "update"
 	// StreamModeRebuild: the change rippled through normalization bounds
 	// (or otherwise touched several rows), so the sweep rebuilt cold.
@@ -181,10 +178,12 @@ type StreamDelta struct {
 	BestK int `json:"best_k,omitempty"`
 	// Sweep refresh counters (see cluster.RefreshStats).
 	Cells        int `json:"cells,omitempty"`
-	WarmCells    int `json:"warm_cells,omitempty"`
-	ColdCells    int `json:"cold_cells,omitempty"`
 	NewCells     int `json:"new_cells,omitempty"`
 	ShiftedCells int `json:"shifted_cells,omitempty"`
+	// Deprecated: WarmCells counted cells of the removed warm-start path.
+	// It is always 0, so omitempty keeps it off the wire; it remains only
+	// so existing callers still compile.
+	WarmCells int `json:"warm_cells,omitempty"`
 }
 
 // streamUnit is one unit's running fold: sums, so the mean is recomputed
@@ -271,7 +270,7 @@ func (s *StreamState) meanRows() [][]float64 {
 // Ingest folds one record and refreshes the analysis, choosing the
 // cheapest sweep refresh the change allows: unchanged normalized rows keep
 // the sweep as-is, a single appended or updated row goes through the delta
-// constructors with warm starts, and anything wider (typically a shifted
+// constructors, and anything wider (typically a shifted
 // min-max normalization bound) rebuilds cold. The published summary is
 // replaced only on success.
 func (s *StreamState) Ingest(ctx context.Context, rec StreamRecord) (StreamDelta, error) {
@@ -299,8 +298,6 @@ func (s *StreamState) Ingest(ctx context.Context, rec StreamRecord) (StreamDelta
 		Gen:          s.count,
 		BestK:        sum.BestK,
 		Cells:        st.Cells,
-		WarmCells:    st.WarmCells,
-		ColdCells:    st.ColdCells,
 		NewCells:     st.NewCells,
 		ShiftedCells: st.ShiftedCells,
 	}, nil
@@ -336,13 +333,7 @@ func (s *StreamState) refreshSweep(ctx context.Context, norm [][]float64) (strin
 }
 
 func (s *StreamState) sweepOptions() cluster.SweepOptions {
-	return cluster.SweepOptions{
-		KMin:       s.opt.KMin,
-		KMax:       s.opt.KMax,
-		Workers:    s.opt.Workers,
-		ChurnLimit: s.opt.ChurnLimit,
-		Exact:      s.opt.Exact,
-	}
+	return cluster.SweepOptions{KMin: s.opt.KMin, KMax: s.opt.KMax, Workers: s.opt.Workers}
 }
 
 // diffRows classifies the change from prev to cur.

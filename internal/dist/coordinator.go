@@ -50,11 +50,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 // dispatchBackoffCap bounds the saturation re-probe delay.
 const dispatchBackoffCap = 2 * time.Second
 
-// ErrLeaseRevoked reports that a lease died (missed heartbeats or a
-// dropped worker connection) before its job finished. Execute handles it
-// internally by re-dispatching; it only escapes through Close.
-var ErrLeaseRevoked = errors.New("dist: lease revoked")
-
 // ErrCoordinatorClosed reports an Execute attempted on a closed
 // coordinator.
 var ErrCoordinatorClosed = errors.New("dist: coordinator closed")

@@ -216,9 +216,8 @@ func (sp Spec) CacheKey(timingFingerprint string) (string, error) {
 }
 
 // streamOptions builds the streamreport sweep options a spec describes.
-// ChurnLimit and Exact are deliberately absent from the Spec: the batch
-// comparator always clusters cold, so warm-start tuning cannot change (or
-// appear in) its bytes.
+// The report is the batch comparator, core.StreamBatch, which the live
+// stream state equals byte for byte.
 func (sp Spec) streamOptions() core.StreamOptions {
 	return core.StreamOptions{KMin: sp.StreamKMin, KMax: sp.StreamKMax, Workers: sp.Workers}
 }

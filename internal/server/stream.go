@@ -32,22 +32,21 @@ type StreamConfig struct {
 	// Enabled turns the /v1/stream API on; the engine replays
 	// StateDir/stream.log on startup.
 	Enabled bool
-	// KMin..KMax, ChurnLimit, Workers and Exact configure the analysis
-	// sweep (see core.StreamOptions).
+	// KMin..KMax and Workers configure the analysis sweep (see
+	// core.StreamOptions).
 	KMin, KMax int
-	ChurnLimit float64
 	Workers    int
-	Exact      bool
+	// Deprecated: ChurnLimit tuned the removed warm-start path; nothing
+	// reads it. It remains only so existing callers still compile.
+	ChurnLimit float64
+	// Deprecated: Exact selected the cold refresh, which is now the only
+	// refresh; nothing reads it. It remains only so existing callers
+	// still compile.
+	Exact bool
 }
 
 func (c StreamConfig) options() core.StreamOptions {
-	return core.StreamOptions{
-		KMin:       c.KMin,
-		KMax:       c.KMax,
-		ChurnLimit: c.ChurnLimit,
-		Workers:    c.Workers,
-		Exact:      c.Exact,
-	}
+	return core.StreamOptions{KMin: c.KMin, KMax: c.KMax, Workers: c.Workers}
 }
 
 // streamEngine serializes ingests: one mutex covers the persist-then-fold

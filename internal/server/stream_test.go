@@ -18,9 +18,8 @@ import (
 	"mobilebench/internal/core"
 )
 
-// streamTestConfig keeps the sweep small and the warm==cold identity regime
-// (strongly separated clusters, modest k range) the differential tests rely
-// on.
+// streamTestConfig keeps the sweep small (modest k range) so the
+// differential tests stay fast.
 func streamTestConfig() StreamConfig {
 	return StreamConfig{Enabled: true, KMin: 2, KMax: 4, Workers: 1}
 }

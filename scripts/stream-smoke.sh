@@ -64,8 +64,9 @@ wait_done() { # wait_done ID SECONDS
 
 canon() { python3 -c 'import json, sys; print(json.dumps(json.load(sys.stdin), sort_keys=True))'; }
 
-# Deterministic records around strongly separated centers (the warm-start
-# regime): ten features per record, one record per line.
+# Deterministic records around strongly separated centers: ten features per
+# record, one record per line. The server runs its only stream mode, whose
+# state must equal the batch report byte for byte below.
 records() {
   python3 - <<'EOF'
 import json
