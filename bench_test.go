@@ -14,6 +14,7 @@ package mobilebench
 // benches time the analysis, not the simulator.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -420,8 +421,14 @@ func BenchmarkAblationRuns(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			results := make([]*sim.Result, runs)
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.RunAveraged(wl, runs); err != nil {
+				for r := range results {
+					if results[r], err = eng.RunContext(context.Background(), wl, r); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := sim.AverageResults(wl.Name, results); err != nil {
 					b.Fatal(err)
 				}
 			}

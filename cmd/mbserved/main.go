@@ -26,9 +26,10 @@
 //	curl localhost:8089/jobs/job-000000
 //
 // Streaming ingest (-stream): measurement records fold one at a time into
-// an incrementally re-clustered analysis — delta distance matrices instead
-// of recomputing every distance per record — whose published state is
-// byte-identical to a batch analysis of the same records. Every record is
+// a continuously re-clustered analysis — a record that leaves the
+// normalized features unchanged skips the sweep, any other re-runs it —
+// whose published state is byte-identical to a batch analysis of the same
+// records. Every record is
 // fsynced to an append-only log before it is acked, and a restart replays
 // the log bit-identically.
 //

@@ -30,38 +30,14 @@ func benchBlobRows(n, d int) [][]float64 {
 // (clustering + APN/AD/Dunn/silhouette per k) across K-means and PAM, with
 // every clustering and stability re-clustering reading the sweep's shared
 // DistMatrix instead of recomputing distances per call. Tracked in
-// BENCH_*.json and gated by scripts/benchdiff.go in CI; it doubles as the
-// cold baseline the incremental benchmarks below are measured against.
+// BENCH_*.json and gated by scripts/benchdiff.go in CI.
 func BenchmarkClusterSweep(b *testing.B) {
 	rows := benchBlobRows(24, 8)
 	algs := []Algorithm{NewKMeans(), NewPAM()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Sweep(algs, rows, 2, 6); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIncrementalAppend measures the streaming ingest cost of one new
-// observation: a SweepState holds the sweep over 23 of the 24 rows, and
-// each iteration clones it (cheap: matrices and assignments are shared)
-// and appends the 24th with delta distance matrices plus re-validation. Same rows, algorithms and k range as BenchmarkClusterSweep,
-// so ns(ClusterSweep)/ns(IncrementalAppend) is the incremental engine's
-// speedup over a cold full-sweep re-run — the ratio BENCH_pr10.json records.
-func BenchmarkIncrementalAppend(b *testing.B) {
-	rows := benchBlobRows(24, 8)
-	algs := []Algorithm{NewKMeans(), NewPAM()}
-	base, _, err := NewSweepState(context.Background(), algs, rows[:23], SweepOptions{KMin: 2, KMax: 6, Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := base.Clone()
-		if _, err := s.AppendRows(context.Background(), rows); err != nil {
+		if _, _, err := SweepContext(context.Background(), algs, rows, 2, 6, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,47 +67,28 @@ func TestDistMatrixDropMatchesReducedRows(t *testing.T) {
 	}
 }
 
-// TestSharedMatricesConcurrent exercises the PR's concurrency contract: one
-// Matrices set is read by APNDist and ADDist from many goroutines at once
-// (as SweepContext does). Run with -race to catch any mutation of the
-// shared matrices.
+// TestSharedMatricesConcurrent exercises the sweep's concurrency contract:
+// one Matrices set is read by many cells at once (as SweepContext does).
+// Run with -race to catch any mutation of the shared matrices.
 func TestSharedMatricesConcurrent(t *testing.T) {
-	rows := blobs()
-	mats := NewMatrices(rows)
+	mats := NewMatrices(blobs())
 	alg := NewKMeans()
-	full, err := clusterDist(alg, rows, mats.Full, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var wg sync.WaitGroup
-	apn := make([]float64, 8)
-	ad := make([]float64, 8)
-	for g := 0; g < 8; g++ {
+	got := make([]Scores, 8)
+	for g := range got {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			var err error
-			if g%2 == 0 {
-				apn[g], err = APNDist(context.Background(), alg, mats, 3, full)
-			} else {
-				ad[g], err = ADDist(context.Background(), alg, mats, 3, full)
-			}
-			if err != nil {
+			if got[g], _, err = computeCell(context.Background(), alg, 3, mats); err != nil {
 				t.Error(err)
 			}
 		}(g)
 	}
 	wg.Wait()
-
-	for g := 2; g < 8; g += 2 {
-		if apn[g] != apn[0] {
-			t.Fatalf("concurrent APN disagrees: %g vs %g", apn[g], apn[0])
-		}
-	}
-	for g := 3; g < 8; g += 2 {
-		if ad[g] != ad[1] {
-			t.Fatalf("concurrent AD disagrees: %g vs %g", ad[g], ad[1])
+	for g := 1; g < len(got); g++ {
+		if got[g] != got[0] {
+			t.Fatalf("concurrent cell %d = %+v, want %+v", g, got[g], got[0])
 		}
 	}
 }
@@ -117,8 +98,7 @@ func TestSharedMatricesConcurrent(t *testing.T) {
 func TestDistWrappersMatchPlainAPI(t *testing.T) {
 	rows := blobs()
 	mats := NewMatrices(rows)
-	alg := NewKMeans()
-	full, err := alg.Cluster(rows, 3)
+	full, err := NewKMeans().Cluster(rows, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,27 +107,5 @@ func TestDistWrappersMatchPlainAPI(t *testing.T) {
 	}
 	if got := SilhouetteDist(mats.Full, full); got != Silhouette(rows, full) {
 		t.Fatalf("SilhouetteDist = %g, Silhouette = %g", got, Silhouette(rows, full))
-	}
-	apnDist, err := APNDist(context.Background(), alg, mats, 3, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apnPlain, err := APN(alg, rows, 3, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if apnDist != apnPlain {
-		t.Fatalf("APNDist = %g, APN = %g", apnDist, apnPlain)
-	}
-	adDist, err := ADDist(context.Background(), alg, mats, 3, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adPlain, err := AD(alg, rows, 3, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adDist != adPlain {
-		t.Fatalf("ADDist = %g, AD = %g", adDist, adPlain)
 	}
 }

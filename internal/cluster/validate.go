@@ -113,44 +113,15 @@ func SilhouetteDist(d *DistMatrix, a Assignment) float64 {
 }
 
 // Stability validation ----------------------------------------------------
+//
+// APN and AD (Datta & Datta) measure how a clustering holds up when each
+// feature column is removed in turn and the data re-clustered. The sweep
+// computes both from one re-clustering per removed column (computeCell);
+// the per-column contributions are below.
 
-// APN returns the average proportion of non-overlap (Datta & Datta): for
-// each feature column removed, the proportion of observations that land in
-// a different cluster than with the full data, averaged over observations
-// and removed columns. Lower is better.
-func APN(alg Algorithm, rows [][]float64, k int, full Assignment) (float64, error) {
-	return APNContext(context.Background(), alg, rows, k, full)
-}
-
-// APNContext is APN with cancellation: each leave-one-column-out
-// re-clustering checks the context first, so a cancelled job stops between
-// columns instead of finishing the whole stability pass.
-func APNContext(ctx context.Context, alg Algorithm, rows [][]float64, k int, full Assignment) (float64, error) {
-	return APNDist(ctx, alg, NewMatrices(rows), k, full)
-}
-
-// APNDist is APNContext over precomputed distance matrices: the sweep builds
-// one read-only Matrices and shares it across all of its concurrent
-// (algorithm, k) jobs instead of recomputing the per-column reduced rows and
-// distances for every job.
-func APNDist(ctx context.Context, alg Algorithm, m *Matrices, k int, full Assignment) (float64, error) {
-	nc := len(m.Rows[0])
-	total := 0.0
-	for j := 0; j < nc; j++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		reduced, err := clusterDist(alg, m.DroppedRows[j], m.Dropped[j], k)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: APN with column %d removed: %w", j, err)
-		}
-		total += proportionNonOverlap(full, reduced)
-	}
-	return total / float64(nc), nil
-}
-
-// proportionNonOverlap computes, per observation, 1 minus the overlap ratio
-// of its full-data cluster and its reduced-data cluster, averaged.
+// proportionNonOverlap is one removed column's contribution to the APN
+// measure: per observation, 1 minus the overlap ratio of its full-data
+// cluster and its reduced-data cluster, averaged. Lower is better.
 func proportionNonOverlap(full, reduced Assignment) float64 {
 	n := len(full)
 	fullMasks := clusterMasks(full)
@@ -191,44 +162,10 @@ func clusterMasks(a Assignment) [][]bool {
 	return out
 }
 
-// AD returns the average distance measure (Datta & Datta): for each removed
-// column, the mean distance between each observation and the observations
-// placed in the same cluster by both the full and the reduced clustering.
-// Lower is better.
-func AD(alg Algorithm, rows [][]float64, k int, full Assignment) (float64, error) {
-	return ADContext(context.Background(), alg, rows, k, full)
-}
-
-// ADContext is AD with cancellation, checked before every
-// leave-one-column-out re-clustering (the expensive step of the measure).
-func ADContext(ctx context.Context, alg Algorithm, rows [][]float64, k int, full Assignment) (float64, error) {
-	return ADDist(ctx, alg, NewMatrices(rows), k, full)
-}
-
-// ADDist is ADContext over precomputed distance matrices, shareable across
-// concurrent sweep jobs the same way as APNDist.
-func ADDist(ctx context.Context, alg Algorithm, m *Matrices, k int, full Assignment) (float64, error) {
-	nc := len(m.Rows[0])
-	fullMasks := clusterMasks(full)
-	total := 0.0
-	for j := 0; j < nc; j++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		reduced, err := clusterDist(alg, m.DroppedRows[j], m.Dropped[j], k)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: AD with column %d removed: %w", j, err)
-		}
-		total += adColumn(m.Full, full, fullMasks, reduced)
-	}
-	return total / float64(nc), nil
-}
-
 // adColumn is one removed column's contribution to the AD measure: the
 // mean distance between each observation and the observations placed in
-// its cluster by both the full and the reduced clustering. Shared by the
-// batch sweep (ADDist) and the incremental SweepState so their
-// accumulation order — and therefore their bits — can never drift apart.
+// its cluster by both the full and the reduced clustering. Lower is
+// better.
 func adColumn(d *DistMatrix, full Assignment, fullMasks [][]bool, reduced Assignment) float64 {
 	n := len(full)
 	reducedMasks := clusterMasks(reduced)
@@ -262,71 +199,82 @@ type Scores struct {
 	AD         float64
 }
 
-// Sweep runs every algorithm over k = kMin..kMax sequentially and returns
-// all scores, reproducing the paper's Figure 4 analysis.
-func Sweep(algs []Algorithm, rows [][]float64, kMin, kMax int) ([]Scores, error) {
-	return SweepContext(context.Background(), algs, rows, kMin, kMax, 1)
-}
-
-// SweepContext is Sweep with cancellation and a worker pool: each
-// (algorithm, k) pair — a full clustering plus its APN/AD stability
-// re-clusterings — is an independent job, and scores land in the same
-// deterministic order the sequential sweep emits. The algorithms must be
-// safe for concurrent use (the package's three are: Cluster derives all
-// mutable state, including seeded RNGs, per call). workers <= 0 selects
-// all CPUs.
-func SweepContext(ctx context.Context, algs []Algorithm, rows [][]float64, kMin, kMax, workers int) ([]Scores, error) {
-	if kMin < 2 {
-		return nil, fmt.Errorf("cluster: sweep needs kMin >= 2")
+// SweepContext runs every algorithm over k = kMin..kMax and returns the
+// scores, plus each cell's full-data assignment in the same order,
+// reproducing the paper's Figure 4 analysis. kMax is capped at n-1. Each
+// (algorithm, k) cell is an independent job on a worker pool, and results
+// land in algorithm-major, k-ascending order whatever the completion
+// order. The algorithms must be safe for concurrent use (the package's
+// three are: Cluster derives all mutable state, including seeded RNGs, per
+// call). workers <= 0 selects all CPUs.
+func SweepContext(ctx context.Context, algs []Algorithm, rows [][]float64, kMin, kMax, workers int) ([]Scores, []Assignment, error) {
+	switch {
+	case kMin < 2:
+		return nil, nil, fmt.Errorf("cluster: sweep needs kMin >= 2")
+	case kMax < kMin:
+		return nil, nil, fmt.Errorf("cluster: sweep kMax %d < kMin %d", kMax, kMin)
+	case len(algs) == 0:
+		return nil, nil, fmt.Errorf("cluster: sweep needs at least one algorithm")
+	case len(rows) < kMin+1:
+		return nil, nil, fmt.Errorf("cluster: sweep needs at least %d observations, have %d", kMin+1, len(rows))
 	}
 	if kMax >= len(rows) {
 		kMax = len(rows) - 1
 	}
 	nk := kMax - kMin + 1
-	if nk <= 0 || len(algs) == 0 {
-		return nil, ctx.Err()
-	}
 	// One set of distance matrices (full + per-column reduced) backs every
-	// (algorithm, k) job: the matrices are immutable, so sharing them across
-	// the worker pool is race-free and saves each job its own O(n²·d)
-	// recomputation per clustering and per stability column.
+	// cell: the matrices are immutable, so sharing them across the worker
+	// pool is race-free and saves each cell its own O(n²·d) recomputation
+	// per clustering and per stability column.
 	mats := NewMatrices(rows)
-	out := make([]Scores, len(algs)*nk)
-	err := par.ForEach(ctx, workers, len(out), func(ctx context.Context, j int) error {
-		// Each sweep point is a full clustering plus 2 x columns stability
-		// re-clusterings; checking the context between those stages (and
-		// inside the column loops) lets a cancelled or deadline-expired job
-		// stop within one sweep point instead of finishing it.
-		alg, k := algs[j/nk], kMin+j%nk
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		a, err := clusterDist(alg, rows, mats.Full, k)
-		if err != nil {
-			return err
-		}
-		apn, err := APNDist(ctx, alg, mats, k, a)
-		if err != nil {
-			return err
-		}
-		ad, err := ADDist(ctx, alg, mats, k, a)
-		if err != nil {
-			return err
-		}
-		out[j] = Scores{
-			Algorithm:  alg.Name(),
-			K:          k,
-			Dunn:       DunnDist(mats.Full, a),
-			Silhouette: SilhouetteDist(mats.Full, a),
-			APN:        apn,
-			AD:         ad,
-		}
-		return nil
+	scores := make([]Scores, len(algs)*nk)
+	assigns := make([]Assignment, len(scores))
+	err := par.ForEach(ctx, workers, len(scores), func(ctx context.Context, j int) error {
+		var err error
+		scores[j], assigns[j], err = computeCell(ctx, algs[j/nk], kMin+j%nk, mats)
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return scores, assigns, nil
+}
+
+// computeCell produces one (algorithm, k) cell: the full-data clustering,
+// one re-clustering per removed feature column, and the four validation
+// scores. Each column's re-clustering feeds both APN and AD. The context is
+// checked before the full clustering and before every column, so a
+// cancelled sweep stops within one cell.
+func computeCell(ctx context.Context, alg Algorithm, k int, mats *Matrices) (Scores, Assignment, error) {
+	if err := ctx.Err(); err != nil {
+		return Scores{}, nil, err
+	}
+	full, err := clusterDist(alg, mats.Rows, mats.Full, k)
+	if err != nil {
+		return Scores{}, nil, err
+	}
+	nc := len(mats.Rows[0])
+	fullMasks := clusterMasks(full)
+	apn, ad := 0.0, 0.0
+	for j := 0; j < nc; j++ {
+		if err := ctx.Err(); err != nil {
+			return Scores{}, nil, err
+		}
+		r, err := clusterDist(alg, mats.DroppedRows[j], mats.Dropped[j], k)
+		if err != nil {
+			return Scores{}, nil, fmt.Errorf("cluster: sweep with column %d removed: %w", j, err)
+		}
+		apn += proportionNonOverlap(full, r)
+		ad += adColumn(mats.Full, full, fullMasks, r)
+	}
+	return Scores{
+		Algorithm:  alg.Name(),
+		K:          k,
+		Dunn:       DunnDist(mats.Full, full),
+		Silhouette: SilhouetteDist(mats.Full, full),
+		APN:        apn / float64(nc),
+		AD:         ad / float64(nc),
+	}, full, nil
 }
 
 // BestK aggregates a sweep the way the paper does: each internal measure

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -62,16 +63,21 @@ func TestSilhouetteSingletonsContributeZero(t *testing.T) {
 	}
 }
 
-func TestAPNStableData(t *testing.T) {
-	// Blobs separate on both features, so removing either feature keeps the
-	// grouping: APN should be ~0.
-	alg := NewKMeans()
-	full, _ := alg.Cluster(blobs(), 3)
-	apn, err := APN(alg, blobs(), 3, full)
+// sweepCell runs the sweep for alg at the single cluster count k and
+// returns that cell's scores.
+func sweepCell(t *testing.T, alg Algorithm, rows [][]float64, k int) Scores {
+	t.Helper()
+	scores, _, err := SweepContext(context.Background(), []Algorithm{alg}, rows, k, k, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if apn > 0.01 {
+	return scores[0]
+}
+
+func TestAPNStableData(t *testing.T) {
+	// Blobs separate on both features, so removing either feature keeps the
+	// grouping: APN should be ~0.
+	if apn := sweepCell(t, NewKMeans(), blobs(), 3).APN; apn > 0.01 {
 		t.Fatalf("APN on stable data = %g, want ~0", apn)
 	}
 }
@@ -83,51 +89,60 @@ func TestAPNUnstableData(t *testing.T) {
 		{0, 0}, {0, 0.1}, {0, 10}, {0, 10.1},
 		{10, 5}, {10.1, 5}, {0.05, 5}, {0, 5.05},
 	}
-	alg := NewKMeans()
-	full, _ := alg.Cluster(rows, 4)
-	apn, err := APN(alg, rows, 4, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if apn <= 0 {
+	if apn := sweepCell(t, NewKMeans(), rows, 4).APN; apn <= 0 {
 		t.Fatal("column-dependent grouping should have positive APN")
 	}
 }
 
 func TestADBounds(t *testing.T) {
-	alg := NewKMeans()
-	full, _ := alg.Cluster(blobs(), 3)
-	ad, err := AD(alg, blobs(), 3, full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ad := sweepCell(t, NewKMeans(), blobs(), 3).AD
 	if ad < 0 {
 		t.Fatalf("AD negative: %g", ad)
 	}
 	// AD shrinks as k grows (smaller clusters, smaller within-distances).
-	full9, _ := alg.Cluster(blobs(), 9)
-	ad9, _ := AD(alg, blobs(), 9, full9)
-	if ad9 >= ad {
+	if ad9 := sweepCell(t, NewKMeans(), blobs(), 9).AD; ad9 >= ad {
 		t.Fatalf("AD should shrink with k: k=3 %g vs k=9 %g", ad, ad9)
 	}
 }
 
+// sweep is SweepContext run sequentially, keeping only the scores.
+func sweep(algs []Algorithm, rows [][]float64, kMin, kMax int) ([]Scores, error) {
+	scores, _, err := SweepContext(context.Background(), algs, rows, kMin, kMax, 1)
+	return scores, err
+}
+
 func TestSweep(t *testing.T) {
-	scores, err := Sweep(algorithms(), blobs(), 2, 4)
+	scores, err := sweep(algorithms(), blobs(), 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(scores) != 3*3 {
 		t.Fatalf("scores = %d, want 9", len(scores))
 	}
-	if _, err := Sweep(algorithms(), blobs(), 1, 4); err == nil {
-		t.Fatal("kMin=1 accepted")
+	// Degenerate sweeps have no cell to score; an empty result would make
+	// BestK report k = 0, so each must fail instead.
+	for _, tc := range []struct {
+		name       string
+		algs       []Algorithm
+		rows       [][]float64
+		kMin, kMax int
+		want       string
+	}{
+		{"kMin=1", algorithms(), blobs(), 1, 4, "kMin"},
+		{"too few rows", algorithms(), blobs()[:2], 2, 4, "observations"},
+		{"kMax<kMin", algorithms(), blobs(), 4, 3, "kMax 3 < kMin 4"},
+		{"no algorithms", nil, blobs(), 2, 4, "algorithm"},
+	} {
+		scores, err := sweep(tc.algs, tc.rows, tc.kMin, tc.kMax)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: %d scores, err = %v, want error containing %q", tc.name, len(scores), err, tc.want)
+		}
 	}
 }
 
 func TestSweepClampsKMax(t *testing.T) {
 	rows := blobs()[:4]
-	scores, err := Sweep([]Algorithm{NewKMeans()}, rows, 2, 99)
+	scores, err := sweep([]Algorithm{NewKMeans()}, rows, 2, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +158,7 @@ func TestSweepClampsKMax(t *testing.T) {
 }
 
 func TestBestKOnBlobs(t *testing.T) {
-	scores, err := Sweep(algorithms(), blobs(), 2, 6)
+	scores, err := sweep(algorithms(), blobs(), 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,16 +179,16 @@ func TestProportionNonOverlap(t *testing.T) {
 }
 
 func TestSweepContextMatchesSequential(t *testing.T) {
-	seq, err := Sweep(algorithms(), blobs(), 2, 6)
+	seq, seqAssign, err := SweepContext(context.Background(), algorithms(), blobs(), 2, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 8} {
-		got, err := SweepContext(context.Background(), algorithms(), blobs(), 2, 6, workers)
+		got, assign, err := SweepContext(context.Background(), algorithms(), blobs(), 2, 6, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(got, seq) {
+		if !reflect.DeepEqual(got, seq) || !reflect.DeepEqual(assign, seqAssign) {
 			t.Fatalf("workers=%d: parallel sweep differs from sequential", workers)
 		}
 	}
@@ -182,7 +197,7 @@ func TestSweepContextMatchesSequential(t *testing.T) {
 func TestSweepContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SweepContext(ctx, algorithms(), blobs(), 2, 6, 4); !errors.Is(err, context.Canceled) {
+	if _, _, err := SweepContext(ctx, algorithms(), blobs(), 2, 6, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -204,34 +219,18 @@ func (a *cancellingAlg) Cluster(rows [][]float64, k int) (Assignment, error) {
 }
 
 // TestSweepStopsWithinSweepPoint asserts a cancelled sweep stops *inside*
-// a sweep point: once the context dies after the full clustering, neither
-// stability measure may run its leave-one-column-out re-clusterings.
+// a sweep point: once the context dies after the full clustering, no
+// leave-one-column-out re-clustering may run.
 func TestSweepStopsWithinSweepPoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	alg := &cancellingAlg{Algorithm: algorithms()[0], cancel: cancel, after: 1}
-	if _, err := SweepContext(ctx, []Algorithm{alg}, blobs(), 2, 6, 1); !errors.Is(err, context.Canceled) {
+	if _, _, err := SweepContext(ctx, []Algorithm{alg}, blobs(), 2, 6, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// One full clustering ran; the 2 x columns stability re-clusterings of
+	// One full clustering ran; the per-column stability re-clusterings of
 	// that sweep point (and every later point) must have been skipped.
 	if n := alg.calls.Load(); n != 1 {
 		t.Fatalf("algorithm ran %d times after cancellation, want 1", n)
-	}
-}
-
-func TestStabilityMeasuresPreCancelled(t *testing.T) {
-	rows := blobs()
-	full, err := algorithms()[0].Cluster(rows, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := APNContext(ctx, algorithms()[0], rows, 3, full); !errors.Is(err, context.Canceled) {
-		t.Fatalf("APNContext: err = %v, want context.Canceled", err)
-	}
-	if _, err := ADContext(ctx, algorithms()[0], rows, 3, full); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ADContext: err = %v, want context.Canceled", err)
 	}
 }

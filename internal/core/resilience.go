@@ -581,25 +581,3 @@ func median(xs []float64) float64 {
 	}
 	return 0.5 * (c[n/2-1] + c[n/2])
 }
-
-// RunAveragedResilient is the resilient counterpart of
-// sim.Engine.RunAveragedContext: runs repetitions of one workload fan out
-// over the worker pool, each protected by the retry/timeout/repair policy,
-// the set is screened for outliers, and the surviving runs are averaged in
-// run order. The returned provenance records every retry and repair.
-func RunAveragedResilient(ctx context.Context, eng *sim.Engine, w workload.Workload, runs, workers int, pol Resilience) (*sim.Result, UnitProvenance, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	states := make([]*runState, runs)
-	for r := range states {
-		states[r] = &runState{prov: RunProvenance{Run: r}}
-	}
-	err := par.ForEach(ctx, workers, runs, func(ctx context.Context, r int) error {
-		return collectRun(ctx, eng, w, r, pol, states[r])
-	})
-	if err != nil {
-		return nil, UnitProvenance{}, err
-	}
-	return assembleUnit(ctx, eng, w, pol, states)
-}

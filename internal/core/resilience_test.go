@@ -331,41 +331,6 @@ func TestTraceRepairLastResort(t *testing.T) {
 	}
 }
 
-// TestRunAveragedResilient covers the mbsim/mbcalibrate entry point: a
-// crash-then-clean injector must converge to the fault-free average.
-func TestRunAveragedResilient(t *testing.T) {
-	w := shortUnits()[0]
-	cleanEng, err := sim.New(sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := cleanEng.RunAveragedContext(context.Background(), w, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := fault.NewFunc(func(unit string, run, attempt int) fault.Plan {
-		if attempt == 0 {
-			return fault.Plan{Crash: true}
-		}
-		return fault.Plan{}
-	})
-	eng, err := sim.New(sim.Config{Fault: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, prov, err := RunAveragedResilient(context.Background(), eng, w, 3, 2,
-		Resilience{MaxRetries: 2, BackoffBase: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, base) {
-		t.Fatal("resilient average differs from fault-free average")
-	}
-	if prov.TotalRetries() != 3 {
-		t.Fatalf("TotalRetries = %d, want 3 (one crash per run)", prov.TotalRetries())
-	}
-}
-
 // TestOptionsValidate covers the up-front option screen.
 func TestOptionsValidate(t *testing.T) {
 	units := shortUnits()[:2]

@@ -38,7 +38,8 @@ func (d *Dataset) Figure4(kMin, kMax int) ([]cluster.Scores, error) {
 
 // Figure4Context is Figure4 with cancellation.
 func (d *Dataset) Figure4Context(ctx context.Context, kMin, kMax int) ([]cluster.Scores, error) {
-	return cluster.SweepContext(ctx, Algorithms(), d.NormalizedFeatures(), kMin, kMax, d.Workers)
+	scores, _, err := cluster.SweepContext(ctx, Algorithms(), d.NormalizedFeatures(), kMin, kMax, d.Workers)
+	return scores, err
 }
 
 // OptimalK aggregates a Figure 4 sweep into the winning cluster count.

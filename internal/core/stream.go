@@ -1,12 +1,13 @@
-// Streaming ingest: the incremental counterpart of the batch similarity
-// pipeline. A StreamState folds measurement records one at a time and keeps
-// the Figure 4 sweep, the winning cluster count, the hierarchical grouping
-// and the Naive subset recommendation continuously up to date, reusing the
-// cluster package's delta distance matrices instead of recomputing every
-// distance per record. Every refresh re-clusters with the batch sweep's
-// own search, so the published state is byte-identical to StreamBatch —
-// the same records folded in the same order through the batch sweep — by
-// construction, and differential tests pin it.
+// Streaming ingest: the record-at-a-time counterpart of the batch
+// similarity pipeline. A StreamState folds measurement records one at a
+// time and keeps the Figure 4 sweep, the winning cluster count, the
+// hierarchical grouping and the Naive subset recommendation continuously up
+// to date. A record that leaves the normalized feature matrix bit-unchanged
+// skips the sweep; any other record re-runs the batch sweep
+// (cluster.SweepContext) over the new matrix. The published state is
+// therefore byte-identical to StreamBatch — the same records folded in the
+// same order through the batch sweep — by construction, and differential
+// tests pin it.
 package core
 
 import (
@@ -98,24 +99,24 @@ func (o StreamOptions) Validate() error {
 	return nil
 }
 
-// Ingest modes reported in StreamDelta.Mode, in increasing order of work:
-// the sweep was untouched, refreshed by delta, or rebuilt cold.
+// Ingest modes reported in StreamDelta.Mode. Each names how the ingest
+// changed the normalized feature matrix; every mode except pending and
+// unchanged re-runs the sweep.
 const (
 	// StreamModePending: too few units to sweep yet (n < kMin+1).
 	StreamModePending = "pending"
 	// StreamModeUnchanged: the normalized feature matrix is bit-unchanged,
 	// so the previous sweep still holds.
 	StreamModeUnchanged = "unchanged"
-	// StreamModeInit: first sweep, built cold.
+	// StreamModeInit: the first sweep, once kMin+1 units have arrived.
 	StreamModeInit = "init"
-	// StreamModeAppend: one new unit appended; the distance matrices grow
-	// by delta.
+	// StreamModeAppend: one new unit appended; every earlier row is
+	// bit-unchanged.
 	StreamModeAppend = "append"
-	// StreamModeUpdate: one existing unit's row changed; only that
-	// row/column of each distance matrix is recomputed.
+	// StreamModeUpdate: exactly one existing unit's row changed.
 	StreamModeUpdate = "update"
 	// StreamModeRebuild: the change rippled through normalization bounds
-	// (or otherwise touched several rows), so the sweep rebuilt cold.
+	// (or otherwise touched several rows).
 	StreamModeRebuild = "rebuild"
 )
 
@@ -167,8 +168,8 @@ type Summary struct {
 }
 
 // StreamDelta describes what one ingest did: which record was folded, how
-// the sweep was refreshed, and the refresh cost counters (zero when the
-// sweep was untouched).
+// it changed the normalized feature matrix, and the sweep counters (zero
+// when the sweep was skipped).
 type StreamDelta struct {
 	Seq  uint64 `json:"seq,omitempty"`
 	Unit string `json:"unit"`
@@ -176,7 +177,11 @@ type StreamDelta struct {
 	Gen  int    `json:"gen"`
 	// BestK after this ingest (0 while pending).
 	BestK int `json:"best_k,omitempty"`
-	// Sweep refresh counters (see cluster.RefreshStats).
+	// Cells is the number of (algorithm, k) sweep cells computed.
+	// NewCells counts cells with no previous cell to compare against:
+	// every cell of an init or rebuild, and k values unlocked by growth.
+	// ShiftedCells counts cells whose full-data grouping of the
+	// previously present units changed, new cells included.
 	Cells        int `json:"cells,omitempty"`
 	NewCells     int `json:"new_cells,omitempty"`
 	ShiftedCells int `json:"shifted_cells,omitempty"`
@@ -195,8 +200,8 @@ type streamUnit struct {
 	sumF       []float64
 }
 
-// StreamState folds StreamRecords and maintains the incremental sweep. Not
-// safe for concurrent use; the server serializes ingests.
+// StreamState folds StreamRecords and keeps the sweep over them current.
+// Not safe for concurrent use; the server serializes ingests.
 type StreamState struct {
 	opt     StreamOptions
 	units   []*streamUnit
@@ -205,8 +210,11 @@ type StreamState struct {
 	lastSeq uint64
 	// norm is the min-max normalized mean-feature matrix of the current
 	// generation — the rows the sweep clusters.
-	norm    [][]float64
-	sweep   *cluster.SweepState
+	norm [][]float64
+	// scores and assigns are the last sweep over norm, in SweepContext
+	// order; nil while pending.
+	scores  []cluster.Scores
+	assigns []cluster.Assignment
 	summary Summary
 }
 
@@ -267,73 +275,94 @@ func (s *StreamState) meanRows() [][]float64 {
 	return rows
 }
 
-// Ingest folds one record and refreshes the analysis, choosing the
-// cheapest sweep refresh the change allows: unchanged normalized rows keep
-// the sweep as-is, a single appended or updated row goes through the delta
-// constructors, and anything wider (typically a shifted
-// min-max normalization bound) rebuilds cold. The published summary is
-// replaced only on success.
+// Ingest folds one record and refreshes the analysis: a record that
+// leaves the normalized rows bit-unchanged keeps the previous sweep, and
+// any other change re-runs the sweep over the new rows. The published
+// state (rows, sweep and summary) is replaced only on success.
 func (s *StreamState) Ingest(ctx context.Context, rec StreamRecord) (StreamDelta, error) {
 	if err := s.fold(rec); err != nil {
 		return StreamDelta{}, err
 	}
 	norm := stats.NormalizeColumnsMinMax(s.meanRows())
-	mode, st, err := s.refreshSweep(ctx, norm)
+	mode, scores, assigns, err := s.refreshSweep(ctx, norm)
 	if err != nil {
 		// The record is folded and, at the server layer, already
 		// persisted; the only errors here are cancellation, which the
 		// server avoids by ingesting under context.Background().
 		return StreamDelta{}, err
 	}
-	s.norm = norm
-	sum, err := s.summarize()
+	sum, err := s.summarize(scores, assigns)
 	if err != nil {
 		return StreamDelta{}, err
 	}
-	s.summary = sum
+	cells, newCells, shifted := cellCounts(mode, s.assigns, assigns, len(Algorithms()))
+	s.norm, s.scores, s.assigns, s.summary = norm, scores, assigns, sum
 	return StreamDelta{
 		Seq:          rec.Seq,
 		Unit:         rec.Unit,
 		Mode:         mode,
 		Gen:          s.count,
 		BestK:        sum.BestK,
-		Cells:        st.Cells,
-		NewCells:     st.NewCells,
-		ShiftedCells: st.ShiftedCells,
+		Cells:        cells,
+		NewCells:     newCells,
+		ShiftedCells: shifted,
 	}, nil
 }
 
-// refreshSweep brings the sweep up to date with norm and reports the mode
-// it used.
-func (s *StreamState) refreshSweep(ctx context.Context, norm [][]float64) (string, cluster.RefreshStats, error) {
-	if s.sweep == nil {
-		if len(norm) < s.opt.KMin+1 {
-			return StreamModePending, cluster.RefreshStats{}, nil
-		}
-		sw, st, err := cluster.NewSweepState(ctx, Algorithms(), norm, s.sweepOptions())
-		if err != nil {
-			return "", cluster.RefreshStats{}, err
-		}
-		s.sweep = sw
-		return StreamModeInit, st, nil
-	}
-	switch mode := diffRows(s.norm, norm); {
-	case mode == diffUnchanged:
-		return StreamModeUnchanged, cluster.RefreshStats{}, nil
-	case mode == diffAppended:
-		st, err := s.sweep.AppendRows(ctx, norm)
-		return StreamModeAppend, st, err
-	case mode >= 0:
-		st, err := s.sweep.UpdateRow(ctx, norm, mode)
-		return StreamModeUpdate, st, err
+// refreshSweep classifies the change from the published rows to norm and
+// returns the sweep over norm: the previous one when norm is unchanged
+// (or still too small to sweep), a fresh SweepContext otherwise.
+func (s *StreamState) refreshSweep(ctx context.Context, norm [][]float64) (string, []cluster.Scores, []cluster.Assignment, error) {
+	var mode string
+	switch d := diffRows(s.norm, norm); {
+	case s.scores == nil && len(norm) < s.opt.KMin+1:
+		return StreamModePending, nil, nil, nil
+	case s.scores == nil:
+		mode = StreamModeInit
+	case d == diffUnchanged:
+		return StreamModeUnchanged, s.scores, s.assigns, nil
+	case d == diffAppended:
+		mode = StreamModeAppend
+	case d >= 0:
+		mode = StreamModeUpdate
 	default:
-		st, err := s.sweep.Rebuild(ctx, norm)
-		return StreamModeRebuild, st, err
+		mode = StreamModeRebuild
 	}
+	scores, assigns, err := cluster.SweepContext(ctx, Algorithms(), norm, s.opt.KMin, s.opt.KMax, s.opt.Workers)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	return mode, scores, assigns, nil
 }
 
-func (s *StreamState) sweepOptions() cluster.SweepOptions {
-	return cluster.SweepOptions{KMin: s.opt.KMin, KMax: s.opt.KMax, Workers: s.opt.Workers}
+// cellCounts returns an ingest's sweep counters, comparing the sweep's
+// assignments (cur) with the previous sweep's (prev), both in SweepContext
+// order over nAlg algorithms. Pending and unchanged ran no sweep. Init and
+// rebuild compare nothing: every cell is new and shifted. Append and update
+// compare each (algorithm, k) cell that existed before over the previous
+// rows (a prefix of the new ones); a k unlocked by growth is new.
+func cellCounts(mode string, prev, cur []cluster.Assignment, nAlg int) (cells, newCells, shifted int) {
+	switch mode {
+	case StreamModePending, StreamModeUnchanged:
+		return 0, 0, 0
+	case StreamModeInit, StreamModeRebuild:
+		return len(cur), len(cur), len(cur)
+	}
+	cells = len(cur)
+	prevNK, nk := len(prev)/nAlg, len(cur)/nAlg
+	for j, a := range cur {
+		ai, ki := j/nk, j%nk
+		if ki >= prevNK {
+			newCells++
+			shifted++
+			continue
+		}
+		p := prev[ai*prevNK+ki]
+		if !cluster.SameGrouping(p, a[:len(p)]) {
+			shifted++
+		}
+	}
+	return cells, newCells, shifted
 }
 
 // diffRows classifies the change from prev to cur.
@@ -345,7 +374,7 @@ const (
 
 // diffRows returns diffUnchanged, diffAppended (cur is prev plus exactly
 // one bit-identical-prefix row), the index of the single changed row, or
-// diffRebuild when the change is wider than any delta constructor covers.
+// diffRebuild when the change touches several rows.
 func diffRows(prev, cur [][]float64) int {
 	sameRow := func(a, b []float64) bool {
 		if len(a) != len(b) {
@@ -385,8 +414,9 @@ func diffRows(prev, cur [][]float64) int {
 	}
 }
 
-// summarize builds the published Summary from the current fold and sweep.
-func (s *StreamState) summarize() (Summary, error) {
+// summarize builds the published Summary from the current fold and the
+// given sweep (nil while pending).
+func (s *StreamState) summarize(scores []cluster.Scores, assigns []cluster.Assignment) (Summary, error) {
 	sum := Summary{Gen: s.count, LastSeq: s.lastSeq}
 	if len(s.units) == 0 {
 		return sum, nil
@@ -401,10 +431,9 @@ func (s *StreamState) summarize() (Summary, error) {
 			Features:   maxNorm[i],
 		}
 	}
-	if s.sweep == nil {
+	if scores == nil {
 		return sum, nil
 	}
-	scores := s.sweep.Scores()
 	sum.Scores = make([]StreamScore, len(scores))
 	for i, sc := range scores {
 		sum.Scores[i] = StreamScore{
@@ -417,11 +446,12 @@ func (s *StreamState) summarize() (Summary, error) {
 		}
 	}
 	sum.BestK = cluster.BestK(scores)
-	assign, ok := s.sweep.Assignment(streamHierName, sum.BestK)
-	if !ok {
-		return Summary{}, fmt.Errorf("core: stream sweep has no %s cell at k=%d", streamHierName, sum.BestK)
+	for i, sc := range scores {
+		if sc.Algorithm == streamHierName && sc.K == sum.BestK {
+			return finishSummary(sum, assigns[i])
+		}
 	}
-	return finishSummary(sum, assign)
+	return Summary{}, fmt.Errorf("core: stream sweep has no %s cell at k=%d", streamHierName, sum.BestK)
 }
 
 // streamHierName is the algorithm whose grouping the stream publishes —
@@ -464,11 +494,13 @@ func finishSummary(sum Summary, assign cluster.Assignment) (Summary, error) {
 	return sum, nil
 }
 
-// StreamBatch is the cold comparator for the incremental path: it folds
-// records in order and runs the batch sweep (SweepContext) from scratch,
-// producing the Summary a fresh batch analysis of the same data would
-// publish. Differential tests pin StreamState's incrementally maintained
-// Summary byte-identical to this.
+// StreamBatch is the cold comparator for the ingest path: it folds
+// records in order and runs the batch sweep (SweepContext) once over the
+// result, producing the Summary a fresh batch analysis of the same data
+// would publish. It takes the hierarchical grouping from its own
+// clustering at BestK rather than from the sweep's assignments.
+// Differential tests pin StreamState's record-at-a-time Summary
+// byte-identical to this.
 func StreamBatch(ctx context.Context, records []StreamRecord, opt StreamOptions) (Summary, error) {
 	s := NewStreamState(opt)
 	for _, rec := range records {
@@ -497,7 +529,7 @@ func StreamBatch(ctx context.Context, records []StreamRecord, opt StreamOptions)
 	if len(s.norm) < s.opt.KMin+1 {
 		return sum, nil
 	}
-	scores, err := cluster.SweepContext(ctx, Algorithms(), s.norm, s.opt.KMin, s.opt.KMax, s.opt.Workers)
+	scores, _, err := cluster.SweepContext(ctx, Algorithms(), s.norm, s.opt.KMin, s.opt.KMax, s.opt.Workers)
 	if err != nil {
 		return Summary{}, err
 	}

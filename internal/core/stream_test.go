@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -93,8 +94,9 @@ func TestStreamIncrementalMatchesBatch(t *testing.T) {
 	}
 }
 
-// requireIncrementalMatchesBatch ingests recs one at a time, holds the
-// batch identity after each, and checks the refresh modes the ingests took.
+// requireIncrementalMatchesBatch ingests recs (one new unit each) one at a
+// time, holds the batch identity after each, and checks the modes the
+// ingests took and their sweep counters.
 func requireIncrementalMatchesBatch(t *testing.T, recs []StreamRecord, opt StreamOptions) {
 	t.Helper()
 	st := NewStreamState(opt)
@@ -106,11 +108,11 @@ func requireIncrementalMatchesBatch(t *testing.T, recs []StreamRecord, opt Strea
 		}
 		modes = append(modes, d.Mode)
 		requireSummariesEqual(t, fmt.Sprintf("after record %d (%s)", i, d.Mode), st, recs[:i+1], opt)
+		requireDeltaCounters(t, d, i+1, opt)
 	}
 	// The first sweep needs kMin+1 = 3 units; before that the stream is
-	// pending, then it initializes cold, and every later single-unit
-	// arrival is either an in-bounds append (delta matrices) or a
-	// bound-shifting rebuild.
+	// pending, then it initializes, and every later single-unit arrival is
+	// either an in-bounds append or a bound-shifting rebuild.
 	if modes[0] != StreamModePending || modes[1] != StreamModePending {
 		t.Fatalf("modes before kMin+1 units = %v, want pending", modes[:2])
 	}
@@ -128,9 +130,46 @@ func requireIncrementalMatchesBatch(t *testing.T, recs []StreamRecord, opt Strea
 		}
 	}
 	// Units whose centers sit strictly inside the normalization bounds can
-	// never shift them, so the delta path must have been exercised.
+	// never shift them, so the append mode must have been exercised.
 	if appends == 0 {
 		t.Fatal("no record took the append delta path")
+	}
+}
+
+// requireDeltaCounters checks the sweep counters of an ingest that left n
+// units: pending and unchanged sweep nothing; init and rebuild count every
+// cell as new and shifted; an append or update compares every earlier cell,
+// and an append that grows n to at most kMax+1 unlocks one new k per
+// algorithm.
+func requireDeltaCounters(t *testing.T, d StreamDelta, n int, opt StreamOptions) {
+	t.Helper()
+	o := opt.WithDefaults()
+	kMax := min(o.KMax, n-1)
+	nAlg := len(Algorithms())
+	wantCells := nAlg * (kMax - o.KMin + 1)
+	fail := func(want string) {
+		t.Fatalf("%s ingest at n=%d: cells %d new %d shifted %d, want %s",
+			d.Mode, n, d.Cells, d.NewCells, d.ShiftedCells, want)
+	}
+	switch d.Mode {
+	case StreamModePending, StreamModeUnchanged:
+		if d.Cells != 0 || d.NewCells != 0 || d.ShiftedCells != 0 {
+			fail("no cells")
+		}
+	case StreamModeInit, StreamModeRebuild:
+		if d.Cells != wantCells || d.NewCells != d.Cells || d.ShiftedCells != d.Cells {
+			fail(fmt.Sprintf("%d cells, all new and shifted", wantCells))
+		}
+	case StreamModeAppend, StreamModeUpdate:
+		wantNew := 0
+		if d.Mode == StreamModeAppend && n <= o.KMax+1 {
+			wantNew = nAlg
+		}
+		if d.Cells != wantCells || d.NewCells != wantNew || d.ShiftedCells < d.NewCells || d.ShiftedCells > d.Cells {
+			fail(fmt.Sprintf("%d cells, %d new, new <= shifted <= cells", wantCells, wantNew))
+		}
+	default:
+		t.Fatalf("unknown mode %q", d.Mode)
 	}
 }
 
@@ -152,20 +191,19 @@ func TestStreamRepeatRecordPaths(t *testing.T) {
 	// normalized matrix bit-unchanged: the sweep must not be touched.
 	dup := recs[5]
 	dup.Seq = 100
-	gen := st.sweep.Gen()
 	d, err := st.Ingest(context.Background(), dup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Mode != StreamModeUnchanged || st.sweep.Gen() != gen {
-		t.Fatalf("duplicate record: mode %q gen %d -> %d, want unchanged with same gen", d.Mode, gen, st.sweep.Gen())
+	if d.Mode != StreamModeUnchanged || d.Cells != 0 {
+		t.Fatalf("duplicate record: mode %q with %d cells, want unchanged with no cells", d.Mode, d.Cells)
 	}
 	all := append(append([]StreamRecord(nil), recs...), dup)
 	requireSummariesEqual(t, "after duplicate record", st, all, opt)
 
 	// A repeat run for an interior unit (center 30: never a column min or
 	// max) moves exactly one row without touching the normalization
-	// bounds: the row/column delta path.
+	// bounds: the update mode.
 	run2 := StreamRecord{Seq: 101, Unit: recs[6].Unit, RuntimeSec: 9, Features: make([]float64, len(FeatureNames()))}
 	for j := range run2.Features {
 		run2.Features[j] = 30.5
@@ -177,11 +215,12 @@ func TestStreamRepeatRecordPaths(t *testing.T) {
 	if d.Mode != StreamModeUpdate {
 		t.Fatalf("interior repeat run: mode %q, want update", d.Mode)
 	}
+	requireDeltaCounters(t, d, len(recs), opt)
 	all = append(all, run2)
 	requireSummariesEqual(t, "after interior repeat run", st, all, opt)
 
 	// A repeat run pushing a boundary unit's mean past the recorded
-	// maximum renormalizes every row: the sweep must rebuild cold.
+	// maximum renormalizes every row: a rebuild.
 	run3 := StreamRecord{Seq: 102, Unit: recs[3].Unit, RuntimeSec: 9, Features: make([]float64, len(FeatureNames()))}
 	for j := range run3.Features {
 		run3.Features[j] = 93
@@ -193,8 +232,38 @@ func TestStreamRepeatRecordPaths(t *testing.T) {
 	if d.Mode != StreamModeRebuild {
 		t.Fatalf("bound-extending repeat run: mode %q, want rebuild", d.Mode)
 	}
+	requireDeltaCounters(t, d, len(recs), opt)
 	all = append(all, run3)
 	requireSummariesEqual(t, "after bound-extending repeat run", st, all, opt)
+}
+
+// TestStreamCancelledIngestKeepsSummary pins that a failed sweep publishes
+// nothing: a cancelled ingest leaves Summary unchanged, and the next
+// ingest still equals StreamBatch over every folded record.
+func TestStreamCancelledIngestKeepsSummary(t *testing.T) {
+	recs := streamTestRecords(12)
+	opt := StreamOptions{KMin: 2, KMax: 4, Workers: 2}
+	st := NewStreamState(opt)
+	for i, rec := range recs[:10] {
+		if _, err := st.Ingest(context.Background(), rec); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+	}
+	before := summaryJSON(t, st.Summary())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := st.Ingest(ctx, recs[10]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ingest: err = %v, want context.Canceled", err)
+	}
+	if got := summaryJSON(t, st.Summary()); got != before {
+		t.Fatalf("cancelled ingest changed the summary\nbefore: %s\nafter:  %s", before, got)
+	}
+	d, err := st.Ingest(context.Background(), recs[11])
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireDeltaCounters(t, d, 12, opt)
+	requireSummariesEqual(t, "after a cancelled ingest", st, recs, opt)
 }
 
 // TestStreamZeroRuntimeSkipsSubset pins that feature-only streams (no

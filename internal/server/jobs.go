@@ -44,7 +44,7 @@ type Spec struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	// StreamRecords, StreamKMin and StreamKMax configure the
 	// "streamreport" kind: a cold batch re-analysis of an ingested record
-	// stream (core.StreamBatch), the comparator the incremental engine is
+	// stream (core.StreamBatch), the comparator the live stream state is
 	// held byte-identical to. The records ARE the dataset — no collection
 	// runs — so they are hashed into the cache key as the dataset
 	// generation.

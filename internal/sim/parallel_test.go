@@ -51,33 +51,12 @@ func TestConcurrentRunsAreIndependent(t *testing.T) {
 	}
 }
 
-func TestRunAveragedWorkersDeterminism(t *testing.T) {
-	eng := MustNew(Config{})
-	w := tinyWorkload()
-	seq, err := eng.RunAveraged(w, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 8} {
-		got, err := eng.RunAveragedContext(context.Background(), w, 3, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, seq) {
-			t.Fatalf("workers=%d: averaged result differs from sequential", workers)
-		}
-	}
-}
-
 func TestRunContextCancellation(t *testing.T) {
 	eng := MustNew(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := eng.RunContext(ctx, tinyWorkload(), 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if _, err := eng.RunAveragedContext(ctx, tinyWorkload(), 3, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("averaged err = %v, want context.Canceled", err)
 	}
 }
 

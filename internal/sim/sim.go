@@ -15,7 +15,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -26,7 +25,6 @@ import (
 	"mobilebench/internal/fault"
 	"mobilebench/internal/gpu"
 	"mobilebench/internal/mem"
-	"mobilebench/internal/par"
 	"mobilebench/internal/power"
 	"mobilebench/internal/profiler"
 	"mobilebench/internal/sched"
@@ -196,8 +194,7 @@ type Engine struct {
 // core list and sort scratch are reusable but not concurrency-safe), and
 // the auxiliary GPU/AIE/memory/storage/power/thermal models (cheap to
 // reset, formerly rebuilt per run). Exactly one Run uses a runModels at a
-// time; batch runs (RunBatchContext) reuse one acquisition across several
-// runs with a reset in between.
+// time, and the pool resets it before handing it to the next.
 type runModels struct {
 	l3, slc   *cache.Cache
 	clusters  []*clusterState
@@ -258,7 +255,7 @@ func (e *Engine) newRunModels() (*runModels, error) {
 		l3: l3, slc: slc, clusters: clusters, scheduler: sched.NewEAS(e.plat),
 		powerM:   power.NewModel(power.DefaultCoefficients()),
 		thermalM: thermal.NewModel(thermal.DefaultConfig()),
-		// The GPU model's texture RNG is per-run; runWith re-seeds it via
+		// The GPU model's texture RNG is per-run; RunContext re-seeds it via
 		// ResetSeed before the first tick, so the placeholder stream here is
 		// never consumed.
 		gpuM:       gpu.NewModel(e.plat.GPU, e.plat.Display, xrand.New(1)),
@@ -292,7 +289,7 @@ func (m *runModels) reset(cfg Config) error {
 	}
 	// Auxiliary models carry only accumulators and first-order state; their
 	// Resets restore the exact just-constructed state. The GPU model is
-	// re-seeded per run by runWith instead, because its reset needs the
+	// re-seeded per run by RunContext instead, because its reset needs the
 	// run's RNG stream.
 	m.powerM.Reset()
 	m.thermalM.Reset()
@@ -512,11 +509,6 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		return nil, err
 	}
 	defer e.releaseModels(models)
-	return e.runWith(ctx, w, run, models)
-}
-
-// runWith executes one run on an already-acquired (and reset) model set.
-func (e *Engine) runWith(ctx context.Context, w workload.Workload, run int, models *runModels) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -1073,80 +1065,6 @@ func (e *Engine) sampleMissProfile(cs *clusterState, cp workload.CPUPhase, rng *
 	}
 	_ = rng
 	return miss
-}
-
-// RunAveraged executes runs repetitions sequentially and returns the
-// averaged trace and aggregates (the paper's methodology: three runs,
-// metrics averaged).
-func (e *Engine) RunAveraged(w workload.Workload, runs int) (*Result, error) {
-	return e.RunAveragedContext(context.Background(), w, runs, 1)
-}
-
-// RunBatchContext executes runs r0..r1-1 of the workload sequentially on a
-// single model-pool acquisition, resetting the models between runs. The
-// per-run pool traffic (mutex, reset bookkeeping, GPU re-seed scaffolding)
-// amortizes across the batch; results are bit-identical to r1-r0 separate
-// RunContext calls because a reset model set is state-identical to a fresh
-// one and every run derives its own RNG stream.
-func (e *Engine) RunBatchContext(ctx context.Context, w workload.Workload, r0, r1 int) ([]*Result, error) {
-	if r1 <= r0 {
-		return nil, nil
-	}
-	models, err := e.acquireModels()
-	if err != nil {
-		return nil, err
-	}
-	defer e.releaseModels(models)
-	out := make([]*Result, 0, r1-r0)
-	for r := r0; r < r1; r++ {
-		if r > r0 {
-			if err := models.reset(e.cfg); err != nil {
-				return nil, err
-			}
-		}
-		res, err := e.runWith(ctx, w, r, models)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// RunAveragedContext is RunAveraged with cancellation and a worker pool:
-// the runs repetitions fan out over up to workers goroutines (workers <= 0
-// selects all CPUs; 1 keeps the sequential path), batched so each worker
-// amortizes one model-pool acquisition over its contiguous chunk of runs.
-// Because every run owns an independent random stream, the merged result is
-// bit-identical for any worker count: runs are averaged in run order
-// regardless of completion order.
-func (e *Engine) RunAveragedContext(ctx context.Context, w workload.Workload, runs, workers int) (*Result, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	nw := workers
-	if nw <= 0 {
-		nw = runtime.NumCPU()
-	}
-	chunks := nw
-	if chunks > runs {
-		chunks = runs
-	}
-	results := make([]*Result, runs)
-	err := par.ForEach(ctx, workers, chunks, func(ctx context.Context, c int) error {
-		r0 := c * runs / chunks
-		r1 := (c + 1) * runs / chunks
-		batch, err := e.RunBatchContext(ctx, w, r0, r1)
-		if err != nil {
-			return err
-		}
-		copy(results[r0:r1], batch)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return AverageResults(w.Name, results)
 }
 
 // AverageResults merges per-run results (ordered by run index) into the

@@ -209,20 +209,23 @@ func TestAV1FallbackRaisesCPULoad(t *testing.T) {
 
 func TestRunAveraged(t *testing.T) {
 	eng := MustNew(Config{})
-	res, err := eng.RunAveraged(tinyWorkload(), 3)
+	runs := make([]*Result, 3)
+	for r := range runs {
+		res, err := eng.Run(tinyWorkload(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[r] = res
+	}
+	res, err := AverageResults(tinyWorkload().Name, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, _ := eng.Run(tinyWorkload(), 0)
-	if res.Agg.InstrCount == single.Agg.InstrCount {
+	if res.Agg.InstrCount == runs[0].Agg.InstrCount {
 		t.Fatal("averaged aggregates identical to a single run; averaging is a no-op")
 	}
 	if res.Trace == nil || res.Trace.Samples == 0 {
 		t.Fatal("averaged trace missing")
-	}
-	// runs < 1 coerces to 1.
-	if _, err := eng.RunAveraged(tinyWorkload(), 0); err != nil {
-		t.Fatal(err)
 	}
 }
 

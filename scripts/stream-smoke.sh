@@ -124,7 +124,7 @@ echo "change log monotonic and resumable (last_seq=$LAST)"
 STATE_JSON=$(curl -fsS "$BASE/v1/stream/state" | canon)
 
 # The batch re-analysis runs as a normal job on the fleet and must land on
-# exactly the bytes the incremental engine is serving.
+# exactly the bytes the live stream state is serving.
 RID=$(curl -fsS -XPOST "$BASE/v1/stream/report" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [ -n "$RID" ] || { echo "FAIL: stream report not accepted" >&2; exit 1; }
 wait_done "$RID" 60
