@@ -5,34 +5,13 @@ import (
 	"os"
 	"sort"
 
-	"mobilebench/internal/cliflag"
 	"mobilebench/internal/core"
-	"mobilebench/internal/sim"
 	"mobilebench/internal/soc"
 )
 
 // runAnalysis prints the downstream analyses (correlations, clustering,
 // load levels, subsets, observations) for calibration review.
-func runAnalysis(runs, workers int, rf *cliflag.Resilience, cf *cliflag.Checkpoint) {
-	inj, err := rf.Injector()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mbcalibrate:", err)
-		os.Exit(1)
-	}
-	ds, err := core.Collect(core.Options{
-		Sim:        sim.Config{Fault: inj},
-		Runs:       runs,
-		Workers:    workers,
-		Resilience: rf.Policy(),
-		Checkpoint: cf.Path,
-		Resume:     cf.Resume,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mbcalibrate:", err)
-		os.Exit(1)
-	}
-	cliflag.WarnDegraded("mbcalibrate", ds)
-
+func runAnalysis(ds *core.Dataset) {
 	fmt.Println("== Table III correlations ==")
 	t3 := ds.TableIII()
 	for i, a := range t3.Metrics {

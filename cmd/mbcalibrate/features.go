@@ -5,34 +5,14 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"mobilebench/internal/cliflag"
 	"mobilebench/internal/cluster"
 	"mobilebench/internal/core"
-	"mobilebench/internal/sim"
 )
 
 // runFeatures prints the normalized clustering features, the pairwise
 // distance matrix and each benchmark's nearest neighbours — the view used
 // to calibrate the similarity analysis.
-func runFeatures(runs, workers int, rf *cliflag.Resilience, cf *cliflag.Checkpoint) {
-	inj, err := rf.Injector()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mbcalibrate:", err)
-		os.Exit(1)
-	}
-	ds, err := core.Collect(core.Options{
-		Sim:        sim.Config{Fault: inj},
-		Runs:       runs,
-		Workers:    workers,
-		Resilience: rf.Policy(),
-		Checkpoint: cf.Path,
-		Resume:     cf.Resume,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mbcalibrate:", err)
-		os.Exit(1)
-	}
-	cliflag.WarnDegraded("mbcalibrate", ds)
+func runFeatures(ds *core.Dataset) {
 	rows := ds.NormalizedFeatures()
 	names := ds.Names()
 

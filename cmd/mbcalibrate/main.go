@@ -42,22 +42,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mbcalibrate: %v\n", err)
 		}
 	}()
-	if *analysis {
-		runAnalysis(*runs, *workers, rf, cf)
-		return
-	}
-	if *features {
-		runFeatures(*runs, *workers, rf, cf)
-		return
-	}
-
 	inj, err := rf.Injector()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mbcalibrate:", err)
 		os.Exit(1)
 	}
-	// One Collect over every unit instead of a per-unit loop: the fan-out
-	// keeps all cores busy and -checkpoint/-resume cover the whole table.
+	// One Collect over every unit for every mode: the fan-out keeps all
+	// cores busy, and -checkpoint/-resume and -fast-forward mean the same
+	// options (and so the same snapshot fingerprint) whichever view prints.
 	ds, err := core.Collect(core.Options{
 		Sim:        sim.Config{Fault: inj, FastForward: *fastForward},
 		Runs:       *runs,
@@ -70,14 +62,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mbcalibrate:", err)
 		os.Exit(1)
 	}
+	cliflag.WarnDegraded("mbcalibrate", ds)
+	switch {
+	case *analysis:
+		runAnalysis(ds)
+		return
+	case *features:
+		runFeatures(ds)
+		return
+	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "benchmark\truntime\tIC(B)\ttargetIC\tdutyFix\tIPC\ttgtIPC\tcMPKI\tbMPKI\tCPU\tGPU\tShad\tBus\tAIE\tMem%\tMemMB\tLload\tMload\tBload")
 	for _, u := range ds.Units {
 		w := u.Workload
-		if prov, ok := ds.ProvenanceOf(w.Name); ok && prov.Degraded() {
-			fmt.Fprintf(os.Stderr, "mbcalibrate: warning: %s\n", prov)
-		}
 		a := u.Agg
 		t, _ := workload.TargetFor(w.Name)
 		icB := a.InstrCount / 1e9

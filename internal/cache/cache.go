@@ -145,13 +145,6 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// LevelResult summarizes one level's behaviour for an access batch.
-type LevelResult struct {
-	Name     string
-	Accesses uint64
-	Misses   uint64
-}
-
 // Hierarchy is a CPU-side cache hierarchy: private L1D and L2, shared L3 and
 // system-level cache (SLC). Instruction-side behaviour is modelled
 // separately by the performance model because instruction working sets of
@@ -216,16 +209,4 @@ func (h *Hierarchy) ResetStats() {
 	h.L1D.ResetStats()
 	h.L2.ResetStats()
 	h.DRAMAccesses = 0
-}
-
-// Levels returns per-level stats for the private levels plus the shared
-// levels (the shared entries aggregate all users of those caches).
-func (h *Hierarchy) Levels() []LevelResult {
-	out := []LevelResult{
-		{Name: h.L1D.geom.Name, Accesses: h.L1D.stats.Accesses, Misses: h.L1D.stats.Misses},
-		{Name: h.L2.geom.Name, Accesses: h.L2.stats.Accesses, Misses: h.L2.stats.Misses},
-		{Name: h.L3.geom.Name, Accesses: h.L3.stats.Accesses, Misses: h.L3.stats.Misses},
-		{Name: h.SLC.geom.Name, Accesses: h.SLC.stats.Accesses, Misses: h.SLC.stats.Misses},
-	}
-	return out
 }

@@ -107,17 +107,6 @@ func (g *StreamGen) Reset(pat AccessPattern, region uint64, rng *xrand.Rand) {
 // Pattern returns the generator's pattern.
 func (g *StreamGen) Pattern() AccessPattern { return g.pat }
 
-// SetWorkingSet rescales the working set (e.g. when a phase grows its
-// footprint over time).
-func (g *StreamGen) SetWorkingSet(bytes uint64) {
-	if bytes < 4096 {
-		bytes = 4096
-	}
-	g.pat.WorkingSetBytes = bytes
-	g.lines = bytes / 64
-	g.reuseZipf.Reset(int(g.lines), g.pat.ReuseSkew)
-}
-
 // Next returns the next address in the synthetic stream and whether it
 // belongs to a sequential stream (and is therefore a prefetcher target).
 func (g *StreamGen) Next() (addr uint64, sequential bool) {

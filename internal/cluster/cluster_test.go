@@ -161,18 +161,16 @@ func TestDendrogramHeightsNonDecreasingOnBlobs(t *testing.T) {
 }
 
 func TestLinkages(t *testing.T) {
-	for _, l := range []Linkage{SingleLinkage, CompleteLinkage, AverageLinkage, WardLinkage} {
-		h := &Hierarchical{Linkage: l}
-		a, err := h.Cluster(blobs(), 3)
-		if err != nil {
-			t.Fatalf("%v: %v", l, err)
-		}
-		if !sameBlobGrouping(a) {
-			t.Errorf("linkage %v failed on blobs: %v", l, a)
-		}
+	h := NewHierarchical()
+	a, err := h.Cluster(blobs(), 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if SingleLinkage.String() != "single" || WardLinkage.String() != "ward" {
-		t.Fatal("linkage names wrong")
+	if !sameBlobGrouping(a) {
+		t.Errorf("Ward linkage failed on blobs: %v", a)
+	}
+	if h.Name() != "hierarchical-ward" {
+		t.Fatalf("Name() = %q, want hierarchical-ward", h.Name())
 	}
 }
 

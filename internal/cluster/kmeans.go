@@ -7,20 +7,22 @@ import (
 	"mobilebench/internal/xrand"
 )
 
-// KMeans is Lloyd's algorithm with k-means++ seeding and multiple restarts.
-// It is deterministic for a given Seed.
-type KMeans struct {
-	// MaxIter bounds Lloyd iterations per restart (default 100).
-	MaxIter int
-	// Restarts is how many seedings to try, keeping the best WCSS
-	// (default 8).
-	Restarts int
-	// Seed drives the deterministic k-means++ seeding (default 1).
-	Seed uint64
-}
+// KMeans is Lloyd's algorithm with k-means++ seeding and kmeansRestarts
+// seeded restarts, keeping the best WCSS. It is deterministic.
+type KMeans struct{}
 
-// NewKMeans returns a KMeans with default parameters.
-func NewKMeans() *KMeans { return &KMeans{MaxIter: 100, Restarts: 8, Seed: 1} }
+// K-means search constants.
+const (
+	// kmeansMaxIter bounds Lloyd iterations per restart.
+	kmeansMaxIter = 100
+	// kmeansRestarts is how many seedings are tried.
+	kmeansRestarts = 8
+	// kmeansSeed drives the deterministic k-means++ seeding.
+	kmeansSeed = 1
+)
+
+// NewKMeans returns a KMeans.
+func NewKMeans() *KMeans { return &KMeans{} }
 
 // Name implements Algorithm.
 func (k *KMeans) Name() string { return "kmeans" }
@@ -45,24 +47,11 @@ func (k *KMeans) ClusterDist(rows [][]float64, dm *DistMatrix, kk int) (Assignme
 }
 
 func (k *KMeans) cluster(rows [][]float64, dm *DistMatrix, kk int) (Assignment, error) {
-	maxIter := k.MaxIter
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	restarts := k.Restarts
-	if restarts <= 0 {
-		restarts = 8
-	}
-	seed := k.Seed
-	if seed == 0 {
-		seed = 1
-	}
-
 	var best Assignment
 	bestSS := math.Inf(1)
-	for r := 0; r < restarts; r++ {
-		rng := xrand.New(seed).Split(uint64(r) + 1)
-		a := k.once(rows, dm, kk, maxIter, rng)
+	for r := 0; r < kmeansRestarts; r++ {
+		rng := xrand.New(kmeansSeed).Split(uint64(r) + 1)
+		a := k.once(rows, dm, kk, rng)
 		if ss := withinClusterSS(rows, a); ss < bestSS {
 			bestSS = ss
 			best = a
@@ -72,11 +61,11 @@ func (k *KMeans) cluster(rows [][]float64, dm *DistMatrix, kk int) (Assignment, 
 }
 
 // once runs one seeded Lloyd pass: k-means++ seeding, then assignment and
-// centroid updates to convergence (or maxIter).
-func (k *KMeans) once(rows [][]float64, dm *DistMatrix, kk, maxIter int, rng *xrand.Rand) Assignment {
+// centroid updates to convergence (or kmeansMaxIter).
+func (k *KMeans) once(rows [][]float64, dm *DistMatrix, kk int, rng *xrand.Rand) Assignment {
 	centers := plusPlusSeed(rows, dm, kk, rng)
 	assign := make(Assignment, len(rows))
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < kmeansMaxIter; iter++ {
 		changed := false
 		for i, row := range rows {
 			best, bestD := 0, math.Inf(1)

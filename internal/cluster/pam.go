@@ -12,18 +12,21 @@ import (
 // greedy hill climb it can stall in local minima; additional seeded random
 // restarts are run and the lowest-cost result kept. Unlike K-means, PAM
 // anchors clusters on actual observations, making it robust to outliers.
-type PAM struct {
-	// MaxSwaps bounds SWAP iterations per start (default 200).
-	MaxSwaps int
-	// Restarts is how many random initializations are tried in addition
-	// to the deterministic BUILD start (default 8).
-	Restarts int
-	// Seed drives the deterministic random restarts (default 1).
-	Seed uint64
-}
+type PAM struct{}
 
-// NewPAM returns a PAM with default parameters.
-func NewPAM() *PAM { return &PAM{MaxSwaps: 200, Restarts: 8, Seed: 1} }
+// PAM search constants.
+const (
+	// pamMaxSwaps bounds SWAP iterations per start.
+	pamMaxSwaps = 200
+	// pamRestarts is how many random initializations are tried in
+	// addition to the deterministic BUILD start.
+	pamRestarts = 8
+	// pamSeed drives the deterministic random restarts.
+	pamSeed = 1
+)
+
+// NewPAM returns a PAM.
+func NewPAM() *PAM { return &PAM{} }
 
 // Name implements Algorithm.
 func (p *PAM) Name() string { return "pam" }
@@ -47,26 +50,14 @@ func (p *PAM) ClusterDist(rows [][]float64, dm *DistMatrix, k int) (Assignment, 
 }
 
 func (p *PAM) cluster(d *DistMatrix, k int) (Assignment, error) {
-	maxSwaps := p.MaxSwaps
-	if maxSwaps <= 0 {
-		maxSwaps = 200
-	}
-	restarts := p.Restarts
-	if restarts < 0 {
-		restarts = 8
-	}
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	n := d.N()
 
-	best := p.swapFrom(d, pamBuild(d, k), maxSwaps)
+	best := p.swapFrom(d, pamBuild(d, k))
 	bestCost := pamCost(d, best)
-	for r := 0; r < restarts; r++ {
-		rng := xrand.New(seed).Split(uint64(r) + 1)
+	for r := 0; r < pamRestarts; r++ {
+		rng := xrand.New(pamSeed).Split(uint64(r) + 1)
 		start := randomMedoids(n, k, rng)
-		m := p.swapFrom(d, start, maxSwaps)
+		m := p.swapFrom(d, start)
 		if c := pamCost(d, m); c < bestCost-1e-12 {
 			best, bestCost = m, c
 		}
@@ -95,12 +86,12 @@ func assignToMedoids(d *DistMatrix, medoids []int) Assignment {
 // candidate medoid set is built in a single reused buffer: the sweep calls
 // this O(k·n) times per swap round, and a fresh slice per candidate was
 // measurable allocation churn.
-func (p *PAM) swapFrom(d *DistMatrix, medoids []int, maxSwaps int) []int {
+func (p *PAM) swapFrom(d *DistMatrix, medoids []int) []int {
 	medoids = append([]int(nil), medoids...)
 	n := d.N()
 	trial := make([]int, len(medoids))
 	cost := pamCost(d, medoids)
-	for swap := 0; swap < maxSwaps; swap++ {
+	for swap := 0; swap < pamMaxSwaps; swap++ {
 		bestDelta := 0.0
 		bestM, bestO := -1, -1
 		for mi := range medoids {

@@ -10,13 +10,9 @@ import (
 
 // Internal validation ---------------------------------------------------
 
-// Dunn returns the Dunn index of the assignment: the minimum inter-cluster
-// distance divided by the maximum intra-cluster diameter. Higher is better.
-func Dunn(rows [][]float64, a Assignment) float64 {
-	return DunnDist(NewDistMatrix(rows), a)
-}
-
-// DunnDist is Dunn over a precomputed distance matrix.
+// DunnDist returns the Dunn index of the assignment over a precomputed
+// distance matrix: the minimum inter-cluster distance divided by the
+// maximum intra-cluster diameter. Higher is better.
 func DunnDist(d *DistMatrix, a Assignment) float64 {
 	k := a.K()
 	members := clusterMembers(a)

@@ -11,21 +11,21 @@ import (
 )
 
 func TestDunnOnBlobs(t *testing.T) {
-	rows := blobs()
+	d := NewDistMatrix(blobs())
 	good := Assignment{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2}
 	bad := Assignment{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}
-	if Dunn(rows, good) <= Dunn(rows, bad) {
+	if DunnDist(d, good) <= DunnDist(d, bad) {
 		t.Fatal("Dunn did not prefer the natural grouping")
 	}
-	if Dunn(rows, good) <= 1 {
-		t.Fatalf("well-separated blobs should have Dunn > 1, got %g", Dunn(rows, good))
+	if DunnDist(d, good) <= 1 {
+		t.Fatalf("well-separated blobs should have Dunn > 1, got %g", DunnDist(d, good))
 	}
 }
 
 func TestDunnDegenerate(t *testing.T) {
-	rows := [][]float64{{0, 0}, {0, 0}}
+	d := NewDistMatrix([][]float64{{0, 0}, {0, 0}})
 	a := Assignment{0, 1}
-	if !math.IsInf(Dunn(rows, a), 1) {
+	if !math.IsInf(DunnDist(d, a), 1) {
 		t.Fatal("zero-diameter clusters should give infinite Dunn")
 	}
 }

@@ -21,12 +21,12 @@ import (
 // results: the run count, the unit list, the simulator configuration
 // (seed, sampling, platform), the fault injector and the retry knobs that
 // decide which attempt of a faulted run finally lands (MaxRetries,
-// RunTimeout). Assembly-only knobs (MinRuns, outlier thresholds, FailFast,
-// backoff pacing) are deliberately excluded: they do not alter what a
-// completed (unit, run) measured, so restored records stay exact under
-// them. Injectors built with fault.NewFunc (the test seam) hash as their
-// zero Config; tests resuming across processes must install an equivalent
-// plan function themselves.
+// RunTimeout). Assembly-only knobs (MinRuns, FailFast, backoff pacing)
+// are deliberately excluded: they do not alter what a completed (unit,
+// run) measured, so restored records stay exact under them. Injectors
+// built with fault.NewFunc (the test seam) hash as their zero Config;
+// tests resuming across processes must install an equivalent plan
+// function themselves.
 func collectFingerprint(cfg sim.Config, runs int, units []workload.Workload, pol Resilience) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(collectCanonical(cfg, runs, units, pol)))
@@ -41,9 +41,12 @@ func collectFingerprint(cfg sim.Config, runs int, units []workload.Workload, pol
 func collectCanonical(cfg sim.Config, runs int, units []workload.Workload, pol Resilience) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mbckpt-v1|runs=%d", runs)
-	fmt.Fprintf(&b, "|seed=%d|tick=%g|cache=%d|branch=%d|refresh=%d|rjit=%g|noise=%g|gov=%q|throttle=%t",
-		cfg.Seed, cfg.TickSec, cfg.CacheSamples, cfg.BranchSamples, cfg.RefreshTicks,
-		cfg.RuntimeJitterRel, cfg.NoiseRel, cfg.Governor, cfg.EnableThermalThrottle)
+	// branch/refresh/rjit/noise are the engine's sampling and noise
+	// constants, written as literals so every fingerprint already on disk
+	// still verifies. They must track the constants in internal/sim: a
+	// new value there changes what runs produce.
+	fmt.Fprintf(&b, "|seed=%d|tick=%g|cache=%d|branch=2000|refresh=5|rjit=0.01|noise=0.03|gov=%q|throttle=%t",
+		cfg.Seed, cfg.TickSec, cfg.CacheSamples, cfg.Governor, cfg.EnableThermalThrottle)
 	// Appended only when non-default so every fingerprint minted before
 	// these options existed still verifies (PR 5 snapshots stay loadable).
 	if cfg.FastForward {

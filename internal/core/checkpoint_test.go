@@ -340,7 +340,6 @@ func TestCheckpointFingerprintSensitivity(t *testing.T) {
 	// different degradation policy.
 	same := base
 	same.Resilience.MinRuns = 1
-	same.Resilience.OutlierZ = 9
 	same.Resilience.FailFast = true
 	same.Workers = 8
 	if fp(same) != got {

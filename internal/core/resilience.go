@@ -31,7 +31,7 @@ import (
 
 // Resilience configures the self-healing collection path. The zero value
 // preserves the historical behaviour: one attempt per run, no timeout,
-// every run required, outlier rejection armed with conservative defaults
+// every run required. Outlier rejection is always armed, with thresholds
 // that normal run-to-run jitter cannot trip.
 type Resilience struct {
 	// MaxRetries is how many extra attempts each (unit, run) gets after a
@@ -51,30 +51,24 @@ type Resilience struct {
 	// produced valid results, recording the shortfall in the provenance
 	// (0 = every run is required).
 	MinRuns int
-
-	// DisableOutlierCheck turns off MAD-based outlier-run rejection.
-	DisableOutlierCheck bool
-	// OutlierZ is the modified z-score (0.6745·|x−median|/MAD) above
-	// which a run is declared an outlier (0 = 3.5).
-	OutlierZ float64
-	// OutlierMinRelDev is the minimum relative deviation from the median
-	// before a run can be flagged, the guard that keeps the ~1% natural
-	// run-to-run jitter from ever triggering a re-run (0 = 0.05).
-	OutlierMinRelDev float64
-	// OutlierSpreadTol flags the whole run set for re-collection when the
-	// relative spread of a signature dimension exceeds it — the guard for
-	// the 2-outliers-of-3 case, where a median vote would side with the
-	// corrupted majority (0 = 0.2).
-	OutlierSpreadTol float64
 }
 
-// Resilience defaults.
+// Resilience defaults and the outlier-rejection thresholds.
 const (
-	defaultBackoffBase      = 100 * time.Millisecond
-	backoffCap              = 2 * time.Second
-	defaultOutlierZ         = 3.5
-	defaultOutlierMinRelDev = 0.05
-	defaultOutlierSpreadTol = 0.2
+	defaultBackoffBase = 100 * time.Millisecond
+	backoffCap         = 2 * time.Second
+	// outlierZ is the modified z-score (0.6745·|x−median|/MAD) above which
+	// a run is declared an outlier.
+	outlierZ = 3.5
+	// outlierMinRelDev is the minimum relative deviation from the median
+	// before a run can be flagged, the guard that keeps the ~1% natural
+	// run-to-run jitter from ever triggering a re-run.
+	outlierMinRelDev = 0.05
+	// outlierSpreadTol flags the whole run set for re-collection when the
+	// relative spread of a signature dimension exceeds it — the guard for
+	// the 2-outliers-of-3 case, where a median vote would side with the
+	// corrupted majority.
+	outlierSpreadTol = 0.2
 )
 
 func (p Resilience) backoffBase() time.Duration {
@@ -82,27 +76,6 @@ func (p Resilience) backoffBase() time.Duration {
 		return defaultBackoffBase
 	}
 	return p.BackoffBase
-}
-
-func (p Resilience) outlierZ() float64 {
-	if p.OutlierZ <= 0 {
-		return defaultOutlierZ
-	}
-	return p.OutlierZ
-}
-
-func (p Resilience) outlierMinRelDev() float64 {
-	if p.OutlierMinRelDev <= 0 {
-		return defaultOutlierMinRelDev
-	}
-	return p.OutlierMinRelDev
-}
-
-func (p Resilience) outlierSpreadTol() float64 {
-	if p.OutlierSpreadTol <= 0 {
-		return defaultOutlierSpreadTol
-	}
-	return p.OutlierSpreadTol
 }
 
 // RunError is one (unit, run) that failed permanently: every attempt its
@@ -426,29 +399,26 @@ func assembleUnit(ctx context.Context, eng *sim.Engine, w workload.Workload, pol
 	// is internally consistent (or the round budget is spent). Attempt
 	// numbering stays monotonic, so with a fault injector that goes clean
 	// after N attempts this provably converges.
-	if !pol.DisableOutlierCheck {
-		rounds := pol.MaxRetries + 1
-		for round := 0; round < rounds; round++ {
-			flagged := detectOutlierRuns(states, pol)
-			if len(flagged) == 0 {
-				break
+	for round := 0; round < pol.MaxRetries+1; round++ {
+		flagged := detectOutlierRuns(states)
+		if len(flagged) == 0 {
+			break
+		}
+		for _, ri := range flagged {
+			st := states[ri]
+			prevRes := st.res
+			st.prov.OutlierReruns++
+			if err := collectRun(ctx, eng, w, ri, pol, st); err != nil {
+				return nil, prov, err
 			}
-			for _, ri := range flagged {
-				st := states[ri]
-				prevRes := st.res
-				st.prov.OutlierReruns++
-				if err := collectRun(ctx, eng, w, ri, pol, st); err != nil {
-					return nil, prov, err
-				}
-				if st.perm != nil {
-					// The re-run failed permanently; the original result
-					// was at least self-consistent, so keep it rather
-					// than losing the run.
-					st.res = prevRes
-					st.perm = nil
-					st.prov.Faults = append(st.prov.Faults,
-						fmt.Sprintf("outlier re-run of run %d failed; keeping original measurement", ri))
-				}
+			if st.perm != nil {
+				// The re-run failed permanently; the original result
+				// was at least self-consistent, so keep it rather
+				// than losing the run.
+				st.res = prevRes
+				st.perm = nil
+				st.prov.Faults = append(st.prov.Faults,
+					fmt.Sprintf("outlier re-run of run %d failed; keeping original measurement", ri))
 			}
 		}
 	}
@@ -488,12 +458,12 @@ func outlierSignature(r *sim.Result) []float64 {
 
 // detectOutlierRuns returns the run indices to re-collect. A run is an
 // individual outlier when, in any signature dimension, it deviates from
-// the run-set median by more than OutlierMinRelDev relatively AND its
-// modified z-score (0.6745·dev/MAD) exceeds OutlierZ. When any dimension's
-// relative spread exceeds OutlierSpreadTol the individual flags are
+// the run-set median by more than outlierMinRelDev relatively AND its
+// modified z-score (0.6745·dev/MAD) exceeds outlierZ. When any dimension's
+// relative spread exceeds outlierSpreadTol the individual flags are
 // distrusted and every live run is re-collected — the median vote breaks
 // when a majority of the runs is corrupted.
-func detectOutlierRuns(states []*runState, pol Resilience) []int {
+func detectOutlierRuns(states []*runState) []int {
 	idx := make([]int, 0, len(states))
 	for i, st := range states {
 		if st.perm == nil && st.res != nil {
@@ -508,7 +478,6 @@ func detectOutlierRuns(states []*runState, pol Resilience) []int {
 		sigs[k] = outlierSignature(states[i].res)
 	}
 	ndim := len(sigs[0])
-	minRel, zThresh, spreadTol := pol.outlierMinRelDev(), pol.outlierZ(), pol.outlierSpreadTol()
 
 	flagged := make(map[int]bool)
 	spreadSuspect := false
@@ -535,10 +504,10 @@ func detectOutlierRuns(states []*runState, pol Resilience) []int {
 		}
 		mad := median(devs)
 		for k, dev := range devs {
-			if dev/scale <= minRel {
+			if dev/scale <= outlierMinRelDev {
 				continue
 			}
-			if mad > 0 && 0.6745*dev/mad > zThresh {
+			if mad > 0 && 0.6745*dev/mad > outlierZ {
 				flagged[idx[k]] = true
 			} else if mad == 0 {
 				// The other runs agree exactly; any relative deviation
@@ -546,7 +515,7 @@ func detectOutlierRuns(states []*runState, pol Resilience) []int {
 				flagged[idx[k]] = true
 			}
 		}
-		if (hi-lo)/scale > spreadTol {
+		if (hi-lo)/scale > outlierSpreadTol {
 			spreadSuspect = true
 		}
 	}

@@ -343,11 +343,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative workers", Options{Workers: -2}, "Workers"},
 		{"nan tick", Options{Sim: sim.Config{TickSec: math.NaN()}}, "Sim.TickSec"},
 		{"negative tick", Options{Sim: sim.Config{TickSec: -0.1}}, "Sim.TickSec"},
-		{"inf jitter", Options{Sim: sim.Config{RuntimeJitterRel: math.Inf(1)}}, "Sim.RuntimeJitterRel"},
 		{"negative retries", Options{Resilience: Resilience{MaxRetries: -1}}, "Resilience.MaxRetries"},
 		{"negative timeout", Options{Resilience: Resilience{RunTimeout: -time.Second}}, "Resilience.RunTimeout"},
 		{"minruns above runs", Options{Runs: 2, Resilience: Resilience{MinRuns: 3}}, "Resilience.MinRuns"},
-		{"nan outlier z", Options{Resilience: Resilience{OutlierZ: math.NaN()}}, "Resilience.OutlierZ"},
 		{"duplicate units", Options{Units: append(units[:1:1], units[0])}, "Units"},
 	}
 	for _, tc := range cases {

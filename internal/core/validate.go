@@ -40,12 +40,6 @@ func (o Options) Validate() error {
 	if t := o.Sim.TickSec; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
 		return &OptionError{"Sim.TickSec", t, "must be a finite value >= 0 (0 selects the default of 0.1 s)"}
 	}
-	if j := o.Sim.RuntimeJitterRel; math.IsNaN(j) || math.IsInf(j, 0) || j < 0 {
-		return &OptionError{"Sim.RuntimeJitterRel", j, "must be a finite value >= 0"}
-	}
-	if n := o.Sim.NoiseRel; math.IsNaN(n) || math.IsInf(n, 0) || n < 0 {
-		return &OptionError{"Sim.NoiseRel", n, "must be a finite value >= 0"}
-	}
 	r := o.Resilience
 	if r.MaxRetries < 0 {
 		return &OptionError{"Resilience.MaxRetries", r.MaxRetries, "must be >= 0"}
@@ -66,18 +60,6 @@ func (o Options) Validate() error {
 	if r.MinRuns > runs {
 		return &OptionError{"Resilience.MinRuns", r.MinRuns,
 			fmt.Sprintf("cannot exceed the %d runs collected per unit", runs)}
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"Resilience.OutlierZ", r.OutlierZ},
-		{"Resilience.OutlierMinRelDev", r.OutlierMinRelDev},
-		{"Resilience.OutlierSpreadTol", r.OutlierSpreadTol},
-	} {
-		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return &OptionError{f.name, f.v, "must be a finite value >= 0 (0 selects the default)"}
-		}
 	}
 	if m := o.Sim.TraceMode; m < sim.TraceFull || m > sim.TraceAuto {
 		return &OptionError{"Sim.TraceMode", m, "must be TraceFull, TraceStreamed or TraceAuto"}

@@ -25,12 +25,13 @@ import (
 
 // Supervision defaults.
 const (
-	defaultHandshakeTimeout = 5 * time.Second
-	defaultQueryTimeout     = 2 * time.Second
-	defaultMaxStrikes       = 3
-	defaultBackoffBase      = 50 * time.Millisecond
-	defaultBackoffCap       = 1 * time.Second
-	defaultSeed             = 888
+	// handshakeTimeout bounds the hello→welcome round trip.
+	handshakeTimeout    = 5 * time.Second
+	defaultQueryTimeout = 2 * time.Second
+	defaultMaxStrikes   = 3
+	defaultBackoffBase  = 50 * time.Millisecond
+	defaultBackoffCap   = 1 * time.Second
+	defaultSeed         = 888
 )
 
 // Config parameterizes a Supervisor.
@@ -44,8 +45,6 @@ type Config struct {
 	// hello frame so the child computes against exactly this hardware.
 	MemHW  soc.Memory
 	StorHW soc.Storage
-	// HandshakeTimeout bounds the hello→welcome round trip (0 = 5 s).
-	HandshakeTimeout time.Duration
 	// QueryTimeout bounds each batch round trip; a child that exceeds it
 	// is declared hung and killed (0 = 2 s).
 	QueryTimeout time.Duration
@@ -67,9 +66,6 @@ type Config struct {
 }
 
 func (c Config) normalize() Config {
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = defaultHandshakeTimeout
-	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = defaultQueryTimeout
 	}
@@ -462,7 +458,7 @@ func (s *Supervisor) spawn(pinModel string, pinExact bool) (*child, string, bool
 func (s *Supervisor) handshake(c *child, pinModel string, pinExact bool) (string, bool, error) {
 	memHW, storHW := s.cfg.MemHW, s.cfg.StorHW
 	hello := Frame{Type: TypeHello, Proto: ProtoVersion, Memory: &memHW, Storage: &storHW}
-	f, err := s.roundTrip(c, hello, s.cfg.HandshakeTimeout)
+	f, err := s.roundTrip(c, hello, handshakeTimeout)
 	if err != nil {
 		return "", false, err
 	}

@@ -132,6 +132,3 @@ func IPC(cl soc.CPUCluster, mix InstrMix, miss MissProfile, pen Penalties, cont 
 
 	return 1 / (baseCPI + memCPI + branchCPI)
 }
-
-// TheoreticalMaxIPC returns the issue-width bound of the cluster's cores.
-func TheoreticalMaxIPC(cl soc.CPUCluster) float64 { return float64(cl.IssueWidth) }

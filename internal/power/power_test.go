@@ -142,11 +142,6 @@ func TestEnergyAccumulation(t *testing.T) {
 	if math.Abs(m.EnergyJ()-want) > 1e-9 {
 		t.Fatalf("energy %.3f J inconsistent with average power %.3f W", m.EnergyJ(), m.AveragePowerW())
 	}
-	byComp := m.EnergyByComponent()
-	sum := byComp.TotalW() // fields hold joules here; TotalW sums them
-	if math.Abs(sum-m.EnergyJ()) > 1e-9 {
-		t.Fatalf("component energies %.3f do not sum to total %.3f", sum, m.EnergyJ())
-	}
 	m.Reset()
 	if m.EnergyJ() != 0 || m.AveragePowerW() != 0 {
 		t.Fatal("reset did not clear accumulators")

@@ -31,12 +31,6 @@ const (
 	MetricWorkloadMem = "mem.workload_frac" // baseline-corrected workload memory fraction
 )
 
-// ClusterLoadMetric returns the metric name of a cluster's load series
-// ("cpu.little.load" etc.).
-func ClusterLoadMetric(cluster string) string {
-	return "cpu." + strings.ToLower(strings.TrimPrefix(cluster, "CPU ")) + ".load"
-}
-
 // Profiler accumulates samples during a simulation run.
 type Profiler struct {
 	dt      float64

@@ -139,12 +139,3 @@ func TestWriteCSV(t *testing.T) {
 		t.Fatalf("first row = %q", lines[1])
 	}
 }
-
-func TestClusterLoadMetric(t *testing.T) {
-	if ClusterLoadMetric("CPU Little") != "cpu.little.load" {
-		t.Fatalf("got %q", ClusterLoadMetric("CPU Little"))
-	}
-	if ClusterLoadMetric("CPU Big") != "cpu.big.load" {
-		t.Fatalf("got %q", ClusterLoadMetric("CPU Big"))
-	}
-}

@@ -14,7 +14,6 @@ import (
 	"mobilebench/internal/cluster"
 	"mobilebench/internal/core"
 	"mobilebench/internal/soc"
-	"mobilebench/internal/stats"
 	"mobilebench/internal/subset"
 )
 
@@ -321,9 +320,4 @@ func Observations(obs []core.Observation) *Table {
 		t.Add(status, id, o.Title, o.Detail)
 	}
 	return t
-}
-
-// CorrelationStrengthNote explains a coefficient in the paper's bands.
-func CorrelationStrengthNote(r float64) string {
-	return fmt.Sprintf("%.3f (%s)", r, stats.Strength(r))
 }

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -168,7 +169,7 @@ func TestFigure7AndTableVIReports(t *testing.T) {
 	d := smallDataset(t)
 	bs := d.SubsetBenchmarks()
 	set := subset.Set{Name: "demo", Members: []string{bs[0].Name}}
-	curve, err := subset.GrowthCurve(bs, set)
+	curve, err := subset.GrowthCurveContext(context.Background(), bs, set, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +201,5 @@ func TestObservationsReport(t *testing.T) {
 	}
 	if tbl.Rows[1][1] != "-" {
 		t.Fatal("unnumbered observation should show -")
-	}
-}
-
-func TestCorrelationStrengthNote(t *testing.T) {
-	if got := CorrelationStrengthNote(-0.845); !strings.Contains(got, "strong") {
-		t.Fatalf("note = %q", got)
 	}
 }

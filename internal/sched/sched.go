@@ -25,9 +25,6 @@ type Task struct {
 	Affinity *soc.ClusterKind
 }
 
-// Pin returns a pointer to k, for building affinities in literals.
-func Pin(k soc.ClusterKind) *soc.ClusterKind { return &k }
-
 // ClusterLoad is the scheduling outcome for one cluster over an interval.
 type ClusterLoad struct {
 	// Util is the average per-core utilization (0..1) across the cluster's
@@ -43,20 +40,6 @@ type ClusterLoad struct {
 // Placement is the full scheduling outcome.
 type Placement struct {
 	Clusters [soc.NumClusters]ClusterLoad
-}
-
-// TotalUtil returns the platform-wide average core utilization.
-func (p Placement) TotalUtil(plat *soc.Platform) float64 {
-	tot, n := 0.0, 0
-	for k := soc.ClusterKind(0); k < soc.NumClusters; k++ {
-		c := plat.Clusters[k].NumCores
-		tot += p.Clusters[k].Util * float64(c)
-		n += c
-	}
-	if n == 0 {
-		return 0
-	}
-	return tot / float64(n)
 }
 
 // EAS is an energy-aware scheduler model.

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
@@ -18,7 +19,37 @@ import (
 	"time"
 
 	"mobilebench/internal/checkpoint"
+	"mobilebench/internal/core"
 )
+
+// TestFingerprintPins pins the bytes every persisted artifact is keyed
+// by: the checkpoint fingerprint of the default options and the cache key
+// of a small characterize spec. A change here orphans every snapshot and
+// cache entry already on disk, so it must be deliberate.
+func TestFingerprintPins(t *testing.T) {
+	cases := []struct {
+		name string
+		got  func() (string, error)
+		want string
+	}{
+		{"checkpoint fingerprint", func() (string, error) {
+			fp, err := core.Options{}.CheckpointFingerprint()
+			return fmt.Sprintf("%#016x", fp), err
+		}, "0x981c001531e26bc2"},
+		{"cache key", func() (string, error) {
+			return Spec{Kind: "characterize", Units: []string{"Antutu Mem"}, Runs: 1, Seed: 7}.CacheKey("")
+		}, "84be19089ab88a390f6c3c5ff706f2c4973b8654789903d24bc7e8ceae068989"},
+	}
+	for _, tc := range cases {
+		got, err := tc.got()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
 
 func TestCacheKeyNormalizesDefaults(t *testing.T) {
 	base := Spec{Kind: "characterize", Units: []string{shortUnit()}}
@@ -137,16 +168,16 @@ func TestCacheIsolatedByTimingFingerprint(t *testing.T) {
 
 	// Same cache dir, same spec, different timing identity: a hit here
 	// would serve in-process bytes as a qdram collection's result.
-	s := newTestServer(t, Config{CacheDir: cacheDir, TimingFingerprint: "cosim:qdram"})
-	defer s.Shutdown(context.Background())
 	var mu sync.Mutex
 	execs := 0
-	s.execHook = func(ctx context.Context, job *Job) (json.RawMessage, error) {
-		mu.Lock()
-		execs++
-		mu.Unlock()
-		return s.execute(ctx, job)
-	}
+	s := newTestServer(t, Config{CacheDir: cacheDir, TimingFingerprint: "cosim:qdram",
+		Execute: func(ctx context.Context, _ string, spec Spec, ckpt string) (json.RawMessage, error) {
+			mu.Lock()
+			execs++
+			mu.Unlock()
+			return ExecuteSpec(ctx, spec, ckpt)
+		}})
+	defer s.Shutdown(context.Background())
 	j2, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -180,16 +211,16 @@ func TestCacheHitByteIdenticalToColdExecution(t *testing.T) {
 
 	// Cached server: the first submission executes and fills the cache,
 	// the second must answer from it without executing.
-	s := newTestServer(t, Config{CacheDir: t.TempDir()})
-	defer s.Shutdown(context.Background())
 	var mu sync.Mutex
 	execs := 0
-	s.execHook = func(ctx context.Context, job *Job) (json.RawMessage, error) {
-		mu.Lock()
-		execs++
-		mu.Unlock()
-		return s.execute(ctx, job)
-	}
+	s := newTestServer(t, Config{CacheDir: t.TempDir(),
+		Execute: func(ctx context.Context, _ string, spec Spec, ckpt string) (json.RawMessage, error) {
+			mu.Lock()
+			execs++
+			mu.Unlock()
+			return ExecuteSpec(ctx, spec, ckpt)
+		}})
+	defer s.Shutdown(context.Background())
 	j1, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -223,19 +254,18 @@ func TestCacheHitByteIdenticalToColdExecution(t *testing.T) {
 // execution and one set of bytes, with exactly one marked coalesced.
 func TestCoalescedByteIdenticalAndSingleExecution(t *testing.T) {
 	spec := Spec{Kind: "characterize", Units: []string{shortUnit()}, Runs: 1, Workers: 1}
-	s := newTestServer(t, Config{MaxConcurrent: 2})
-	defer s.Shutdown(context.Background())
-
 	var mu sync.Mutex
 	execs := 0
 	release := make(chan struct{})
-	s.execHook = func(ctx context.Context, job *Job) (json.RawMessage, error) {
-		mu.Lock()
-		execs++
-		mu.Unlock()
-		<-release // hold the leader until the follower has coalesced
-		return s.execute(ctx, job)
-	}
+	s := newTestServer(t, Config{MaxConcurrent: 2,
+		Execute: func(ctx context.Context, _ string, spec Spec, ckpt string) (json.RawMessage, error) {
+			mu.Lock()
+			execs++
+			mu.Unlock()
+			<-release // hold the leader until the follower has coalesced
+			return ExecuteSpec(ctx, spec, ckpt)
+		}})
+	defer s.Shutdown(context.Background())
 
 	j1, err := s.Submit(spec)
 	if err != nil {
@@ -281,25 +311,24 @@ func TestCoalescedByteIdenticalAndSingleExecution(t *testing.T) {
 // verdict as a permanent failure. When the leader times out, the follower
 // falls back to executing under its own deadline and succeeds.
 func TestCoalescedFollowerDoesNotAdoptLeaderTimeout(t *testing.T) {
-	s := newTestServer(t, Config{MaxConcurrent: 2})
-	defer s.Shutdown(context.Background())
-
 	var mu sync.Mutex
 	calls := 0
 	release := make(chan struct{})
-	s.execHook = func(ctx context.Context, job *Job) (json.RawMessage, error) {
-		mu.Lock()
-		calls++
-		n := calls
-		mu.Unlock()
-		if n == 1 {
-			// The leader rides its (short) deadline into the ground once
-			// the follower has coalesced onto it.
-			<-release
-			return nil, context.DeadlineExceeded
-		}
-		return json.RawMessage(`{"ok":true}`), nil
-	}
+	s := newTestServer(t, Config{MaxConcurrent: 2,
+		Execute: func(ctx context.Context, _ string, _ Spec, _ string) (json.RawMessage, error) {
+			mu.Lock()
+			calls++
+			n := calls
+			mu.Unlock()
+			if n == 1 {
+				// The leader rides its (short) deadline into the ground
+				// once the follower has coalesced onto it.
+				<-release
+				return nil, context.DeadlineExceeded
+			}
+			return json.RawMessage(`{"ok":true}`), nil
+		}})
+	defer s.Shutdown(context.Background())
 
 	leaderSpec := Spec{Kind: "characterize", Units: []string{shortUnit()}, Runs: 1, Workers: 1, TimeoutSec: 30}
 	followerSpec := leaderSpec

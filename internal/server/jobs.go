@@ -222,12 +222,6 @@ func (sp Spec) streamOptions() core.StreamOptions {
 	return core.StreamOptions{KMin: sp.StreamKMin, KMax: sp.StreamKMax, Workers: sp.Workers}
 }
 
-// execute runs the job's collection (checkpointed, always resuming from
-// whatever a previous process finished) and derives its kind's result.
-func (s *Server) execute(ctx context.Context, job *Job) (json.RawMessage, error) {
-	return ExecuteSpec(ctx, job.Spec, s.checkpointPath(job))
-}
-
 // ExecuteSpec runs one spec's collection and analysis outside any Server:
 // the fleet worker's entry point. Collection state checkpoints at
 // checkpointPath after every completed (unit, run), so whichever process

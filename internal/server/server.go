@@ -151,9 +151,6 @@ type Server struct {
 	cache  *dist.Cache // nil when Config.CacheDir is empty
 	flight *dist.Coalescer
 	stream *streamEngine // nil when Config.Stream.Enabled is false
-
-	// execHook replaces execute in tests (panic-isolation coverage).
-	execHook func(context.Context, *Job) (json.RawMessage, error)
 }
 
 // New builds a server, recovering any unfinished jobs found in
@@ -490,13 +487,12 @@ func (s *Server) executeIsolated(ctx context.Context, job *Job) (result json.Raw
 			err = &par.PanicError{Job: job.Seq, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if s.execHook != nil {
-		return s.execHook(ctx, job)
-	}
 	if s.cfg.Execute != nil {
 		return s.cfg.Execute(ctx, job.ID, job.Spec, s.checkpointPath(job))
 	}
-	return s.execute(ctx, job)
+	// Local execution checkpoints the collection and always resumes from
+	// whatever a previous process finished.
+	return ExecuteSpec(ctx, job.Spec, s.checkpointPath(job))
 }
 
 // Draining reports whether Shutdown has begun.

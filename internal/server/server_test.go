@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,10 +235,14 @@ func TestServerDefaultJobTimeout(t *testing.T) {
 }
 
 func TestPanicIsolation(t *testing.T) {
-	s := newTestServer(t, Config{})
-	s.execHook = func(context.Context, *Job) (json.RawMessage, error) {
-		panic("boom: synthetic job bug")
-	}
+	var boom atomic.Bool
+	boom.Store(true)
+	s := newTestServer(t, Config{Execute: func(ctx context.Context, _ string, spec Spec, ckpt string) (json.RawMessage, error) {
+		if boom.Load() {
+			panic("boom: synthetic job bug")
+		}
+		return ExecuteSpec(ctx, spec, ckpt)
+	}})
 	job, err := s.Submit(Spec{Kind: "characterize", Units: []string{shortUnit()}, Runs: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +252,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("error = %q, want a par.PanicError rendering", got.Error)
 	}
 	// The server survived: it still runs jobs.
-	s.execHook = nil
+	boom.Store(false)
 	job2, err := s.Submit(Spec{Kind: "characterize", Units: []string{shortUnit()}, Runs: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

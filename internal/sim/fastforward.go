@@ -108,8 +108,6 @@ func (a *ffFreqState) match(b *ffFreqState) bool {
 
 // ffState accumulates per-phase steady-state evidence across exact ticks.
 type ffState struct {
-	refreshTicks int
-
 	phaseIdx   int
 	phaseStart int
 
@@ -143,8 +141,8 @@ type ffState struct {
 // ffRateAlpha is the EWMA weight per refresh draw (~6-draw half-life).
 const ffRateAlpha = 0.12
 
-func newFFState(refreshTicks int) *ffState {
-	return &ffState{refreshTicks: refreshTicks, phaseIdx: -1}
+func newFFState() *ffState {
+	return &ffState{phaseIdx: -1}
 }
 
 // resetPhase restarts evidence gathering at a phase boundary.
@@ -181,9 +179,9 @@ func (st *ffState) observe(tick, phaseIdx int, cur ffFreqState, dInstr, dCycles,
 	st.nExact++
 	st.histLen++
 
-	if tick%st.refreshTicks == 0 {
+	if tick%refreshTicks == 0 {
 		st.refreshes++
-		if tick-st.phaseStart >= ffWarmupRefreshes*st.refreshTicks {
+		if tick-st.phaseStart >= ffWarmupRefreshes*refreshTicks {
 			ipc, cpi, bpi := 0.0, 0.0, 0.0
 			if dCycles > 0 && dInstr > 0 {
 				ipc = dInstr / dCycles
@@ -241,7 +239,7 @@ func relDelta(a, b float64) float64 {
 // (which must fire on its exact tick), and short of the next decimated
 // refresh stop (which must execute exactly to re-draw sampled statistics).
 // 0 means the jump is not worth it.
-func spanLength(jw workload.Workload, dt float64, tick, ticks, phaseIdx, refreshTicks, abortTick, hangTick, panicTick int) int {
+func spanLength(jw workload.Workload, dt float64, tick, ticks, phaseIdx, abortTick, hangTick, panicTick int) int {
 	// Last tick of the phase: estimate from the accumulated durations, then
 	// let phaseIndexAt (the tick loop's authority) confirm, stepping down
 	// over any float edge.

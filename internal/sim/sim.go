@@ -44,20 +44,9 @@ type Config struct {
 	// CacheSamples is how many memory accesses are sampled per cluster per
 	// miss-profile refresh.
 	CacheSamples int
-	// BranchSamples is how many branches are sampled per cluster per
-	// refresh.
-	BranchSamples int
-	// RefreshTicks is how often (in ticks) the sampled miss profiles are
-	// refreshed within a phase; profiles are always refreshed on phase
-	// change.
-	RefreshTicks int
 	// Seed is the root seed; every (workload, run) pair derives an
 	// independent stream from it.
 	Seed uint64
-	// RuntimeJitterRel is the relative sigma of per-run duration jitter.
-	RuntimeJitterRel float64
-	// NoiseRel is the relative sigma of per-tick demand noise.
-	NoiseRel float64
 	// EnableThermalThrottle couples the thermal model back into DVFS:
 	// when a node trips, its frequency is capped until it cools. Off by
 	// default — the paper's development board (no battery, no casing)
@@ -112,17 +101,29 @@ const (
 	TraceAuto
 )
 
+// Sampling and noise constants every run uses. The checkpoint fingerprint
+// in internal/core writes their values as literals; change both together.
+const (
+	// branchSamples is how many branches are sampled per cluster per
+	// refresh.
+	branchSamples = 2000
+	// refreshTicks is how often (in ticks) the sampled miss profiles are
+	// refreshed within a phase; profiles are always refreshed on phase
+	// change.
+	refreshTicks = 5
+	// runtimeJitterRel is the relative sigma of per-run duration jitter.
+	runtimeJitterRel = 0.01
+	// noiseRel is the relative sigma of per-tick demand noise.
+	noiseRel = 0.03
+)
+
 // DefaultConfig returns the configuration used throughout the repository.
 func DefaultConfig() Config {
 	return Config{
-		Platform:         soc.Snapdragon888HDK(),
-		TickSec:          0.1,
-		CacheSamples:     1500,
-		BranchSamples:    2000,
-		RefreshTicks:     5,
-		Seed:             888,
-		RuntimeJitterRel: 0.01,
-		NoiseRel:         0.03,
+		Platform:     soc.Snapdragon888HDK(),
+		TickSec:      0.1,
+		CacheSamples: 1500,
+		Seed:         888,
 	}
 }
 
@@ -138,20 +139,8 @@ func (c Config) normalize() Config {
 	if c.CacheSamples <= 0 {
 		c.CacheSamples = d.CacheSamples
 	}
-	if c.BranchSamples <= 0 {
-		c.BranchSamples = d.BranchSamples
-	}
-	if c.RefreshTicks <= 0 {
-		c.RefreshTicks = d.RefreshTicks
-	}
 	if c.Seed == 0 {
 		c.Seed = d.Seed
-	}
-	if c.RuntimeJitterRel == 0 {
-		c.RuntimeJitterRel = d.RuntimeJitterRel
-	}
-	if c.NoiseRel == 0 {
-		c.NoiseRel = d.NoiseRel
 	}
 	return c
 }
@@ -534,7 +523,7 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 	copy(phases, w.Phases)
 	//mblint:ignore ctxloop bounded per-run setup over a handful of phases; the tick loop below is the cancellation point
 	for i := range phases {
-		phases[i].Duration = rng.Jitter(phases[i].Duration, cfg.RuntimeJitterRel)
+		phases[i].Duration = rng.Jitter(phases[i].Duration, runtimeJitterRel)
 	}
 	jw := workload.Workload{Name: w.Name, Suite: w.Suite, Target: w.Target, Phases: phases}
 
@@ -576,7 +565,7 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 	}
 	var ff *ffState
 	if cfg.FastForward {
-		ff = newFFState(cfg.RefreshTicks)
+		ff = newFFState()
 		em.rec = newTickRecord()
 	}
 
@@ -651,7 +640,7 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		tasks = tasks[:0]
 		for _, ts := range phase.CPU.Tasks {
 			for i := 0; i < ts.Count; i++ {
-				d := rng.Jitter(ts.Demand, cfg.NoiseRel)
+				d := rng.Jitter(ts.Demand, noiseRel)
 				tasks = append(tasks, sched.Task{Demand: d, Affinity: ts.Affinity})
 			}
 		}
@@ -695,7 +684,7 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 			tickClusterLoad[cs.kind] = clusterLoad
 
 			active := util > 1e-4
-			if active && (cs.phaseIdx != phaseIdx || tick%cfg.RefreshTicks == 0) {
+			if active && (cs.phaseIdx != phaseIdx || tick%refreshTicks == 0) {
 				if cs.phaseIdx != phaseIdx {
 					cs.stream.Reset(phase.CPU.Access,
 						uint64(cs.kind)+1, rng.Split(uint64(phaseIdx)*16+uint64(cs.kind)))
@@ -943,7 +932,7 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 				tickInstr, tickCycles,
 				totCacheMiss-ffPrevCacheMiss, totBranchMiss-ffPrevBranchMiss)
 			if p > 0 {
-				if k := spanLength(jw, cfg.TickSec, tick, ticks, phaseIdx, cfg.RefreshTicks, abortTick, hangTick, panicTick); k > 0 {
+				if k := spanLength(jw, cfg.TickSec, tick, ticks, phaseIdx, abortTick, hangTick, panicTick); k > 0 {
 					if err := ctx.Err(); err != nil {
 						return nil, err
 					}
@@ -1058,10 +1047,9 @@ func (e *Engine) sampleMissProfile(cs *clusterState, cp workload.CPUPhase, rng *
 			miss.MissesPerInstr[i] = float64(counts[i]) / float64(n) * cp.Mix.LoadStoreFrac
 		}
 	}
-	bn := e.cfg.BranchSamples
-	if bn > 0 && cp.Mix.BranchFrac > 0 {
-		wrong := cs.branches.Measure(cs.pred, bn)
-		miss.BranchMissPerInstr = float64(wrong) / float64(bn) * cp.Mix.BranchFrac
+	if cp.Mix.BranchFrac > 0 {
+		wrong := cs.branches.Measure(cs.pred, branchSamples)
+		miss.BranchMissPerInstr = float64(wrong) / branchSamples * cp.Mix.BranchFrac
 	}
 	_ = rng
 	return miss

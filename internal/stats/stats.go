@@ -216,48 +216,3 @@ func NormalizeColumnsMinMax(rows [][]float64) [][]float64 {
 	}
 	return out
 }
-
-// MinMax returns the minimum and maximum of xs (zeros for empty input).
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// ArgMin returns the index of the smallest element (-1 for empty input).
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Percentile returns the fraction of values in xs that are <= v.
-func Percentile(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x <= v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}

@@ -152,36 +152,6 @@ func TestNormalizeColumnsMinMax(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 0})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("minmax = %g %g", lo, hi)
-	}
-	lo, hi = MinMax(nil)
-	if lo != 0 || hi != 0 {
-		t.Fatal("empty minmax should be zeros")
-	}
-}
-
-func TestArgMin(t *testing.T) {
-	if ArgMin([]float64{5, 2, 8}) != 1 {
-		t.Fatal("argmin wrong")
-	}
-	if ArgMin(nil) != -1 {
-		t.Fatal("empty argmin should be -1")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if !almost(Percentile(xs, 2), 0.5) {
-		t.Fatalf("percentile = %g", Percentile(xs, 2))
-	}
-	if Percentile(nil, 1) != 0 {
-		t.Fatal("empty percentile should be 0")
-	}
-}
-
 func TestQuickPearsonRange(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw) < 8 {

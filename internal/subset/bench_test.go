@@ -1,6 +1,7 @@
 package subset
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -41,7 +42,7 @@ func BenchmarkSubsetSelect(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := GrowthCurve(bs, set); err != nil {
+		if _, err := GrowthCurveContext(context.Background(), bs, set, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -164,20 +164,13 @@ type CurvePoint struct {
 	Distance float64
 }
 
-// GrowthCurve grows a subset one benchmark at a time in the set's member
-// order, then keeps adding the remaining benchmarks (in input order),
-// recording the representativeness at each step — the paper's Figure 7
-// procedure.
-func GrowthCurve(bs []Benchmark, s Set) ([]CurvePoint, error) {
-	return GrowthCurveContext(context.Background(), bs, s, 1)
-}
-
-// GrowthCurveContext is GrowthCurve with cancellation and a worker pool.
-// The addition order is fixed up front (set members, then the remaining
-// benchmarks in input order), so each curve point i depends only on the
-// prefix of the first i+1 names and all points are computed as independent
-// jobs — the curve is identical for any worker count. workers <= 0 selects
-// all CPUs.
+// GrowthCurveContext grows a subset one benchmark at a time in the set's
+// member order, then keeps adding the remaining benchmarks (in input
+// order), recording the representativeness at each step — the paper's
+// Figure 7 procedure. The addition order is fixed up front, so each curve
+// point i depends only on the prefix of the first i+1 names and all points
+// are computed as independent jobs — the curve is identical for any worker
+// count. workers <= 0 selects all CPUs.
 func GrowthCurveContext(ctx context.Context, bs []Benchmark, s Set, workers int) ([]CurvePoint, error) {
 	order := append([]string(nil), s.Members...)
 	//mblint:ignore ctxloop in-memory order construction; the par.ForEach fan-out below is the cancellation point
@@ -297,20 +290,4 @@ func UnderBudget(bs []Benchmark, budgetSec float64) (Set, error) {
 		return Set{}, fmt.Errorf("subset: budget %.0fs admits no benchmark", budgetSec)
 	}
 	return Set{Name: fmt.Sprintf("Budget-%.0fs", budgetSec), Members: members}, nil
-}
-
-// SimulationCost estimates the wall-clock cost of evaluating the given
-// members on an architectural simulator with the given slowdown versus
-// native execution — the quantity that motivates subsetting in the first
-// place (the paper cites simulators "thousands of times slower than native
-// execution").
-func SimulationCost(bs []Benchmark, members []string, slowdown float64) (float64, error) {
-	if slowdown <= 0 {
-		return 0, fmt.Errorf("subset: non-positive slowdown")
-	}
-	rt, err := RuntimeSec(bs, members)
-	if err != nil {
-		return 0, err
-	}
-	return rt * slowdown, nil
 }

@@ -107,7 +107,7 @@ func TestMonotoneUnderGrowth(t *testing.T) {
 
 func TestGrowthCurve(t *testing.T) {
 	s := Set{Name: "test", Members: []string{"e", "a"}}
-	curve, err := GrowthCurve(testBenchmarks(), s)
+	curve, err := GrowthCurveContext(context.Background(), testBenchmarks(), s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,26 +215,9 @@ func TestUnderBudgetPrefersRepresentative(t *testing.T) {
 	}
 }
 
-func TestSimulationCost(t *testing.T) {
-	// A 1000x-slowdown simulator turns 40 s of device time into ~11 hours.
-	cost, err := SimulationCost(testBenchmarks(), []string{"a", "c"}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 40000 {
-		t.Fatalf("cost = %g s, want 40000", cost)
-	}
-	if _, err := SimulationCost(testBenchmarks(), []string{"a"}, 0); err == nil {
-		t.Fatal("zero slowdown accepted")
-	}
-	if _, err := SimulationCost(testBenchmarks(), []string{"zz"}, 10); err == nil {
-		t.Fatal("unknown member accepted")
-	}
-}
-
 func TestGrowthCurveContextMatchesSequential(t *testing.T) {
 	s := Set{Name: "test", Members: []string{"e", "a"}}
-	seq, err := GrowthCurve(testBenchmarks(), s)
+	seq, err := GrowthCurveContext(context.Background(), testBenchmarks(), s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
