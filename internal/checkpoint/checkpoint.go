@@ -1,53 +1,46 @@
 // Package checkpoint provides crash-safe persistence for long collections.
 //
-// A Snapshot records every completed (unit, run) of a collection — the
-// simulation result, the attempt counter and the run's provenance — in a
-// versioned, CRC-checksummed binary file. The file is replaced atomically
-// (write to a temp file in the same directory, fsync, rename, fsync the
-// directory) after every completed pair, so a killed process always finds
-// either the previous consistent snapshot or the new one, never a torn
-// write. A resumed collection restores the completed pairs bit-for-bit and
-// re-runs only the remainder; because the simulator derives every value
-// from (seed, unit, run, attempt), the resumed dataset is identical to an
-// uninterrupted one.
+// A collection checkpoint is a record log (see Log): every completed
+// (unit, run) — the simulation result, the attempt counter and the run's
+// provenance — is appended as one CRC-guarded line and fsynced before the
+// collection moves on. Nothing is ever rewritten, so a killed process loses
+// at most the pairs it was simulating, and a torn final append is dropped
+// on the next read. A resumed collection restores the completed pairs
+// bit-for-bit and re-runs only the remainder; because the simulator
+// derives every value from (seed, unit, run, attempt), the resumed dataset
+// is identical to an uninterrupted one.
 //
-// Corrupt or mismatched snapshots never poison a dataset silently: Load
-// verifies the checksum (*CorruptError), the schema version
-// (*VersionError) and the collection-options fingerprint
-// (*MismatchError) before a single record is trusted.
+// Corrupt or mismatched checkpoints never poison a dataset silently: Load
+// and Resume verify the log framing and every record's encoding
+// (*CorruptError), schema version (*VersionError) and collection-options
+// fingerprint (*MismatchError) before a single record is trusted.
 package checkpoint
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"mobilebench/internal/profiler"
 	"mobilebench/internal/sim"
 	"mobilebench/internal/trace"
 )
 
-// Format constants. Version is bumped whenever the record layout changes
-// (including any change to the serialized sim.Aggregates field set);
-// snapshots from other versions are rejected with a *VersionError rather
-// than decoded on luck.
-const (
-	// Version is the snapshot schema version this package writes.
-	Version uint32 = 1
-)
+// Version is the record schema version this package writes. It is bumped
+// whenever the record layout changes (including any change to the
+// serialized sim.Aggregates field set); records from other versions are
+// rejected with a *VersionError rather than decoded on luck.
+const Version uint32 = 2
 
-// magic identifies a mobilebench checkpoint file.
-var magic = [4]byte{'M', 'B', 'C', 'P'}
-
-// CorruptError reports a snapshot that failed structural verification:
-// a bad magic number, a checksum mismatch, a truncated file or an
-// undecodable record. The snapshot must be discarded.
+// CorruptError reports a checkpoint that failed structural verification:
+// damaged log framing, an undecodable record, or a file that is not a
+// record log at all. The checkpoint must be discarded.
 type CorruptError struct {
 	Path   string
 	Reason string
@@ -58,7 +51,7 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("checkpoint: %s is corrupt: %s", e.Path, e.Reason)
 }
 
-// VersionError reports a snapshot written by an incompatible schema
+// VersionError reports a record written by an incompatible schema
 // version.
 type VersionError struct {
 	Path      string
@@ -70,8 +63,8 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("checkpoint: %s has schema version %d, want %d", e.Path, e.Got, e.Want)
 }
 
-// MismatchError reports a snapshot whose options fingerprint does not
-// match the resuming collection — the snapshot is internally consistent
+// MismatchError reports a record whose options fingerprint does not
+// match the resuming collection — the checkpoint is internally consistent
 // but stale: it belongs to a collection with different units, seed,
 // resilience policy or simulator configuration, and restoring it would
 // silently poison the figures.
@@ -112,12 +105,12 @@ type RunRecord struct {
 	Result *sim.Result
 }
 
-// Snapshot is the full persisted state of one collection.
+// Snapshot is one collection's persisted state, as read back from its log.
 type Snapshot struct {
-	// Fingerprint binds the snapshot to the collection options that
-	// produced it.
+	// Fingerprint binds the records to the collection options that
+	// produced them.
 	Fingerprint uint64
-	// Records holds completed (unit, run) pairs in completion order.
+	// Records holds completed (unit, run) pairs in first-append order.
 	Records []RunRecord
 }
 
@@ -131,19 +124,16 @@ func (s *Snapshot) Find(unit string, run int) *RunRecord {
 	return nil
 }
 
-// Encode serializes the snapshot: magic, version, fingerprint, records,
-// and a trailing CRC-32 over everything before it.
-func Encode(s *Snapshot) []byte {
+// EncodeRecord returns the log payload for one completed (unit, run):
+// base64, which never holds the log's newline, of the schema version
+// (u32), the options fingerprint (u64) and the record, all little-endian
+// with floats as raw IEEE bits so a restored sim.Result is bit-identical.
+func EncodeRecord(fingerprint uint64, r *RunRecord) []byte {
 	var b bytes.Buffer
-	b.Write(magic[:])
 	putU32(&b, Version)
-	putU64(&b, s.Fingerprint)
-	putU32(&b, uint32(len(s.Records)))
-	for i := range s.Records {
-		encodeRecord(&b, &s.Records[i])
-	}
-	putU32(&b, crc32.ChecksumIEEE(b.Bytes()))
-	return b.Bytes()
+	putU64(&b, fingerprint)
+	encodeRecord(&b, r)
+	return base64.StdEncoding.AppendEncode(nil, b.Bytes())
 }
 
 func encodeRecord(b *bytes.Buffer, r *RunRecord) {
@@ -220,45 +210,96 @@ func putString(b *bytes.Buffer, s string) {
 	b.WriteString(s)
 }
 
-// Decode parses and verifies snapshot bytes. path is used only for error
-// messages. A wantFingerprint of 0 skips the fingerprint check (used by
-// inspection tooling); collections always pass their real fingerprint.
-func Decode(path string, data []byte, wantFingerprint uint64) (*Snapshot, error) {
-	if len(data) < len(magic)+4+8+4+4 {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("only %d bytes (truncated)", len(data))}
+// Load reads and verifies the collection log at path without modifying
+// it. It returns the raw os.ReadFile error (satisfying errors.Is(err,
+// fs.ErrNotExist)) when the file is missing, and the package's typed
+// errors on corruption, version skew or a fingerprint mismatch. A
+// wantFingerprint of 0 skips the fingerprint check (inspection tooling);
+// the records must then still agree with each other. Collections always
+// pass their real fingerprint.
+func Load(path string, wantFingerprint uint64) (*Snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("checksum %#x does not match computed %#x", got, want)}
+	payloads, _, err := parseLog(path, data)
+	return decodeLog(path, payloads, err, wantFingerprint)
+}
+
+// Resume reopens the collection log at path for appending through
+// RecoverLog and returns it with the records it holds, verified as Load
+// verifies them. A missing file is an empty log. On error nothing is
+// left open, and the file is as it was but for a torn final append
+// RecoverLog dropped (never acked, and ignored by every reader).
+func Resume(path string, wantFingerprint uint64) (*Log, *Snapshot, error) {
+	l, payloads, err := RecoverLog(path)
+	s, err := decodeLog(path, payloads, err, wantFingerprint)
+	if err != nil {
+		if l != nil {
+			_ = l.Close()
+		}
+		return nil, nil, err
 	}
-	d := &decoder{path: path, data: body}
-	var m [4]byte
-	copy(m[:], d.bytes(4))
-	if m != magic {
-		return nil, &CorruptError{Path: path, Reason: "bad magic number (not a mobilebench checkpoint)"}
+	return l, s, nil
+}
+
+// decodeLog decodes what reading a collection log returned. Damaged
+// framing is a *CorruptError like an undecodable record. When a (unit,
+// run) was appended more than once (an outlier re-run, a re-dispatched
+// job), the last record wins.
+func decodeLog(path string, payloads [][]byte, err error, wantFingerprint uint64) (*Snapshot, error) {
+	var le *CorruptLogError
+	if errors.As(err, &le) {
+		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("line %d: %s", le.Line, le.Why)}
 	}
-	if v := d.u32(); v != Version {
-		return nil, &VersionError{Path: path, Got: v, Want: Version}
+	if err != nil {
+		return nil, err
 	}
-	s := &Snapshot{Fingerprint: d.u64()}
-	if wantFingerprint != 0 && s.Fingerprint != wantFingerprint {
-		return nil, &MismatchError{Path: path, Got: s.Fingerprint, Want: wantFingerprint}
-	}
-	n := int(d.u32())
-	for i := 0; i < n && d.err == nil; i++ {
-		rec, err := d.record()
-		if err != nil {
+	s := &Snapshot{Fingerprint: wantFingerprint}
+	var raw []byte // reused: a decoded record copies everything it keeps
+	for i, p := range payloads {
+		if raw, err = base64.StdEncoding.AppendDecode(raw[:0], p); err != nil {
+			return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("line %d: %v", i+1, err)}
+		}
+		var rec RunRecord
+		if rec, s.Fingerprint, err = decodePayload(path, i+1, raw, s.Fingerprint); err != nil {
 			return nil, err
 		}
-		s.Records = append(s.Records, rec)
-	}
-	if d.err != nil {
-		return nil, &CorruptError{Path: path, Reason: d.err.Error()}
-	}
-	if len(d.data) != d.off {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("%d trailing bytes after the last record", len(d.data)-d.off)}
+		if old := s.Find(rec.Unit, rec.Run); old != nil {
+			*old = rec
+		} else {
+			s.Records = append(s.Records, rec)
+		}
 	}
 	return s, nil
+}
+
+// decodePayload decodes the base64-decoded payload on line of the log,
+// checking its schema version and — unless want is 0 — its options
+// fingerprint, which it returns.
+func decodePayload(path string, line int, raw []byte, want uint64) (RunRecord, uint64, error) {
+	d := &decoder{path: path, data: raw}
+	v, fp := d.u32(), d.u64()
+	var rec RunRecord
+	switch {
+	case d.err != nil: // a header cut short, reported below
+	case v != Version:
+		return rec, 0, &VersionError{Path: path, Got: v, Want: Version}
+	case want != 0 && fp != want:
+		return rec, 0, &MismatchError{Path: path, Got: fp, Want: want}
+	default:
+		var err error
+		if rec, err = d.record(); err != nil {
+			return RunRecord{}, 0, err
+		}
+		if d.err == nil && d.off != len(raw) {
+			d.err = fmt.Errorf("%d trailing bytes after the record", len(raw)-d.off)
+		}
+	}
+	if d.err != nil {
+		return RunRecord{}, 0, &CorruptError{Path: path, Reason: fmt.Sprintf("line %d: %v", line, d.err)}
+	}
+	return rec, fp, nil
 }
 
 type decoder struct {
@@ -302,7 +343,7 @@ func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 func (d *decoder) string() string {
 	n := int(d.u32())
 	if n > len(d.data)-d.off {
-		d.err = fmt.Errorf("string of %d bytes overruns the file at offset %d", n, d.off)
+		d.err = fmt.Errorf("string of %d bytes overruns the record at offset %d", n, d.off)
 		return ""
 	}
 	return string(d.bytes(n))
@@ -367,29 +408,13 @@ func (d *decoder) record() (RunRecord, error) {
 	return r, nil
 }
 
-// Save atomically replaces path with the encoded snapshot.
-func Save(path string, s *Snapshot) error {
-	return WriteFile(path, Encode(s), 0o644)
-}
-
-// Load reads and verifies the snapshot at path. It returns the raw
-// os.ReadFile error (satisfying errors.Is(err, fs.ErrNotExist)) when the
-// file is missing, and the package's typed errors on corruption, version
-// skew or a fingerprint mismatch.
-func Load(path string, wantFingerprint uint64) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(path, data, wantFingerprint)
-}
-
 // AtomicFile is a file whose content becomes visible at the destination
 // path only on Commit: writes go to a temp file in the same directory,
 // Commit fsyncs, renames over the destination and fsyncs the directory.
 // A crash before Commit leaves the previous file untouched. It is the
-// write path for every durable artifact in the repository (checkpoints,
-// CLI -o outputs, served job state).
+// write path for every durable whole blob in the repository (CLI -o
+// outputs, served job state, cache entries); record sequences append
+// through Log instead.
 type AtomicFile struct {
 	f         *os.File
 	path      string
@@ -483,52 +508,4 @@ func WriteTo(path string, write func(w io.Writer) error) error {
 		return err
 	}
 	return a.Commit()
-}
-
-// Writer maintains a snapshot on disk across concurrent record updates:
-// Put upserts a (unit, run) record and atomically rewrites the file, so
-// after every completed pair the on-disk snapshot is complete and
-// verifiable. Safe for concurrent use by the collection worker pool.
-type Writer struct {
-	mu   sync.Mutex
-	path string
-	snap Snapshot
-}
-
-// NewWriter creates a writer for path. existing seeds the snapshot with
-// records restored from a previous process (they are preserved in the
-// rewritten file so a resumed collection keeps checkpointing from where
-// it left off).
-func NewWriter(path string, fingerprint uint64, existing []RunRecord) *Writer {
-	w := &Writer{path: path}
-	w.snap.Fingerprint = fingerprint
-	w.snap.Records = append(w.snap.Records, existing...)
-	return w
-}
-
-// Put upserts the record and persists the snapshot atomically.
-func (w *Writer) Put(rec RunRecord) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if old := w.snap.Find(rec.Unit, rec.Run); old != nil {
-		*old = rec
-	} else {
-		w.snap.Records = append(w.snap.Records, rec)
-	}
-	//mblint:ignore mutexhold the save IS the critical section: Put's contract is that the on-disk snapshot is complete after every record, so concurrent rewrites must serialize under w.mu
-	return Save(w.path, &w.snap)
-}
-
-// Len returns how many records the snapshot holds.
-func (w *Writer) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.snap.Records)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

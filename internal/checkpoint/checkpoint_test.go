@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -68,12 +70,62 @@ func testSnapshot() *Snapshot {
 	}
 }
 
+// encodeLog frames every record of s as a collection-log line: the bytes a
+// collection appending them in order leaves on disk.
+func encodeLog(s *Snapshot) []byte {
+	var out []byte
+	for i := range s.Records {
+		out = frameLine(out, EncodeRecord(s.Fingerprint, &s.Records[i]))
+	}
+	return out
+}
+
+// writeLog appends the records of s to a fresh log at path.
+func writeLog(t *testing.T, path string, s *Snapshot) {
+	t.Helper()
+	l, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := range s.Records {
+		if err := l.Append(EncodeRecord(s.Fingerprint, &s.Records[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readSnapshot is Load on the file's bytes.
+func readSnapshot(path string, data []byte, wantFingerprint uint64) (*Snapshot, error) {
+	payloads, _, err := parseLog(path, data)
+	return decodeLog(path, payloads, err, wantFingerprint)
+}
+
+// frameLine frames one payload as a log line, as Log.Append writes it.
+func frameLine(out, payload []byte) []byte {
+	return fmt.Appendf(out, "%08x %s\n", crc32.Checksum(payload, crcTable), payload)
+}
+
+// rawRecord is one record's payload before base64: version, fingerprint,
+// record.
+func rawRecord(fingerprint uint64, r *RunRecord) []byte {
+	raw, err := base64.StdEncoding.DecodeString(string(EncodeRecord(fingerprint, r)))
+	if err != nil {
+		panic(err)
+	}
+	return raw
+}
+
+// frameRaw frames raw payload bytes as one log line.
+func frameRaw(raw []byte) []byte {
+	return frameLine(nil, base64.StdEncoding.AppendEncode(nil, raw))
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	snap := testSnapshot()
-	data := Encode(snap)
-	got, err := Decode("mem", data, snap.Fingerprint)
+	got, err := readSnapshot("mem", encodeLog(snap), snap.Fingerprint)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("readSnapshot: %v", err)
 	}
 	if !reflect.DeepEqual(got, snap) {
 		t.Fatalf("round-tripped snapshot differs:\n got %+v\nwant %+v", got, snap)
@@ -83,9 +135,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	odd := testSnapshot()
 	odd.Records[0].Result.Agg.IPC = math.Nextafter(1, 2)
 	odd.Records[0].Result.Trace.Series("cpu.ipc").Values[3] = 1e-301
-	got2, err := Decode("mem", Encode(odd), odd.Fingerprint)
+	got2, err := readSnapshot("mem", encodeLog(odd), odd.Fingerprint)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("readSnapshot: %v", err)
 	}
 	if got2.Records[0].Result.Agg.IPC != odd.Records[0].Result.Agg.IPC ||
 		got2.Records[0].Result.Trace.Series("cpu.ipc").Values[3] != 1e-301 {
@@ -93,61 +145,99 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveLoad: records appended through Log read back through Load and
+// Resume, and a resumed log keeps appending to the same file.
 func TestSaveLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.ckpt")
 	snap := testSnapshot()
-	if err := Save(path, snap); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
+	writeLog(t, path, snap)
 	got, err := Load(path, snap.Fingerprint)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if !reflect.DeepEqual(got, snap) {
-		t.Fatal("loaded snapshot differs from saved one")
+		t.Fatal("loaded snapshot differs from the appended records")
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.ckpt"), 1); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing file: err = %v, want fs.ErrNotExist", err)
 	}
+
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, resumed, err := Resume(path, snap.Fingerprint)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if !reflect.DeepEqual(resumed, snap) {
+		t.Fatal("resumed snapshot differs from the appended records")
+	}
+	extra := RunRecord{Unit: "gamma", Run: 0, Attempts: 1, Result: testResult("gamma", 2)}
+	if err := l.Append(EncodeRecord(snap.Fingerprint, &extra)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("a later record replaced the checkpoint file instead of appending to it")
+	}
+	got, err = Load(path, snap.Fingerprint)
+	if err != nil || len(got.Records) != len(snap.Records)+1 || got.Find("gamma", 0) == nil {
+		t.Fatalf("appended record not read back: %v, %+v", err, got)
+	}
+
+	// A missing file resumes as an empty log.
+	l, empty, err := Resume(filepath.Join(t.TempDir(), "fresh.ckpt"), 9)
+	if err != nil || len(empty.Records) != 0 || empty.Fingerprint != 9 {
+		t.Fatalf("Resume(missing) = %+v, %v; want an empty snapshot", empty, err)
+	}
+	_ = l.Close()
 }
 
 func TestDecodeDetectsCorruption(t *testing.T) {
 	snap := testSnapshot()
-	data := Encode(snap)
+	data := encodeLog(snap)
 
-	// Every single-byte flip must be caught by the checksum.
+	// A single-byte flip anywhere in an acked line — CRC digits or
+	// payload — must be caught. (The final newline is left alone: flipping
+	// it turns the last line into a torn append, which readers drop.)
 	for _, off := range []int{0, 5, 17, len(data) / 2, len(data) - 5} {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0x40
-		_, err := Decode("bad", bad, snap.Fingerprint)
+		_, err := readSnapshot("bad", bad, snap.Fingerprint)
 		var ce *CorruptError
 		if !errors.As(err, &ce) {
 			t.Fatalf("flip at %d: err = %v, want *CorruptError", off, err)
 		}
 	}
-	// Truncation anywhere must be caught too.
-	for _, n := range []int{0, 3, 11, len(data) - 1} {
-		_, err := Decode("short", data[:n], snap.Fingerprint)
+	// A line whose CRC verifies but whose payload does not decode: bad
+	// base64, a record truncated anywhere, or trailing bytes.
+	raw := rawRecord(snap.Fingerprint, &snap.Records[0])
+	bad := [][]byte{frameLine(nil, []byte("not base64!"))}
+	for _, n := range []int{0, 3, 11, 40, len(raw) - 1} {
+		bad = append(bad, frameRaw(raw[:n]))
+	}
+	bad = append(bad, frameRaw(append(raw, 0)))
+	for i, data := range bad {
+		_, err := readSnapshot("short", data, snap.Fingerprint)
 		var ce *CorruptError
 		if !errors.As(err, &ce) {
-			t.Fatalf("truncate to %d: err = %v, want *CorruptError", n, err)
+			t.Fatalf("case %d: err = %v, want *CorruptError", i, err)
 		}
 	}
 }
 
-// reseal recomputes the trailing checksum so structural checks past it can
-// be exercised in isolation.
-func reseal(data []byte) []byte {
-	body := data[:len(data)-4]
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc32.ChecksumIEEE(body))
-	return append(append([]byte(nil), body...), tail[:]...)
-}
-
 func TestDecodeDetectsVersionSkew(t *testing.T) {
-	data := Encode(testSnapshot())
-	binary.LittleEndian.PutUint32(data[4:8], Version+7)
-	_, err := Decode("skew", reseal(data), 0)
+	snap := testSnapshot()
+	raw := rawRecord(snap.Fingerprint, &snap.Records[0])
+	binary.LittleEndian.PutUint32(raw[0:4], Version+7)
+	_, err := readSnapshot("skew", frameRaw(raw), 0)
 	var ve *VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("err = %v, want *VersionError", err)
@@ -157,20 +247,37 @@ func TestDecodeDetectsVersionSkew(t *testing.T) {
 	}
 }
 
+// TestDecodeDetectsBadMagic: a whole-file MBCP snapshot, the format
+// collection checkpoints had before they became record logs, is not a log.
+// Load and Resume refuse it with *CorruptError and leave it byte-identical,
+// whether or not its bytes happen to hold a newline.
 func TestDecodeDetectsBadMagic(t *testing.T) {
-	data := Encode(testSnapshot())
-	copy(data[:4], "NOPE")
-	_, err := Decode("magic", reseal(data), 0)
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CorruptError", err)
+	dir := t.TempDir()
+	for i, snapshot := range [][]byte{
+		[]byte("MBCP\x01\x00\x00\x00\xfe\xca\xef\xbe\xed\xfe\x00\x00\x00\x00\x00\x00\x11\x22\x33\x44"),
+		[]byte("MBCP\x01\x00\x00\x00\x0a\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\n\x00\x11\x22"),
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("old%d.ckpt", i))
+		if err := os.WriteFile(path, snapshot, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var ce *CorruptError
+		if _, err := Load(path, 0); !errors.As(err, &ce) {
+			t.Fatalf("Load(MBCP %d): err = %v, want *CorruptError", i, err)
+		}
+		if _, _, err := Resume(path, 0); !errors.As(err, &ce) {
+			t.Fatalf("Resume(MBCP %d): err = %v, want *CorruptError", i, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, snapshot) {
+			t.Fatalf("MBCP %d: refusing the file modified it: %q, %v", i, got, err)
+		}
 	}
 }
 
 func TestDecodeDetectsStaleFingerprint(t *testing.T) {
 	snap := testSnapshot()
-	data := Encode(snap)
-	_, err := Decode("stale", data, snap.Fingerprint+1)
+	data := encodeLog(snap)
+	_, err := readSnapshot("stale", data, snap.Fingerprint+1)
 	var me *MismatchError
 	if !errors.As(err, &me) {
 		t.Fatalf("err = %v, want *MismatchError", err)
@@ -178,9 +285,15 @@ func TestDecodeDetectsStaleFingerprint(t *testing.T) {
 	if me.Got != snap.Fingerprint || me.Want != snap.Fingerprint+1 {
 		t.Fatalf("MismatchError = %+v", me)
 	}
-	// Fingerprint 0 means "don't check" (inspection tooling).
-	if _, err := Decode("any", data, 0); err != nil {
+	// Fingerprint 0 means "don't check" (inspection tooling)...
+	if _, err := readSnapshot("any", data, 0); err != nil {
 		t.Fatalf("fingerprint 0 should skip the check, got %v", err)
+	}
+	// ...but the records of one log must still agree with each other.
+	other := RunRecord{Unit: "gamma", Run: 0, Attempts: 1, Result: testResult("gamma", 1)}
+	mixed := frameLine(data, EncodeRecord(snap.Fingerprint+1, &other))
+	if _, err := readSnapshot("mixed", mixed, 0); !errors.As(err, &me) {
+		t.Fatalf("mixed fingerprints: err = %v, want *MismatchError", err)
 	}
 }
 
@@ -234,43 +347,25 @@ func TestSyncDirReportsErrors(t *testing.T) {
 	}
 }
 
-func TestWriterUpsertsAndPersists(t *testing.T) {
+// TestLoadLastRecordWins: a (unit, run) appended more than once (an
+// outlier re-run, a job re-dispatched after a worker death) reads back as
+// its last record, in the position of its first.
+func TestLoadLastRecordWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.ckpt")
-	w := NewWriter(path, 77, nil)
-	if err := w.Put(RunRecord{Unit: "a", Run: 0, Attempts: 1, Result: testResult("a", 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Put(RunRecord{Unit: "a", Run: 1, Attempts: 1, Result: testResult("a", 2)}); err != nil {
-		t.Fatal(err)
-	}
-	// Upsert: a re-run replaces its record instead of duplicating it.
-	if err := w.Put(RunRecord{Unit: "a", Run: 0, Attempts: 2, Result: testResult("a", 3)}); err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", w.Len())
-	}
+	writeLog(t, path, &Snapshot{Fingerprint: 77, Records: []RunRecord{
+		{Unit: "a", Run: 0, Attempts: 1, Result: testResult("a", 1)},
+		{Unit: "a", Run: 1, Attempts: 1, Result: testResult("a", 2)},
+		{Unit: "a", Run: 0, Attempts: 2, Result: testResult("a", 3)},
+	}})
 	snap, err := Load(path, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(snap.Records) != 2 {
-		t.Fatalf("persisted %d records, want 2", len(snap.Records))
+		t.Fatalf("read %d records, want 2", len(snap.Records))
 	}
-	if rec := snap.Find("a", 0); rec == nil || rec.Attempts != 2 {
-		t.Fatalf("upserted record not persisted: %+v", rec)
-	}
-
-	// A writer seeded with restored records preserves them on the next Put.
-	w2 := NewWriter(path, 77, snap.Records)
-	if err := w2.Put(RunRecord{Unit: "b", Run: 0, Attempts: 1, Result: testResult("b", 1)}); err != nil {
-		t.Fatal(err)
-	}
-	snap2, err := Load(path, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap2.Records) != 3 || snap2.Find("a", 1) == nil {
-		t.Fatalf("restored records dropped on rewrite: %+v", snap2.Records)
+	if rec := snap.Records[0]; rec.Unit != "a" || rec.Run != 0 || rec.Attempts != 2 ||
+		!reflect.DeepEqual(rec.Result, testResult("a", 3)) {
+		t.Fatalf("first record = %+v, want the later (a, 0) record in its place", rec)
 	}
 }

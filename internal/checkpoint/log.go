@@ -1,14 +1,14 @@
 // Append-only record log: the second of the package's two persistence
-// primitives (beside AtomicFile's whole-blob replace). Where the MBCP
-// snapshot rewrites the whole state atomically per update, a stream of
-// small records wants O(1) durable appends — each record becomes one
-// CRC-guarded line, fsynced before the append returns, so an acked record
-// survives a crash and a torn final write (power loss mid-append) is
-// detected and dropped without condemning the records before it. Stream
-// ingest and the cosim replay log both persist through it.
+// primitives (beside AtomicFile's whole-blob replace). A sequence of
+// records wants O(1) durable appends, not a rewrite of everything before
+// each one — each record becomes one CRC-guarded line, fsynced before the
+// append returns, so an acked record survives a crash and a torn final
+// write (power loss mid-append) is detected and dropped without condemning
+// the records before it. Collection checkpoints, stream ingest and the
+// cosim replay log all persist through it.
 //
 // Framing: one record per line, "crc32c-hex payload\n". The payload is an
-// opaque single-line byte string (in practice JSON); the CRC (Castagnoli)
+// opaque single-line byte string (JSON or base64); the CRC (Castagnoli)
 // covers the payload bytes only. A trailing line with no newline is a torn
 // append — Append writes the newline with the record, so the write never
 // completed and the record was never acked; readers drop it, and RecoverLog
@@ -179,6 +179,11 @@ func ReadLog(path string) ([][]byte, int64, error) {
 		}
 		return nil, 0, fmt.Errorf("checkpoint: reading log: %w", err)
 	}
+	return parseLog(path, data)
+}
+
+// parseLog is ReadLog on the file's bytes. The payloads alias data.
+func parseLog(path string, data []byte) ([][]byte, int64, error) {
 	var out [][]byte
 	valid := int64(0)
 	lineNo := 0
@@ -218,7 +223,7 @@ func parseLogLine(line []byte) ([]byte, string) {
 	if crc32.Checksum(payload, crcTable) != want {
 		return nil, "CRC mismatch"
 	}
-	return append([]byte(nil), payload...), ""
+	return payload, ""
 }
 
 // framingPrefix reports whether b begins like a record line: up to eight

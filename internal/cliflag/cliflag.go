@@ -49,7 +49,7 @@ func RegisterResilienceOn(fs *flag.FlagSet) *Resilience {
 
 // Checkpoint holds the values of the shared durability flags.
 type Checkpoint struct {
-	// Path is the -checkpoint snapshot file ("" disables checkpointing).
+	// Path is the -checkpoint record log ("" disables checkpointing).
 	Path string
 	// Resume is the -resume flag: restore completed (benchmark, run)
 	// pairs from Path before collecting.
@@ -66,9 +66,9 @@ func RegisterCheckpoint() *Checkpoint {
 func RegisterCheckpointOn(fs *flag.FlagSet) *Checkpoint {
 	c := &Checkpoint{}
 	fs.StringVar(&c.Path, "checkpoint", "",
-		"snapshot file persisting every completed (benchmark, run) atomically, so a killed collection can resume")
+		"record log to which every completed (benchmark, run) is appended and fsynced, so a killed collection can resume")
 	fs.BoolVar(&c.Resume, "resume", false,
-		"restore completed (benchmark, run) pairs from the -checkpoint snapshot before collecting the rest")
+		"restore completed (benchmark, run) pairs from the -checkpoint log before collecting the rest, appending to it")
 	return c
 }
 
@@ -76,7 +76,7 @@ func RegisterCheckpointOn(fs *flag.FlagSet) *Checkpoint {
 // CLI-shaped message before any simulation starts.
 func (c *Checkpoint) Validate() error {
 	if c.Resume && c.Path == "" {
-		return fmt.Errorf("-resume requires -checkpoint to name the snapshot file")
+		return fmt.Errorf("-resume requires -checkpoint to name the checkpoint log")
 	}
 	return nil
 }

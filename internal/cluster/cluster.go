@@ -87,6 +87,20 @@ type Algorithm interface {
 	Name() string
 }
 
+// ByName returns the algorithm a name selects: "kmeans", "pam" or
+// "hierarchical".
+func ByName(name string) (Algorithm, error) {
+	switch name {
+	case "kmeans":
+		return NewKMeans(), nil
+	case "pam":
+		return NewPAM(), nil
+	case "hierarchical":
+		return NewHierarchical(), nil
+	}
+	return nil, fmt.Errorf("cluster: unknown clustering algorithm %q", name)
+}
+
 // validate checks common preconditions.
 func validate(rows [][]float64, k int) error {
 	if k < 1 {

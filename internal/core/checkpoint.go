@@ -1,8 +1,9 @@
 // Crash-safe collection: the glue between the collection fan-out and
-// internal/checkpoint. Every completed (unit, run) is persisted atomically,
-// and a resumed collection restores those pairs bit-for-bit — including the
-// monotonic attempt counter, so post-restore outlier re-runs draw the same
-// fault-injection decisions an uninterrupted collection would.
+// internal/checkpoint. Every completed (unit, run) is appended durably to
+// the collection's record log, and a resumed collection restores those
+// pairs bit-for-bit — including the monotonic attempt counter, so
+// post-restore outlier re-runs draw the same fault-injection decisions an
+// uninterrupted collection would.
 package core
 
 import (
@@ -10,7 +11,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io/fs"
+	"os"
 	"strings"
+	"sync"
 
 	"mobilebench/internal/checkpoint"
 	"mobilebench/internal/sim"
@@ -48,7 +51,7 @@ func collectCanonical(cfg sim.Config, runs int, units []workload.Workload, pol R
 	fmt.Fprintf(&b, "|seed=%d|tick=%g|cache=%d|branch=2000|refresh=5|rjit=0.01|noise=0.03|gov=%q|throttle=%t",
 		cfg.Seed, cfg.TickSec, cfg.CacheSamples, cfg.Governor, cfg.EnableThermalThrottle)
 	// Appended only when non-default so every fingerprint minted before
-	// these options existed still verifies (PR 5 snapshots stay loadable).
+	// these options existed still verifies.
 	if cfg.FastForward {
 		fmt.Fprintf(&b, "|ff=true")
 	}
@@ -95,7 +98,7 @@ func (o Options) CheckpointFingerprint() (uint64, error) {
 
 // CheckpointCanonical returns the canonical options string the checkpoint
 // fingerprint hashes — the fingerprint's full pre-image. Callers that
-// need collision resistance beyond the snapshot header's u64 (the
+// need collision resistance beyond a checkpoint record's u64 (the
 // server's content-addressed cache key) hash this string with a wide
 // cryptographic digest instead of folding the 64-bit fingerprint.
 func (o Options) CheckpointCanonical() (string, error) {
@@ -118,33 +121,35 @@ func (o Options) CheckpointCanonical() (string, error) {
 }
 
 // collectCheckpoint is the per-collection checkpoint state: the records
-// restored from a previous process and the writer persisting new ones.
+// restored from a previous process and the log persisting new ones.
 type collectCheckpoint struct {
-	restored *checkpoint.Snapshot
-	writer   *checkpoint.Writer
+	path        string
+	fingerprint uint64
+	restored    *checkpoint.Snapshot
+	mu          sync.Mutex // serializes opening the log and appending to it
+	log         *checkpoint.Log
 }
 
 // openCollectCheckpoint prepares checkpointing for a collection. With
-// resume set, an existing snapshot is loaded and verified (checksum,
-// schema version, options fingerprint — each failing with its typed
-// error); a missing file is simply a fresh start.
+// resume set, the log at path is reopened and every record verified
+// (framing, schema version, options fingerprint — each failing with its
+// typed error); a missing file is simply a fresh start.
 func openCollectCheckpoint(path string, resume bool, fingerprint uint64) (*collectCheckpoint, error) {
-	cc := &collectCheckpoint{}
-	var seed []checkpoint.RunRecord
+	cc := &collectCheckpoint{path: path, fingerprint: fingerprint}
 	if resume {
-		snap, err := checkpoint.Load(path, fingerprint)
-		switch {
-		case err == nil:
-			cc.restored = snap
-			seed = snap.Records
-		case errors.Is(err, fs.ErrNotExist):
-			// Nothing to resume; start clean.
-		default:
+		var err error
+		if cc.log, cc.restored, err = checkpoint.Resume(path, fingerprint); err != nil {
 			return nil, err
 		}
 	}
-	cc.writer = checkpoint.NewWriter(path, fingerprint, seed)
 	return cc, nil
+}
+
+// close releases the log file; every record is already durable.
+func (cc *collectCheckpoint) close() {
+	if cc != nil && cc.log != nil {
+		_ = cc.log.Close()
+	}
 }
 
 // restore loads the persisted record for (unit, run) into st, reporting
@@ -180,8 +185,9 @@ func (cc *collectCheckpoint) restore(unit string, run int, st *runState) bool {
 	return true
 }
 
-// record persists the completed (unit, run) state atomically; after it
-// returns, a killed process can resume past this pair.
+// record appends the completed (unit, run) state to the log; after it
+// returns, a killed process can resume past this pair. A fresh collection
+// replaces any stale file at the path with its first record.
 func (cc *collectCheckpoint) record(unit string, run int, st *runState) error {
 	if cc == nil {
 		return nil
@@ -193,7 +199,7 @@ func (cc *collectCheckpoint) record(unit string, run int, st *runState) error {
 		Attempts:        st.prov.Attempts,
 		RepairedSamples: st.prov.RepairedSamples,
 		OutlierReruns:   st.prov.OutlierReruns,
-		Faults:          append([]string(nil), st.prov.Faults...),
+		Faults:          st.prov.Faults,
 	}
 	if st.perm != nil {
 		rec.Failed = true
@@ -202,5 +208,20 @@ func (cc *collectCheckpoint) record(unit string, run int, st *runState) error {
 	} else {
 		rec.Result = st.res
 	}
-	return cc.writer.Put(rec)
+	payload := checkpoint.EncodeRecord(cc.fingerprint, &rec)
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.log == nil {
+		//mblint:ignore mutexhold the first record creates the log before any other worker may append to it; a one-time unlink and open
+		if err := os.Remove(cc.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		//mblint:ignore mutexhold opening the log once is part of the first record's critical section, as the unlink above
+		lg, err := checkpoint.OpenLog(cc.path)
+		if err != nil {
+			return err
+		}
+		cc.log = lg
+	}
+	return cc.log.Append(payload)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"hash/fnv"
@@ -26,29 +27,49 @@ func collectOrFatal(t *testing.T, ctx context.Context, opts Options) *Dataset {
 	return ds
 }
 
-// assertResumesBitIdentical simulates a crash at every (unit, run) boundary:
-// for each k it writes a k-record prefix of the full snapshot — exactly the
-// file a process killed after its k-th completed pair leaves behind, because
-// records are persisted in completion order and Workers=1 completes pairs
-// sequentially — then resumes from it and demands the result deep-equal the
-// uninterrupted baseline.
-func assertResumesBitIdentical(t *testing.T, base *Dataset, full *checkpoint.Snapshot, opts Options) {
+// assertResumesBitIdentical simulates a crash at every (unit, run)
+// boundary: for each k it cuts the full checkpoint log after its k-th line
+// — exactly the file a process killed after its k-th completed pair leaves
+// behind, because records are appended in completion order and Workers=1
+// completes pairs sequentially — then resumes from it and demands the
+// result deep-equal the uninterrupted baseline. One more cut lands in the
+// middle of a line: the torn append a kill -9 mid-write leaves. At
+// Workers=1 the resumed log must also end byte-identical to the full one.
+func assertResumesBitIdentical(t *testing.T, base *Dataset, fullPath string, opts Options) {
 	t.Helper()
+	full, err := os.ReadFile(fullPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	lines = lines[:len(lines)-1] // the empty remainder after the last newline
+	cuts := make([]int, 0, len(lines)+2)
+	for k, n := 0, 0; k <= len(lines); k++ {
+		cuts = append(cuts, n)
+		if k < len(lines) {
+			n += len(lines[k])
+		}
+	}
+	cuts = append(cuts, len(lines[0])+len(lines[1])/2) // torn second append
 	dir := t.TempDir()
-	for k := 0; k <= len(full.Records); k++ {
+	for _, cut := range cuts {
 		path := filepath.Join(dir, "resume.ckpt")
-		prefix := &checkpoint.Snapshot{Fingerprint: full.Fingerprint, Records: full.Records[:k]}
-		if err := checkpoint.Save(path, prefix); err != nil {
-			t.Fatalf("k=%d: Save: %v", k, err)
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
 		}
 		o := opts
 		o.Checkpoint, o.Resume = path, true
 		got := collectOrFatal(t, context.Background(), o)
 		if !reflect.DeepEqual(got.Units, base.Units) {
-			t.Fatalf("k=%d: resumed dataset differs from the uninterrupted baseline", k)
+			t.Fatalf("cut at byte %d: resumed dataset differs from the uninterrupted baseline", cut)
 		}
 		if !reflect.DeepEqual(got.Provenance, base.Provenance) {
-			t.Fatalf("k=%d: resumed provenance differs:\n got %+v\nwant %+v", k, got.Provenance, base.Provenance)
+			t.Fatalf("cut at byte %d: resumed provenance differs:\n got %+v\nwant %+v", cut, got.Provenance, base.Provenance)
+		}
+		if opts.Workers == 1 {
+			if resumed, err := os.ReadFile(path); err != nil || !bytes.Equal(resumed, full) {
+				t.Fatalf("cut at byte %d: resumed log is not byte-identical to the uninterrupted one (%v)", cut, err)
+			}
 		}
 	}
 }
@@ -88,13 +109,13 @@ func TestCheckpointResumeEveryBoundary(t *testing.T) {
 		}
 	}
 
-	assertResumesBitIdentical(t, base, full, opts)
+	assertResumesBitIdentical(t, base, withCkpt.Checkpoint, opts)
 
 	// A resumed collection may also fan back out: restored pairs skip, the
 	// remainder parallelizes, and the merge order keeps it bit-identical.
 	wide := opts
 	wide.Workers = 4
-	assertResumesBitIdentical(t, base, full, wide)
+	assertResumesBitIdentical(t, base, withCkpt.Checkpoint, wide)
 }
 
 // TestCheckpointChaosResumeBitIdentical crosses the two robustness layers:
@@ -130,17 +151,9 @@ func TestCheckpointChaosResumeBitIdentical(t *testing.T) {
 		t.Fatalf("chaos collection degraded: %+v", chaos.Provenance)
 	}
 
-	fp, err := chaosOpts.CheckpointFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := checkpoint.Load(withCkpt.Checkpoint, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// base here carries the provenance of the *chaos* run: a resumed chaos
 	// collection must reproduce the interrupted one's attempt history too.
-	assertResumesBitIdentical(t, chaos, full, chaosOpts)
+	assertResumesBitIdentical(t, chaos, withCkpt.Checkpoint, chaosOpts)
 }
 
 // TestCheckpointMidFlightCancellationResume kills a live collection the way
@@ -239,6 +252,40 @@ func TestCheckpointRestoresPermanentFailure(t *testing.T) {
 	}
 	if !reflect.DeepEqual(second.Units, first.Units) || !reflect.DeepEqual(second.Provenance, first.Provenance) {
 		t.Fatal("resumed degraded dataset differs from the interrupted one")
+	}
+}
+
+// TestCheckpointAppendsInPlace pins the write path: a later record is
+// appended to the checkpoint file the first record created, never written
+// to a new file renamed over it.
+func TestCheckpointAppendsInPlace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "inplace.ckpt")
+	var first os.FileInfo
+	var statErr error
+	// Workers=1 completes pairs in order, so when run 1 asks for its
+	// fault plan, run 0's record is on disk.
+	probe := fault.NewFunc(func(unit string, run, attempt int) fault.Plan {
+		if run == 1 && first == nil {
+			first, statErr = os.Stat(path)
+		}
+		return fault.Plan{}
+	})
+	collectOrFatal(t, context.Background(), Options{
+		Sim: sim.Config{Seed: 888, Fault: probe}, Runs: 2, Units: shortUnits()[:1], Workers: 1,
+		Checkpoint: path,
+	})
+	if statErr != nil {
+		t.Fatalf("no checkpoint after the first record: %v", statErr)
+	}
+	last, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(first, last) {
+		t.Fatal("the second record replaced the checkpoint file instead of appending to it")
+	}
+	if last.Size() <= first.Size() {
+		t.Fatalf("checkpoint did not grow: %d then %d bytes", first.Size(), last.Size())
 	}
 }
 

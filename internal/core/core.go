@@ -40,17 +40,18 @@ type Options struct {
 	// re-runs, trace repair and MinRuns degradation. The zero value keeps
 	// the strict historical behaviour (one attempt, every run required).
 	Resilience Resilience
-	// Checkpoint, when non-empty, names a snapshot file: every completed
-	// (unit, run) is persisted there atomically (temp + fsync + rename),
-	// so a killed process loses at most the pair it was simulating.
-	// The file is left in place after a successful collection.
+	// Checkpoint, when non-empty, names a record log: every completed
+	// (unit, run) is appended there as one record and fsynced, never
+	// rewritten, so a killed process loses at most the pairs it was
+	// simulating. The file is left in place after a successful collection.
 	Checkpoint string
 	// Resume restores completed (unit, run) pairs from the Checkpoint
-	// snapshot before collecting, re-running only the remainder; the
-	// resulting Dataset is bit-identical to an uninterrupted collection.
-	// A missing snapshot is a fresh start; a corrupt, version-skewed or
-	// stale (options-mismatched) snapshot fails with a typed error from
-	// internal/checkpoint instead of silently poisoning figures.
+	// log before collecting, re-running only the remainder, and appends
+	// to the same log; the resulting Dataset is bit-identical to an
+	// uninterrupted collection. A missing log is a fresh start; a
+	// corrupt, version-skewed or stale (options-mismatched) log fails
+	// with a typed error from internal/checkpoint instead of silently
+	// poisoning figures.
 	Resume bool
 }
 
@@ -161,6 +162,7 @@ func CollectContext(ctx context.Context, opts Options) (*Dataset, error) {
 		if ckpt, err = openCollectCheckpoint(opts.Checkpoint, opts.Resume, fp); err != nil {
 			return nil, err
 		}
+		defer ckpt.close()
 	}
 
 	// One job per (unit, run) pair rather than per unit: with 18 units the

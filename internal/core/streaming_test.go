@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -111,11 +110,11 @@ func TestCollectFastForwardWorkerInvariant(t *testing.T) {
 // TestCheckpointCanonicalAcrossWorkerCounts is the exact-mode identity
 // guarantee the fast-forward work must not break: checkpoints written by
 // collections at different worker counts hold identical records — the MD5
-// over the canonically ordered, re-serialized snapshots matches.
+// over the (unit, run)-ordered record encodings matches.
 func TestCheckpointCanonicalAcrossWorkerCounts(t *testing.T) {
 	units := shortUnits()
 	dir := t.TempDir()
-	sums := map[int][md5.Size]byte{}
+	sums := map[int]string{}
 	for _, workers := range []int{1, 4} {
 		opts := Options{
 			Sim: sim.Config{}, Runs: 2, Units: units, Workers: workers,
@@ -141,24 +140,15 @@ func TestCheckpointCanonicalAcrossWorkerCounts(t *testing.T) {
 			}
 			return a.Run < b.Run
 		})
-		canon := filepath.Join(dir, fmt.Sprintf("w%d.canon", workers))
-		if err := checkpoint.Save(canon, snap); err != nil {
-			t.Fatal(err)
+		h := md5.New()
+		for i := range snap.Records {
+			h.Write(checkpoint.EncodeRecord(fp, &snap.Records[i]))
 		}
-		sums[workers] = md5OfFile(t, canon)
+		sums[workers] = string(h.Sum(nil))
 	}
 	if sums[1] != sums[4] {
 		t.Fatalf("canonical checkpoint MD5 differs across worker counts: %x vs %x", sums[1], sums[4])
 	}
-}
-
-func md5OfFile(t *testing.T, path string) [md5.Size]byte {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return md5.Sum(data)
 }
 
 // TestValidateRejectsCheckpointedStreaming pins that checkpointed collection

@@ -65,11 +65,11 @@ func (o Options) Validate() error {
 		return &OptionError{"Sim.TraceMode", m, "must be TraceFull, TraceStreamed or TraceAuto"}
 	}
 	if o.Resume && o.Checkpoint == "" {
-		return &OptionError{"Resume", o.Resume, "requires Checkpoint to name the snapshot file to resume from"}
+		return &OptionError{"Resume", o.Resume, "requires Checkpoint to name the checkpoint log to resume from"}
 	}
 	if o.Checkpoint != "" && o.Sim.TraceMode != sim.TraceFull {
 		return &OptionError{"Checkpoint", o.Checkpoint,
-			"checkpointed collection requires Sim.TraceMode == TraceFull (snapshots restore full traces)"}
+			"checkpointed collection requires Sim.TraceMode == TraceFull (checkpoint records restore full traces)"}
 	}
 	seen := make(map[string]bool, len(o.Units))
 	for _, u := range o.Units {

@@ -1,6 +1,7 @@
 package cosim_test
 
 import (
+	"bytes"
 	"crypto/md5"
 	"os"
 	"path/filepath"
@@ -212,22 +213,28 @@ func TestCosimResumeEveryBoundary(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	if len(full.Records) != 2 {
-		t.Fatalf("snapshot has %d records, want 2", len(full.Records))
+		t.Fatalf("checkpoint has %d records, want 2", len(full.Records))
 	}
-	for k := 0; k <= len(full.Records); k++ {
+	data, err := os.ReadFile(opts.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut the log after each of its lines, and once in the middle of the
+	// second: the torn append a kill -9 mid-write leaves.
+	first := bytes.IndexByte(data, '\n') + 1
+	for _, cut := range []int{0, first, len(data), first + (len(data)-first)/2} {
 		path := filepath.Join(dir, "resume.ckpt")
-		prefix := &checkpoint.Snapshot{Fingerprint: full.Fingerprint, Records: full.Records[:k]}
-		if err := checkpoint.Save(path, prefix); err != nil {
-			t.Fatalf("k=%d: Save: %v", k, err)
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
 		}
 		o := opts
 		o.Checkpoint, o.Resume = path, true
 		got := collect(t, o)
 		if !reflect.DeepEqual(got.Units, base.Units) {
-			t.Fatalf("k=%d: resumed cosim dataset differs from the baseline", k)
+			t.Fatalf("cut at byte %d: resumed cosim dataset differs from the baseline", cut)
 		}
 		if !reflect.DeepEqual(got.Provenance, base.Provenance) {
-			t.Fatalf("k=%d: resumed provenance differs:\n got %+v\nwant %+v", k, got.Provenance, base.Provenance)
+			t.Fatalf("cut at byte %d: resumed provenance differs:\n got %+v\nwant %+v", cut, got.Provenance, base.Provenance)
 		}
 	}
 }

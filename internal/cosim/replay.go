@@ -3,7 +3,7 @@
 // canonical bytes. A restarted child, a later attempt of the same run, or a
 // -resume'd collection replays logged replies instead of re-asking, so a
 // collection is bit-reproducible even when the child crashed mid-phase —
-// the same guarantee MBCP checkpoints give completed (unit, run) pairs,
+// the same guarantee collection checkpoints give completed (unit, run) pairs,
 // one protocol layer further down. Replies reach disk in batches: a kill -9
 // loses at most replayFlushEvery-1 replies since the last flush, and a
 // resumed run re-asks those (Close flushes everything).

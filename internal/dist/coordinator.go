@@ -1,7 +1,7 @@
 // The coordinator side of the fleet: accepts worker connections, shards
 // job executions across them under leases, watches heartbeats, and
-// re-dispatches the jobs of dead workers. Execution state lives in MBCP
-// checkpoints on the shared filesystem, so a re-dispatched job resumes —
+// re-dispatches the jobs of dead workers. Execution state lives in
+// checkpoint logs on the shared filesystem, so a re-dispatched job resumes —
 // bit-identically — instead of restarting.
 package dist
 

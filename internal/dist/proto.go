@@ -3,7 +3,7 @@
 // versioned JSON-lines protocol (handshake, lease, heartbeat, result
 // frames), revokes the lease of a worker that stops heartbeating or drops
 // its connection and re-dispatches the job elsewhere (the collection
-// resumes from its MBCP checkpoint bit-identically), and backs the
+// resumes from its checkpoint log bit-identically), and backs the
 // serving layer's dedup story with a content-addressed result cache plus
 // request coalescing.
 //
@@ -90,7 +90,7 @@ type Frame struct {
 	Job string `json:"job,omitempty"`
 	// Spec is the job's opaque specification (dispatch).
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// Checkpoint is the job's snapshot path on the shared filesystem
+	// Checkpoint is the job's checkpoint-log path on the shared filesystem
 	// (dispatch).
 	Checkpoint string `json:"checkpoint,omitempty"`
 	// Active is the worker's running-job count (heartbeat).

@@ -62,8 +62,10 @@ func (sp Spec) Validate() error {
 		if sp.K < 0 {
 			return fmt.Errorf("server: k must be >= 0")
 		}
-		if a := sp.Algorithm; a != "" && a != "kmeans" && a != "pam" && a != "hierarchical" {
-			return fmt.Errorf("server: unknown clustering algorithm %q", a)
+		if sp.Algorithm != "" {
+			if _, err := cluster.ByName(sp.Algorithm); err != nil {
+				return fmt.Errorf("server: %w", err)
+			}
 		}
 	case "streamreport":
 		if len(sp.StreamRecords) == 0 {
@@ -80,18 +82,16 @@ func (sp Spec) Validate() error {
 	default:
 		return fmt.Errorf("server: unknown job kind %q (want characterize, cluster, subset or streamreport)", sp.Kind)
 	}
-	if sp.Runs < 0 || sp.Workers < 0 || sp.MaxRetries < 0 || sp.MinRuns < 0 || sp.TimeoutSec < 0 {
-		return fmt.Errorf("server: negative counts are invalid")
+	if sp.TimeoutSec < 0 {
+		return fmt.Errorf("server: timeout_sec must be >= 0")
 	}
-	for _, name := range sp.Units {
-		if _, err := workload.ByName(name); err != nil {
-			return fmt.Errorf("server: %w", err)
-		}
+	// CacheKey and the collection apply the same checks later: failing
+	// here makes a 400 of a job that could only fail in the queue.
+	opts, err := specOptions(sp, "")
+	if err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
-	if _, err := fault.Parse(sp.Inject); err != nil {
-		return err
-	}
-	return nil
+	return opts.Validate()
 }
 
 // characterizeResult is the "characterize" kind's output.
@@ -137,7 +137,7 @@ func specOptions(sp Spec, checkpointPath string) (core.Options, error) {
 			MaxRetries: sp.MaxRetries,
 			MinRuns:    sp.MinRuns,
 		},
-		// Resume unconditionally: a fresh job finds no snapshot (fresh
+		// Resume unconditionally: a fresh job finds no checkpoint (fresh
 		// start), an interrupted one — including one re-dispatched after
 		// a worker death — finds its completed pairs.
 		Checkpoint: checkpointPath,
@@ -292,16 +292,13 @@ func ExecuteSpecWith(ctx context.Context, sp Spec, checkpointPath string, eo Exe
 		if k == 0 {
 			k = 5
 		}
-		var alg cluster.Algorithm
-		switch sp.Algorithm {
-		case "", "kmeans":
-			alg = cluster.NewKMeans()
-		case "pam":
-			alg = cluster.NewPAM()
-		case "hierarchical":
-			alg = cluster.NewHierarchical()
-		default:
-			return nil, fmt.Errorf("server: unknown clustering algorithm %q", sp.Algorithm)
+		name := sp.Algorithm
+		if name == "" {
+			name = "kmeans"
+		}
+		alg, err := cluster.ByName(name)
+		if err != nil {
+			return nil, err
 		}
 		c, err := ds.ClusterWith(alg, k)
 		if err != nil {

@@ -155,8 +155,8 @@ type Server struct {
 
 // New builds a server, recovering any unfinished jobs found in
 // cfg.StateDir: queued, running and interrupted records are re-enqueued
-// (their collections resume from the <id>.ckpt snapshot), finished ones
-// are served read-only.
+// (their collections resume from the <id>.ckpt checkpoint log), finished
+// ones are served read-only.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.StateDir == "" {
@@ -413,10 +413,15 @@ func (s *Server) runJob(job *Job) {
 	// The cache key addresses the result's content: the collection
 	// fingerprint (seed, units, simulator config, fault plan, retry
 	// policy) plus the analysis kind and this server's timing-backend
-	// identity. Specs that fail to fingerprint (never, for a Validate-d
-	// spec) just skip deduplication.
-	key, keyErr := job.Spec.CacheKey(s.cfg.TimingFingerprint)
-	if keyErr == nil && s.cache != nil {
+	// identity. Admission validated the options CacheKey fingerprints,
+	// so a key error fails the job.
+	key, err := job.Spec.CacheKey(s.cfg.TimingFingerprint)
+	if err != nil {
+		_ = s.setStatus(job, StatusFailed, err.Error(), nil)
+		s.recordDuration(time.Since(start))
+		return
+	}
+	if s.cache != nil {
 		if data, ok := s.cache.Get(key); ok {
 			s.mu.Lock()
 			job.Cached = true
@@ -427,41 +432,34 @@ func (s *Server) runJob(job *Job) {
 		}
 	}
 
-	var result json.RawMessage
-	var err error
-	if keyErr == nil {
-		var shared bool
-		result, err, shared = s.flight.Do(ctx, key, func() (json.RawMessage, error) {
-			res, ferr := s.executeIsolated(ctx, job)
-			if ferr == nil && s.cache != nil {
-				// Best effort: a failed cache write costs a future
-				// re-execution, not this job's result.
-				_ = s.cache.Put(key, res)
-			}
-			return res, ferr
-		})
-		if shared && err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			// The leader's cancellation is not this job's verdict: the key
-			// deliberately excludes TimeoutSec, so the leader may have run
-			// under a shorter deadline than ours, and transient timeouts
-			// must not fan out to every observer as permanent failures.
-			// Execute under this job's own deadline instead. (If our own
-			// context is the expired one — the follower gave up waiting,
-			// or the server is draining — the fallback exits immediately
-			// with the same error, and the switch below classifies it.)
-			shared = false
-			result, err = s.executeIsolated(ctx, job)
-			if err == nil && s.cache != nil {
-				_ = s.cache.Put(key, result)
-			}
+	result, err, shared := s.flight.Do(ctx, key, func() (json.RawMessage, error) {
+		res, ferr := s.executeIsolated(ctx, job)
+		if ferr == nil && s.cache != nil {
+			// Best effort: a failed cache write costs a future
+			// re-execution, not this job's result.
+			_ = s.cache.Put(key, res)
 		}
-		if shared {
-			s.mu.Lock()
-			job.Coalesced = true
-			s.mu.Unlock()
-		}
-	} else {
+		return res, ferr
+	})
+	if shared && err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		// The leader's cancellation is not this job's verdict: the key
+		// deliberately excludes TimeoutSec, so the leader may have run
+		// under a shorter deadline than ours, and transient timeouts
+		// must not fan out to every observer as permanent failures.
+		// Execute under this job's own deadline instead. (If our own
+		// context is the expired one — the follower gave up waiting,
+		// or the server is draining — the fallback exits immediately
+		// with the same error, and the switch below classifies it.)
+		shared = false
 		result, err = s.executeIsolated(ctx, job)
+		if err == nil && s.cache != nil {
+			_ = s.cache.Put(key, result)
+		}
+	}
+	if shared {
+		s.mu.Lock()
+		job.Coalesced = true
+		s.mu.Unlock()
 	}
 
 	switch {
@@ -606,22 +604,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job, err := s.Submit(spec)
-	if err != nil {
-		var shed *shedError
-		switch {
-		case errors.As(err, &shed) && shed.overloaded:
-			// Load shedding: tell the client when the queue likely has room
-			// again rather than letting it hammer a full server.
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec()))
-			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
-		case errors.As(err, &shed):
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
-		default:
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		}
-		return
+	s.writeSubmitted(w, job, err)
+}
+
+// writeSubmitted answers a submission with what Submit returned: 202 and
+// the job's id, or the status its error maps to — 429 + Retry-After for a
+// full queue, 503 while draining, 400 for a spec Validate rejected.
+func (s *Server) writeSubmitted(w http.ResponseWriter, job Job, err error) {
+	var shed *shedError
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID, "status": job.Status})
+	case errors.As(err, &shed) && shed.overloaded:
+		// Load shedding: tell the client when the queue likely has room
+		// again rather than letting it hammer a full server.
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec()))
+		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
+	case errors.As(err, &shed):
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
+	default:
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID, "status": job.Status})
 }
 
 // Retry-After bounds: the hint never tells a client to come back sooner

@@ -136,6 +136,10 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{Kind: "characterize", Runs: -1},
 		{Kind: "characterize", Inject: "crash=7"},
 		{Kind: "cluster", Algorithm: "dbscan"},
+		// Specs the collection options reject: admission must refuse them
+		// too, not accept a job that can only fail in the queue.
+		{Kind: "characterize", Runs: 2, MinRuns: 3},
+		{Kind: "characterize", Units: []string{"GFXBench Special", "GFXBench Special"}},
 	} {
 		resp := submit(t, ts, spec)
 		resp.Body.Close()

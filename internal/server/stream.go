@@ -263,18 +263,5 @@ func (s *Server) handleStreamChanges(w http.ResponseWriter, r *http.Request) {
 // bytes match the incremental summary.
 func (s *Server) handleStreamReport(w http.ResponseWriter, _ *http.Request) {
 	job, err := s.Submit(s.stream.reportSpec())
-	if err != nil {
-		var shed *shedError
-		switch {
-		case errors.As(err, &shed) && shed.overloaded:
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec()))
-			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
-		case errors.As(err, &shed):
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
-		default:
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		}
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID, "status": job.Status})
+	s.writeSubmitted(w, job, err)
 }

@@ -232,15 +232,15 @@ type Options struct {
 	// set plus summaries for the rest.
 	TraceMode TraceMode
 
-	// Checkpoint, when non-empty, names a snapshot file persisting every
-	// completed (benchmark, run) atomically, so a killed characterization
-	// loses at most the pair it was simulating.
+	// Checkpoint, when non-empty, names a record log: every completed
+	// (benchmark, run) is appended there durably, so a killed
+	// characterization loses at most the pairs it was simulating.
 	Checkpoint string
 	// Resume restores completed (benchmark, run) pairs from the Checkpoint
-	// snapshot before collecting the remainder; the result is bit-identical
-	// to an uninterrupted characterization. A missing snapshot is a fresh
-	// start; a corrupt, version-skewed or options-mismatched one fails with
-	// a typed error from internal/checkpoint.
+	// log before collecting the remainder; the result is bit-identical to
+	// an uninterrupted characterization. A missing log is a fresh start; a
+	// corrupt, version-skewed or options-mismatched one fails with a typed
+	// error from internal/checkpoint.
 	Resume bool
 }
 
@@ -356,24 +356,11 @@ func (c *Characterization) OptimalClusterCount(kMin, kMax int) (int, error) {
 // Cluster groups the benchmarks with the named algorithm ("kmeans", "pam"
 // or "hierarchical") at k clusters.
 func (c *Characterization) Cluster(algorithm string, k int) (Clustering, error) {
-	alg, err := algorithmByName(algorithm)
+	alg, err := cluster.ByName(algorithm)
 	if err != nil {
 		return Clustering{}, err
 	}
 	return c.ds.ClusterWith(alg, k)
-}
-
-func algorithmByName(name string) (cluster.Algorithm, error) {
-	switch name {
-	case "kmeans":
-		return cluster.NewKMeans(), nil
-	case "pam":
-		return cluster.NewPAM(), nil
-	case "hierarchical":
-		return cluster.NewHierarchical(), nil
-	default:
-		return nil, fmt.Errorf("mobilebench: unknown clustering algorithm %q", name)
-	}
 }
 
 // ClusteringsAgree reports whether all three algorithms produce identical
