@@ -42,3 +42,18 @@ func BenchmarkClusterSweep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStreamFold is the sweep every stream ack waits on: the paper's
+// 18 analysis units × 10 features, K-means, PAM and Ward, k 2..9, over 2
+// workers — the shape core.StreamState.Ingest re-runs per record.
+func BenchmarkStreamFold(b *testing.B) {
+	rows := benchBlobRows(18, 10)
+	algs := []Algorithm{NewKMeans(), NewPAM(), NewHierarchical()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := SweepContext(context.Background(), algs, rows, 2, 9, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

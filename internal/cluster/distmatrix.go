@@ -66,6 +66,10 @@ func (m *DistMatrix) N() int { return m.n }
 // At returns the distance between observations i and j.
 func (m *DistMatrix) At(i, j int) float64 { return m.d[i*m.n+j] }
 
+// row returns observation i's distances to every observation. The matrix
+// is symmetric by construction, so row(i)[j] == At(j, i).
+func (m *DistMatrix) row(i int) []float64 { return m.d[i*m.n : (i+1)*m.n] }
+
 // Matrices bundles every distance matrix one Figure 4 sweep reuses: the
 // full-data matrix plus, for the APN/AD stability measures, the reduced row
 // sets and their matrices with each feature column removed in turn. Like

@@ -96,24 +96,27 @@ func (h *Hierarchical) Dendrogram(rows [][]float64) (*Dendrogram, error) {
 		return nil, err
 	}
 	n := len(rows)
+	// Each node's centroid is computed once, when the node is created, by
+	// the same centroid call over the same member order that a per-pair
+	// recomputation would make, so every link distance has the same bits.
 	type node struct {
-		id      int
-		members []int
-		active  bool
+		id       int
+		members  []int
+		centroid []float64
+		active   bool
 	}
 	nodes := make([]node, 0, 2*n-1)
 	for i := 0; i < n; i++ {
-		nodes = append(nodes, node{id: i, members: []int{i}, active: true})
+		members := []int{i}
+		nodes = append(nodes, node{id: i, members: members, centroid: centroid(rows, members), active: true})
 	}
 
 	// Lance-Williams form via centroids: the increase in SSE.
-	linkDist := func(a, b []int) float64 {
-		ca := centroid(rows, a)
-		cb := centroid(rows, b)
-		na, nb := float64(len(a)), float64(len(b))
+	linkDist := func(a, b *node) float64 {
+		na, nb := float64(len(a.members)), float64(len(b.members))
 		d := 0.0
-		for j := range ca {
-			diff := ca[j] - cb[j]
+		for j := range a.centroid {
+			diff := a.centroid[j] - b.centroid[j]
 			d += diff * diff
 		}
 		return math.Sqrt(2 * na * nb / (na + nb) * d)
@@ -130,16 +133,13 @@ func (h *Hierarchical) Dendrogram(rows [][]float64) (*Dendrogram, error) {
 				if !nodes[j].active {
 					continue
 				}
-				if d := linkDist(nodes[i].members, nodes[j].members); d < bd {
+				if d := linkDist(&nodes[i], &nodes[j]); d < bd {
 					bi, bj, bd = i, j, d
 				}
 			}
 		}
-		merged := node{
-			id:      n + step,
-			members: append(append([]int(nil), nodes[bi].members...), nodes[bj].members...),
-			active:  true,
-		}
+		members := append(append([]int(nil), nodes[bi].members...), nodes[bj].members...)
+		merged := node{id: n + step, members: members, centroid: centroid(rows, members), active: true}
 		nodes[bi].active = false
 		nodes[bj].active = false
 		nodes = append(nodes, merged)

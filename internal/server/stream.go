@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"mobilebench/internal/checkpoint"
 	"mobilebench/internal/core"
@@ -51,7 +52,9 @@ func (c StreamConfig) options() core.StreamOptions {
 
 // streamEngine serializes ingests: one mutex covers the persist-then-fold
 // sequence, so the log order, the sequence numbers and the engine's fold
-// order can never disagree.
+// order can never disagree. Readers never take that mutex: each fold
+// publishes an immutable snapshot, and the state and change-log reads load
+// only the snapshot.
 type streamEngine struct {
 	mu      sync.Mutex
 	opt     core.StreamOptions
@@ -61,6 +64,24 @@ type streamEngine struct {
 	log     *checkpoint.Log
 	nextSeq uint64
 	failed  error // set when a durable record failed to fold; wedges ingest
+
+	snap atomic.Pointer[streamSnapshot]
+}
+
+// streamSnapshot is the read side of the engine after one fold. Nothing in
+// it is written after it is published: every fold builds a new Summary,
+// and the engine only appends past the change-log prefix a snapshot holds.
+type streamSnapshot struct {
+	summary core.Summary
+	changes []core.StreamDelta
+	lastSeq uint64
+}
+
+// publish makes the engine's current fold visible to readers. Callers hold
+// e.mu; an ingest publishes before it returns its delta, so every acked
+// record is already visible.
+func (e *streamEngine) publish() {
+	e.snap.Store(&streamSnapshot{summary: e.state.Summary(), changes: e.changes, lastSeq: e.state.LastSeq()})
 }
 
 // streamWedgedError reports that a durably appended record failed to fold,
@@ -104,6 +125,7 @@ func newStreamEngine(stateDir string, cfg StreamConfig) (*streamEngine, error) {
 		e.changes = append(e.changes, delta)
 		e.nextSeq = rec.Seq + 1
 	}
+	e.publish()
 	return e, nil
 }
 
@@ -135,7 +157,7 @@ func (e *streamEngine) ingest(rec core.StreamRecord) (core.StreamDelta, error) {
 	// request context — a client disconnect must not leave a persisted
 	// record unapplied (replay would fold it, and the live state would
 	// disagree with the log).
-	//mblint:ignore mutexhold serializing folds under e.mu is the engine's ordering contract (core.StreamState is not safe for concurrent use); an incremental refresh is the bounded fast path this PR exists for, and readers only ever wait one refresh
+	//mblint:ignore mutexhold serializing folds under e.mu is the engine's ordering contract (core.StreamState is not safe for concurrent use); only the next ingest waits on it, because state and change-log readers load the published snapshot and never take e.mu
 	delta, err := e.state.Ingest(context.Background(), rec)
 	if err != nil {
 		// The record is durable but the state could not absorb it (folding
@@ -151,29 +173,26 @@ func (e *streamEngine) ingest(rec core.StreamRecord) (core.StreamDelta, error) {
 	e.nextSeq++
 	e.records = append(e.records, rec)
 	e.changes = append(e.changes, delta)
+	e.publish()
 	return delta, nil
 }
 
 // summary returns the engine's current published analysis.
 func (e *streamEngine) summary() core.Summary {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.state.Summary()
+	return e.snap.Load().summary
 }
 
 // changesSince returns every delta with Seq > since, plus the last folded
-// sequence number.
+// sequence number, both from one published snapshot.
 func (e *streamEngine) changesSince(since uint64) ([]core.StreamDelta, uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	snap := e.snap.Load()
 	// Sequences are assigned contiguously from 1, so the tail starts at
 	// index since; no scan needed. Clamp in uint64 space — converting
 	// first would turn a since past 2^63 negative and panic the slice.
-	if since > uint64(len(e.changes)) {
-		since = uint64(len(e.changes))
+	if since > uint64(len(snap.changes)) {
+		since = uint64(len(snap.changes))
 	}
-	out := append([]core.StreamDelta(nil), e.changes[since:]...)
-	return out, e.state.LastSeq()
+	return append([]core.StreamDelta(nil), snap.changes[since:]...), snap.lastSeq
 }
 
 // reportSpec builds the batch re-analysis job for the current stream: a

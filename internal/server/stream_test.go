@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -437,5 +439,141 @@ func TestStreamSpecValidationAndKeys(t *testing.T) {
 	workers.Workers = 7
 	if key(workers) != base {
 		t.Fatal("cache key depends on Workers")
+	}
+}
+
+// readJSON GETs url and decodes its 200 body into v; safe off the test
+// goroutine.
+func readJSON(url string, v any) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s = %d", url, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// TestStreamReadsDoNotTakeIngestLock pins that the state and change-log
+// reads are served from the published snapshot: both complete while the
+// ingest mutex — which an ingest holds across its fsync and fold — is held.
+func TestStreamReadsDoNotTakeIngestLock(t *testing.T) {
+	s := newTestServer(t, Config{Stream: streamTestConfig()})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, rec := range streamRecords(3) {
+		if _, resp := ingestRecord(t, ts, rec); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest status %d", resp.StatusCode)
+		}
+	}
+
+	s.stream.mu.Lock()
+	defer s.stream.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		var sum core.Summary
+		if err := readJSON(ts.URL+"/v1/stream/state", &sum); err != nil {
+			done <- err
+			return
+		}
+		var tail streamChanges
+		if err := readJSON(ts.URL+"/v1/stream/changes", &tail); err != nil {
+			done <- err
+			return
+		}
+		if sum.LastSeq != 3 || tail.LastSeq != 3 || len(tail.Changes) != 3 {
+			done <- fmt.Errorf("read state last_seq %d, changes last_seq %d with %d changes; want 3, 3, 3",
+				sum.LastSeq, tail.LastSeq, len(tail.Changes))
+			return
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("stream reads blocked on the ingest mutex")
+	}
+}
+
+// TestStreamReadsSeeEveryAck runs readers against a live ingest: once an
+// ingest is acked, no later read — of the state or of the change log — may
+// report a last_seq below it, and each change-log read is one consistent
+// snapshot (its changes run exactly 1..last_seq). Run it under -race.
+func TestStreamReadsSeeEveryAck(t *testing.T) {
+	s := newTestServer(t, Config{Stream: streamTestConfig()})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const readers = 2
+	var acked atomic.Uint64
+	stop := make(chan struct{})
+	errs := make(chan error, readers) // each reader sends exactly once
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				floor := acked.Load()
+				var sum core.Summary
+				if err := readJSON(ts.URL+"/v1/stream/state", &sum); err != nil {
+					errs <- err
+					return
+				}
+				if sum.LastSeq < floor {
+					errs <- fmt.Errorf("state last_seq %d after seq %d was acked", sum.LastSeq, floor)
+					return
+				}
+				var tail streamChanges
+				if err := readJSON(ts.URL+"/v1/stream/changes", &tail); err != nil {
+					errs <- err
+					return
+				}
+				if tail.LastSeq < floor {
+					errs <- fmt.Errorf("changes last_seq %d after seq %d was acked", tail.LastSeq, floor)
+					return
+				}
+				if uint64(len(tail.Changes)) != tail.LastSeq {
+					errs <- fmt.Errorf("changes last_seq %d with %d changes", tail.LastSeq, len(tail.Changes))
+					return
+				}
+				for i, c := range tail.Changes {
+					if c.Seq != uint64(i+1) {
+						errs <- fmt.Errorf("change %d has seq %d", i, c.Seq)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	for i, rec := range streamRecords(16) {
+		delta, resp := ingestRecord(t, ts, rec)
+		if resp.StatusCode != http.StatusAccepted || delta.Seq != uint64(i+1) {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("ingest %d = status %d seq %d", i, resp.StatusCode, delta.Seq)
+		}
+		acked.Store(delta.Seq)
+	}
+	close(stop)
+	wg.Wait()
+	for r := 0; r < readers; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
