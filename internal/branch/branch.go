@@ -218,6 +218,8 @@ type Stream struct {
 	// siteZipf is the hot-site sampler: bit-identical to
 	// rng.Zipf(len(pcs), 1.1) per branch, without its math.Pow.
 	siteZipf xrand.ZipfGen
+	// The profile's fractions as precomputed Bool draws.
+	entropy, correlated, bias xrand.Threshold
 }
 
 // NewStream creates a branch stream for the profile.
@@ -242,7 +244,13 @@ func (s *Stream) Reset(prof Profile, rng *xrand.Rand) {
 		clear(s.last)
 	}
 	s.siteZipf.Reset(len(s.pcs), 1.1)
+	s.entropy = xrand.NewThreshold(prof.Entropy)
+	s.correlated = xrand.NewThreshold(prof.Correlated)
+	s.bias = xrand.NewThreshold(prof.TakenBias)
 }
+
+// coinFlip is Bool(0.5).
+var coinFlip = xrand.NewThreshold(0.5)
 
 // Measure runs n branches through p and returns the number mispredicted.
 func (s *Stream) Measure(p Predictor, n int) uint64 {
@@ -252,12 +260,12 @@ func (s *Stream) Measure(p Predictor, n int) uint64 {
 		pc := s.pcs[site]
 		var taken bool
 		switch {
-		case s.rng.Bool(s.prof.Entropy):
-			taken = s.rng.Bool(0.5)
-		case s.rng.Bool(s.prof.Correlated):
+		case s.entropy.Draw(s.rng):
+			taken = coinFlip.Draw(s.rng)
+		case s.correlated.Draw(s.rng):
 			taken = s.last[site]
 		default:
-			taken = s.rng.Bool(s.prof.TakenBias)
+			taken = s.bias.Draw(s.rng)
 		}
 		if p.Predict(pc) != taken {
 			miss++

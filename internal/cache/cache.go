@@ -19,18 +19,23 @@ import (
 
 // Cache is a set-associative cache with LRU replacement.
 type Cache struct {
-	geom  soc.CacheGeometry
 	sets  int
+	nways int
 	shift uint // log2(line size)
 	mask  uint64
 
-	// tags[set*ways+way] holds the line tag; lru holds recency counters.
-	tags  []uint64
-	valid []bool
-	lru   []uint64
-	tick  uint64
+	// ways[set*nways+way] is one way; a set's ways are contiguous, so a
+	// lookup reads one run of memory.
+	ways []way
+	tick uint64
 
 	stats Stats
+}
+
+// way is one cache way. tag is the line address plus one, so the zero
+// way is invalid; lru is the tick of the last access that touched it.
+type way struct {
+	tag, lru uint64
 }
 
 // Stats accumulates access outcomes.
@@ -52,13 +57,15 @@ func New(geom soc.CacheGeometry) (*Cache, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
 	}
+	if geom.LineBytes < 2 {
+		// A 1-byte line would let line+1 wrap to the invalid tag.
+		return nil, fmt.Errorf("cache %s: line size %d below 2 bytes", geom.Name, geom.LineBytes)
+	}
 	sets := geom.Sets()
 	c := &Cache{
-		geom:  geom,
 		sets:  sets,
-		tags:  make([]uint64, sets*geom.Ways),
-		valid: make([]bool, sets*geom.Ways),
-		lru:   make([]uint64, sets*geom.Ways),
+		nways: geom.Ways,
+		ways:  make([]way, sets*geom.Ways),
 	}
 	for ls := geom.LineBytes; ls > 1; ls >>= 1 {
 		c.shift++
@@ -89,9 +96,7 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates all lines and clears statistics.
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
+	clear(c.ways)
 	c.stats = Stats{}
 	c.tick = 0
 }
@@ -103,42 +108,48 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 	return int(lineAddr % uint64(c.sets))
 }
 
-// Access looks up addr, filling the line on a miss. It returns true on hit.
-func (c *Cache) Access(addr uint64) bool {
+// set returns the ways of the set addr maps to, and addr's tag.
+func (c *Cache) set(addr uint64) ([]way, uint64) {
 	line := addr >> c.shift
-	set := c.setIndex(line)
-	base := set * c.geom.Ways
+	base := c.setIndex(line) * c.nways
+	return c.ways[base : base+c.nways], line + 1
+}
+
+// Access looks up addr, filling the line on a miss. It returns true on hit.
+//
+// The victim is the last invalid way in scan order or, with none invalid,
+// the first way holding the smallest LRU stamp. Invalid ways always hold
+// stamp 0 (only Flush invalidates, and it zeroes whole ways), and valid
+// ways hold distinct stamps of at least 1, so that rule is the last way
+// holding the smallest stamp: a minimum the compiler keeps branch-free.
+func (c *Cache) Access(addr uint64) bool {
+	set, tag := c.set(addr)
 	c.tick++
 	c.stats.Accesses++
-
-	victim, victimLRU := base, c.lru[base]
-	for w := 0; w < c.geom.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			c.lru[i] = c.tick
+	for i := range set {
+		if set[i].tag == tag {
+			set[i].lru = c.tick
 			return true
 		}
-		if !c.valid[i] {
-			victim, victimLRU = i, 0
-		} else if c.lru[i] < victimLRU {
-			victim, victimLRU = i, c.lru[i]
+	}
+	victim, victimLRU := 0, set[0].lru
+	for i := 1; i < len(set); i++ {
+		if set[i].lru <= victimLRU {
+			victim = i
 		}
+		victimLRU = min(victimLRU, set[i].lru)
 	}
 	c.stats.Misses++
-	c.tags[victim] = line
-	c.valid[victim] = true
-	c.lru[victim] = c.tick
+	set[victim] = way{tag: tag, lru: c.tick}
 	return false
 }
 
 // Contains reports whether addr is resident without touching LRU state or
 // statistics; used by tests and by inclusive-hierarchy checks.
 func (c *Cache) Contains(addr uint64) bool {
-	line := addr >> c.shift
-	base := c.setIndex(line) * c.geom.Ways
-	for w := 0; w < c.geom.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
+	set, tag := c.set(addr)
+	for i := range set {
+		if set[i].tag == tag {
 			return true
 		}
 	}

@@ -13,9 +13,13 @@ func smallGeom() soc.CacheGeometry {
 }
 
 func TestNewRejectsBadGeometry(t *testing.T) {
-	_, err := New(soc.CacheGeometry{Name: "bad", SizeBytes: 100, LineBytes: 48, Ways: 3})
-	if err == nil {
-		t.Fatal("invalid geometry accepted")
+	for _, g := range []soc.CacheGeometry{
+		{Name: "bad", SizeBytes: 100, LineBytes: 48, Ways: 3},
+		{Name: "1-byte lines", SizeBytes: 64, LineBytes: 1, Ways: 4}, // line+1 could wrap
+	} {
+		if _, err := New(g); err == nil {
+			t.Fatalf("invalid geometry %q accepted", g.Name)
+		}
 	}
 }
 

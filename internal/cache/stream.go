@@ -82,6 +82,8 @@ type StreamGen struct {
 	// driven, so all but a few draws skip math.Pow.
 	hotZipf   xrand.ZipfGen
 	reuseZipf xrand.ZipfGen
+	// The pattern's fractions as precomputed Bool draws.
+	hot, seq, strided, prefetch xrand.Threshold
 }
 
 // NewStreamGen builds a generator for the pattern. Each generator gets a
@@ -102,6 +104,10 @@ func (g *StreamGen) Reset(pat AccessPattern, region uint64, rng *xrand.Rand) {
 	g.lines = pat.WorkingSetBytes / 64
 	g.hotZipf.Reset(int(pat.HotBytes/64), 0.8)
 	g.reuseZipf.Reset(int(g.lines), pat.ReuseSkew)
+	g.hot = xrand.NewThreshold(pat.HotFrac)
+	g.seq = xrand.NewThreshold(pat.SequentialFrac)
+	g.strided = xrand.NewThreshold(pat.StridedFrac)
+	g.prefetch = xrand.NewThreshold(pat.PrefetchCoverage)
 }
 
 // Pattern returns the generator's pattern.
@@ -110,16 +116,19 @@ func (g *StreamGen) Pattern() AccessPattern { return g.pat }
 // Next returns the next address in the synthetic stream and whether it
 // belongs to a sequential stream (and is therefore a prefetcher target).
 func (g *StreamGen) Next() (addr uint64, sequential bool) {
-	if g.rng.Bool(g.pat.HotFrac) {
+	if g.hot.Draw(g.rng) {
 		// Hot-region access: skewed references within a tiny buffer kept
 		// in a separate sub-region so it stays resident.
 		line := uint64(g.hotZipf.Draw(g.rng))
 		return g.base + (1 << 30) + line*64 + g.rng.Uint64n(64)&^7, false
 	}
-	if g.rng.Bool(g.pat.SequentialFrac) {
+	if g.seq.Draw(g.rng) {
 		// Streaming access: walk forward one element (8 bytes), wrapping
-		// inside the working set.
-		g.cursor = (g.cursor + 8) % g.pat.WorkingSetBytes
+		// inside the working set. The cursor stays below the working set
+		// (at least 4 KB), so one subtraction is the modulo.
+		if g.cursor += 8; g.cursor >= g.pat.WorkingSetBytes {
+			g.cursor -= g.pat.WorkingSetBytes
+		}
 		return g.base + g.cursor, true
 	}
 	var line uint64
@@ -128,7 +137,7 @@ func (g *StreamGen) Next() (addr uint64, sequential bool) {
 	} else {
 		line = g.rng.Uint64n(g.lines)
 	}
-	if g.rng.Bool(g.pat.StridedFrac) {
+	if g.strided.Draw(g.rng) {
 		// Large-stride access: spread over the set index bits so that
 		// consecutive strided accesses conflict in the same ways.
 		line = (line * 1024) % g.lines
@@ -146,7 +155,7 @@ func (g *StreamGen) Batch(h *Hierarchy, n int) [4]uint64 {
 	for i := 0; i < n; i++ {
 		addr, seq := g.Next()
 		depth := h.Access(addr)
-		if seq && g.rng.Bool(g.pat.PrefetchCoverage) {
+		if seq && g.prefetch.Draw(g.rng) {
 			continue
 		}
 		// depth d means levels 1..d-1 missed.

@@ -16,6 +16,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"mobilebench/internal/aie"
 	"mobilebench/internal/branch"
@@ -69,17 +70,34 @@ type Phase struct {
 }
 
 // Validate reports whether the phase is well-formed.
+// The comparisons are written so that NaN fails them.
 func (p Phase) Validate() error {
-	if p.Duration <= 0 {
-		return fmt.Errorf("workload: phase %q has non-positive duration", p.Name)
+	if !(p.Duration > 0 && p.Duration <= math.MaxFloat64) {
+		return fmt.Errorf("workload: phase %q has duration %g, want finite and positive", p.Name, p.Duration)
 	}
 	for _, t := range p.CPU.Tasks {
-		if t.Count < 0 || t.Demand < 0 {
-			return fmt.Errorf("workload: phase %q has negative task spec", p.Name)
+		if t.Count < 0 || !(t.Demand >= 0 && t.Demand <= math.MaxFloat64) {
+			return fmt.Errorf("workload: phase %q has task spec count %d demand %g, want non-negative and finite", p.Name, t.Count, t.Demand)
 		}
 	}
-	if p.CPU.ComputeDuty < 0 || p.CPU.ComputeDuty > 1 {
-		return fmt.Errorf("workload: phase %q has ComputeDuty outside [0,1]", p.Name)
+	if !(p.CPU.ComputeDuty >= 0 && p.CPU.ComputeDuty <= 1) {
+		return fmt.Errorf("workload: phase %q has ComputeDuty %g outside [0,1]", p.Name, p.CPU.ComputeDuty)
+	}
+	// Clamp forces the access and branch fractions into range but passes
+	// NaN through.
+	a, b := p.CPU.Access, p.CPU.Branches
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Access.SequentialFrac", a.SequentialFrac}, {"Access.ReuseSkew", a.ReuseSkew},
+		{"Access.StridedFrac", a.StridedFrac}, {"Access.HotFrac", a.HotFrac},
+		{"Access.PrefetchCoverage", a.PrefetchCoverage}, {"Branches.TakenBias", b.TakenBias},
+		{"Branches.Entropy", b.Entropy}, {"Branches.Correlated", b.Correlated},
+	} {
+		if math.IsNaN(f.v) {
+			return fmt.Errorf("workload: phase %q has NaN %s", p.Name, f.name)
+		}
 	}
 	return nil
 }

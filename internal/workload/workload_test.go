@@ -176,6 +176,42 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite covers the inputs the sign checks let
+// through: NaN fails every comparison and +Inf passes "> 0", so each must
+// be rejected explicitly.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*Phase)
+	}{
+		{"NaN duration", func(p *Phase) { p.Duration = nan }},
+		{"+Inf duration", func(p *Phase) { p.Duration = inf }},
+		{"NaN duty", func(p *Phase) { p.CPU.ComputeDuty = nan }},
+		{"NaN demand", func(p *Phase) { p.CPU.Tasks = []TaskSpec{{Count: 1, Demand: nan}} }},
+		{"+Inf demand", func(p *Phase) { p.CPU.Tasks = []TaskSpec{{Count: 1, Demand: inf}} }},
+		{"NaN SequentialFrac", func(p *Phase) { p.CPU.Access.SequentialFrac = nan }},
+		{"NaN ReuseSkew", func(p *Phase) { p.CPU.Access.ReuseSkew = nan }},
+		{"NaN StridedFrac", func(p *Phase) { p.CPU.Access.StridedFrac = nan }},
+		{"NaN HotFrac", func(p *Phase) { p.CPU.Access.HotFrac = nan }},
+		{"NaN PrefetchCoverage", func(p *Phase) { p.CPU.Access.PrefetchCoverage = nan }},
+		{"NaN TakenBias", func(p *Phase) { p.CPU.Branches.TakenBias = nan }},
+		{"NaN Entropy", func(p *Phase) { p.CPU.Branches.Entropy = nan }},
+		{"NaN Correlated", func(p *Phase) { p.CPU.Branches.Correlated = nan }},
+	}
+	good := Phase{Name: "p", Duration: 1, CPU: CPUPhase{Tasks: []TaskSpec{{Count: 1, Demand: 0.5}}, ComputeDuty: 0.5}}
+	if err := (Workload{Name: "x", Phases: []Phase{good}}).Validate(); err != nil {
+		t.Fatalf("finite phase rejected: %v", err)
+	}
+	for _, tc := range cases {
+		p := good
+		tc.edit(&p)
+		if err := (Workload{Name: "x", Phases: []Phase{p}}).Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	w, err := ByName(NameGB5CPU)
 	if err != nil || w.Name != NameGB5CPU {

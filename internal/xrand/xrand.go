@@ -91,15 +91,44 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	return r.Uint64() % n
 }
 
-// Bool returns true with probability p (clamped to [0,1]).
-func (r *Rand) Bool(p float64) bool {
-	if p <= 0 {
-		return false
+// Bool returns true with probability p (clamped to [0,1]). It is
+// NewThreshold(p).Draw(r); hot loops drawing against a fixed p hold the
+// Threshold instead.
+func (r *Rand) Bool(p float64) bool { return NewThreshold(p).Draw(r) }
+
+// Threshold is a Bernoulli(p) draw with p folded into an integer bound.
+// Float64() is exactly m*2^-53 with m = Uint64()>>11, and p*2^53 scales
+// exactly, so for 0 < p < 1 the test Float64() < p holds exactly when
+// m < ceil(p*2^53) <= 2^53. Bounds above 2^53 mark the p that consume no
+// draw: p <= 0 is never and p >= 1 always. A NaN p fails both of Bool's
+// comparisons and then Float64() < NaN, so it draws and never hits: bound 0.
+type Threshold struct{ lim uint64 }
+
+const (
+	thresholdNever  = 1<<53 + 1
+	thresholdAlways = 1<<53 + 2
+)
+
+// NewThreshold precomputes the draw Bool(p) makes.
+func NewThreshold(p float64) Threshold {
+	switch {
+	case p <= 0:
+		return Threshold{thresholdNever}
+	case p >= 1:
+		return Threshold{thresholdAlways}
+	case p > 0:
+		return Threshold{uint64(math.Ceil(p * (1 << 53)))}
 	}
-	if p >= 1 {
-		return true
+	return Threshold{0} // NaN
+}
+
+// Draw returns true with the threshold's probability, consuming r
+// exactly as Bool(p) would.
+func (t Threshold) Draw(r *Rand) bool {
+	if t.lim > 1<<53 {
+		return t.lim == thresholdAlways
 	}
-	return r.Float64() < p
+	return r.Uint64()>>11 < t.lim
 }
 
 // NormFloat64 returns a normally distributed value with mean 0 and
