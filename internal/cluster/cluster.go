@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"mobilebench/internal/stats"
 )
@@ -101,7 +102,8 @@ func ByName(name string) (Algorithm, error) {
 	return nil, fmt.Errorf("cluster: unknown clustering algorithm %q", name)
 }
 
-// validate checks common preconditions.
+// validate checks common preconditions, including that every feature is
+// finite: a NaN or infinite feature has no distance order to cluster by.
 func validate(rows [][]float64, k int) error {
 	if k < 1 {
 		return fmt.Errorf("cluster: k must be >= 1, got %d", k)
@@ -116,6 +118,11 @@ func validate(rows [][]float64, k int) error {
 		}
 		if len(r) != nc {
 			return fmt.Errorf("cluster: row %d has %d features, want %d", i, len(r), nc)
+		}
+		for j, v := range r {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("cluster: row %d feature %d is %v, want a finite value", i, j, v)
+			}
 		}
 	}
 	if nc == 0 {
@@ -157,24 +164,6 @@ func centroid(rows [][]float64, members []int) []float64 {
 		c[j] /= float64(len(members))
 	}
 	return c
-}
-
-// withinClusterSS returns the total within-cluster sum of squared distances
-// to centroids; the K-means objective.
-func withinClusterSS(rows [][]float64, a Assignment) float64 {
-	total := 0.0
-	for c := 0; c < a.K(); c++ {
-		members := a.Members(c)
-		if len(members) == 0 {
-			continue
-		}
-		cen := centroid(rows, members)
-		for _, m := range members {
-			d := stats.Euclidean(rows[m], cen)
-			total += d * d
-		}
-	}
-	return total
 }
 
 // dropColumn returns rows with column j removed; used by stability

@@ -74,7 +74,7 @@ func (m *DistMatrix) row(i int) []float64 { return m.d[i*m.n : (i+1)*m.n] }
 // full-data matrix plus, for the APN/AD stability measures, the reduced row
 // sets and their matrices with each feature column removed in turn. Like
 // DistMatrix it is immutable after construction, so one Matrices can back
-// all of a sweep's concurrent (algorithm, k) jobs.
+// all of a sweep's concurrent (algorithm, row set) jobs.
 type Matrices struct {
 	// Rows is the observations×features matrix the distances cover.
 	Rows [][]float64

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -68,27 +69,38 @@ func TestDistMatrixDropMatchesReducedRows(t *testing.T) {
 }
 
 // TestSharedMatricesConcurrent exercises the sweep's concurrency contract:
-// one Matrices set is read by many cells at once (as SweepContext does).
+// one Matrices set is read by many (algorithm, row set) jobs at once, as
+// SweepContext runs them. Every algorithm clusters every row set from
+// several goroutines, and each result must equal the same job run alone.
 // Run with -race to catch any mutation of the shared matrices.
 func TestSharedMatricesConcurrent(t *testing.T) {
 	mats := NewMatrices(blobs())
-	alg := NewKMeans()
-	var wg sync.WaitGroup
-	got := make([]Scores, 8)
-	for g := range got {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
+	sets := 1 + len(mats.Dropped)
+	for _, alg := range algorithms() {
+		want := make([][]Assignment, sets)
+		for set := range want {
 			var err error
-			if got[g], _, err = computeCell(context.Background(), alg, 3, mats); err != nil {
-				t.Error(err)
+			if want[set], err = clusterRowSet(context.Background(), alg, mats, set, 2, 6); err != nil {
+				t.Fatal(err)
 			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < len(got); g++ {
-		if got[g] != got[0] {
-			t.Fatalf("concurrent cell %d = %+v, want %+v", g, got[g], got[0])
+		}
+		got := make([][]Assignment, 4*sets)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var err error
+				if got[g], err = clusterRowSet(context.Background(), alg, mats, g%sets, 2, 6); err != nil {
+					t.Error(err)
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g := range got {
+			if !reflect.DeepEqual(got[g], want[g%sets]) {
+				t.Fatalf("%s: concurrent job %d on row set %d = %v, want %v", alg.Name(), g, g%sets, got[g], want[g%sets])
+			}
 		}
 	}
 }

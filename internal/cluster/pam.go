@@ -104,12 +104,22 @@ type pamScratch struct {
 	rest []float64
 	// perm holds each random restart's permutation.
 	perm []int
+	// medoid marks the current medoids.
+	medoid []bool
+	// shared and corr hold one SWAP round's screen: shared[o] is
+	// Σᵢ min(d(o,i), d1[i]) and corr[mi·n+o] is Σ over the i nearest to
+	// medoid mi of min(d(o,i), d2[i]) − min(d(o,i), d1[i]). corr grows to
+	// k·n on first use.
+	shared, corr []float64
 }
 
 func newPAMScratch(n int) *pamScratch {
 	idx := make([]int, 2*n)
-	d := make([]float64, 3*n)
-	return &pamScratch{nearest: idx[:n], perm: idx[n:], d1: d[:n], d2: d[n : 2*n], rest: d[2*n:]}
+	d := make([]float64, 4*n)
+	return &pamScratch{
+		nearest: idx[:n], perm: idx[n:], medoid: make([]bool, n),
+		d1: d[:n], d2: d[n : 2*n], rest: d[2*n : 3*n], shared: d[3*n:],
+	}
 }
 
 // cache fills the scratch for medoids. d2 is the second minimum of the
@@ -117,8 +127,9 @@ func newPAMScratch(n int) *pamScratch {
 func (s *pamScratch) cache(d *DistMatrix, medoids []int) {
 	for i := range s.nearest {
 		near, d1, d2 := -1, math.Inf(1), math.Inf(1)
+		row := d.row(i)
 		for mi, m := range medoids {
-			v := d.At(i, m)
+			v := row[m]
 			if v < d1 {
 				near, d1, d2 = mi, v, d1
 			} else if v < d2 {
@@ -140,6 +151,58 @@ func (s *pamScratch) swapOut(mi int) {
 	}
 }
 
+// screen fills shared and corr for the cached medoids in one pass per
+// non-medoid candidate (FastPAM1, Schubert & Rousseeuw) and reports
+// whether swapFrom may use them this round: only when cost and every d2
+// are finite, as swapFrom's bound assumes. A finite d2 also means every
+// observation has a nearest medoid to charge its correction to. Each min
+// uses minSum's rule, so a NaN distance yields the cached value exactly as
+// in the trial it stands for.
+func (s *pamScratch) screen(d *DistMatrix, k int, cost float64) bool {
+	if math.IsNaN(cost) || math.IsInf(cost, 0) {
+		return false
+	}
+	for _, v := range s.d2 {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	n := d.N()
+	corr := s.corr[:k*n]
+	clear(corr)
+	d1, d2, nearest := s.d1[:n], s.d2[:n], s.nearest[:n]
+	for o := 0; o < n; o++ {
+		if s.medoid[o] {
+			continue
+		}
+		sum := 0.0
+		for i, v := range d.row(o)[:n] {
+			m1, m2 := d1[i], d2[i]
+			if v < m1 {
+				m1 = v
+			}
+			if v < m2 {
+				m2 = v
+			}
+			sum += m1
+			corr[nearest[i]*n+o] += m2 - m1
+		}
+		s.shared[o] = sum
+	}
+	return true
+}
+
+// screenMargin is swapFrom's K = 4(n+2)·2⁻⁵³, exact in float64.
+func screenMargin(n int) float64 { return float64(4*(n+2)) * 0x1p-53 }
+
+// screenedOut reports whether the screen proves that trial mi → o fails
+// the acceptance test c − cost < thr (see swapFrom). It is valid only in a
+// round whose screen call returned true.
+func (s *pamScratch) screenedOut(mi, o int, cost, margin, thr float64) bool {
+	a := s.shared[o] + s.corr[mi*len(s.shared)+o]
+	return a-cost-margin*(a+math.Abs(cost)) > thr
+}
+
 // minSum is Σᵢ min(rest[i], row[i]) in i order, taking row[i] only when
 // it is strictly smaller, as pamCost's scan does. With row = d.row(c) it
 // is pamCost of the medoids rest describes plus c.
@@ -158,22 +221,78 @@ func minSum(row, rest []float64) float64 {
 
 // swapFrom runs the SWAP phase to convergence, improving medoids in place.
 // Each round caches the nearest distances once; a trial swap mi → o then
-// costs minSum over row o of the (symmetric) matrix.
+// costs minSum over row o of the (symmetric) matrix, unless the round's
+// screen proves the trial cannot pass the acceptance test.
+//
+// The screen. Trial mi → o costs c = minSum(d.row(o), rest), the in-order
+// float sum of tᵢ = min(d(o,i), restᵢ); call the real sum S. Its screen
+// estimate is a = shared[o] + corr[mi·n+o], whose real value is S too,
+// because tᵢ = min(d(o,i), d1ᵢ) + [nearestᵢ = mi]·(min(d(o,i), d2ᵢ) −
+// min(d(o,i), d1ᵢ)). Distances are non-negative or NaN (square roots), so
+// with cost and d2 finite every term and every difference is non-negative
+// and finite, and the estimates differ from S by rounding alone. With
+// u = 2⁻⁵³ and γₘ = m·u/(1−m·u), and since an addition or subtraction
+// that underflows is exact, so that fl(x ± y) = (x ± y)(1+δ) with |δ| ≤ u
+// always (Higham, Accuracy and Stability of Numerical Algorithms, §2.2
+// and §4.2):
+//
+//   - a sum of n non-negative terms in any order is within γₙ₋₁ of its
+//     real value: |c − S| ≤ γₙ₋₁·S;
+//   - shared[o] is within γₙ₋₁ and corr within γₙ (one rounding per
+//     difference, then the sum), so after the final addition
+//     |a − S| ≤ γₙ₊₁·S, and |c − a| ≤ 2γₙ₊₁·S ≤ 2γₙ₊₁·a/(1 − γₙ₊₁);
+//   - x = fl(a − cost) = (a − cost)(1+δ), so a − cost ≥ x − u·(a + |cost|).
+//
+// Together c − cost ≥ x − E·(a + |cost|) with E = u + 2γₙ₊₁/(1 − γₙ₊₁)
+// = u + 2t/(1 − 2t), t = (n+1)·u; for t ≤ 1/4, that is any n a matrix
+// could hold, E ≤ (4n+5)·u. The margin m = fl(K·fl(a + |cost|)) with
+// K = 4(n+2)·u covers it: the sum and a normal product each lose at most a
+// factor (1 − u), leaving m ≥ (4n+7.9)·u·(a + |cost|); a subnormal product
+// is off by at most 2⁻¹⁰⁷⁵, less than the slack 2.9·u·(a + |cost|) once
+// a + |cost| ≥ 2⁻¹⁰²². Below that every sum is subnormal and so exact:
+// c = a, x = a − cost, and any m ≥ 0 will do. A fused multiply-subtract
+// only removes a rounding.
+//
+// A trial is skipped when fl(x − m) > thr, thr = fl(bestDelta − 1e-12), the
+// acceptance test's own right-hand side. Rounding is monotone and thr is a
+// float, so x − m > thr in the reals, hence c − cost > thr and
+// fl(c − cost) ≥ thr: the exact test c − cost < thr rejects the trial.
+// Every skipped trial is one the exact scan rejects, rejections leave
+// bestDelta alone, and the survivors are tested exactly in the same
+// (mi, o) order — so bestDelta, the medoid sequence and every cost keep
+// their bits. When a sum overflows, x − m is NaN or −Inf, so the trial
+// runs exactly.
 func swapFrom(d *DistMatrix, medoids []int, s *pamScratch) []int {
-	n := d.N()
+	n, k := d.N(), len(medoids)
+	if len(s.corr) < k*n {
+		s.corr = make([]float64, k*n)
+	}
+	clear(s.medoid)
+	for _, m := range medoids {
+		s.medoid[m] = true
+	}
+	margin := screenMargin(n)
 	s.cache(d, medoids)
 	cost := 0.0 // Σ d1 in i order: pamCost(medoids), bit for bit
 	for _, v := range s.d1 {
 		cost += v
 	}
 	for swap := 0; swap < pamMaxSwaps; swap++ {
+		screened := s.screen(d, k, cost)
 		bestDelta := 0.0
 		bestM, bestO := -1, -1
 		for mi := range medoids {
-			s.swapOut(mi)
+			restFilled := false
 			for o := 0; o < n; o++ {
-				if isMedoid(medoids, o) {
+				if s.medoid[o] {
 					continue
+				}
+				if screened && s.screenedOut(mi, o, cost, margin, bestDelta-1e-12) {
+					continue
+				}
+				if !restFilled {
+					s.swapOut(mi)
+					restFilled = true
 				}
 				if c := minSum(d.row(o), s.rest); c-cost < bestDelta-1e-12 {
 					bestDelta = c - cost
@@ -184,6 +303,7 @@ func swapFrom(d *DistMatrix, medoids []int, s *pamScratch) []int {
 		if bestM < 0 {
 			break
 		}
+		s.medoid[medoids[bestM]], s.medoid[bestO] = false, true
 		medoids[bestM] = bestO
 		cost += bestDelta
 		s.cache(d, medoids)
@@ -227,9 +347,11 @@ func pamBuild(d *DistMatrix, k int, s *pamScratch) []int {
 	for i := range d1 {
 		d1[i] = math.Inf(1)
 	}
+	clear(s.medoid)
 	medoids := make([]int, 0, k)
 	for {
 		medoids = append(medoids, best)
+		s.medoid[best] = true
 		for i, v := range d.row(best) {
 			if v < d1[i] {
 				d1[i] = v
@@ -241,7 +363,7 @@ func pamBuild(d *DistMatrix, k int, s *pamScratch) []int {
 		bestCost := math.Inf(1)
 		best = -1
 		for c := 0; c < n; c++ {
-			if isMedoid(medoids, c) {
+			if s.medoid[c] {
 				continue
 			}
 			if cost := minSum(d.row(c), d1); cost < bestCost {
@@ -266,13 +388,4 @@ func pamCost(d *DistMatrix, medoids []int) float64 {
 		total += min
 	}
 	return total
-}
-
-func isMedoid(medoids []int, i int) bool {
-	for _, m := range medoids {
-		if m == i {
-			return true
-		}
-	}
-	return false
 }

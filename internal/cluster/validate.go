@@ -14,8 +14,12 @@ import (
 // distance matrix: the minimum inter-cluster distance divided by the
 // maximum intra-cluster diameter. Higher is better.
 func DunnDist(d *DistMatrix, a Assignment) float64 {
-	k := a.K()
-	members := clusterMembers(a)
+	return dunn(d, clusterMembers(a))
+}
+
+// dunn is DunnDist over the assignment's clusterMembers.
+func dunn(d *DistMatrix, members [][]int) float64 {
+	k := len(members)
 	minInter := math.Inf(1)
 	maxDiam := 0.0
 	for c1 := 0; c1 < k; c1++ {
@@ -44,10 +48,21 @@ func DunnDist(d *DistMatrix, a Assignment) float64 {
 }
 
 // clusterMembers returns each cluster's member indices, index-ordered —
-// exactly what a.Members reports per cluster, materialized once instead of
-// per lookup inside the validation loops.
+// exactly what a.Members reports per cluster, materialized once, over one
+// flat slice, instead of per lookup inside the validation loops.
 func clusterMembers(a Assignment) [][]int {
-	out := make([][]int, a.K())
+	k := a.K()
+	out := make([][]int, k)
+	flat := make([]int, k+len(a))
+	size, idx := flat[:k], flat[k:]
+	for _, c := range a {
+		size[c]++
+	}
+	off := 0
+	for c, sz := range size {
+		out[c] = idx[off : off : off+sz]
+		off += sz
+	}
 	for i, c := range a {
 		out[c] = append(out[c], i)
 	}
@@ -65,12 +80,17 @@ func Silhouette(rows [][]float64, a Assignment) float64 {
 
 // SilhouetteDist is Silhouette over a precomputed distance matrix.
 func SilhouetteDist(d *DistMatrix, a Assignment) float64 {
-	k := a.K()
-	if k < 2 {
+	if a.K() < 2 {
 		return 0
 	}
+	return silhouette(d, a, clusterMembers(a))
+}
+
+// silhouette is SilhouetteDist over the assignment's clusterMembers, for
+// at least two clusters.
+func silhouette(d *DistMatrix, a Assignment, members [][]int) float64 {
+	k := len(members)
 	n := d.N()
-	members := clusterMembers(a)
 	total := 0.0
 	for i := 0; i < n; i++ {
 		own := members[a[i]]
@@ -112,45 +132,20 @@ func SilhouetteDist(d *DistMatrix, a Assignment) float64 {
 //
 // APN and AD (Datta & Datta) measure how a clustering holds up when each
 // feature column is removed in turn and the data re-clustered. The sweep
-// computes both from one re-clustering per removed column (computeCell);
-// the per-column contributions are below.
-
-// proportionNonOverlap is one removed column's contribution to the APN
-// measure: per observation, 1 minus the overlap ratio of its full-data
-// cluster and its reduced-data cluster, averaged. Lower is better.
-func proportionNonOverlap(full, reduced Assignment) float64 {
-	n := len(full)
-	fullMasks := clusterMasks(full)
-	reducedMasks := clusterMasks(reduced)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		cf := fullMasks[full[i]]
-		cr := reducedMasks[reduced[i]]
-		inter, size := 0, 0
-		for m := 0; m < n; m++ {
-			if cf[m] {
-				size++
-				if cr[m] {
-					inter++
-				}
-			}
-		}
-		if size > 0 {
-			total += 1 - float64(inter)/float64(size)
-		}
-	}
-	return total / float64(n)
-}
+// computes both from one re-clustering per removed column, in one pass
+// over one set of masks per column (stabilityColumn).
 
 // clusterMasks returns every cluster's membership as index-ordered masks,
-// built in one pass instead of one O(n) scan per observation. Ordered
-// iteration matters: accumulating distances in Go's randomized map order
-// perturbs the sums by ULPs from run to run, which breaks the pipeline's
-// bit-for-bit determinism guarantee.
+// built in one pass over one flat slice instead of one O(n) scan per
+// observation. Ordered iteration matters: accumulating distances in Go's
+// randomized map order perturbs the sums by ULPs from run to run, which
+// breaks the pipeline's bit-for-bit determinism guarantee.
 func clusterMasks(a Assignment) [][]bool {
+	n := len(a)
 	out := make([][]bool, a.K())
+	flat := make([]bool, len(out)*n)
 	for c := range out {
-		out[c] = make([]bool, len(a))
+		out[c] = flat[c*n : (c+1)*n]
 	}
 	for i, ci := range a {
 		out[ci][i] = true
@@ -158,29 +153,37 @@ func clusterMasks(a Assignment) [][]bool {
 	return out
 }
 
-// adColumn is one removed column's contribution to the AD measure: the
-// mean distance between each observation and the observations placed in
-// its cluster by both the full and the reduced clustering. Lower is
-// better.
-func adColumn(d *DistMatrix, full Assignment, fullMasks [][]bool, reduced Assignment) float64 {
+// stabilityColumn is one removed column's contribution to both stability
+// measures, given the full-data and reduced-data assignments and their
+// clusterMasks. apn is the APN term: per observation, 1 minus the overlap
+// ratio of its full-data cluster and its reduced-data cluster, averaged.
+// ad is the AD term: the mean distance between each observation and the
+// observations both clusterings place with it. Lower is better for both.
+// Each accumulator sums its terms in the order a separate pass per measure
+// would, so both have that pass's bits.
+func stabilityColumn(d *DistMatrix, full Assignment, fullMasks [][]bool, reduced Assignment, reducedMasks [][]bool) (apn, ad float64) {
 	n := len(full)
-	reducedMasks := clusterMasks(reduced)
-	sum := 0.0
 	for i := 0; i < n; i++ {
 		cf := fullMasks[full[i]]
 		cr := reducedMasks[reduced[i]]
-		cnt, acc := 0, 0.0
+		inter, size, acc := 0, 0, 0.0
 		for m := 0; m < n; m++ {
-			if cf[m] && cr[m] {
-				acc += d.At(i, m)
-				cnt++
+			if cf[m] {
+				size++
+				if cr[m] {
+					inter++
+					acc += d.At(i, m)
+				}
 			}
 		}
-		if cnt > 0 {
-			sum += acc / float64(cnt)
+		if size > 0 {
+			apn += 1 - float64(inter)/float64(size)
+		}
+		if inter > 0 {
+			ad += acc / float64(inter)
 		}
 	}
-	return sum / float64(n)
+	return apn / float64(n), ad / float64(n)
 }
 
 // Validation sweep ---------------------------------------------------------
@@ -197,12 +200,17 @@ type Scores struct {
 
 // SweepContext runs every algorithm over k = kMin..kMax and returns the
 // scores, plus each cell's full-data assignment in the same order,
-// reproducing the paper's Figure 4 analysis. kMax is capped at n-1. Each
-// (algorithm, k) cell is an independent job on a worker pool, and results
-// land in algorithm-major, k-ascending order whatever the completion
-// order. The algorithms must be safe for concurrent use (the package's
-// three are: Cluster derives all mutable state, including seeded RNGs, per
-// call). workers <= 0 selects all CPUs.
+// reproducing the paper's Figure 4 analysis. kMax is capped at n-1.
+//
+// It runs in two passes on a worker pool. The first has one job per
+// (algorithm, row set) — the full rows, and the rows with each feature
+// column removed — that clusters the set for every k (clusterRowSet). The
+// second scores each (algorithm, k) cell from those clusterings: Dunn and
+// Silhouette on the full-data one, APN and AD from the per-column ones.
+// Results land in algorithm-major, k-ascending order whatever the
+// completion order. The algorithms must be safe for concurrent use (the
+// package's three are: Cluster derives all mutable state, including
+// seeded RNGs, per call). workers <= 0 selects all CPUs.
 func SweepContext(ctx context.Context, algs []Algorithm, rows [][]float64, kMin, kMax, workers int) ([]Scores, []Assignment, error) {
 	switch {
 	case kMin < 2:
@@ -219,16 +227,32 @@ func SweepContext(ctx context.Context, algs []Algorithm, rows [][]float64, kMin,
 	}
 	nk := kMax - kMin + 1
 	// One set of distance matrices (full + per-column reduced) backs every
-	// cell: the matrices are immutable, so sharing them across the worker
-	// pool is race-free and saves each cell its own O(n²·d) recomputation
+	// job: the matrices are immutable, so sharing them across the worker
+	// pool is race-free and saves each job its own O(n²·d) recomputation
 	// per clustering and per stability column.
 	mats := NewMatrices(rows)
+	sets := 1 + len(mats.Dropped)
+	// runs[(a·nk + ki)·sets + set] is algs[a]'s clustering of row set set
+	// into kMin+ki clusters, so one cell's runs are contiguous.
+	runs := make([]Assignment, len(algs)*nk*sets)
+	err := par.ForEach(ctx, workers, len(algs)*sets, func(ctx context.Context, job int) error {
+		a, set := job/sets, job%sets
+		got, err := clusterRowSet(ctx, algs[a], mats, set, kMin, kMax)
+		for ki, asg := range got {
+			runs[(a*nk+ki)*sets+set] = asg
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	scores := make([]Scores, len(algs)*nk)
 	assigns := make([]Assignment, len(scores))
-	err := par.ForEach(ctx, workers, len(scores), func(ctx context.Context, j int) error {
-		var err error
-		scores[j], assigns[j], err = computeCell(ctx, algs[j/nk], kMin+j%nk, mats)
-		return err
+	err = par.ForEach(ctx, workers, len(scores), func(_ context.Context, cell int) error {
+		cellRuns := runs[cell*sets : (cell+1)*sets]
+		scores[cell] = scoreCell(algs[cell/nk].Name(), kMin+cell%nk, mats.Full, cellRuns)
+		assigns[cell] = cellRuns[0]
+		return nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -236,41 +260,66 @@ func SweepContext(ctx context.Context, algs []Algorithm, rows [][]float64, kMin,
 	return scores, assigns, nil
 }
 
-// computeCell produces one (algorithm, k) cell: the full-data clustering,
-// one re-clustering per removed feature column, and the four validation
-// scores. Each column's re-clustering feeds both APN and AD. The context is
-// checked before the full clustering and before every column, so a
-// cancelled sweep stops within one cell.
-func computeCell(ctx context.Context, alg Algorithm, k int, mats *Matrices) (Scores, Assignment, error) {
-	if err := ctx.Err(); err != nil {
-		return Scores{}, nil, err
+// clusterRowSet clusters one of the sweep's row sets into every k in
+// kMin..kMax: set 0 is mats.Rows, set 1+j is mats.DroppedRows[j]. Ward
+// builds the set's dendrogram once and cuts it per k; Cluster would build
+// the same one per k. The context is checked before every clustering and
+// every cut, so a cancelled sweep stops within one job.
+func clusterRowSet(ctx context.Context, alg Algorithm, mats *Matrices, set, kMin, kMax int) ([]Assignment, error) {
+	rows, dm := mats.Rows, mats.Full
+	if set > 0 {
+		rows, dm = mats.DroppedRows[set-1], mats.Dropped[set-1]
 	}
-	full, err := clusterDist(alg, mats.Rows, mats.Full, k)
-	if err != nil {
-		return Scores{}, nil, err
+	fail := func(err error) ([]Assignment, error) {
+		if set > 0 {
+			err = fmt.Errorf("cluster: sweep with column %d removed: %w", set-1, err)
+		}
+		return nil, err
 	}
-	nc := len(mats.Rows[0])
-	fullMasks := clusterMasks(full)
-	apn, ad := 0.0, 0.0
-	for j := 0; j < nc; j++ {
+	var den *Dendrogram
+	out := make([]Assignment, kMax-kMin+1)
+	for i := range out {
 		if err := ctx.Err(); err != nil {
-			return Scores{}, nil, err
+			return nil, err
 		}
-		r, err := clusterDist(alg, mats.DroppedRows[j], mats.Dropped[j], k)
+		var err error
+		if h, ok := alg.(*Hierarchical); ok {
+			if den == nil {
+				if den, err = h.Dendrogram(rows); err != nil {
+					return fail(err)
+				}
+			}
+			out[i], err = den.Cut(kMin + i)
+		} else {
+			out[i], err = clusterDist(alg, rows, dm, kMin+i)
+		}
 		if err != nil {
-			return Scores{}, nil, fmt.Errorf("cluster: sweep with column %d removed: %w", j, err)
+			return fail(err)
 		}
-		apn += proportionNonOverlap(full, r)
-		ad += adColumn(mats.Full, full, fullMasks, r)
 	}
-	return Scores{
-		Algorithm:  alg.Name(),
-		K:          k,
-		Dunn:       DunnDist(mats.Full, full),
-		Silhouette: SilhouetteDist(mats.Full, full),
-		APN:        apn / float64(nc),
-		AD:         ad / float64(nc),
-	}, full, nil
+	return out, nil
+}
+
+// scoreCell computes the (alg, k) cell's validation scores from its runs:
+// runs[0] clusters the full rows, runs[1+j] the rows without column j.
+// APN and AD sum the columns in j order, then average.
+func scoreCell(alg string, k int, d *DistMatrix, runs []Assignment) Scores {
+	full := runs[0]
+	members := clusterMembers(full)
+	s := Scores{Algorithm: alg, K: k, Dunn: dunn(d, members)}
+	if len(members) >= 2 {
+		s.Silhouette = silhouette(d, full, members)
+	}
+	fullMasks := clusterMasks(full)
+	for _, reduced := range runs[1:] {
+		apn, ad := stabilityColumn(d, full, fullMasks, reduced, clusterMasks(reduced))
+		s.APN += apn
+		s.AD += ad
+	}
+	nc := float64(len(runs) - 1)
+	s.APN /= nc
+	s.AD /= nc
+	return s
 }
 
 // BestK aggregates a sweep the way the paper does: each internal measure

@@ -30,7 +30,7 @@ func (d *Dataset) NormalizedFeatures() [][]float64 {
 }
 
 // Figure4 sweeps cluster counts kMin..kMax over the three algorithms and
-// returns the validation scores. The (algorithm, k) jobs fan out over the
+// returns the validation scores. The sweep's jobs fan out over the
 // dataset's worker pool.
 func (d *Dataset) Figure4(kMin, kMax int) ([]cluster.Scores, error) {
 	return d.Figure4Context(context.Background(), kMin, kMax)
