@@ -6,27 +6,15 @@
 // (may-block, acquires-mutex, may-panic, fingerprint field reads), so a
 // blocking helper in one package is visible to callers in another.
 //
-// Standalone:
-//
 //	go run ./cmd/mblint ./...              # lint the whole module
 //	go run ./cmd/mblint -fix ./...         # also apply mechanical fixes
-//	go run ./cmd/mblint -json ./...        # machine-readable findings on stdout
 //	go run ./cmd/mblint -sarif out.sarif ./...  # SARIF 2.1.0 for code scanning
 //	go run ./cmd/mblint -list              # describe the passes
 //
-// As a vet tool (speaks the cmd/go unitchecker protocol, including fact
-// serialization through .vetx files):
-//
-//	go build -o /tmp/mblint ./cmd/mblint
-//	go vet -vettool=/tmp/mblint ./...
-//
-// Findings already recorded in the module's .mblint-baseline.json are
-// suppressed (use -baseline to point elsewhere, -baseline none to
-// disable, -write-baseline to accept the current findings). Exit status
-// is 0 when no fresh error-severity findings remain, 2 when some were
-// reported and 1 on operational errors. Findings are suppressed per
-// line with `//mblint:ignore <pass> <reason>` and per package via the
-// -config JSON (see internal/lint.Config).
+// Exit status is 0 when no error-severity findings remain, 2 when some
+// were reported and 1 on usage or load errors. Findings are suppressed
+// per line with `//mblint:ignore <pass> <reason>` and per package via
+// the -config JSON (see internal/lint.Config).
 package main
 
 import (
@@ -39,9 +27,6 @@ import (
 	"mobilebench/internal/lint"
 )
 
-// defaultBaselineName is the baseline file auto-detected at the module root.
-const defaultBaselineName = ".mblint-baseline.json"
-
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
@@ -51,28 +36,9 @@ func run(args []string) int {
 	configPath := fs.String("config", "", "JSON lint config overlaying the built-in policy (default: .mblint.json at the module root, if present)")
 	fix := fs.Bool("fix", false, "apply mechanical suggested fixes to the working tree")
 	list := fs.Bool("list", false, "describe the passes and exit")
-	jsonOut := fs.Bool("json", false, "print findings as JSON on stdout instead of text on stderr")
 	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings (default: "+defaultBaselineName+" at the module root, if present; \"none\" disables)")
-	writeBaseline := fs.Bool("write-baseline", false, "record the current findings as the baseline and exit")
-	version := fs.String("V", "", "print version (vet tool protocol)")
-	printFlags := fs.Bool("flags", false, "print flag JSON (vet tool protocol)")
 	if err := fs.Parse(args); err != nil {
 		return 1
-	}
-
-	// cmd/go probes vet tools with -V=full and -flags before handing over
-	// a *.cfg unit file; answer all three shapes of that protocol.
-	if *version != "" {
-		fmt.Printf("mblint version v1.0.0-%s\n", lint.Fingerprint())
-		return 0
-	}
-	if *printFlags {
-		fmt.Println("[]")
-		return 0
-	}
-	if rest := fs.Args(); len(rest) == 1 && filepath.Ext(rest[0]) == ".cfg" {
-		return runVetUnit(rest[0], *configPath)
 	}
 
 	if *list {
@@ -121,45 +87,9 @@ func run(args []string) int {
 		return 1
 	}
 
-	baseline := resolveBaselinePath(*baselinePath, moduleDir)
-	if *writeBaseline {
-		if baseline == "" {
-			fmt.Fprintln(os.Stderr, "mblint: -write-baseline needs a baseline path (-baseline none was given)")
-			return 1
-		}
-		if err := lint.WriteBaseline(baseline, findings, moduleDir); err != nil {
-			fmt.Fprintf(os.Stderr, "mblint: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "mblint: wrote %d finding(s) to %s\n", len(findings), baseline)
-		return 0
-	}
-	fresh := findings
-	if baseline != "" {
-		b, err := lint.LoadBaseline(baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mblint: %v\n", err)
-			return 1
-		}
-		var suppressed int
-		fresh, suppressed = b.Filter(findings, moduleDir)
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "mblint: %d baselined finding(s) suppressed (see %s)\n", suppressed, baseline)
-		}
-	}
-
-	if *jsonOut {
-		data, err := lint.EncodeJSON(fresh, cfg, moduleDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mblint: %v\n", err)
-			return 1
-		}
-		os.Stdout.Write(data)
-	} else {
-		lint.Print(os.Stderr, fresh)
-	}
+	lint.Print(os.Stderr, findings)
 	if *sarifPath != "" {
-		data, err := lint.EncodeSARIF(fresh, cfg, moduleDir)
+		data, err := lint.EncodeSARIF(findings, cfg, moduleDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mblint: %v\n", err)
 			return 1
@@ -170,7 +100,7 @@ func run(args []string) int {
 		}
 	}
 	if *fix {
-		n, err := lint.ApplyFixes(fresh)
+		n, err := lint.ApplyFixes(findings)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mblint: applying fixes: %v\n", err)
 			return 1
@@ -179,27 +109,12 @@ func run(args []string) int {
 			fmt.Fprintf(os.Stderr, "mblint: applied %d fix(es); re-run to verify\n", n)
 		}
 	}
-	for _, f := range fresh {
+	for _, f := range findings {
 		if cfg.SeverityOf(f.Pass) == "error" {
 			return 2
 		}
 	}
 	return 0
-}
-
-// resolveBaselinePath turns the -baseline flag into a concrete path:
-// explicit value wins ("none" disables), else the module-root default
-// applies — always for -write-baseline, and for reads whenever the file
-// exists.
-func resolveBaselinePath(explicit, moduleDir string) string {
-	switch explicit {
-	case "none":
-		return ""
-	case "":
-		return filepath.Join(moduleDir, defaultBaselineName)
-	default:
-		return explicit
-	}
 }
 
 // loadConfig resolves the lint config: an explicit -config path, else the

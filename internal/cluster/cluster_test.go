@@ -56,6 +56,44 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteDistances: finite features far enough apart overflow
+// their pairwise distance (or a Ward linkage distance) to +Inf. Every
+// algorithm must answer with an error, not an index panic.
+func TestNonFiniteDistances(t *testing.T) {
+	cases := []struct {
+		name string
+		rows [][]float64
+		// fail names the algorithms that must reject the rows; the rest
+		// must cluster them.
+		fail map[string]bool
+	}{
+		{
+			name: "pairwise distance overflows",
+			rows: [][]float64{{-1e200}, {0}, {1e200}},
+			fail: map[string]bool{"kmeans": true, "pam": true, "hierarchical-ward": true},
+		},
+		{
+			// Every pairwise distance is finite, but Ward's size weight
+			// pushes the last link distance past MaxFloat64.
+			name: "ward linkage overflows",
+			rows: [][]float64{{0}, {1.2e154}, {1.2e154}},
+			fail: map[string]bool{"hierarchical-ward": true},
+		},
+	}
+	for _, tc := range cases {
+		for _, alg := range algorithms() {
+			a, err := alg.Cluster(tc.rows, 2)
+			if tc.fail[alg.Name()] {
+				if err == nil {
+					t.Errorf("%s, %s: got %v, want an error", tc.name, alg.Name(), a)
+				}
+			} else if err != nil {
+				t.Errorf("%s, %s: %v", tc.name, alg.Name(), err)
+			}
+		}
+	}
+}
+
 func TestKEqualsN(t *testing.T) {
 	rows := blobs()
 	for _, alg := range algorithms() {

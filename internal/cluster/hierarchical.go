@@ -138,6 +138,11 @@ func (h *Hierarchical) Dendrogram(rows [][]float64) (*Dendrogram, error) {
 				}
 			}
 		}
+		if bi < 0 {
+			// Every remaining link distance overflowed to +Inf: the
+			// features are finite but too far apart to merge by.
+			return nil, fmt.Errorf("cluster: every Ward linkage distance overflows at merge %d, want a finite value", step)
+		}
 		members := append(append([]int(nil), nodes[bi].members...), nodes[bj].members...)
 		merged := node{id: n + step, members: members, centroid: centroid(rows, members), active: true}
 		nodes[bi].active = false

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 
 	"mobilebench/internal/xrand"
@@ -51,6 +52,15 @@ func (p *PAM) ClusterDist(rows [][]float64, dm *DistMatrix, k int) (Assignment, 
 
 func (p *PAM) cluster(d *DistMatrix, k int) (Assignment, error) {
 	n := d.N()
+	// Finite features can still lie far enough apart that their distance
+	// overflows to +Inf, and then no candidate medoid lowers the cost.
+	// A finite distance is at most √MaxFloat64, so every cost sum over a
+	// finite matrix stays finite.
+	for i, v := range d.d {
+		if math.IsInf(v, 0) {
+			return nil, fmt.Errorf("cluster: distance between rows %d and %d overflows, want a finite value", i/n, i%n)
+		}
+	}
 	s := newPAMScratch(n)
 
 	best := swapFrom(d, pamBuild(d, k, s), s)

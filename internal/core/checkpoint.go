@@ -47,9 +47,11 @@ func collectCanonical(cfg sim.Config, runs int, units []workload.Workload, pol R
 	// branch/refresh/rjit/noise are the engine's sampling and noise
 	// constants, written as literals so every fingerprint already on disk
 	// still verifies. They must track the constants in internal/sim: a
-	// new value there changes what runs produce.
-	fmt.Fprintf(&b, "|seed=%d|tick=%g|cache=%d|branch=2000|refresh=5|rjit=0.01|noise=0.03|gov=%q|throttle=%t",
-		cfg.Seed, cfg.TickSec, cfg.CacheSamples, cfg.Governor, cfg.EnableThermalThrottle)
+	// new value there changes what runs produce. gov/throttle are
+	// literals for the same reason: the engine simulates one machine,
+	// schedutil and never throttling, and these are its pre-image bytes.
+	fmt.Fprintf(&b, "|seed=%d|tick=%g|cache=%d|branch=2000|refresh=5|rjit=0.01|noise=0.03|gov=\"\"|throttle=false",
+		cfg.Seed, cfg.TickSec, cfg.CacheSamples)
 	// Appended only when non-default so every fingerprint minted before
 	// these options existed still verifies.
 	if cfg.FastForward {

@@ -2,16 +2,6 @@ package cpu
 
 import "mobilebench/internal/soc"
 
-// Governor selects a cluster frequency from recent utilization, mirroring
-// Linux cpufreq governors.
-type Governor interface {
-	// Next returns the frequency for the coming interval given the
-	// utilization (0..1) observed over the previous interval at freq.
-	Next(cl soc.CPUCluster, prevFreqHz, utilization float64) float64
-	// Name identifies the governor.
-	Name() string
-}
-
 // quantize snaps freq to the nearest operating point at or above it (used
 // when raising frequency, so the governor keeps its headroom).
 func quantize(cl soc.CPUCluster, freq float64) float64 {
@@ -57,10 +47,8 @@ type Schedutil struct {
 // NewSchedutil returns a schedutil governor with kernel-default parameters.
 func NewSchedutil() *Schedutil { return &Schedutil{Margin: 1.25, DownRate: 0.4} }
 
-// Name implements Governor.
-func (s *Schedutil) Name() string { return "schedutil" }
-
-// Next implements Governor.
+// Next returns the frequency for the coming interval given the
+// utilization (0..1) observed over the previous interval at prevFreqHz.
 func (s *Schedutil) Next(cl soc.CPUCluster, prevFreqHz, utilization float64) float64 {
 	if utilization < 0 {
 		utilization = 0
@@ -83,21 +71,3 @@ func (s *Schedutil) Next(cl soc.CPUCluster, prevFreqHz, utilization float64) flo
 	}
 	return quantize(cl, target)
 }
-
-// Performance pins the cluster at maximum frequency.
-type Performance struct{}
-
-// Name implements Governor.
-func (Performance) Name() string { return "performance" }
-
-// Next implements Governor.
-func (Performance) Next(cl soc.CPUCluster, _, _ float64) float64 { return cl.MaxFreqHz }
-
-// Powersave pins the cluster at minimum frequency.
-type Powersave struct{}
-
-// Name implements Governor.
-func (Powersave) Name() string { return "powersave" }
-
-// Next implements Governor.
-func (Powersave) Next(cl soc.CPUCluster, _, _ float64) float64 { return quantize(cl, cl.MinFreqHz) }

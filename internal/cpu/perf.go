@@ -1,4 +1,5 @@
-// Package cpu provides the per-core performance model and DVFS governors.
+// Package cpu provides the per-core performance model and the schedutil
+// DVFS governor.
 //
 // The performance model converts a workload phase's intrinsic properties
 // (instruction mix, instruction-level parallelism) plus the measured memory

@@ -190,20 +190,6 @@ func TestQuantizeToOPPs(t *testing.T) {
 	}
 }
 
-func TestFixedGovernors(t *testing.T) {
-	cl := bigCluster()
-	if f := (Performance{}).Next(cl, cl.MinFreqHz, 0); f != cl.MaxFreqHz {
-		t.Fatal("performance governor not pinned at max")
-	}
-	if f := (Powersave{}).Next(cl, cl.MaxFreqHz, 1); f != cl.FreqStepsHz[0] {
-		t.Fatal("powersave governor not pinned at min")
-	}
-	if (Performance{}).Name() != "performance" || (Powersave{}).Name() != "powersave" ||
-		NewSchedutil().Name() != "schedutil" {
-		t.Fatal("governor names wrong")
-	}
-}
-
 func TestSchedutilClampUtilization(t *testing.T) {
 	g := NewSchedutil()
 	cl := bigCluster()

@@ -12,8 +12,7 @@
 // the framework is built directly on go/ast, go/parser, go/types and
 // go/importer from the standard library. The public shape deliberately
 // mirrors x/tools so the passes could be ported to a stock multichecker by
-// swapping the import, and cmd/mblint speaks enough of the cmd/go vettool
-// protocol to run under `go vet -vettool=`.
+// swapping the import; cmd/mblint is the one driver.
 package lint
 
 import (

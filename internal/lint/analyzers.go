@@ -5,8 +5,8 @@ import (
 	"hash/fnv"
 )
 
-// Fingerprint hashes the pass registry (names and docs), giving `go vet`'s
-// tool-version probe a cache key that changes whenever the checks do.
+// Fingerprint hashes the pass registry (names and docs), giving the SARIF
+// log a tool version that changes whenever the checks do.
 func Fingerprint() string {
 	h := fnv.New64a()
 	for _, a := range All() {
@@ -16,7 +16,7 @@ func Fingerprint() string {
 }
 
 // All returns every mblint pass in stable name order: the registry used by
-// cmd/mblint, the vettool mode and the test harness.
+// cmd/mblint and the test harness.
 func All() []*Analyzer {
 	return []*Analyzer{
 		AtomicWrite,

@@ -9,17 +9,12 @@
 // helper's blocking behaviour propagates to everything that reaches it
 // without any whole-program analysis.
 //
-// Facts survive two transports. In standalone mblint runs every target
-// package shares one FactStore keyed by *types.Func identity (the
-// loader memoizes packages on a shared FileSet, so identities line up).
-// Under `go vet -vettool` each compilation unit is a separate process:
-// facts serialize to the unit's .vetx file as JSON keyed by package
-// path and function key, and dependency facts load back from the
-// PackageVetx files cmd/go hands us.
+// Every target package of one mblint run shares one FactStore keyed by
+// *types.Func identity: the loader memoizes packages on a shared
+// FileSet, so identities line up across packages.
 package lint
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -31,34 +26,30 @@ type FuncFacts struct {
 	// MayBlock: the function can park its goroutine — it sleeps, touches
 	// the network or a pipe, waits on a process or a channel, or calls
 	// something that does. BlockNote names the first reason found.
-	MayBlock  bool   `json:"may_block,omitempty"`
-	BlockNote string `json:"block_note,omitempty"`
+	MayBlock  bool
+	BlockNote string
 	// AcquiresMutex: the function locks a sync.Mutex/RWMutex itself.
-	AcquiresMutex bool `json:"acquires_mutex,omitempty"`
+	AcquiresMutex bool
 	// MayPanic: a panic call is reachable from the function through
 	// module-local calls. PanicNote names the path's first hop.
-	MayPanic  bool   `json:"may_panic,omitempty"`
-	PanicNote string `json:"panic_note,omitempty"`
+	MayPanic  bool
+	PanicNote string
 	// FieldRefs records, per fingerprint rule ("server.Spec"), which of
 	// the rule struct's fields the function (or anything it calls) reads.
 	// This is how fpcomplete knows a pre-image builder covers a field.
-	FieldRefs map[string][]string `json:"field_refs,omitempty"`
+	FieldRefs map[string][]string
 }
 
 // FactStore accumulates facts across packages for one analysis run.
 type FactStore struct {
 	funcs map[*types.Func]*FuncFacts
-	// keyed mirrors funcs by (package path, function key) so facts
-	// survive serialization, where object identity does not.
-	keyed map[string]map[string]*FuncFacts
 	done  map[string]bool
 }
 
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
+// newFactStore returns an empty store.
+func newFactStore() *FactStore {
 	return &FactStore{
 		funcs: make(map[*types.Func]*FuncFacts),
-		keyed: make(map[string]map[string]*FuncFacts),
 		done:  make(map[string]bool),
 	}
 }
@@ -88,82 +79,12 @@ func funcDesc(fn *types.Func) string {
 	return funcKey(fn)
 }
 
-// FactsFor returns the facts recorded for fn, falling back to the keyed
-// table (facts imported from a .vetx file use different object
-// identities than the current type-check). Nil means "nothing known".
+// FactsFor returns the facts recorded for fn. Nil means "nothing known".
 func (st *FactStore) FactsFor(fn *types.Func) *FuncFacts {
-	if st == nil || fn == nil {
+	if st == nil {
 		return nil
 	}
-	if ff, ok := st.funcs[fn]; ok {
-		return ff
-	}
-	if fn.Pkg() != nil {
-		return st.keyed[fn.Pkg().Path()][funcKey(fn)]
-	}
-	return nil
-}
-
-// set registers facts under both identities.
-func (st *FactStore) set(fn *types.Func, ff *FuncFacts) {
-	st.funcs[fn] = ff
-	if fn.Pkg() != nil {
-		path := fn.Pkg().Path()
-		if st.keyed[path] == nil {
-			st.keyed[path] = make(map[string]*FuncFacts)
-		}
-		st.keyed[path][funcKey(fn)] = ff
-	}
-}
-
-// factFile is the serialized form: package path → function key → facts.
-type factFile struct {
-	Facts map[string]map[string]*FuncFacts `json:"facts"`
-}
-
-// ExportJSON serializes every known fact (own and re-exported imports,
-// so transitive dependencies flow through direct ones under the vettool
-// protocol). Output is deterministic: encoding/json sorts map keys.
-func (st *FactStore) ExportJSON() ([]byte, error) {
-	out := factFile{Facts: make(map[string]map[string]*FuncFacts)}
-	for path, m := range st.keyed {
-		keep := make(map[string]*FuncFacts)
-		for key, ff := range m {
-			if ff != nil && (ff.MayBlock || ff.AcquiresMutex || ff.MayPanic || len(ff.FieldRefs) > 0) {
-				keep[key] = ff
-			}
-		}
-		if len(keep) > 0 {
-			out.Facts[path] = keep
-		}
-	}
-	return json.Marshal(out)
-}
-
-// ImportJSON merges serialized facts into the store. Packages already
-// summarized from source keep their (fresher) entries.
-func (st *FactStore) ImportJSON(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var in factFile
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	for path, m := range in.Facts {
-		if st.done[path] {
-			continue
-		}
-		if st.keyed[path] == nil {
-			st.keyed[path] = make(map[string]*FuncFacts)
-		}
-		for key, ff := range m {
-			if _, exists := st.keyed[path][key]; !exists {
-				st.keyed[path][key] = ff
-			}
-		}
-	}
-	return nil
+	return st.funcs[fn]
 }
 
 // --- event extraction: the intra-procedural walk ---
@@ -402,7 +323,7 @@ func (st *FactStore) summarize(pass *Pass) {
 				events: extractEvents(pass.TypesInfo, fd.Body),
 				direct: directFieldRefs(pass.TypesInfo, fd.Body, rules),
 			})
-			st.set(obj, &FuncFacts{})
+			st.funcs[obj] = &FuncFacts{}
 		}
 	}
 

@@ -14,13 +14,6 @@ import (
 // want comments describe the default behaviour.
 func runOn(t *testing.T, a *lint.Analyzer, cfg *lint.Config, fixtures ...string) []lint.Finding {
 	t.Helper()
-	return runOnStore(t, a, cfg, lint.NewFactStore(), fixtures...)
-}
-
-// runOnStore is runOn with a caller-provided fact store, for tests of
-// the cross-package fact transport.
-func runOnStore(t *testing.T, a *lint.Analyzer, cfg *lint.Config, store *lint.FactStore, fixtures ...string) []lint.Finding {
-	t.Helper()
 	if cfg == nil {
 		cfg = lint.DefaultConfig()
 	}
@@ -48,7 +41,7 @@ func runOnStore(t *testing.T, a *lint.Analyzer, cfg *lint.Config, store *lint.Fa
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	findings, err := lint.RunAnalyzersStore(pkgs, []*lint.Analyzer{a}, cfg, loader.Fset, store)
+	findings, err := lint.RunAnalyzers(pkgs, []*lint.Analyzer{a}, cfg, loader.Fset)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}

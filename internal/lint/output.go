@@ -1,37 +1,16 @@
 package lint
 
-// This file holds the machine-readable diagnostics: JSON for scripting,
-// SARIF 2.1 for CI inline PR annotations, and the baseline mechanism
-// for gradual adoption of new passes over a tree with pre-existing
-// findings.
+// This file holds the machine-readable diagnostics: SARIF 2.1 for CI
+// inline PR annotations.
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
-
-	"mobilebench/internal/checkpoint"
 )
 
-// JSONFinding is one finding in `mblint -json` output.
-type JSONFinding struct {
-	Pass     string `json:"pass"`
-	Severity string `json:"severity"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// jsonDoc is the -json document shape.
-type jsonDoc struct {
-	Findings []JSONFinding `json:"findings"`
-}
-
 // relPath renders file relative to root with forward slashes (the form
-// SARIF viewers and baselines want); paths outside root stay absolute.
+// SARIF viewers want); paths outside root stay absolute.
 func relPath(root, file string) string {
 	if root != "" {
 		if rel, err := filepath.Rel(root, file); err == nil && !filepath.IsAbs(rel) && rel != ".." && !isParentRef(rel) {
@@ -43,25 +22,6 @@ func relPath(root, file string) string {
 
 func isParentRef(rel string) bool {
 	return len(rel) >= 3 && rel[:3] == ".."+string(filepath.Separator)
-}
-
-// EncodeJSON renders findings as the -json document. root anchors
-// relative paths (normally the module directory; "" keeps absolutes).
-// The document is deterministic for a deterministic findings slice and
-// never fails on any finding content: encoding/json escapes everything.
-func EncodeJSON(findings []Finding, cfg *Config, root string) ([]byte, error) {
-	doc := jsonDoc{Findings: make([]JSONFinding, 0, len(findings))}
-	for _, f := range findings {
-		doc.Findings = append(doc.Findings, JSONFinding{
-			Pass:     f.Pass,
-			Severity: severityOf(cfg, f.Pass),
-			File:     relPath(root, f.Pos.Filename),
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Message:  f.Message,
-		})
-	}
-	return json.MarshalIndent(doc, "", "  ")
 }
 
 func severityOf(cfg *Config, pass string) string {
@@ -157,10 +117,6 @@ func EncodeSARIF(findings []Finding, cfg *Config, root string) ([]byte, error) {
 
 	results := make([]sarifResult, 0, len(findings))
 	for _, f := range findings {
-		level := "error"
-		if severityOf(cfg, f.Pass) == "warning" {
-			level = "warning"
-		}
 		region := sarifRegion{StartLine: max(f.Pos.Line, 1), StartColumn: max(f.Pos.Column, 1)}
 		if f.End.Line > 0 {
 			region.EndLine = f.End.Line
@@ -168,7 +124,7 @@ func EncodeSARIF(findings []Finding, cfg *Config, root string) ([]byte, error) {
 		}
 		results = append(results, sarifResult{
 			RuleID:  f.Pass,
-			Level:   level,
+			Level:   severityOf(cfg, f.Pass),
 			Message: sarifMessage{Text: f.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysical{
@@ -193,111 +149,4 @@ func EncodeSARIF(findings []Finding, cfg *Config, root string) ([]byte, error) {
 		}},
 	}
 	return json.MarshalIndent(log, "", "  ")
-}
-
-// --- baseline: accepted pre-existing findings ---
-
-// BaselineEntry identifies one accepted finding. File is root-relative
-// (slash-separated) and Line is deliberately absent: unrelated edits
-// move lines, and a baseline that churns on every edit gets deleted,
-// not maintained. Count carries multiplicity for identical messages.
-type BaselineEntry struct {
-	Pass    string `json:"pass"`
-	File    string `json:"file"`
-	Message string `json:"message"`
-	Count   int    `json:"count,omitempty"`
-}
-
-type baselineFile struct {
-	Findings []BaselineEntry `json:"findings"`
-}
-
-type baselineKey struct {
-	pass, file, message string
-}
-
-// Baseline is a loaded set of accepted findings with multiplicities.
-type Baseline struct {
-	counts map[baselineKey]int
-}
-
-// LoadBaseline reads a baseline file; a missing file is an empty
-// baseline, so `-baseline .mblint-baseline.json` is safe to hardcode.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &Baseline{counts: map[baselineKey]int{}}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("lint: parsing baseline %s: %w", path, err)
-	}
-	b := &Baseline{counts: make(map[baselineKey]int, len(bf.Findings))}
-	for _, e := range bf.Findings {
-		n := e.Count
-		if n <= 0 {
-			n = 1
-		}
-		b.counts[baselineKey{e.Pass, e.File, e.Message}] += n
-	}
-	return b, nil
-}
-
-// Filter splits findings into fresh ones and the count suppressed by
-// the baseline. Matching consumes multiplicity, so a second identical
-// finding in the same file only hides behind a Count: 2 entry.
-func (b *Baseline) Filter(findings []Finding, root string) (fresh []Finding, suppressed int) {
-	remaining := make(map[baselineKey]int, len(b.counts))
-	for k, n := range b.counts {
-		remaining[k] = n
-	}
-	for _, f := range findings {
-		k := baselineKey{f.Pass, relPath(root, f.Pos.Filename), f.Message}
-		if remaining[k] > 0 {
-			remaining[k]--
-			suppressed++
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	return fresh, suppressed
-}
-
-// WriteBaseline records the findings as the new accepted set,
-// atomically and deterministically (sorted, multiplicity-folded).
-func WriteBaseline(path string, findings []Finding, root string) error {
-	counts := make(map[baselineKey]int)
-	for _, f := range findings {
-		counts[baselineKey{f.Pass, relPath(root, f.Pos.Filename), f.Message}]++
-	}
-	keys := make([]baselineKey, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.file != b.file {
-			return a.file < b.file
-		}
-		if a.pass != b.pass {
-			return a.pass < b.pass
-		}
-		return a.message < b.message
-	})
-	entries := make([]BaselineEntry, 0, len(keys))
-	for _, k := range keys {
-		e := BaselineEntry{Pass: k.pass, File: k.file, Message: k.message}
-		if n := counts[k]; n > 1 {
-			e.Count = n
-		}
-		entries = append(entries, e)
-	}
-	data, err := json.MarshalIndent(baselineFile{Findings: entries}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return checkpoint.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -45,18 +45,14 @@ func (f Finding) String() string {
 
 // RunAnalyzers runs every analyzer over every package, honoring the
 // config's per-pass package exclusions and `//mblint:ignore pass reason`
-// suppression comments (on the finding's line or the line above). Findings
-// come back sorted by file, line, column and pass, so output is
-// deterministic regardless of analyzer-internal iteration order.
+// suppression comments (on the finding's line or the line above). All
+// packages share one fact store and run in dependency order, so facts a
+// pass exports while analyzing package A exist when package B (importing
+// A) is analyzed. Findings come back sorted by file, line, column and
+// pass, so output is deterministic regardless of analyzer-internal
+// iteration order.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, cfg *Config, fset *token.FileSet) ([]Finding, error) {
-	return RunAnalyzersStore(pkgs, analyzers, cfg, fset, NewFactStore())
-}
-
-// RunAnalyzersStore is RunAnalyzers with a caller-provided fact store —
-// the vettool driver pre-seeds it with dependency facts from .vetx
-// files. Packages run in dependency order so facts a pass exports while
-// analyzing package A exist when package B (importing A) is analyzed.
-func RunAnalyzersStore(pkgs []*Package, analyzers []*Analyzer, cfg *Config, fset *token.FileSet, store *FactStore) ([]Finding, error) {
+	store := newFactStore()
 	var findings []Finding
 	for _, pkg := range topoSort(pkgs) {
 		ignores := ignoreIndex(fset, pkg.Files)
@@ -117,10 +113,9 @@ func RunAnalyzersStore(pkgs []*Package, analyzers []*Analyzer, cfg *Config, fset
 }
 
 // topoSort orders packages so imports precede importers (ties broken by
-// the incoming order, which the loaders keep deterministic). Only
-// packages in the input set participate; external dependencies are
-// already summarized (standalone: loaded and reachable; vettool:
-// imported from .vetx) or unknown, and unknown facts read as nil.
+// the incoming order, which the loader keeps deterministic). Only
+// packages in the input set participate; facts about functions outside
+// it are unknown and read as nil.
 func topoSort(pkgs []*Package) []*Package {
 	byTypes := make(map[*types.Package]*Package, len(pkgs))
 	for _, p := range pkgs {

@@ -2,11 +2,11 @@
 //
 // The engine executes a workload (a phase timeline) against the platform
 // models: each tick it places the phase's thread demands with the EAS
-// scheduler, lets the DVFS governors pick cluster frequencies, drives
-// sampled memory and branch streams through the cache hierarchy and branch
-// predictor to obtain miss profiles, converts those into achieved IPC with
-// the CPU performance model, steps the GPU, AIE, memory and storage models,
-// and emits every counter into the profiler. Cross-component couplings the
+// scheduler, lets each cluster's schedutil governor pick its frequency,
+// drives sampled memory and branch streams through the cache hierarchy and
+// branch predictor to obtain miss profiles, converts those into achieved
+// IPC with the CPU performance model, steps the GPU, AIE, memory and
+// storage models, and emits every counter into the profiler. Cross-component couplings the
 // paper highlights are explicit: GPU bus pressure inflates CPU memory stall
 // time (low IPC in graphics benchmarks), unsupported codecs bounce work from
 // the AIE back to the CPU, and storage IO burns CPU submission time.
@@ -47,15 +47,6 @@ type Config struct {
 	// Seed is the root seed; every (workload, run) pair derives an
 	// independent stream from it.
 	Seed uint64
-	// EnableThermalThrottle couples the thermal model back into DVFS:
-	// when a node trips, its frequency is capped until it cools. Off by
-	// default — the paper's development board (no battery, no casing)
-	// did not throttle, and the calibration assumes it does not.
-	EnableThermalThrottle bool
-	// Governor selects the CPU DVFS governor: "schedutil" (default),
-	// "performance" or "powersave". Useful for governor ablation studies;
-	// the calibration assumes schedutil.
-	Governor string
 	// Fault, when non-nil, injects deterministic measurement faults
 	// (crashes, hangs, aborts, panics, sample corruption) into runs for
 	// chaos testing. Decisions are keyed by (workload, run, attempt) —
@@ -69,8 +60,7 @@ type Config struct {
 	// one by one, with the RNG streams advanced in stride so later phases
 	// see the exact noise sequence. Off (the default) keeps the exact,
 	// byte-identical path; on, results drift within the tolerances pinned
-	// by the differential suite (TestFastForwardDifferential). Incompatible
-	// with EnableThermalThrottle, whose feedback loop never freezes.
+	// by the differential suite (TestFastForwardDifferential).
 	FastForward bool
 	// TraceMode selects what a run materializes: TraceFull (default) the
 	// complete per-tick counter trace, TraceStreamed only streaming summary
@@ -149,7 +139,7 @@ func (c Config) normalize() Config {
 //
 // An Engine is safe for concurrent use: every Run acquires its mutable
 // simulation state (caches, predictors, scheduler) exclusively from the
-// engine's model pool and builds the rest (governor, power/thermal/GPU/AIE
+// engine's model pool and builds the rest (power/thermal/GPU/AIE
 // models, profiler and RNG streams) afresh per invocation, sharing only the
 // immutable configuration, platform description and precomputed metric name
 // tables. Each (workload, run) pair derives an independent random stream
@@ -221,6 +211,7 @@ func (e *Engine) newRunModels() (*runModels, error) {
 		clusters = append(clusters, &clusterState{
 			kind: k,
 			cl:   cl,
+			gov:  cpu.NewSchedutil(),
 			pen:  cpu.DefaultPenalties(cl),
 			hier: h,
 			pred: branch.NewTournament(14, 14),
@@ -259,18 +250,13 @@ func (e *Engine) newRunModels() (*runModels, error) {
 // cache is access-for-access identical to a new one), predictor tables
 // zeroed, and all per-run cluster fields restored. A reset model therefore
 // produces bit-identical runs to a freshly constructed one.
-func (m *runModels) reset(cfg Config) error {
+func (m *runModels) reset() error {
 	m.l3.Flush()
 	m.slc.Flush()
 	for _, cs := range m.clusters {
-		gov, err := governorByName(cfg.Governor)
-		if err != nil {
-			return err
-		}
 		cs.hier.Flush()
 		cs.pred.Reset()
 		cs.freqHz = cs.cl.MinFreqHz
-		cs.gov = gov
 		// phaseIdx -1 re-targets stream and branches before the run's
 		// first sample.
 		cs.miss = cpu.MissProfile{}
@@ -294,14 +280,14 @@ func (e *Engine) acquireModels() (*runModels, error) {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		e.mu.Unlock()
-		return m, m.reset(e.cfg)
+		return m, m.reset()
 	}
 	e.mu.Unlock()
 	m, err := e.newRunModels()
 	if err != nil {
 		return nil, err
 	}
-	return m, m.reset(e.cfg)
+	return m, m.reset()
 }
 
 func (e *Engine) releaseModels(m *runModels) {
@@ -368,12 +354,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.TraceMode < TraceFull || cfg.TraceMode > TraceAuto {
 		return nil, fmt.Errorf("sim: unknown TraceMode %d", cfg.TraceMode)
-	}
-	if cfg.FastForward && cfg.EnableThermalThrottle {
-		// The throttle feedback loop (temperature capping next-tick DVFS)
-		// never reaches a freezable steady state; the combination would
-		// silently simulate a different machine.
-		return nil, fmt.Errorf("sim: FastForward is incompatible with EnableThermalThrottle")
 	}
 	e := &Engine{cfg: cfg, plat: cfg.Platform, names: buildMetricNames(cfg.Platform)}
 	e.auto = make(map[string]bool, 16)
@@ -465,7 +445,7 @@ type clusterState struct {
 	kind     soc.ClusterKind
 	cl       soc.CPUCluster
 	freqHz   float64
-	gov      cpu.Governor
+	gov      *cpu.Schedutil
 	pen      cpu.Penalties
 	hier     *cache.Hierarchy
 	pred     branch.Predictor
@@ -808,8 +788,8 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 
 		prevGPU, prevAIE, prevIO = gpuRes, aieRes, ioRes
 
-		// Power and thermal extensions: observational counters by default,
-		// with optional throttle feedback into the next tick's DVFS.
+		// Power and thermal extensions: observational counters only; the
+		// paper's development board never throttled.
 		powerIn.GPULoad = gpuRes.Load
 		powerIn.AIELoad = aieRes.Load
 		powerIn.DRAMBytes = gpuRes.BytesMoved + cpuDRAMBytes
@@ -821,14 +801,6 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		heat[thermal.NodeGPU] = pw.GPU
 		heat[thermal.NodeSoC] = pw.AIE + pw.DRAM + pw.Storage + pw.Base
 		th := thermalModel.Step(heat, cfg.TickSec)
-		if cfg.EnableThermalThrottle {
-			capCPU := thermalModel.FreqCapFactor(thermal.NodeCPU)
-			for _, cs := range clusters {
-				if max := cs.cl.MaxFreqHz * capCPU; cs.freqHz > max {
-					cs.freqHz = max
-				}
-			}
-		}
 		if th.NodeC[thermal.NodeCPU] > agg.PeakCPUTempC {
 			agg.PeakCPUTempC = th.NodeC[thermal.NodeCPU]
 		}
@@ -1199,20 +1171,6 @@ func clusterSlug(k soc.ClusterKind) string {
 		return "big"
 	default:
 		return "unknown"
-	}
-}
-
-// governorByName resolves a Config.Governor value.
-func governorByName(name string) (cpu.Governor, error) {
-	switch name {
-	case "", "schedutil":
-		return cpu.NewSchedutil(), nil
-	case "performance":
-		return cpu.Performance{}, nil
-	case "powersave":
-		return cpu.Powersave{}, nil
-	default:
-		return nil, fmt.Errorf("sim: unknown governor %q", name)
 	}
 }
 

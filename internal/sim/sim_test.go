@@ -359,8 +359,9 @@ func TestPowerAndThermalCounters(t *testing.T) {
 }
 
 func TestThermalThrottleCapsFrequency(t *testing.T) {
-	// A long all-core burn with an aggressive trip point must cap the Big
-	// cluster's frequency when throttling is enabled.
+	// The paper's development board never throttled, so a long all-core
+	// burn must reach the Big cluster's max frequency; the trip state is
+	// still observed through the thermal.cpu_throttled counter.
 	hot := workload.Workload{
 		Name: "burn", Suite: "test", Target: workload.TargetCPU,
 		Phases: []workload.Phase{{
@@ -372,30 +373,16 @@ func TestThermalThrottleCapsFrequency(t *testing.T) {
 			},
 		}},
 	}
-	free := MustNew(Config{})
-	resFree, err := free.Run(hot, 0)
+	res, err := MustNew(Config{}).Run(hot, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Throttling is off by default: frequency stays at max during the burn.
-	fFree := resFree.Trace.MustSeries("cpu.big.freq_mhz")
-	if fFree.Max() < 2900 {
-		t.Fatalf("unthrottled burn never reached max frequency: %.0f MHz", fFree.Max())
+	f := res.Trace.MustSeries("cpu.big.freq_mhz")
+	if f.Max() < 2900 {
+		t.Fatalf("unthrottled burn never reached max frequency: %.0f MHz", f.Max())
 	}
-
-	throttled := MustNew(Config{EnableThermalThrottle: true})
-	resThr, err := throttled.Run(hot, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With the development board's default 95C trip the burn may or may not
-	// trip in 60 s; assert the plumbing instead: the throttle flag counter
-	// exists and the run completes deterministically.
-	if resThr.Trace.Series("thermal.cpu_throttled") == nil {
+	if res.Trace.Series("thermal.cpu_throttled") == nil {
 		t.Fatal("throttle counter missing")
-	}
-	if resThr.Agg.InstrCount <= 0 {
-		t.Fatal("throttled run produced no work")
 	}
 }
 
@@ -427,46 +414,5 @@ func TestRunOnMidrangePlatform(t *testing.T) {
 	}
 	if flag.Agg.IPC <= res.Agg.IPC {
 		t.Fatalf("flagship IPC %.2f not above midrange %.2f", flag.Agg.IPC, res.Agg.IPC)
-	}
-}
-
-func TestGovernorSelection(t *testing.T) {
-	// The performance governor pins max frequency; powersave pins minimum;
-	// an unknown name errors.
-	perf := MustNew(Config{Governor: "performance"})
-	resPerf, err := perf.Run(tinyWorkload(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := resPerf.Trace.MustSeries("cpu.big.freq_mhz")
-	if f.Min() < 2999 {
-		t.Fatalf("performance governor let frequency drop to %.0f MHz", f.Min())
-	}
-
-	save := MustNew(Config{Governor: "powersave"})
-	resSave, err := save.Run(tinyWorkload(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := resSave.Trace.MustSeries("cpu.big.freq_mhz")
-	if fs.Max() > 900 {
-		t.Fatalf("powersave governor raised frequency to %.0f MHz", fs.Max())
-	}
-
-	// Governor choice is an energy/performance trade-off: powersave
-	// retires fewer instructions per second but at lower power.
-	if resSave.Agg.InstrCount >= resPerf.Agg.InstrCount {
-		t.Fatal("powersave should retire less work in the same wall time")
-	}
-	if resSave.Agg.AvgPowerW >= resPerf.Agg.AvgPowerW {
-		t.Fatal("powersave should draw less power")
-	}
-
-	if _, err := New(Config{Governor: "warp-speed"}); err != nil {
-		t.Fatal("governor is validated at run time, construction should succeed")
-	}
-	eng := MustNew(Config{Governor: "warp-speed"})
-	if _, err := eng.Run(tinyWorkload(), 0); err == nil {
-		t.Fatal("unknown governor accepted")
 	}
 }

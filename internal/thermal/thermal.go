@@ -1,5 +1,5 @@
-// Package thermal models die temperature with a lumped RC network and an
-// optional thermal throttle.
+// Package thermal models die temperature with a lumped RC network and
+// per-node throttle trip state.
 //
 // The paper's second stated limitation is thermals ("the absence of a
 // battery and casing in the development board limits the representativeness
@@ -7,8 +7,9 @@
 // extension. Each monitored component (CPU clusters, GPU, the rest of the
 // SoC) is a thermal node with a heat capacity, coupled to a skin node that
 // leaks to ambient — the classic two-stage RC compact model used in mobile
-// thermal studies. An optional throttle reports a frequency cap when a node
-// crosses its trip point, which the simulator can feed back into DVFS.
+// thermal studies. Each node also tracks whether it is past its trip point
+// (with hysteresis); the simulator records that as an observation and
+// never feeds it back into DVFS, since the paper's board did not throttle.
 package thermal
 
 import "fmt"
@@ -139,20 +140,6 @@ func (m *Model) Step(powerW [NumNodes]float64, dt float64) State {
 // State returns the current reading without advancing time.
 func (m *Model) State() State {
 	return State{NodeC: m.nodeC, SkinC: m.skinC, Throttled: m.throttled}
-}
-
-// FreqCapFactor returns the DVFS cap for a node: 1 when unthrottled, or a
-// reduced factor proportional to how far past the trip point it is.
-func (m *Model) FreqCapFactor(n Node) float64 {
-	if !m.throttled[n] {
-		return 1
-	}
-	over := m.nodeC[n] - m.cfg.TripC[n]
-	cap := 1 - 0.05*(over+1)
-	if cap < 0.5 {
-		cap = 0.5
-	}
-	return cap
 }
 
 // Reset returns the network to ambient equilibrium.
