@@ -1,0 +1,71 @@
+package mobilebench
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"runtime"
+	"testing"
+)
+
+// Golden result digests of a one-run characterization of the 18 analysis
+// units at the default seed. Any change to a simulated or reported number
+// moves them. An intended output change updates the constant here and names
+// the reason in CHANGES.md.
+const (
+	// goldenExactDigest is also perfbench's pinnedExactDigest.
+	goldenExactDigest = "9e89860040156dd701b77c8676deba793f240f569ff8e584a8d4fc6df971a417"
+	goldenFFDigest    = "ef9fa0f156efed9a3544fa41fbe40268fa558a63ec712e389ae6a307468003be"
+)
+
+// TestGoldenDigests pins the bytes of the exact and the fast-forwarded
+// pipeline: the WriteReport text plus every unit's JSON aggregates, hashed
+// the way perfbench's digestOf hashes them.
+func TestGoldenDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on amd64; on %s the compiler may fuse x*y+z into one FMA instruction, which rounds differently", runtime.GOARCH)
+	}
+	for _, tc := range []struct {
+		name string
+		ff   bool
+		want string
+	}{
+		{"exact", false, goldenExactDigest},
+		{"fast-forward", true, goldenFFDigest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Characterize(Options{Runs: 1, Workers: 2, FastForward: tc.ff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := goldenDigest(t, c); got != tc.want {
+				t.Errorf("digest %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// goldenDigest is SHA-256 over the SHA-256 of the report, then each unit's
+// name and JSON aggregates in dataset order.
+func goldenDigest(t *testing.T, c *Characterization) string {
+	t.Helper()
+	rep := sha256.New()
+	if err := c.WriteReport(rep); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(rep.Sum(nil))
+	for _, name := range c.Names() {
+		agg, err := c.Aggregates(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(name))
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
