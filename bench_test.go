@@ -111,13 +111,12 @@ func BenchmarkSimulateWildLifeFastForward(b *testing.B) {
 	}
 }
 
-// BenchmarkCharacterizeAllFastForward is the headline PR 6 number: the full
-// 18-unit, three-run pipeline in fast-forward mode with streamed statistics
-// for everything outside the analysis metric set.
+// BenchmarkCharacterizeAllFastForward is the full 18-unit, three-run
+// pipeline in fast-forward mode.
 func BenchmarkCharacterizeAllFastForward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ds, err := core.Collect(core.Options{
-			Sim:     sim.Config{FastForward: true, TraceMode: sim.TraceAuto},
+			Sim:     sim.Config{FastForward: true},
 			Runs:    3,
 			Workers: 1,
 		})

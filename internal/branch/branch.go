@@ -10,18 +10,6 @@ package branch
 
 import "mobilebench/internal/xrand"
 
-// Predictor is the interface shared by all predictor models.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the actual outcome.
-	Update(pc uint64, taken bool)
-	// Reset clears all state.
-	Reset()
-	// Name identifies the predictor.
-	Name() string
-}
-
 // counter is a 2-bit saturating counter. Values 0,1 predict not-taken;
 // 2,3 predict taken.
 type counter uint8
@@ -53,19 +41,16 @@ func NewBimodal(bits uint) *Bimodal {
 	return &Bimodal{table: make([]counter, n), mask: n - 1}
 }
 
-// Name implements Predictor.
-func (b *Bimodal) Name() string { return "bimodal" }
-
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (b *Bimodal) Predict(pc uint64) bool { return b.table[b.index(pc)].taken() }
 
-// Update implements Predictor.
+// Update trains the predictor with the actual outcome.
 func (b *Bimodal) Update(pc uint64, taken bool) {
 	i := b.index(pc)
 	b.table[i] = b.table[i].update(taken)
 }
 
-// Reset implements Predictor.
+// Reset clears all state.
 func (b *Bimodal) Reset() {
 	for i := range b.table {
 		b.table[i] = 0
@@ -90,20 +75,17 @@ func NewGShare(bits, histLen uint) *GShare {
 	return &GShare{table: make([]counter, n), mask: n - 1, histLen: histLen}
 }
 
-// Name implements Predictor.
-func (g *GShare) Name() string { return "gshare" }
-
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (g *GShare) Predict(pc uint64) bool { return g.table[g.index(pc)].taken() }
 
-// Update implements Predictor.
+// Update trains the predictor with the actual outcome.
 func (g *GShare) Update(pc uint64, taken bool) {
 	i := g.index(pc)
 	g.table[i] = g.table[i].update(taken)
 	g.history = ((g.history << 1) | boolBit(taken)) & ((1 << g.histLen) - 1)
 }
 
-// Reset implements Predictor.
+// Reset clears all state.
 func (g *GShare) Reset() {
 	for i := range g.table {
 		g.table[i] = 0
@@ -140,10 +122,7 @@ func NewTournament(bits, histLen uint) *Tournament {
 	}
 }
 
-// Name implements Predictor.
-func (t *Tournament) Name() string { return "tournament" }
-
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (t *Tournament) Predict(pc uint64) bool {
 	if t.chooser[(pc>>2)&t.mask].taken() {
 		return t.gshare.Predict(pc)
@@ -151,7 +130,7 @@ func (t *Tournament) Predict(pc uint64) bool {
 	return t.bimodal.Predict(pc)
 }
 
-// Update implements Predictor.
+// Update trains the predictor with the actual outcome.
 func (t *Tournament) Update(pc uint64, taken bool) {
 	bp := t.bimodal.Predict(pc)
 	gp := t.gshare.Predict(pc)
@@ -165,7 +144,7 @@ func (t *Tournament) Update(pc uint64, taken bool) {
 	t.gshare.Update(pc, taken)
 }
 
-// Reset implements Predictor.
+// Reset clears all state.
 func (t *Tournament) Reset() {
 	t.bimodal.Reset()
 	t.gshare.Reset()
@@ -253,7 +232,7 @@ func (s *Stream) Reset(prof Profile, rng *xrand.Rand) {
 var coinFlip = xrand.NewThreshold(0.5)
 
 // Measure runs n branches through p and returns the number mispredicted.
-func (s *Stream) Measure(p Predictor, n int) uint64 {
+func (s *Stream) Measure(p *Tournament, n int) uint64 {
 	var miss uint64
 	for i := 0; i < n; i++ {
 		site := s.siteZipf.Draw(s.rng) // hot loops dominate

@@ -110,23 +110,30 @@ func TestTournamentBeatsWorstComponent(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	for _, p := range []Predictor{NewBimodal(8), NewGShare(8, 4), NewTournament(8, 4)} {
-		pc := uint64(0x1000)
-		for i := 0; i < 8; i++ {
-			p.Update(pc, true)
-		}
-		p.Reset()
-		if p.Predict(pc) {
-			t.Errorf("%s predicted taken after reset", p.Name())
-		}
+	const pc = uint64(0x1000)
+	b := NewBimodal(8)
+	for i := 0; i < 8; i++ {
+		b.Update(pc, true)
 	}
-}
-
-func TestNames(t *testing.T) {
-	if NewBimodal(4).Name() != "bimodal" ||
-		NewGShare(4, 2).Name() != "gshare" ||
-		NewTournament(4, 2).Name() != "tournament" {
-		t.Fatal("predictor names wrong")
+	b.Reset()
+	if b.Predict(pc) {
+		t.Error("bimodal predicted taken after reset")
+	}
+	g := NewGShare(8, 4)
+	for i := 0; i < 8; i++ {
+		g.Update(pc, true)
+	}
+	g.Reset()
+	if g.Predict(pc) || g.history != 0 {
+		t.Error("gshare kept state after reset")
+	}
+	tr := NewTournament(8, 4)
+	for i := 0; i < 8; i++ {
+		tr.Update(pc, true)
+	}
+	tr.Reset()
+	if tr.Predict(pc) {
+		t.Error("tournament predicted taken after reset")
 	}
 }
 
@@ -207,7 +214,7 @@ func TestQuickMeasureInRange(t *testing.T) {
 			Entropy:        float64(entRaw) / 255,
 		}
 		s := NewStream(prof, xrand.New(seed))
-		wrong := s.Measure(NewBimodal(10), 500)
+		wrong := s.Measure(NewTournament(10, 8), 500)
 		return wrong <= 500
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -57,9 +57,6 @@ func collectCanonical(cfg sim.Config, runs int, units []workload.Workload, pol R
 	if cfg.FastForward {
 		fmt.Fprintf(&b, "|ff=true")
 	}
-	if cfg.TraceMode != sim.TraceFull {
-		fmt.Fprintf(&b, "|tmode=%d", cfg.TraceMode)
-	}
 	// A timing backend joins the fingerprint only when its replies can
 	// differ from the in-process analytic models (Fingerprint() != ""):
 	// snapshots from an exact backend (cmd/mbtiming -model analytic) stay

@@ -55,24 +55,13 @@ type Options struct {
 	Resume bool
 }
 
-// ErrNoTrace reports that an analysis needs materialized counter traces but
-// the dataset was collected with sim.TraceStreamed (or a hand-built unit has
-// no trace). Trace-free datasets still support every aggregate analysis
-// (Figure 1, Table III, similarity, subsetting); the temporal figures and
-// observation checks need at least sim.TraceAuto.
-var ErrNoTrace = errors.New("core: dataset has no traces (collected with TraceStreamed)")
-
 // Unit is one characterized benchmark.
 type Unit struct {
 	Workload workload.Workload
 	// Agg holds the run-averaged aggregate metrics.
 	Agg sim.Aggregates
-	// Trace holds the run-averaged counter time series; nil when the
-	// dataset was collected with sim.TraceStreamed.
+	// Trace holds the run-averaged counter time series.
 	Trace *profiler.Trace
-	// Summary holds the run-merged streaming statistics; nil in the
-	// historical TraceFull mode, where Trace carries everything.
-	Summary *profiler.Summary
 	// Target is the calibration record (zero value if unknown).
 	Target workload.Target
 }
@@ -201,7 +190,7 @@ func CollectContext(ctx context.Context, opts Options) (*Dataset, error) {
 			return nil, err
 		}
 		t, _ := workload.TargetFor(w.Name)
-		ds.Units = append(ds.Units, Unit{Workload: w, Agg: res.Agg, Trace: res.Trace, Summary: res.Summary, Target: t})
+		ds.Units = append(ds.Units, Unit{Workload: w, Agg: res.Agg, Trace: res.Trace, Target: t})
 		ds.Provenance = append(ds.Provenance, prov)
 	}
 	if len(failures) > 0 {
@@ -284,8 +273,6 @@ func (u Unit) FeatureVector() []float64 {
 	storage := 0.0
 	if s := u.Trace.Series(profiler.MetricStorageUtil); s != nil {
 		storage = s.Mean()
-	} else if u.Summary != nil {
-		storage = u.Summary.Mean(profiler.MetricStorageUtil)
 	}
 	a := u.Agg
 	return []float64{
@@ -300,18 +287,6 @@ func (u Unit) FeatureVector() []float64 {
 		a.AvgUsedMemFrac,
 		storage,
 	}
-}
-
-// requireTraces gates the trace-consuming analyses: it returns a wrapped
-// ErrNoTrace naming the first trace-less unit, or nil when every unit has a
-// materialized trace.
-func (d *Dataset) requireTraces(analysis string) error {
-	for _, u := range d.Units {
-		if u.Trace == nil {
-			return fmt.Errorf("core: %s needs unit %s traced: %w", analysis, u.Workload.Name, ErrNoTrace)
-		}
-	}
-	return nil
 }
 
 // FeatureMatrix returns raw feature vectors for all units, one row per

@@ -29,9 +29,6 @@ type Observation struct {
 
 // Observations evaluates all checks.
 func (d *Dataset) Observations() ([]Observation, error) {
-	if err := d.requireTraces("Observations"); err != nil {
-		return nil, err
-	}
 	checks := []func() (Observation, error){
 		d.obs1MultiCoreLoad,
 		d.obs2VulkanVsOpenGL,

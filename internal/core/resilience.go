@@ -448,8 +448,6 @@ func outlierSignature(r *sim.Result) []float64 {
 		v := 0.0
 		if s := r.Trace.Series(m); s != nil {
 			v = s.Mean()
-		} else if r.Summary != nil {
-			v = r.Summary.Mean(m)
 		}
 		dims = append(dims, v)
 	}

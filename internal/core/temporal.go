@@ -55,9 +55,6 @@ func (d *Dataset) Figure2(samples int) ([]TemporalProfile, error) {
 	if samples < 2 {
 		return nil, fmt.Errorf("core: Figure2 needs at least 2 samples")
 	}
-	if err := d.requireTraces("Figure2"); err != nil {
-		return nil, err
-	}
 	metrics := TableIV()
 
 	// Global bounds per metric.
@@ -108,9 +105,6 @@ func (d *Dataset) Figure2(samples int) ([]TemporalProfile, error) {
 // MetricBounds returns the global normalization bounds the Figure 2
 // normalization would use for the given profiler metric.
 func (d *Dataset) MetricBounds(key string) (lo, hi float64, err error) {
-	if err := d.requireTraces("MetricBounds"); err != nil {
-		return 0, 0, err
-	}
 	first := true
 	for _, u := range d.Units {
 		s := u.Trace.Series(key)

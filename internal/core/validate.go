@@ -6,8 +6,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"mobilebench/internal/sim"
 )
 
 // OptionError reports one invalid collection option.
@@ -61,15 +59,8 @@ func (o Options) Validate() error {
 		return &OptionError{"Resilience.MinRuns", r.MinRuns,
 			fmt.Sprintf("cannot exceed the %d runs collected per unit", runs)}
 	}
-	if m := o.Sim.TraceMode; m < sim.TraceFull || m > sim.TraceAuto {
-		return &OptionError{"Sim.TraceMode", m, "must be TraceFull, TraceStreamed or TraceAuto"}
-	}
 	if o.Resume && o.Checkpoint == "" {
 		return &OptionError{"Resume", o.Resume, "requires Checkpoint to name the checkpoint log to resume from"}
-	}
-	if o.Checkpoint != "" && o.Sim.TraceMode != sim.TraceFull {
-		return &OptionError{"Checkpoint", o.Checkpoint,
-			"checkpointed collection requires Sim.TraceMode == TraceFull (checkpoint records restore full traces)"}
 	}
 	seen := make(map[string]bool, len(o.Units))
 	for _, u := range o.Units {

@@ -105,8 +105,7 @@ type Trace struct {
 func (t *Trace) Duration() float64 { return float64(t.Samples) * t.DT }
 
 // Series returns the named metric series, or nil when absent. A nil
-// receiver (a run collected without a trace, sim.TraceStreamed) has no
-// series.
+// receiver has no series.
 func (t *Trace) Series(name string) *trace.Series {
 	if t == nil {
 		return nil

@@ -342,34 +342,24 @@ func (r *tickRecord) cycleVals(i, last, p int, out []float64) []float64 {
 	return out
 }
 
-// tickEmitter fans one counter sample out to the active sinks: the full
-// trace profiler (nil in TraceStreamed; filtered to the analysis set in
-// TraceAuto), the streaming summary (nil in TraceFull), and the
-// fast-forward tick record (nil unless Config.FastForward). In the default
-// configuration it degenerates to exactly one Profiler.Sample call per
-// sample, preserving the exact path's emission sequence bit for bit.
+// tickEmitter sends one counter sample to the trace profiler and, when
+// Config.FastForward is on, to the fast-forward tick record. On the exact
+// path it is exactly one Profiler.Sample call per sample.
 type tickEmitter struct {
 	prof *profiler.Profiler
-	sum  *profiler.Summary
-	auto map[string]bool
 	rec  *tickRecord
 }
 
 func (em *tickEmitter) sample(name string, v float64) {
-	if em.prof != nil && (em.auto == nil || em.auto[name]) {
-		em.prof.Sample(name, v)
-	}
-	if em.sum != nil {
-		em.sum.Add(name, v)
-	}
+	em.prof.Sample(name, v)
 	if em.rec != nil {
 		em.rec.set(name, v)
 	}
 }
 
 // fillFrozen tiles k span ticks of every frozen metric from its steady-cycle
-// values into the active sinks; last is the final exact tick's contiguous
-// index, p the cycle period.
+// values into the trace; last is the final exact tick's contiguous index, p
+// the cycle period.
 func (em *tickEmitter) fillFrozen(k, last, p int) {
 	var scratch [ffMaxPeriod]float64
 	for i, name := range em.rec.names {
@@ -377,24 +367,7 @@ func (em *tickEmitter) fillFrozen(k, last, p int) {
 			continue
 		}
 		cyc := em.rec.cycleVals(i, last, p, scratch[:0])
-		if em.prof != nil && (em.auto == nil || em.auto[name]) {
-			if s := em.prof.SeriesOf(name); s != nil {
-				s.AppendCycle(cyc, k)
-			}
-		}
-		if em.sum != nil {
-			// Cycle position j (0-based) covers ticks j, j+p, ... within
-			// the span: k/p of them, plus one more for the first k%p.
-			for j, v := range cyc {
-				n := int64(k / p)
-				if j < k%p {
-					n++
-				}
-				if n > 0 {
-					em.sum.AddN(name, v, n)
-				}
-			}
-		}
+		em.prof.SeriesOf(name).AppendCycle(cyc, k)
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -186,55 +187,62 @@ func TestFastForwardCancellation(t *testing.T) {
 	}
 }
 
-// TestTraceModeStreamed pins the streamed collection contract: no trace is
-// materialized, and the summary reproduces the trace statistics exactly
-// (same per-tick folds, so means match to float round-off).
+// TestTraceModeAuto pins that the deprecated TraceAuto knob is inert: a
+// TraceAuto run is deep-equal to a default run, full trace included, on the
+// exact and the fast-forwarded path. The metrics TraceAuto used to leave
+// out of the trace (thermal.soc_c among them) are kept.
+func TestTraceModeAuto(t *testing.T) {
+	for _, ff := range []bool{false, true} {
+		want, err := MustNew(Config{FastForward: ff}).Run(tinyWorkload(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MustNew(Config{FastForward: ff, TraceMode: TraceAuto}).Run(tinyWorkload(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("FastForward=%v: TraceAuto run differs from the default run", ff)
+		}
+		if got.Trace == nil || got.Trace.Series("thermal.soc_c") == nil {
+			t.Errorf("FastForward=%v: TraceAuto run dropped thermal.soc_c from its trace", ff)
+		}
+	}
+}
+
+// TestTraceModeStreamed pins that no TraceMode value leaves a run without
+// its trace. 1 and 2 were the integer values of the deleted TraceStreamed
+// and of the old TraceAuto; a caller still passing either gets the full
+// trace, every series Samples long, and the same aggregates as a default
+// run.
 func TestTraceModeStreamed(t *testing.T) {
 	full, err := MustNew(Config{}).Run(tinyWorkload(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MustNew(Config{TraceMode: TraceStreamed}).Run(tinyWorkload(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace != nil {
-		t.Fatal("TraceStreamed materialized a trace")
-	}
-	if res.Summary == nil {
-		t.Fatal("TraceStreamed produced no summary")
-	}
-	if res.Agg != full.Agg {
-		t.Fatalf("aggregates depend on TraceMode:\n%+v\n%+v", res.Agg, full.Agg)
-	}
-	for _, m := range []string{profiler.MetricCPULoad, profiler.MetricGPULoad, "energy.total_j"} {
-		want := full.Trace.MustSeries(m).Mean()
-		got := res.Summary.Mean(m)
-		if math.Abs(want-got) > 1e-9*math.Max(1, math.Abs(want)) {
-			t.Errorf("%s: summary mean %g, trace mean %g", m, got, want)
+	for _, mode := range []TraceMode{TraceFull, 1, 2} {
+		res, err := MustNew(Config{TraceMode: mode}).Run(tinyWorkload(), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n := res.Summary.SlotOf(m).Stream.Count(); int(n) != full.Trace.Samples {
-			t.Errorf("%s: summary count %d, trace samples %d", m, n, full.Trace.Samples)
+		if res.Trace == nil {
+			t.Fatalf("TraceMode %d: no trace", mode)
 		}
-	}
-}
-
-// TestTraceModeAuto pins the hybrid mode: the analysis metric set is traced,
-// everything else is summary-only.
-func TestTraceModeAuto(t *testing.T) {
-	res, err := MustNew(Config{TraceMode: TraceAuto}).Run(tinyWorkload(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace == nil || res.Summary == nil {
-		t.Fatal("TraceAuto must produce both a trace and a summary")
-	}
-	for _, m := range profiler.AnalysisMetrics() {
-		if res.Trace.Series(m) == nil {
-			t.Errorf("analysis metric %s not traced in TraceAuto", m)
+		if res.Agg != full.Agg {
+			t.Fatalf("TraceMode %d: aggregates differ:\n%+v\n%+v", mode, res.Agg, full.Agg)
 		}
-	}
-	if res.Trace.Series("thermal.soc_c") != nil {
-		t.Error("non-analysis metric materialized in TraceAuto")
+		if res.Trace.Samples != full.Trace.Samples {
+			t.Fatalf("TraceMode %d: %d samples, default run %d", mode, res.Trace.Samples, full.Trace.Samples)
+		}
+		for _, m := range []string{profiler.MetricCPULoad, profiler.MetricGPULoad, "energy.total_j"} {
+			s := res.Trace.Series(m)
+			if s == nil || s.Len() != full.Trace.Samples {
+				t.Errorf("TraceMode %d: series %s missing or short", mode, m)
+				continue
+			}
+			if got, want := s.Mean(), full.Trace.MustSeries(m).Mean(); got != want {
+				t.Errorf("TraceMode %d: %s mean %g, default run %g", mode, m, got, want)
+			}
+		}
 	}
 }

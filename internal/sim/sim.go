@@ -34,7 +34,8 @@ import (
 	"mobilebench/internal/xrand"
 )
 
-// Config parameterizes the engine.
+// Config parameterizes the engine. Every run keeps its full per-tick
+// counter trace (Result.Trace); no option trades it away.
 type Config struct {
 	// Platform is the hardware description; nil selects the Snapdragon
 	// 888 HDK.
@@ -62,10 +63,7 @@ type Config struct {
 	// byte-identical path; on, results drift within the tolerances pinned
 	// by the differential suite (TestFastForwardDifferential).
 	FastForward bool
-	// TraceMode selects what a run materializes: TraceFull (default) the
-	// complete per-tick counter trace, TraceStreamed only streaming summary
-	// statistics (Result.Trace is nil), TraceAuto the analysis layer's
-	// metric subset as a trace plus summaries for everything.
+	// Deprecated: ignored; every run keeps its full trace.
 	TraceMode TraceMode
 	// Timing supplies the memory/storage timing backend. nil (the default)
 	// selects the in-process analytic models, bit-identical to the engine
@@ -74,20 +72,15 @@ type Config struct {
 	Timing TimingProvider
 }
 
-// TraceMode selects how much of the per-tick counter stream a run keeps.
+// TraceMode is the type of the deprecated Config.TraceMode.
+//
+// Deprecated: ignored; every run keeps its full trace.
 type TraceMode int
 
 const (
-	// TraceFull materializes every counter's full time series (the exact
-	// historical behaviour; required for checkpointed collection).
+	// Deprecated: ignored; every run keeps its full trace.
 	TraceFull TraceMode = iota
-	// TraceStreamed folds every counter into streaming summary statistics
-	// (profiler.Summary) and materializes no trace at all. Analyses that
-	// need raw series (Figure 2/3, observations, ROI) are unavailable.
-	TraceStreamed
-	// TraceAuto materializes full series only for the metrics the analysis
-	// layer reads raw (Table IV set, per-cluster loads, IPC, storage) and
-	// folds everything else into summaries.
+	// Deprecated: ignored; every run keeps its full trace.
 	TraceAuto
 )
 
@@ -153,11 +146,6 @@ type Engine struct {
 	// ~190 metrics per tick; formatting those names per sample used to be
 	// the pipeline's single largest allocation source.
 	names [soc.NumClusters]clusterMetricNames
-
-	// auto is the TraceAuto materialization set: the analysis layer's
-	// platform-independent metrics plus this platform's per-cluster load
-	// series.
-	auto map[string]bool
 
 	// free pools runModels across runs: cache tag/valid/LRU arrays and
 	// predictor tables dominate per-run allocation after the name tables,
@@ -352,17 +340,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Platform.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.TraceMode < TraceFull || cfg.TraceMode > TraceAuto {
-		return nil, fmt.Errorf("sim: unknown TraceMode %d", cfg.TraceMode)
-	}
 	e := &Engine{cfg: cfg, plat: cfg.Platform, names: buildMetricNames(cfg.Platform)}
-	e.auto = make(map[string]bool, 16)
-	for _, m := range profiler.AnalysisMetrics() {
-		e.auto[m] = true
-	}
-	for _, k := range soc.Clusters() {
-		e.auto[e.names[k].load] = true
-	}
 	// Seed the pool with one model set so a sequential caller's first Run
 	// pays no model construction either.
 	m, err := e.newRunModels()
@@ -424,14 +402,10 @@ type Aggregates struct {
 // Result is one run of one workload.
 type Result struct {
 	Workload string
-	// Trace is the materialized counter time series; nil when the run was
-	// collected with TraceStreamed (the Summary then carries the run's
-	// statistics).
+	// Trace is the run's full per-tick counter time series, one sample per
+	// tick for every counter the engine emits.
 	Trace *profiler.Trace
-	// Summary holds streaming per-metric statistics; nil in TraceFull mode
-	// (the historical default, where the Trace carries everything).
-	Summary *profiler.Summary
-	Agg     Aggregates
+	Agg   Aggregates
 	// TimingNotes and TimingDegraded report the timing backend's health
 	// over this run (restarts, circuit-break degradation to the in-process
 	// model) when Config.Timing implements TimingReporter. They describe
@@ -448,7 +422,7 @@ type clusterState struct {
 	gov      *cpu.Schedutil
 	pen      cpu.Penalties
 	hier     *cache.Hierarchy
-	pred     branch.Predictor
+	pred     *branch.Tournament
 	stream   *cache.StreamGen
 	branches *branch.Stream
 	miss     cpu.MissProfile
@@ -526,23 +500,9 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 	}
 	// Every counter appends one sample per tick; pre-sizing the series from
 	// the phase-timeline tick count makes each backing array grow exactly
-	// once instead of log(ticks) times per counter. In TraceStreamed mode no
-	// series exist at all; in TraceAuto only the analysis set does.
-	var prof *profiler.Profiler
-	var sum *profiler.Summary
-	switch cfg.TraceMode {
-	case TraceStreamed:
-		sum = profiler.NewSummary(cfg.TickSec)
-	case TraceAuto:
-		prof = profiler.NewCap(cfg.TickSec, ticks)
-		sum = profiler.NewSummary(cfg.TickSec)
-	default:
-		prof = profiler.NewCap(cfg.TickSec, ticks)
-	}
-	em := tickEmitter{prof: prof, sum: sum}
-	if cfg.TraceMode == TraceAuto {
-		em.auto = e.auto
-	}
+	// once instead of log(ticks) times per counter.
+	prof := profiler.NewCap(cfg.TickSec, ticks)
+	em := tickEmitter{prof: prof}
 	var ff *ffState
 	if cfg.FastForward {
 		ff = newFFState()
@@ -672,7 +632,7 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 						rng.Split(uint64(phaseIdx)*64+uint64(cs.kind)+7))
 					cs.phaseIdx = phaseIdx
 				}
-				cs.miss = e.sampleMissProfile(cs, phase.CPU, rng)
+				cs.miss = e.sampleMissProfile(cs, phase.CPU)
 			}
 			if !active {
 				continue
@@ -951,16 +911,9 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		agg.ClusterLoad[k] /= n
 	}
 
-	var tr *profiler.Trace
-	if prof != nil {
-		var err error
-		tr, err = prof.Trace()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if sum != nil {
-		sum.Ticks = ticks
+	tr, err := prof.Trace()
+	if err != nil {
+		return nil, err
 	}
 
 	// Chaos hook: corrupt the finished measurement the way a flaky
@@ -972,11 +925,9 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		if f := plan.SkewFactor; f != 0 && f != 1 {
 			agg = skewAgg(agg, f)
 		}
-		if tr != nil {
-			plan.Corrupt(tr)
-		}
+		plan.Corrupt(tr)
 	}
-	res := &Result{Workload: w.Name, Trace: tr, Summary: sum, Agg: agg}
+	res := &Result{Workload: w.Name, Trace: tr, Agg: agg}
 	if rep, ok := timingModel.(TimingReporter); ok {
 		res.TimingNotes, res.TimingDegraded = rep.TimingReport()
 	}
@@ -1010,7 +961,7 @@ func skewAgg(a Aggregates, f float64) Aggregates {
 // sampleMissProfile refreshes a cluster's measured memory/branch behaviour
 // by driving sampled synthetic streams through the cache hierarchy and
 // branch predictor.
-func (e *Engine) sampleMissProfile(cs *clusterState, cp workload.CPUPhase, rng *xrand.Rand) cpu.MissProfile {
+func (e *Engine) sampleMissProfile(cs *clusterState, cp workload.CPUPhase) cpu.MissProfile {
 	var miss cpu.MissProfile
 	n := e.cfg.CacheSamples
 	if n > 0 && cp.Mix.LoadStoreFrac > 0 {
@@ -1023,52 +974,29 @@ func (e *Engine) sampleMissProfile(cs *clusterState, cp workload.CPUPhase, rng *
 		wrong := cs.branches.Measure(cs.pred, branchSamples)
 		miss.BranchMissPerInstr = float64(wrong) / branchSamples * cp.Mix.BranchFrac
 	}
-	_ = rng
 	return miss
 }
 
 // AverageResults merges per-run results (ordered by run index) into the
-// run-averaged result: traces are averaged sample-wise (when the runs
-// carry traces), summaries are pooled in run order (when they carry
-// summaries), and aggregates are folded in run order. The fold order is
-// fixed so that parallel collection paths reproduce the sequential result
-// exactly.
+// run-averaged result: traces are averaged sample-wise and aggregates are
+// folded in run order. The fold order is fixed so that parallel collection
+// paths reproduce the sequential result exactly.
 func AverageResults(name string, results []*Result) (*Result, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("sim: no results to average for %s", name)
 	}
 	for i, r := range results {
-		if r == nil {
-			return nil, fmt.Errorf("sim: missing run %d result for %s", i, name)
-		}
-		if (r.Trace == nil) != (results[0].Trace == nil) ||
-			(r.Summary == nil) != (results[0].Summary == nil) {
-			return nil, fmt.Errorf("sim: run %d of %s mixes trace modes", i, name)
+		if r == nil || r.Trace == nil {
+			return nil, fmt.Errorf("sim: run %d result for %s is missing or has no trace", i, name)
 		}
 	}
-	var mean *profiler.Trace
-	if results[0].Trace != nil {
-		traces := make([]*profiler.Trace, len(results))
-		for i, r := range results {
-			traces[i] = r.Trace
-		}
-		var err error
-		mean, err = profiler.MeanTraces(traces)
-		if err != nil {
-			return nil, err
-		}
+	traces := make([]*profiler.Trace, len(results))
+	for i, r := range results {
+		traces[i] = r.Trace
 	}
-	var merged *profiler.Summary
-	if results[0].Summary != nil {
-		sums := make([]*profiler.Summary, len(results))
-		for i, r := range results {
-			sums[i] = r.Summary
-		}
-		var err error
-		merged, err = profiler.MergeSummaries(sums)
-		if err != nil {
-			return nil, err
-		}
+	mean, err := profiler.MeanTraces(traces)
+	if err != nil {
+		return nil, err
 	}
 	agg := results[0].Agg
 	for _, r := range results[1:] {
@@ -1076,7 +1004,7 @@ func AverageResults(name string, results []*Result) (*Result, error) {
 	}
 	agg = scaleAgg(agg, 1/float64(len(results)))
 	agg.Name = name
-	return &Result{Workload: name, Trace: mean, Summary: merged, Agg: agg}, nil
+	return &Result{Workload: name, Trace: mean, Agg: agg}, nil
 }
 
 func addAgg(a, b Aggregates) Aggregates {

@@ -84,11 +84,9 @@ type (
 	Aggregates = sim.Aggregates
 	// Trace is the averaged counter time-series collection of a run.
 	Trace = profiler.Trace
-	// Summary is the streaming per-metric statistics of a run (means,
-	// moments and quantile sketches), collected without a trace.
-	Summary = profiler.Summary
-	// TraceMode selects how much of the per-tick counter stream a
-	// characterization keeps.
+	// TraceMode is the type of the deprecated Options.TraceMode.
+	//
+	// Deprecated: ignored; every run keeps its full trace.
 	TraceMode = sim.TraceMode
 	// Clustering is one algorithm's benchmark grouping.
 	Clustering = core.Clustering
@@ -138,22 +136,12 @@ const (
 	APICompute = gpu.Compute
 )
 
-// Trace materialization modes for Options.TraceMode.
 const (
-	// TraceFull keeps every counter's complete per-tick series (the
-	// historical default; required for checkpointed characterizations).
+	// Deprecated: ignored; every run keeps its full trace.
 	TraceFull = sim.TraceFull
-	// TraceStreamed keeps only streaming summary statistics per metric;
-	// trace-consuming analyses return core.ErrNoTrace.
-	TraceStreamed = sim.TraceStreamed
-	// TraceAuto keeps full series for the analysis metric set and
-	// summaries for everything else — every bundled figure still works.
+	// Deprecated: ignored; every run keeps its full trace.
 	TraceAuto = sim.TraceAuto
 )
-
-// ErrNoTrace is returned by trace-consuming analyses (temporal profiles,
-// observation checks) when the dataset was characterized with TraceStreamed.
-var ErrNoTrace = core.ErrNoTrace
 
 // AI-engine operation classes for AIEDemand definitions.
 const (
@@ -180,7 +168,9 @@ func Executables() []Workload { return workload.Executables() }
 // BenchmarkByName returns a benchmark (analysis unit or executable).
 func BenchmarkByName(name string) (Workload, error) { return workload.ByName(name) }
 
-// Options configures Characterize.
+// Options configures Characterize. Every run keeps its full per-tick
+// counter trace, so every table, figure and observation is available on
+// the result.
 type Options struct {
 	// Platform overrides the simulated hardware (default: Snapdragon 888
 	// HDK).
@@ -225,11 +215,7 @@ type Options struct {
 	// power and memory essentially exact; sampled counter rates within
 	// ~15-25%). Off (the default) keeps the exact, byte-identical path.
 	FastForward bool
-	// TraceMode selects what each run materializes: TraceFull (default)
-	// the complete per-tick counter traces, TraceStreamed only streaming
-	// summary statistics (temporal figures and observation checks then
-	// return core.ErrNoTrace), TraceAuto traces for the analysis metric
-	// set plus summaries for the rest.
+	// Deprecated: ignored; every run keeps its full trace.
 	TraceMode TraceMode
 
 	// Checkpoint, when non-empty, names a record log: every completed
@@ -267,7 +253,6 @@ func CharacterizeContext(ctx context.Context, opts Options) (*Characterization, 
 			TickSec:     opts.TickSec,
 			Fault:       opts.Inject,
 			FastForward: opts.FastForward,
-			TraceMode:   opts.TraceMode,
 		},
 		Runs:    opts.Runs,
 		Units:   opts.Units,
