@@ -9,6 +9,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mobilebench/internal/stats"
 )
@@ -48,17 +49,17 @@ func (a Assignment) Sizes() []int {
 }
 
 // Canonical renumbers clusters by order of first appearance so that
-// assignments from different algorithms can be compared directly.
+// assignments from different algorithms can be compared directly. Each
+// label is looked up among the labels seen so far, a linear search that
+// beats a map at the cluster counts the sweep uses (k ≤ 9).
 func (a Assignment) Canonical() Assignment {
-	next := 0
-	seen := make(map[int]int)
 	out := make(Assignment, len(a))
+	labels := make([]int, 0, 16) // labels[id] is the label renamed to id
 	for i, c := range a {
-		id, ok := seen[c]
-		if !ok {
-			id = next
-			seen[c] = id
-			next++
+		id := slices.Index(labels, c)
+		if id < 0 {
+			id = len(labels)
+			labels = append(labels, c)
 		}
 		out[i] = id
 	}

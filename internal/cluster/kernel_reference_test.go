@@ -773,3 +773,118 @@ func TestKMeansOverflowIsAnError(t *testing.T) {
 		t.Fatalf("KMeans on overflowing features = %v, nil error", a)
 	}
 }
+
+// TestPAMUpdateMatchesCache checks SWAP's incremental bookkeeping against
+// a fresh cache pass: after every swap of a random walk over medoid sets,
+// on tie-heavy matrices with duplicate observations and with sporadic, then
+// every, off-diagonal distance NaN, update's nearest, d1 and d2 equal
+// cache's, d1 and d2 in bits. Each of update's paths must run: a nearest
+// slot kept, a merge and a rescan.
+func TestPAMUpdateMatchesCache(t *testing.T) {
+	rng := xrand.New(27)
+	var kept, merged, rescanned int
+	for n := 2; n <= 16; n++ {
+		s, fresh := newPAMScratch(n), newPAMScratch(n)
+		for _, nanEvery := range []int{0, 4, 1} {
+			d := tiedMatrix(rng, n, nanEvery)
+			for k := 1; k < n; k++ {
+				medoids := append([]int(nil), randomMedoids(make([]int, n), k, rng)...)
+				s.cache(d, medoids)
+				for swap := 0; swap < 12; swap++ {
+					slot, o := rng.Intn(k), rng.Intn(n)
+					if isMedoid(medoids, o) {
+						continue
+					}
+					old := medoids[slot]
+					for i, near := range s.nearest {
+						vOld, v := d.At(i, old), d.At(i, o)
+						switch {
+						case near == slot && v < s.d2[i]:
+							kept++
+						case near == slot || !(vOld > s.d2[i]) && !(v <= s.d2[i]):
+							rescanned++
+						default:
+							merged++
+						}
+					}
+					medoids[slot] = o
+					s.update(d, medoids, slot, old)
+					fresh.cache(d, medoids)
+					for i := 0; i < n; i++ {
+						if s.nearest[i] != fresh.nearest[i] ||
+							math.Float64bits(s.d1[i]) != math.Float64bits(fresh.d1[i]) ||
+							math.Float64bits(s.d2[i]) != math.Float64bits(fresh.d2[i]) {
+							t.Fatalf("n=%d nan=1/%d k=%d medoids %v after %d→%d in slot %d: point %d has (%d, %v, %v), cache gives (%d, %v, %v)",
+								n, nanEvery, k, medoids, old, o, slot, i,
+								s.nearest[i], s.d1[i], s.d2[i], fresh.nearest[i], fresh.d1[i], fresh.d2[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	if kept == 0 || merged == 0 || rescanned == 0 {
+		t.Fatalf("kept %d, merged %d and rescanned %d points; every path must run", kept, merged, rescanned)
+	}
+}
+
+// TestKMeansNearestCenterTieOnRoot checks the assignment step's tie rule
+// where squared distances differ but their square roots do not: center 0
+// is 1 + 2⁻⁵² away squared and center 1 is 1 away, one ulp closer, yet both
+// roots round to 1, so the scan over roots keeps the lower index. A pruned
+// pass that compared squared distances would pick center 1.
+func TestKMeansNearestCenterTieOnRoot(t *testing.T) {
+	row := []float64{1, 0}
+	far, near := []float64{0, 0x1p-26}, []float64{0, 0}
+	if d0, d1 := stats.Euclidean(row, far), stats.Euclidean(row, near); d0 != d1 || d0 != 1 {
+		t.Fatalf("premise: roots %v and %v, want both 1", d0, d1)
+	}
+	for _, tc := range []struct {
+		centers [][]float64
+		want    int
+	}{
+		{[][]float64{far, near}, 0},
+		{[][]float64{near, far}, 0},
+		{[][]float64{{5, 5}, far, near}, 1},
+	} {
+		s := newKMeansScratch(1, len(row), len(tc.centers))
+		for c, cen := range tc.centers {
+			copy(s.center(c), cen)
+		}
+		if got, d := s.nearestCenter(row, len(tc.centers)); got != tc.want || d != 1 {
+			t.Errorf("centers %v: nearest %d at %v, want %d at 1", tc.centers, got, d, tc.want)
+		}
+	}
+}
+
+// TestKMeansUnchangedFirstPassReseeds covers the one unchanged pass that
+// must not end Lloyd's loop: on identical rows every center ties, the first
+// pass puts every row in cluster 0 and so leaves the zeroed assignment
+// unchanged, and the empty clusters must still be re-seeded, restart by
+// restart, as the reference does.
+func TestKMeansUnchangedFirstPassReseeds(t *testing.T) {
+	for n := 2; n <= 6; n++ {
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = []float64{0.25, 3}
+		}
+		for k := 2; k <= n; k++ {
+			s := newKMeansScratch(n, 2, k)
+			var reseeds int
+			for r := 0; r < kmeansRestarts; r++ {
+				got := s.once(rows, nil, k, xrand.New(kmeansSeed).Split(uint64(r)+1))
+				want := refKMeansOnce(rows, nil, k, xrand.New(kmeansSeed).Split(uint64(r)+1), &reseeds)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d k=%d restart %d: assignment %v, want %v", n, k, r, got, want)
+				}
+			}
+			got, err := NewKMeans().Cluster(rows, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refKMeans(rows, nil, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d k=%d: KMeans = %v, want %v", n, k, got, want)
+			}
+		}
+	}
+}

@@ -136,17 +136,78 @@ func newPAMScratch(n int) *pamScratch {
 // multiset of distances, so a tie at the nearest distance gives d2 == d1.
 func (s *pamScratch) cache(d *DistMatrix, medoids []int) {
 	for i := range s.nearest {
-		near, d1, d2 := -1, math.Inf(1), math.Inf(1)
-		row := d.row(i)
-		for mi, m := range medoids {
-			v := row[m]
-			if v < d1 {
-				near, d1, d2 = mi, v, d1
-			} else if v < d2 {
-				d2 = v
-			}
+		s.scan(d.row(i), medoids, i)
+	}
+}
+
+// scan fills observation i's entries from its distances row: the scan takes
+// a distance only when it is strictly below d1 or d2, so NaN and +Inf are
+// never taken, nearest is the lowest slot at the minimum (−1 when no
+// distance is taken), d1 is the minimum and d2 the second-smallest value of
+// the multiset of taken distances (+Inf when there are too few).
+func (s *pamScratch) scan(row []float64, medoids []int, i int) {
+	near, d1, d2 := -1, math.Inf(1), math.Inf(1)
+	for mi, m := range medoids {
+		v := row[m]
+		if v < d1 {
+			near, d1, d2 = mi, v, d1
+		} else if v < d2 {
+			d2 = v
 		}
-		s.nearest[i], s.d1[i], s.d2[i] = near, d1, d2
+	}
+	s.nearest[i], s.d1[i], s.d2[i] = near, d1, d2
+}
+
+// update brings the cache from the medoids before a swap to medoids, in
+// which slot holds a new medoid in place of old, without a full cache pass:
+// O(n) work plus O(k) per rescanned observation instead of O(n·k).
+//
+// The entries are those cache would give, in bits. As scan's comment says,
+// they are a function of the multiset M of taken distances, except that
+// nearest is the lowest slot at the minimum. The swap takes v_old =
+// d(i, old) out of slot and puts v = d(i, medoids[slot]) in. Equal values
+// that are not NaN have equal bits, since a distance is never −0 (a square
+// root of a sum that starts at +0). The cases, in the order update tests
+// them:
+//
+//   - slot was the nearest and v < d2: the rest of M is at least d2 > v,
+//     so v is the only minimum. slot stays the nearest, v becomes d1, and
+//     d2, the rest's minimum, stays.
+//   - slot was the nearest, or v_old ≤ d2 (or NaN) and v > d2 (or NaN):
+//     the observation is rescanned.
+//   - Otherwise slot was not the nearest, and removing v_old leaves d1 and
+//     nearest as they were and d2 at some d2* ≥ d2. If v_old > d2 or is
+//     NaN or +Inf, it was not taken or lay above M's two smallest values,
+//     so d2* = d2. Else v_old ≤ d2 is taken and, as a value of M other
+//     than the nearest's, at least d2, so v_old = d2 and d2* ≥ d2 ≥ v.
+//     Merging v into the entries as they are then gives the new entries,
+//     which is what scan does with v, ties going to the lower slot: v < d1
+//     makes slot the nearest, with d1 → d2; v == d1 makes d2 = d1, and
+//     slot the nearest if it is lower (any other slot at d1 is higher than
+//     the nearest); v < d2 alone lowers d2; NaN and any larger value
+//     change nothing. A v ≤ d2 ≤ d2* lands at or below d2 either way, so
+//     merging against d2 instead of d2* is exact. v == d1 = +Inf only with
+//     nearest = −1 and d2 = +Inf, and the merge leaves both, as scan would:
+//     it never takes +Inf.
+func (s *pamScratch) update(d *DistMatrix, medoids []int, slot, old int) {
+	oldRow, newRow := d.row(old), d.row(medoids[slot])
+	for i, near := range s.nearest {
+		vOld, v, d1, d2 := oldRow[i], newRow[i], s.d1[i], s.d2[i]
+		switch {
+		case near == slot && v < d2:
+			s.d1[i] = v
+		case near == slot || !(vOld > d2) && !(v <= d2):
+			s.scan(d.row(i), medoids, i)
+		case v < d1:
+			s.nearest[i], s.d1[i], s.d2[i] = slot, v, d1
+		case v == d1:
+			s.d2[i] = v
+			if slot < near {
+				s.nearest[i] = slot
+			}
+		case v < d2:
+			s.d2[i] = v
+		}
 	}
 }
 
@@ -166,8 +227,10 @@ func (s *pamScratch) swapOut(mi int) {
 // whether swapFrom may use them this round: only when cost and every d2
 // are finite, as swapFrom's bound assumes. A finite d2 also means every
 // observation has a nearest medoid to charge its correction to. Each min
-// uses minSum's rule, so a NaN distance yields the cached value exactly as
-// in the trial it stands for.
+// is Go's min, which gives the value minSum's rule gives for any distance
+// but NaN and costs less than the two branches that rule takes per term.
+// A NaN distance d(o, i) makes shared[o] NaN, and a NaN estimate never
+// passes screenedOut's test, so every trial of candidate o runs exactly.
 func (s *pamScratch) screen(d *DistMatrix, k int, cost float64) bool {
 	if math.IsNaN(cost) || math.IsInf(cost, 0) {
 		return false
@@ -187,13 +250,7 @@ func (s *pamScratch) screen(d *DistMatrix, k int, cost float64) bool {
 		}
 		sum := 0.0
 		for i, v := range d.row(o)[:n] {
-			m1, m2 := d1[i], d2[i]
-			if v < m1 {
-				m1 = v
-			}
-			if v < m2 {
-				m2 = v
-			}
+			m1, m2 := min(v, d1[i]), min(v, d2[i])
 			sum += m1
 			corr[nearest[i]*n+o] += m2 - m1
 		}
@@ -230,9 +287,10 @@ func minSum(row, rest []float64) float64 {
 }
 
 // swapFrom runs the SWAP phase to convergence, improving medoids in place.
-// Each round caches the nearest distances once; a trial swap mi → o then
-// costs minSum over row o of the (symmetric) matrix, unless the round's
-// screen proves the trial cannot pass the acceptance test.
+// The nearest distances are cached once per start and updated after each
+// accepted swap (update); a trial swap mi → o then costs minSum over row o
+// of the (symmetric) matrix, unless the round's screen proves the trial
+// cannot pass the acceptance test.
 //
 // The screen. Trial mi → o costs c = minSum(d.row(o), rest), the in-order
 // float sum of tᵢ = min(d(o,i), restᵢ); call the real sum S. Its screen
@@ -270,8 +328,8 @@ func minSum(row, rest []float64) float64 {
 // Every skipped trial is one the exact scan rejects, rejections leave
 // bestDelta alone, and the survivors are tested exactly in the same
 // (mi, o) order — so bestDelta, the medoid sequence and every cost keep
-// their bits. When a sum overflows, x − m is NaN or −Inf, so the trial
-// runs exactly.
+// their bits. When a sum overflows, or the candidate's row holds a NaN
+// distance, x − m is NaN or −Inf, so the trial runs exactly.
 func swapFrom(d *DistMatrix, medoids []int, s *pamScratch) []int {
 	n, k := d.N(), len(medoids)
 	if len(s.corr) < k*n {
@@ -313,10 +371,11 @@ func swapFrom(d *DistMatrix, medoids []int, s *pamScratch) []int {
 		if bestM < 0 {
 			break
 		}
-		s.medoid[medoids[bestM]], s.medoid[bestO] = false, true
+		old := medoids[bestM]
+		s.medoid[old], s.medoid[bestO] = false, true
 		medoids[bestM] = bestO
 		cost += bestDelta
-		s.cache(d, medoids)
+		s.update(d, medoids, bestM, old)
 	}
 	return medoids
 }

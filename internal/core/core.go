@@ -154,9 +154,11 @@ func CollectContext(ctx context.Context, opts Options) (*Dataset, error) {
 		defer ckpt.close()
 	}
 
-	// One job per (unit, run) pair rather than per unit: with 18 units the
-	// longest unit would otherwise bound the tail; 54 jobs keep every core
-	// busy until the end.
+	// One job per (unit, run) pair rather than per unit, handed out
+	// unit-major, so a unit's runs can go to different workers. Job costs
+	// are far from uniform: one exact GFXBench High run is about a third of
+	// a one-run collection, so with Runs: 1 that single job bounds the tail
+	// whatever the worker count.
 	states := make([][]*runState, len(units))
 	for i := range states {
 		states[i] = make([]*runState, runs)

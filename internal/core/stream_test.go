@@ -349,3 +349,31 @@ func TestStreamOptionsValidate(t *testing.T) {
 		t.Fatalf("defaults = k %d..%d, want 2..9", d.KMin, d.KMax)
 	}
 }
+
+// BenchmarkStreamIngest is the per-ack path of a stream without HTTP or
+// fsync: one Ingest per op, that is the fold, the renormalization, the
+// Figure 4 sweep over 18 units on 2 workers and the summary. The stream is
+// primed with one record per unit; each op then folds the next of a cycle
+// of seeded noisy repeat runs, so the ops are the updates and rebuilds of a
+// live stream.
+func BenchmarkStreamIngest(b *testing.B) {
+	const units = 18
+	recs := noisyStreamRecords(20 * units)
+	st := NewStreamState(StreamOptions{Workers: 2})
+	ctx := context.Background()
+	for _, rec := range recs[:units] {
+		if _, err := st.Ingest(ctx, rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	repeats := recs[units:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := repeats[i%len(repeats)]
+		rec.Seq = uint64(units + 1 + i)
+		if _, err := st.Ingest(ctx, rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
