@@ -58,8 +58,8 @@ func BenchmarkCharacterizeAll(b *testing.B) {
 }
 
 // BenchmarkCharacterizeAllParallel is the same pipeline with the (unit, run)
-// fan-out across all cores (Workers=0). The speedup over the sequential
-// benchmark is tracked in BENCH_baseline.json.
+// fan-out across all cores (Workers=0). README "Performance" quotes its
+// speedup over the sequential benchmark.
 func BenchmarkCharacterizeAllParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ds, err := core.Collect(core.Options{Sim: sim.Config{}, Runs: 3, Workers: 0})

@@ -29,8 +29,8 @@ func benchBlobRows(n, d int) [][]float64 {
 // BenchmarkClusterSweep covers the Figure 4 path: a full validation sweep
 // (clustering + APN/AD/Dunn/silhouette per k) across K-means and PAM, with
 // every clustering and stability re-clustering reading the sweep's shared
-// DistMatrix instead of recomputing distances per call. Tracked in
-// BENCH_*.json and gated by scripts/benchdiff.go in CI.
+// DistMatrix instead of recomputing distances per call. Gated in CI by
+// scripts/bench-ab.sh against the base commit.
 func BenchmarkClusterSweep(b *testing.B) {
 	rows := benchBlobRows(24, 8)
 	algs := []Algorithm{NewKMeans(), NewPAM()}

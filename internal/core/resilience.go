@@ -25,6 +25,7 @@ import (
 	"mobilebench/internal/par"
 	"mobilebench/internal/profiler"
 	"mobilebench/internal/sim"
+	"mobilebench/internal/stats"
 	"mobilebench/internal/workload"
 	"mobilebench/internal/xrand"
 )
@@ -484,7 +485,7 @@ func detectOutlierRuns(states []*runState) []int {
 		for k := range idx {
 			col[k] = sigs[k][d]
 		}
-		med := median(col)
+		med := stats.Median(col)
 		scale := math.Abs(med)
 		if scale < 1e-9 || math.IsNaN(med) || math.IsInf(med, 0) {
 			continue
@@ -500,7 +501,7 @@ func detectOutlierRuns(states []*runState) []int {
 				hi = v
 			}
 		}
-		mad := median(devs)
+		mad := stats.Median(devs)
 		for k, dev := range devs {
 			if dev/scale <= outlierMinRelDev {
 				continue
@@ -532,19 +533,4 @@ func detectOutlierRuns(states []*runState) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// median returns the middle value of xs (mean of the middle two for even
-// lengths); xs is not modified.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return 0.5 * (c[n/2-1] + c[n/2])
 }

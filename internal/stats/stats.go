@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Sentinel errors for undefined statistics. Callers that feed Table III
@@ -49,6 +50,32 @@ func Mean(xs []float64) float64 {
 		return 0
 	}
 	return s / float64(n)
+}
+
+// Median returns the middle value of xs (the mean of the middle two for an
+// even length, 0 when xs is empty). xs is not modified.
+func Median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	c := append([]float64(nil), xs...)
+	sort.Float64s(c)
+	n := len(c)
+	if n%2 == 1 {
+		return c[n/2]
+	}
+	return 0.5 * (c[n/2-1] + c[n/2])
+}
+
+// MAD returns the median absolute deviation of xs from its median, unscaled
+// (0 when xs is empty). xs is not modified.
+func MAD(xs []float64) float64 {
+	med := Median(xs)
+	devs := make([]float64, len(xs))
+	for i, x := range xs {
+		devs[i] = math.Abs(x - med)
+	}
+	return Median(devs)
 }
 
 // Pearson returns the Pearson correlation coefficient between x and y.

@@ -18,6 +18,34 @@ func TestMean(t *testing.T) {
 	}
 }
 
+func TestMedianAndMAD(t *testing.T) {
+	cases := []struct {
+		name     string
+		xs       []float64
+		med, mad float64
+	}{
+		{"empty", nil, 0, 0},
+		{"one", []float64{3}, 3, 0},
+		{"odd", []float64{9, 1, 5}, 5, 4},
+		{"even", []float64{4, 1, 3, 10}, 3.5, 1.5},
+		{"ties", []float64{2, 2, 2, 7}, 2, 0},
+	}
+	for _, c := range cases {
+		in := append([]float64(nil), c.xs...)
+		if got := Median(in); got != c.med {
+			t.Errorf("%s: Median = %g, want %g", c.name, got, c.med)
+		}
+		if got := MAD(in); got != c.mad {
+			t.Errorf("%s: MAD = %g, want %g", c.name, got, c.mad)
+		}
+		for i := range in {
+			if in[i] != c.xs[i] {
+				t.Fatalf("%s: input modified: %v, want %v", c.name, in, c.xs)
+			}
+		}
+	}
+}
+
 func TestPearsonPerfect(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{2, 4, 6, 8}

@@ -31,8 +31,8 @@ func benchSubsetInput(n, d int) []Benchmark {
 
 // BenchmarkSubsetSelect covers the Figure 7 selection path: greedy subset
 // construction followed by the growth curve (each point a TotalMinDistance
-// over the prefix). Tracked in BENCH_*.json and gated by
-// scripts/benchdiff.go in CI.
+// over the prefix). Gated in CI by scripts/bench-ab.sh against the base
+// commit.
 func BenchmarkSubsetSelect(b *testing.B) {
 	bs := benchSubsetInput(24, 8)
 	b.ReportAllocs()

@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# bench-ab.sh BASE HEAD: interleaved A/B of the gated Go benchmarks on this
+# host. Both git refs are extracted with `git archive` (no worktree state
+# in .git) and built into one test binary per package per side. One
+# warm-up round per side is discarded; then each of the measured rounds
+# takes one sample of every benchmark per side, alternating which side
+# goes first. benchdiff, always from this script's own tree, compares the
+# medians and exits 1 when head regressed past base (see its doc comment).
+set -euo pipefail
+
+[ $# -eq 2 ] || { echo "usage: $0 BASE HEAD" >&2; exit 2; }
+repo=$(cd "$(dirname "$0")/.." && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+rounds=6
+
+# "package benchmark-regexp [extra test flags]": every benchmark CI gates.
+# A SimulateWildLife run already lasts ~0.1 s, so one iteration is a sample.
+benches=(
+  ". ^(BenchmarkSimulateWildLife|BenchmarkSimulateWildLifeFastForward)$ -test.benchtime=1x"
+  "internal/cluster ^(BenchmarkClusterSweep|BenchmarkStreamFold)$"
+  "internal/core ^BenchmarkStreamIngest$"
+  "internal/cache ^BenchmarkStreamGenBatch$"
+  "internal/subset ^BenchmarkSubsetSelect$"
+  "internal/cosim ^(BenchmarkTimingModelInProcess|BenchmarkTimingModelExternal)$"
+)
+
+for side in base head; do
+  ref=$1
+  [ "$side" = head ] && ref=$2
+  mkdir "$work/$side"
+  git -C "$repo" archive "$ref" | tar -x -C "$work/$side"
+  for i in "${!benches[@]}"; do
+    read -r pkg _ <<<"${benches[$i]}"
+    (cd "$work/$side" && go test -c -o "$work/$side.$i.test" "./$pkg")
+  done
+done
+
+# run SIDE OUT appends one sample of every benchmark on SIDE to OUT.
+run() {
+  for i in "${!benches[@]}"; do
+    read -r pkg re extra <<<"${benches[$i]}"
+    (cd "$work/$1/$pkg" && "$work/$1.$i.test" -test.run '^$' -test.bench "$re" \
+      -test.benchmem -test.count 1 -test.timeout 10m $extra) >>"$2"
+  done
+}
+
+run base /dev/null
+run head /dev/null
+for ((r = 1; r <= rounds; r++)); do
+  echo "bench-ab: round $r of $rounds" >&2
+  if ((r % 2)); then
+    run base "$work/base.txt"; run head "$work/head.txt"
+  else
+    run head "$work/head.txt"; run base "$work/base.txt"
+  fi
+done
+cd "$repo" && go run ./scripts/benchdiff.go "$work/base.txt" "$work/head.txt"

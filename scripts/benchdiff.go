@@ -1,249 +1,174 @@
-// Command benchdiff compares `go test -bench` output against a recorded
-// baseline (BENCH_baseline.json / BENCH_pr5.json) and fails on regressions
-// beyond the configured tolerances. CI's bench job is its primary caller:
+// Command benchdiff compares two `go test -bench -benchmem` outputs taken on
+// one host, base and head, each holding one sample per repeated result line
+// (scripts/bench-ab.sh interleaves the two sides and then calls it):
 //
-//	go test -run '^$' -bench '...' -benchmem -benchtime 1x . | tee bench.txt
-//	go run ./scripts/benchdiff.go -baseline BENCH_baseline.json \
-//	    -ns-tol 0.15 -allocs-tol 0.10 bench.txt
+//	go run ./scripts/benchdiff.go base.txt head.txt
 //
-// Exit status is 1 when any benchmark regressed past a tolerance. ns/op is
-// compared with a wide tolerance because wall time shifts with the host;
-// bytes/op and allocs/op are deterministic per build and get tight ones.
+// For every benchmark and each of ns/op, B/op and allocs/op it prints both
+// medians, both median absolute deviations (MAD), the sample counts and the
+// head/base ratio of the medians. A metric regresses only when head's whole
+// interval clears base's stretched by the tolerance:
 //
-// With -record the tool instead emits a fresh baseline JSON (same schema,
-// environment copied from -baseline so recordings stay comparable) on
-// stdout:
+//	median_head − MAD_head > (1 + tol) · (median_base + MAD_base)
 //
-//	go run ./scripts/benchdiff.go -baseline BENCH_baseline.json \
-//	    -record -note "PR 5" bench.txt > BENCH_pr5.json
+// so noise within the MADs passes. ns/op gets 15% because wall time shifts
+// with the host; B/op and allocs/op are near-deterministic per build and get
+// 10%. A benchmark on one side only prints as NEW or MISSING and never fails.
+//
+// Exit status is 1 when any metric regressed and 2 when an input cannot be
+// read or holds a malformed result line.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
-	"strings"
+
+	"mobilebench/internal/stats"
 )
 
-// Baseline mirrors the BENCH_*.json schema.
-type Baseline struct {
-	Recorded    string      `json:"recorded"`
-	Command     string      `json:"command"`
-	Environment Environment `json:"environment"`
-	Benchmarks  []Bench     `json:"benchmarks"`
+// metrics are the compared per-op measures, in result-line column order.
+var metrics = [...]struct {
+	unit string
+	tol  float64
+}{
+	{"ns/op", 0.15},
+	{"B/op", 0.10},
+	{"allocs/op", 0.10},
 }
 
-// Environment describes the recording host.
-type Environment struct {
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	CPU    string `json:"cpu"`
-	CPUs   int    `json:"cpus"`
-	Note   string `json:"note,omitempty"`
-}
+// samples holds one benchmark's values per metric, in input order. A line
+// without B/op or allocs/op adds no value to that metric.
+type samples [len(metrics)][]float64
 
-// Bench is one recorded benchmark result.
-type Bench struct {
-	Name        string  `json:"name"`
-	Workers     int     `json:"workers"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+// results is one parsed output: samples by benchmark name, and the names in
+// first-seen order.
+type results struct {
+	names []string
+	by    map[string]*samples
 }
 
 // benchLine matches a `go test -benchmem` result row, e.g.
 // BenchmarkCharacterizeAll-4  1  80209035805 ns/op  2311719832 B/op  55077509 allocs/op
+// The optional -N GOMAXPROCS suffix is not part of the name.
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline JSON to compare against")
-	nsTol := flag.Float64("ns-tol", 0.15, "allowed relative ns/op regression (0.15 = +15%)")
-	bytesTol := flag.Float64("bytes-tol", 0.10, "allowed relative bytes/op regression")
-	allocsTol := flag.Float64("allocs-tol", 0.10, "allowed relative allocs/op regression")
-	record := flag.Bool("record", false, "emit a new baseline JSON on stdout instead of diffing")
-	recorded := flag.String("recorded", "", "date stamp for -record (defaults to the baseline's)")
-	note := flag.String("note", "", "environment note for -record (defaults to the baseline's)")
-	flag.Parse()
-
-	base, err := loadBaseline(*baselinePath)
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff BASE.txt HEAD.txt")
+		os.Exit(2)
+	}
+	base, err := parseFile(os.Args[1])
 	if err != nil {
 		fatal(err)
 	}
-	results, err := parseBench(flag.Args())
+	head, err := parseFile(os.Args[2])
 	if err != nil {
 		fatal(err)
 	}
-	if len(results) == 0 {
-		fatal(fmt.Errorf("no benchmark result lines found in input"))
-	}
-
-	if *record {
-		if err := emitRecord(base, results, *recorded, *note); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	baseByName := make(map[string]Bench, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		baseByName[b.Name] = b
-	}
-
-	failed := false
-	for _, r := range results {
-		b, ok := baseByName[r.Name]
-		if !ok {
-			fmt.Printf("NEW    %-36s %14.0f ns/op %14.0f B/op %12.0f allocs/op (not in baseline)\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-			continue
-		}
-		nsBad := exceeds(r.NsPerOp, b.NsPerOp, *nsTol)
-		bytesBad := exceeds(r.BytesPerOp, b.BytesPerOp, *bytesTol)
-		allocsBad := exceeds(r.AllocsPerOp, b.AllocsPerOp, *allocsTol)
-		status := "OK    "
-		if nsBad || bytesBad || allocsBad {
-			status = "REGRESS"
-			failed = true
-		}
-		fmt.Printf("%s %-36s ns/op %s  B/op %s  allocs/op %s\n",
-			status, r.Name,
-			delta(r.NsPerOp, b.NsPerOp, nsBad),
-			delta(r.BytesPerOp, b.BytesPerOp, bytesBad),
-			delta(r.AllocsPerOp, b.AllocsPerOp, allocsBad))
-	}
-	for _, b := range base.Benchmarks {
-		if !hasResult(results, b.Name) {
-			fmt.Printf("MISSING %-36s in bench output (baseline has it)\n", b.Name)
-		}
-	}
-	if failed {
-		fmt.Printf("\nbenchdiff: regression beyond tolerance (ns %.0f%%, bytes %.0f%%, allocs %.0f%%) against %s\n",
-			*nsTol*100, *bytesTol*100, *allocsTol*100, *baselinePath)
+	if diff(os.Stdout, base, head) {
+		fmt.Printf("\nbenchdiff: head regressed past base beyond tolerance (ns %.0f%%, bytes %.0f%%, allocs %.0f%%)\n",
+			metrics[0].tol*100, metrics[1].tol*100, metrics[2].tol*100)
 		os.Exit(1)
 	}
 }
 
-func loadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
+func parseFile(path string) (*results, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	defer f.Close()
+	r, err := parseBench(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &b, nil
+	if len(r.names) == 0 {
+		return nil, fmt.Errorf("%s: no benchmark result lines", path)
+	}
+	return r, nil
 }
 
-// parseBench reads bench result lines from the named files (stdin when none
-// are given).
-func parseBench(paths []string) ([]Bench, error) {
-	var out []Bench
-	scan := func(s *bufio.Scanner) error {
-		for s.Scan() {
-			m := benchLine.FindStringSubmatch(s.Text())
-			if m == nil {
+// parseBench reads the benchmark result lines of r and ignores every other
+// line. A matched number that does not parse is an error, never a 0.
+func parseBench(r io.Reader) (*results, error) {
+	out := &results{by: make(map[string]*samples)}
+	s := bufio.NewScanner(r)
+	for line := 1; s.Scan(); line++ {
+		m := benchLine.FindStringSubmatch(s.Text())
+		if m == nil {
+			continue
+		}
+		smp := out.by[m[1]]
+		if smp == nil {
+			smp = new(samples)
+			out.by[m[1]] = smp
+			out.names = append(out.names, m[1])
+		}
+		for i, field := range m[2:] {
+			if field == "" {
 				continue
 			}
-			b := Bench{Name: m[1]}
-			b.NsPerOp, _ = strconv.ParseFloat(m[2], 64)
-			if m[3] != "" {
-				b.BytesPerOp, _ = strconv.ParseFloat(m[3], 64)
+			v, err := strconv.ParseFloat(field, 64)
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %s %s: %w", line, m[1], metrics[i].unit, err)
 			}
-			if m[4] != "" {
-				b.AllocsPerOp, _ = strconv.ParseFloat(m[4], 64)
+			smp[i] = append(smp[i], v)
+		}
+	}
+	return out, s.Err()
+}
+
+// diff prints one line per benchmark and metric present on both sides, and
+// a NEW or MISSING line per benchmark on one side only. It reports whether
+// any metric regressed.
+func diff(w io.Writer, base, head *results) bool {
+	failed := false
+	for _, name := range head.names {
+		b, ok := base.by[name]
+		if !ok {
+			fmt.Fprintf(w, "NEW     %s (not in base)\n", name)
+			continue
+		}
+		h := head.by[name]
+		for i, m := range metrics {
+			if len(b[i]) == 0 || len(h[i]) == 0 {
+				continue
 			}
-			out = append(out, b)
-		}
-		return s.Err()
-	}
-	if len(paths) == 0 {
-		return out, scan(bufio.NewScanner(os.Stdin))
-	}
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, err
-		}
-		err = scan(bufio.NewScanner(f))
-		f.Close()
-		if err != nil {
-			return nil, err
+			status := "OK     "
+			if regressed(b[i], h[i], m.tol) {
+				status = "REGRESS"
+				failed = true
+			}
+			mb, mh := stats.Median(b[i]), stats.Median(h[i])
+			ratio := "    -"
+			if mb != 0 {
+				ratio = fmt.Sprintf("x%.3f", mh/mb)
+			}
+			fmt.Fprintf(w, "%s %-44s %-9s base %11.4g ±%-9.3g head %11.4g ±%-9.3g n=%d/%d %s\n",
+				status, name, m.unit, mb, stats.MAD(b[i]), mh, stats.MAD(h[i]), len(b[i]), len(h[i]), ratio)
 		}
 	}
-	return out, nil
+	for _, name := range base.names {
+		if _, ok := head.by[name]; !ok {
+			fmt.Fprintf(w, "MISSING %s (not in head)\n", name)
+		}
+	}
+	return failed
 }
 
-// emitRecord prints a fresh baseline JSON carrying the parsed results, with
-// environment/command (and per-name workers) inherited from the old baseline
-// so successive recordings stay schema- and host-comparable.
-func emitRecord(base *Baseline, results []Bench, recorded, note string) error {
-	out := Baseline{
-		Recorded:    base.Recorded,
-		Command:     base.Command,
-		Environment: base.Environment,
-	}
-	if recorded != "" {
-		out.Recorded = recorded
-	}
-	if note != "" {
-		out.Environment.Note = note
-	}
-	workers := make(map[string]int, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		workers[b.Name] = b.Workers
-	}
-	for _, r := range results {
-		w, ok := workers[r.Name]
-		if !ok && strings.HasSuffix(r.Name, "Parallel") {
-			w = 0 // all cores, matching the benchmark's Workers option
-		} else if !ok {
-			w = 1
-		}
-		r.Workers = w
-		out.Benchmarks = append(out.Benchmarks, r)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-func hasResult(results []Bench, name string) bool {
-	for _, r := range results {
-		if r.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// exceeds reports whether got regressed past base by more than tol
-// (relative). Zero baselines only regress when got is nonzero.
-func exceeds(got, base, tol float64) bool {
-	if base == 0 {
-		return got > 0
-	}
-	return got > base*(1+tol)
-}
-
-// delta formats a current-vs-baseline ratio, flagging the failing side.
-func delta(got, base float64, bad bool) string {
-	mark := ""
-	if bad {
-		mark = "!"
-	}
-	if base == 0 {
-		return fmt.Sprintf("%.0f (baseline 0)%s", got, mark)
-	}
-	return fmt.Sprintf("%+.1f%%%s", (got/base-1)*100, mark)
+// regressed reports whether head's interval [median−MAD, median+MAD] lies
+// wholly above base's upper end stretched by tol. A zero base regresses only
+// when head is above zero by more than its own MAD.
+func regressed(base, head []float64, tol float64) bool {
+	return stats.Median(head)-stats.MAD(head) > (1+tol)*(stats.Median(base)+stats.MAD(base))
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
+	os.Exit(2)
 }
