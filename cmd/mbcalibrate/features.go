@@ -32,7 +32,7 @@ func runFeatures(ds *core.Dataset) {
 	tw.Flush()
 
 	fmt.Println("\nnearest neighbours:")
-	d := cluster.DistanceMatrix(rows)
+	d := cluster.NewDistMatrix(rows)
 	for i := range rows {
 		type nb struct {
 			j int
@@ -41,7 +41,7 @@ func runFeatures(ds *core.Dataset) {
 		var ns []nb
 		for j := range rows {
 			if j != i {
-				ns = append(ns, nb{j, d[i][j]})
+				ns = append(ns, nb{j, d.At(i, j)})
 			}
 		}
 		for a := 0; a < 3; a++ {
@@ -56,11 +56,4 @@ func runFeatures(ds *core.Dataset) {
 		fmt.Printf("%-26s -> %s (%.2f), %s (%.2f), %s (%.2f)\n",
 			names[i], names[ns[0].j], ns[0].v, names[ns[1].j], ns[1].v, names[ns[2].j], ns[2].v)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -6,66 +6,45 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"text/tabwriter"
 
 	"mobilebench/internal/cliflag"
-	"mobilebench/internal/core"
+	"mobilebench/internal/report"
 	"mobilebench/internal/sim"
 	"mobilebench/internal/workload"
 )
 
 func main() {
-	runs := flag.Int("runs", 1, "runs to average per benchmark")
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = all cores)")
-	analysis := flag.Bool("analysis", false, "also run the downstream analyses (clustering, subsets, observations)")
+	col := cliflag.RegisterCollection(flag.CommandLine, 1)
+	col.Profile = cliflag.RegisterProfile(flag.CommandLine)
+	analysis := flag.Bool("analysis", false, "print the downstream analyses (Table III, clusterings, Figure 4, Tables V-VI, Figure 7, observations) instead of the calibration table")
 	features := flag.Bool("features", false, "print normalized clustering features and distances")
 	fastForward := flag.Bool("fast-forward", false,
 		"skip steady-state phase ticks analytically (about 4x faster; counters drift within the differential-suite tolerances)")
-	rf := cliflag.RegisterResilience()
-	cf := cliflag.RegisterCheckpoint()
-	pf := cliflag.RegisterProfile()
 	flag.Parse()
 
-	if err := cf.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "mbcalibrate:", err)
-		os.Exit(1)
-	}
-	if err := pf.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "mbcalibrate:", err)
-		os.Exit(1)
+	// One collection over every unit for every mode: the fan-out keeps all
+	// cores busy, and -checkpoint/-resume and -fast-forward mean the same
+	// options (and so the same checkpoint fingerprint) whichever view
+	// prints.
+	ds, done, err := col.Collect(context.Background(), "mbcalibrate", sim.Config{FastForward: *fastForward}, nil)
+	if err != nil {
+		fatal(err)
 	}
 	defer func() {
-		if err := pf.Stop(); err != nil {
-			fmt.Fprintf(os.Stderr, "mbcalibrate: %v\n", err)
+		if err := done(); err != nil {
+			fatal(err)
 		}
 	}()
-	inj, err := rf.Injector()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mbcalibrate:", err)
-		os.Exit(1)
-	}
-	// One Collect over every unit for every mode: the fan-out keeps all
-	// cores busy, and -checkpoint/-resume and -fast-forward mean the same
-	// options (and so the same snapshot fingerprint) whichever view prints.
-	ds, err := core.Collect(core.Options{
-		Sim:        sim.Config{Fault: inj, FastForward: *fastForward},
-		Runs:       *runs,
-		Workers:    *workers,
-		Resilience: rf.Policy(),
-		Checkpoint: cf.Path,
-		Resume:     cf.Resume,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mbcalibrate:", err)
-		os.Exit(1)
-	}
-	cliflag.WarnDegraded("mbcalibrate", ds)
 	switch {
 	case *analysis:
-		runAnalysis(ds)
+		if err := report.WriteAnalysis(os.Stdout, ds); err != nil {
+			fatal(err)
+		}
 		return
 	case *features:
 		runFeatures(ds)
@@ -91,4 +70,9 @@ func main() {
 			a.ClusterLoad[0], a.ClusterLoad[1], a.ClusterLoad[2])
 	}
 	tw.Flush()
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "mbcalibrate:", err)
+	os.Exit(1)
 }

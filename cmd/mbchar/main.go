@@ -12,75 +12,43 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"mobilebench/internal/cliflag"
-	"mobilebench/internal/core"
 	"mobilebench/internal/par"
 	"mobilebench/internal/report"
 	"mobilebench/internal/sim"
 )
 
 func main() {
-	runs := flag.Int("runs", 3, "runs to average per benchmark")
+	col := cliflag.RegisterCollection(flag.CommandLine, 3)
+	col.Profile = cliflag.RegisterProfile(flag.CommandLine)
+	col.Timing = cliflag.RegisterTiming(flag.CommandLine)
 	seed := flag.Uint64("seed", 0, "simulation seed (0 = default)")
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = all cores)")
 	verbose := flag.Bool("verbose", false, "print execution details")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	correlation := flag.Bool("correlation", false, "print only Table III")
 	observations := flag.Bool("observations", false, "print only the observation checks")
 	fastForward := flag.Bool("fast-forward", false,
 		"skip steady-state phase ticks analytically (about 4x faster; counters drift within the differential-suite tolerances)")
-	rf := cliflag.RegisterResilience()
-	cf := cliflag.RegisterCheckpoint()
-	pf := cliflag.RegisterProfile()
-	tf := cliflag.RegisterTiming()
 	flag.Parse()
 
-	if err := cf.Validate(); err != nil {
-		fatal(err)
+	if *verbose {
+		fmt.Fprintf(os.Stderr, "mbchar: characterizing with %d workers\n", par.Workers(col.Workers))
 	}
-	if err := tf.Validate(); err != nil {
-		fatal(err)
-	}
-	inj, err := rf.Injector()
+	ds, done, err := col.Collect(context.Background(), "mbchar",
+		sim.Config{Seed: *seed, FastForward: *fastForward}, nil)
 	if err != nil {
-		fatal(err)
-	}
-	timing, err := tf.Provider(nil)
-	if err != nil {
-		fatal(err)
-	}
-	if err := pf.Start(); err != nil {
 		fatal(err)
 	}
 	defer func() {
-		if err := pf.Stop(); err != nil {
+		if err := done(); err != nil {
 			fatal(err)
 		}
 	}()
-	if *verbose {
-		fmt.Fprintf(os.Stderr, "mbchar: characterizing with %d workers\n", par.Workers(*workers))
-	}
-	simCfg := sim.Config{Seed: *seed, Fault: inj, FastForward: *fastForward}
-	if timing != nil {
-		simCfg.Timing = timing
-		defer timing.Close()
-	}
-	ds, err := core.Collect(core.Options{
-		Sim:        simCfg,
-		Runs:       *runs,
-		Workers:    *workers,
-		Resilience: rf.Policy(),
-		Checkpoint: cf.Path,
-		Resume:     cf.Resume,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	cliflag.WarnDegraded("mbchar", ds)
 
 	emit := func(t *report.Table) {
 		var werr error

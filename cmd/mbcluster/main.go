@@ -11,72 +11,49 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"mobilebench/internal/cliflag"
 	"mobilebench/internal/cluster"
-	"mobilebench/internal/core"
 	"mobilebench/internal/par"
 	"mobilebench/internal/report"
 	"mobilebench/internal/sim"
 )
 
 func main() {
-	runs := flag.Int("runs", 3, "runs to average per benchmark")
+	col := cliflag.RegisterCollection(flag.CommandLine, 3)
+	col.Profile = cliflag.RegisterProfile(flag.CommandLine)
 	k := flag.Int("k", 5, "number of clusters")
-	workers := flag.Int("workers", 0, "simulation/sweep worker goroutines (0 = all cores)")
 	verbose := flag.Bool("verbose", false, "print execution details")
 	validate := flag.Bool("validate", false, "print the Figure 4 validation sweep")
 	kmeans := flag.Bool("kmeans", false, "print only the K-means clustering (Figure 6)")
 	pam := flag.Bool("pam", false, "print only the PAM clustering")
-	rf := cliflag.RegisterResilience()
-	cf := cliflag.RegisterCheckpoint()
-	pf := cliflag.RegisterProfile()
 	flag.Parse()
 
-	if err := cf.Validate(); err != nil {
-		fatal(err)
+	if *verbose {
+		fmt.Fprintf(os.Stderr, "mbcluster: characterizing with %d workers\n", par.Workers(col.Workers))
 	}
-	inj, err := rf.Injector()
+	ds, done, err := col.Collect(context.Background(), "mbcluster", sim.Config{}, nil)
 	if err != nil {
-		fatal(err)
-	}
-	if err := pf.Start(); err != nil {
 		fatal(err)
 	}
 	defer func() {
-		if err := pf.Stop(); err != nil {
+		if err := done(); err != nil {
 			fatal(err)
 		}
 	}()
-	if *verbose {
-		fmt.Fprintf(os.Stderr, "mbcluster: characterizing with %d workers\n", par.Workers(*workers))
-	}
-	ds, err := core.Collect(core.Options{
-		Sim:        sim.Config{Fault: inj},
-		Runs:       *runs,
-		Workers:    *workers,
-		Resilience: rf.Policy(),
-		Checkpoint: cf.Path,
-		Resume:     cf.Resume,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	cliflag.WarnDegraded("mbcluster", ds)
 
 	if *validate {
 		scores, err := ds.Figure4(2, 9)
 		if err != nil {
 			fatal(err)
 		}
-		if err := report.Figure4(scores).Write(os.Stdout); err != nil {
+		if err := report.WriteSweep(os.Stdout, scores); err != nil {
 			fatal(err)
 		}
-		best := cluster.BestK(scores)
-		fmt.Printf("\noptimal number of clusters: %d\n", best)
 		return
 	}
 

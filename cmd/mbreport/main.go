@@ -11,66 +11,39 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"mobilebench"
 	"mobilebench/internal/checkpoint"
 	"mobilebench/internal/cliflag"
+	"mobilebench/internal/report"
+	"mobilebench/internal/sim"
 )
 
 func main() {
-	runs := flag.Int("runs", 3, "runs to average per benchmark")
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = all cores)")
+	col := cliflag.RegisterCollection(flag.CommandLine, 3)
 	out := flag.String("o", "", "write the report to this file instead of stdout")
-	rf := cliflag.RegisterResilience()
-	cf := cliflag.RegisterCheckpoint()
 	flag.Parse()
 
-	if err := cf.Validate(); err != nil {
-		fatal(err)
-	}
-	inj, err := mobilebench.ParseInjection(rf.InjectSpec)
+	ds, done, err := col.Collect(context.Background(), "mbreport", sim.Config{}, nil)
 	if err != nil {
 		fatal(err)
 	}
-	c, err := mobilebench.Characterize(mobilebench.Options{
-		Runs:       *runs,
-		Workers:    *workers,
-		MaxRetries: rf.MaxRetries,
-		RunTimeout: rf.RunTimeout,
-		FailFast:   rf.FailFast,
-		MinRuns:    rf.MinRuns,
-		Inject:     inj,
-		Checkpoint: cf.Path,
-		Resume:     cf.Resume,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if c.Degraded() {
-		fmt.Fprintln(os.Stderr, "mbreport: warning: collection degraded by faults:")
-		for _, p := range c.Provenance() {
-			if p.Degraded() {
-				fmt.Fprintf(os.Stderr, "mbreport:   %s\n", p)
-			}
-		}
-	}
-
 	if *out == "" {
-		if err := c.WriteReport(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
+		err = report.WriteReport(os.Stdout, ds)
+	} else {
+		// Atomic replace: the report lands under its final name only once
+		// fully written, so a crash mid-write never leaves a truncated file
+		// where a previous good report used to be.
+		err = checkpoint.WriteTo(*out, func(w io.Writer) error { return report.WriteReport(w, ds) })
 	}
-	// Atomic replace: the report lands under its final name only once fully
-	// written, so a crash mid-write never leaves a truncated file where a
-	// previous good report used to be.
-	if err := checkpoint.WriteTo(*out, func(w io.Writer) error {
-		return c.WriteReport(w)
-	}); err != nil {
+	if err == nil {
+		err = done()
+	}
+	if err != nil {
 		fatal(err)
 	}
 }

@@ -79,8 +79,8 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", time.Second, "per-lease heartbeat period (worker mode)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "heartbeat silence after which a lease is revoked and its job re-dispatched (coordinator mode)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060 (off when empty)")
-	tf := cliflag.RegisterTiming()
-	sf := cliflag.RegisterStream()
+	tf := cliflag.RegisterTiming(flag.CommandLine)
+	sf := cliflag.RegisterStream(flag.CommandLine)
 	flag.Parse()
 
 	if *coordinator != "" && *workerAddr != "" {

@@ -12,13 +12,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
 	"mobilebench/internal/cliflag"
-	"mobilebench/internal/core"
 	"mobilebench/internal/par"
 	"mobilebench/internal/roi"
 	"mobilebench/internal/sim"
@@ -26,19 +26,16 @@ import (
 )
 
 func main() {
+	col := cliflag.RegisterCollection(flag.CommandLine, 1)
+	col.Profile = cliflag.RegisterProfile(flag.CommandLine)
+	col.Timing = cliflag.RegisterTiming(flag.CommandLine)
 	bench := flag.String("bench", "", "benchmark name (analysis unit or executable)")
-	runs := flag.Int("runs", 1, "runs to average")
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = all cores)")
 	verbose := flag.Bool("verbose", false, "print execution details")
 	csv := flag.Bool("csv", false, "dump the full counter trace as CSV")
 	list := flag.Bool("list", false, "list available benchmarks")
 	roiWindow := flag.Float64("roi", 0, "select representative regions of interest with this window length (seconds)")
 	fastForward := flag.Bool("fast-forward", false,
 		"skip steady-state phase ticks analytically (about 4x faster; counters drift within the differential-suite tolerances)")
-	rf := cliflag.RegisterResilience()
-	cf := cliflag.RegisterCheckpoint()
-	pf := cliflag.RegisterProfile()
-	tf := cliflag.RegisterTiming()
 	flag.Parse()
 
 	if *list {
@@ -60,57 +57,30 @@ func main() {
 	if *bench == "" {
 		fatal(fmt.Errorf("missing -bench (use -list to see names)"))
 	}
-	if err := cf.Validate(); err != nil {
-		fatal(err)
-	}
-	if err := tf.Validate(); err != nil {
-		fatal(err)
-	}
 	w, err := workload.ByName(*bench)
 	if err != nil {
 		fatal(err)
 	}
-	inj, err := rf.Injector()
-	if err != nil {
-		fatal(err)
-	}
-	timing, err := tf.Provider(nil)
-	if err != nil {
-		fatal(err)
-	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "mbsim: %d runs across %d workers\n", *runs, par.Workers(*workers))
+		fmt.Fprintf(os.Stderr, "mbsim: %d runs across %d workers\n", col.Runs, par.Workers(col.Workers))
 	}
-	if err := pf.Start(); err != nil {
+	// A single-unit collection rather than a bare engine loop: the same
+	// fan-out drives every CLI, so -checkpoint/-resume behave identically
+	// here and in the full characterizations.
+	ds, done, err := col.Collect(context.Background(), "mbsim",
+		sim.Config{FastForward: *fastForward}, []workload.Workload{w})
+	if err != nil {
 		fatal(err)
 	}
 	defer func() {
-		if err := pf.Stop(); err != nil {
-			fmt.Fprintf(os.Stderr, "mbsim: %v\n", err)
+		if err := done(); err != nil {
+			fatal(err)
 		}
 	}()
-	// A single-unit Collect rather than a bare engine loop: the same
-	// fan-out drives every CLI, so -checkpoint/-resume behave identically
-	// here and in the full characterizations.
-	simCfg := sim.Config{Fault: inj, FastForward: *fastForward}
-	if timing != nil {
-		simCfg.Timing = timing
-		defer timing.Close()
-	}
-	ds, err := core.Collect(core.Options{
-		Sim:        simCfg,
-		Runs:       *runs,
-		Units:      []workload.Workload{w},
-		Workers:    *workers,
-		Resilience: rf.Policy(),
-		Checkpoint: cf.Path,
-		Resume:     cf.Resume,
-	})
-	if err != nil {
-		fatal(err)
-	}
 	u := ds.Units[0]
-	if prov, ok := ds.ProvenanceOf(w.Name); ok && (prov.Degraded() || prov.TotalRetries() > 0) {
+	// A degraded collection was already reported; a clean one that
+	// needed retries is worth a line too.
+	if prov, ok := ds.ProvenanceOf(w.Name); ok && !prov.Degraded() && prov.TotalRetries() > 0 {
 		fmt.Fprintf(os.Stderr, "mbsim: %s\n", prov)
 	}
 	if *csv {

@@ -11,45 +11,32 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"mobilebench/internal/cliflag"
-	"mobilebench/internal/core"
 	"mobilebench/internal/report"
 	"mobilebench/internal/sim"
 	"mobilebench/internal/subset"
 )
 
 func main() {
-	runs := flag.Int("runs", 3, "runs to average per benchmark")
-	workers := flag.Int("workers", 0, "simulation/curve worker goroutines (0 = all cores)")
+	col := cliflag.RegisterCollection(flag.CommandLine, 3)
 	curve := flag.Bool("curve", false, "print the Figure 7 growth curves")
 	budget := flag.Float64("budget", 0, "select a subset under this runtime budget (seconds)")
-	rf := cliflag.RegisterResilience()
-	cf := cliflag.RegisterCheckpoint()
 	flag.Parse()
 
-	if err := cf.Validate(); err != nil {
-		fatal(err)
-	}
-	inj, err := rf.Injector()
+	ds, done, err := col.Collect(context.Background(), "mbsubset", sim.Config{}, nil)
 	if err != nil {
 		fatal(err)
 	}
-	ds, err := core.Collect(core.Options{
-		Sim:        sim.Config{Fault: inj},
-		Runs:       *runs,
-		Workers:    *workers,
-		Resilience: rf.Policy(),
-		Checkpoint: cf.Path,
-		Resume:     cf.Resume,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	cliflag.WarnDegraded("mbsubset", ds)
+	defer func() {
+		if err := done(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	if *budget > 0 {
 		set, err := subset.UnderBudget(ds.SubsetBenchmarks(), *budget)
@@ -80,17 +67,9 @@ func main() {
 		return
 	}
 
-	reds, err := ds.TableVI()
-	if err != nil {
+	if err := report.WriteSubsets(os.Stdout, ds); err != nil {
 		fatal(err)
 	}
-	if err := report.TableVI(ds, reds).Write(os.Stdout); err != nil {
-		fatal(err)
-	}
-	gpuName, gpuLoad := ds.HighestAvgGPULoad()
-	aieName, aieLoad := ds.HighestAvgAIELoad()
-	fmt.Printf("\nhighest average GPU load: %s (%.2f)\nhighest average AIE load: %s (%.2f)\n",
-		gpuName, gpuLoad, aieName, aieLoad)
 }
 
 func fatal(err error) {

@@ -10,35 +10,25 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"mobilebench/internal/cliflag"
-	"mobilebench/internal/core"
 	"mobilebench/internal/report"
 	"mobilebench/internal/sim"
 	"mobilebench/internal/workload"
 )
 
 func main() {
-	runs := flag.Int("runs", 3, "runs to average per benchmark")
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = all cores)")
+	col := cliflag.RegisterCollection(flag.CommandLine, 3)
 	samples := flag.Int("samples", 100, "normalized-time resolution")
 	clusters := flag.Bool("clusters", false, "print Figure 3 / Table V instead of Figure 2")
 	bench := flag.String("bench", "", "limit to one benchmark (analysis-unit name)")
-	rf := cliflag.RegisterResilience()
-	cf := cliflag.RegisterCheckpoint()
 	flag.Parse()
 
-	if err := cf.Validate(); err != nil {
-		fatal(err)
-	}
-	inj, err := rf.Injector()
-	if err != nil {
-		fatal(err)
-	}
-	units := workload.AnalysisUnits()
+	var units []workload.Workload
 	if *bench != "" {
 		w, err := workload.ByName(*bench)
 		if err != nil {
@@ -46,19 +36,15 @@ func main() {
 		}
 		units = []workload.Workload{w}
 	}
-	ds, err := core.Collect(core.Options{
-		Sim:        sim.Config{Fault: inj},
-		Runs:       *runs,
-		Units:      units,
-		Workers:    *workers,
-		Resilience: rf.Policy(),
-		Checkpoint: cf.Path,
-		Resume:     cf.Resume,
-	})
+	ds, done, err := col.Collect(context.Background(), "mbtrace", sim.Config{}, units)
 	if err != nil {
 		fatal(err)
 	}
-	cliflag.WarnDegraded("mbtrace", ds)
+	defer func() {
+		if err := done(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	if *clusters {
 		f3, err := report.Figure3(ds)

@@ -1,17 +1,25 @@
 package cliflag
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"mobilebench/internal/core"
 	"mobilebench/internal/cosim"
 	"mobilebench/internal/fault"
+	"mobilebench/internal/sim"
+	"mobilebench/internal/workload"
 )
 
 // TestMain doubles as the external timing-model child (the cosim re-exec
@@ -33,6 +41,20 @@ func newFlagSet() *flag.FlagSet {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	return fs
+}
+
+// parseCollection registers the collection flags (with the profile and
+// timing groups) on a fresh flag set and parses args.
+func parseCollection(t *testing.T, args ...string) *Collection {
+	t.Helper()
+	fs := newFlagSet()
+	c := RegisterCollection(fs, 3)
+	c.Profile = RegisterProfile(fs)
+	c.Timing = RegisterTiming(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("Parse(%v): %v", args, err)
+	}
+	return c
 }
 
 // TestTimingFingerprintProbe: Fingerprint spawns the model once, reads its
@@ -71,39 +93,39 @@ func TestTimingFingerprintProbe(t *testing.T) {
 }
 
 func TestResilienceFlagParsing(t *testing.T) {
-	fs := newFlagSet()
-	r := RegisterResilienceOn(fs)
-	err := fs.Parse([]string{
+	c := parseCollection(t,
 		"-max-retries", "3",
 		"-run-timeout", "45s",
 		"-min-runs", "2",
 		"-fail-fast",
 		"-inject", "crash=0.2,nan=0.1,seed=7",
-	})
+	)
+	opts, err := c.options(sim.Config{}, nil)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("options: %v", err)
 	}
 	want := core.Resilience{MaxRetries: 3, RunTimeout: 45 * time.Second, MinRuns: 2, FailFast: true}
-	if got := r.Policy(); got != want {
-		t.Fatalf("Policy = %+v, want %+v", got, want)
+	if opts.Resilience != want {
+		t.Fatalf("Resilience = %+v, want %+v", opts.Resilience, want)
 	}
-	if r.InjectSpec != "crash=0.2,nan=0.1,seed=7" {
-		t.Fatalf("InjectSpec = %q", r.InjectSpec)
+	if c.InjectSpec != "crash=0.2,nan=0.1,seed=7" || opts.Sim.Fault == nil {
+		t.Fatalf("InjectSpec = %q, injector %v", c.InjectSpec, opts.Sim.Fault)
 	}
 }
 
 func TestResilienceDefaultsAreZero(t *testing.T) {
-	fs := newFlagSet()
-	r := RegisterResilienceOn(fs)
-	if err := fs.Parse(nil); err != nil {
+	opts, err := parseCollection(t).options(sim.Config{}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Policy(); got != (core.Resilience{}) {
-		t.Fatalf("default policy = %+v, want the strict zero policy", got)
+	if opts.Resilience != (core.Resilience{}) {
+		t.Fatalf("default policy = %+v, want the strict zero policy", opts.Resilience)
 	}
-	inj, err := r.Injector()
-	if err != nil || inj != nil {
-		t.Fatalf("default Injector = (%v, %v), want (nil, nil)", inj, err)
+	if opts.Sim.Fault != nil {
+		t.Fatalf("default injector = %v, want nil", opts.Sim.Fault)
+	}
+	if opts.Runs != 3 || opts.Workers != 0 || opts.Checkpoint != "" || opts.Resume {
+		t.Fatalf("default options = %+v", opts)
 	}
 }
 
@@ -111,18 +133,14 @@ func TestResilienceDefaultsAreZero(t *testing.T) {
 // the spec a user passes produces exactly the injector config the fault
 // package documents for it.
 func TestInjectSpecRoundTrip(t *testing.T) {
-	fs := newFlagSet()
-	r := RegisterResilienceOn(fs)
 	spec := "crash=0.25,abort=0.1,hang=0.05,hang_sec=2,drop=0.1,nan=0.2,skew=0.15,seed=99,clean_after=4"
-	if err := fs.Parse([]string{"-inject", spec}); err != nil {
-		t.Fatal(err)
-	}
-	inj, err := r.Injector()
+	opts, err := parseCollection(t, "-inject", spec).options(sim.Config{}, nil)
 	if err != nil {
-		t.Fatalf("Injector: %v", err)
+		t.Fatalf("options: %v", err)
 	}
+	inj := opts.Sim.Fault
 	if inj == nil {
-		t.Fatal("Injector returned nil for a non-empty spec")
+		t.Fatal("options built no injector for a non-empty spec")
 	}
 	want, err := fault.Parse(spec)
 	if err != nil {
@@ -138,64 +156,133 @@ func TestInjectSpecRoundTrip(t *testing.T) {
 
 func TestInjectSpecRejectsGarbage(t *testing.T) {
 	for _, spec := range []string{"crash=2", "bogus=0.5", "crash", "hang_sec=-1"} {
-		fs := newFlagSet()
-		r := RegisterResilienceOn(fs)
-		if err := fs.Parse([]string{"-inject", spec}); err != nil {
-			t.Fatalf("flag parse of %q should succeed (validation is Injector's job): %v", spec, err)
-		}
-		if _, err := r.Injector(); err == nil {
-			t.Fatalf("Injector accepted invalid spec %q", spec)
+		// Flag parsing succeeds; validating the spec is options' job.
+		if _, err := parseCollection(t, "-inject", spec).options(sim.Config{}, nil); err == nil {
+			t.Fatalf("options accepted invalid spec %q", spec)
 		}
 	}
 }
 
 func TestCheckpointFlagParsing(t *testing.T) {
-	fs := newFlagSet()
-	c := RegisterCheckpointOn(fs)
-	if err := fs.Parse([]string{"-checkpoint", "run.ckpt", "-resume"}); err != nil {
-		t.Fatal(err)
+	opts, err := parseCollection(t, "-checkpoint", "run.ckpt", "-resume").options(sim.Config{}, nil)
+	if err != nil {
+		t.Fatalf("options: %v", err)
 	}
-	if c.Path != "run.ckpt" || !c.Resume {
-		t.Fatalf("Checkpoint = %+v", c)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if opts.Checkpoint != "run.ckpt" || !opts.Resume {
+		t.Fatalf("options = %+v", opts)
 	}
 }
 
 func TestCheckpointValidateRejectsBareResume(t *testing.T) {
-	fs := newFlagSet()
-	c := RegisterCheckpointOn(fs)
-	if err := fs.Parse([]string{"-resume"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err == nil {
+	if _, err := parseCollection(t, "-resume").options(sim.Config{}, nil); err == nil {
 		t.Fatal("-resume without -checkpoint should be rejected")
 	}
 	// And the defaults validate clean.
-	fs2 := newFlagSet()
-	c2 := RegisterCheckpointOn(fs2)
-	if err := fs2.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Validate(); err != nil {
+	if _, err := parseCollection(t).options(sim.Config{}, nil); err != nil {
 		t.Fatalf("zero-value flags should validate: %v", err)
 	}
 }
 
-// TestRegisterOnDefaultSetWiring pins that the convenience registrars hit
-// flag.CommandLine with the canonical names (a fresh CommandLine keeps the
-// test hermetic).
+// TestRegisterOnDefaultSetWiring pins that the registrars hit the flag set
+// they are given with the canonical names and each CLI's -runs default (a
+// fresh CommandLine keeps the test hermetic).
 func TestRegisterOnDefaultSetWiring(t *testing.T) {
 	old := flag.CommandLine
 	defer func() { flag.CommandLine = old }()
 	flag.CommandLine = flag.NewFlagSet("prog", flag.ContinueOnError)
 
-	RegisterResilience()
-	RegisterCheckpoint()
-	for _, name := range []string{"max-retries", "run-timeout", "min-runs", "fail-fast", "inject", "checkpoint", "resume"} {
+	RegisterCollection(flag.CommandLine, 1)
+	RegisterProfile(flag.CommandLine)
+	RegisterTiming(flag.CommandLine)
+	for _, name := range []string{"runs", "workers", "max-retries", "run-timeout", "min-runs", "fail-fast", "inject",
+		"checkpoint", "resume", "cpuprofile", "memprofile", "timing-model", "timing-replay"} {
 		if flag.CommandLine.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered on the default set", name)
+		}
+	}
+	if got := flag.CommandLine.Lookup("runs").DefValue; got != "1" {
+		t.Errorf("-runs default = %s, want the registered 1", got)
+	}
+}
+
+// shortestUnit is the analysis unit that simulates fastest.
+func shortestUnit() []workload.Workload {
+	units := workload.AnalysisUnits()
+	sort.Slice(units, func(i, j int) bool { return units[i].Duration() < units[j].Duration() })
+	return units[:1]
+}
+
+// datasetBytes is every unit's JSON aggregates and trace CSV.
+func datasetBytes(t *testing.T, ds *core.Dataset) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	for _, u := range ds.Units {
+		agg, err := json.Marshal(u.Agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(agg)
+		if err := u.Trace.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// TestCollectCheckpointResume drives the front-end end to end on one short
+// unit: a checkpointed collect writes the record log, and a -resume collect
+// restores every pair from it without appending, returning the same bytes.
+func TestCollectCheckpointResume(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	collect := func(args ...string) *core.Dataset {
+		t.Helper()
+		c := parseCollection(t, append([]string{"-runs", "1", "-workers", "1", "-checkpoint", ckpt}, args...)...)
+		ds, done, err := c.Collect(context.Background(), "test", sim.Config{}, shortestUnit())
+		if err != nil {
+			t.Fatalf("Collect(%v): %v", args, err)
+		}
+		if err := done(); err != nil {
+			t.Fatalf("cleanup: %v", err)
+		}
+		return ds
+	}
+	first := collect()
+	st, err := os.Stat(ckpt)
+	if err != nil || st.Size() == 0 {
+		t.Fatalf("checkpoint log after the first collect: %v, %v", st, err)
+	}
+	resumed := collect("-resume")
+	if st2, err := os.Stat(ckpt); err != nil || st2.Size() != st.Size() {
+		t.Fatalf("resume appended to a complete log: %d -> %v (%v)", st.Size(), st2, err)
+	}
+	if !bytes.Equal(datasetBytes(t, first), datasetBytes(t, resumed)) {
+		t.Fatal("resumed dataset differs from the checkpointed one")
+	}
+}
+
+// TestCollectRejectsBadFlagsBeforeSimulating: invalid flag combinations
+// fail in Collect before the profiler starts or any simulation runs, so
+// neither a profile nor a checkpoint log appears.
+func TestCollectRejectsBadFlagsBeforeSimulating(t *testing.T) {
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "cpu.pprof")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-resume"}, "-resume requires -checkpoint"},
+		{[]string{"-checkpoint", filepath.Join(dir, "run.ckpt"), "-timing-replay", dir}, "-timing-replay requires -timing-model"},
+		{[]string{"-checkpoint", filepath.Join(dir, "run.ckpt"), "-inject", "bogus=1"}, "bogus"},
+	} {
+		c := parseCollection(t, append([]string{"-cpuprofile", prof}, tc.args...)...)
+		_, _, err := c.Collect(context.Background(), "test", sim.Config{}, shortestUnit())
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Collect(%v) = %v, want an error naming %q", tc.args, err, tc.want)
+		}
+		for _, f := range []string{prof, filepath.Join(dir, "run.ckpt")} {
+			if _, err := os.Stat(f); !os.IsNotExist(err) {
+				t.Fatalf("Collect(%v) left %s behind (%v)", tc.args, f, err)
+			}
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Profile holds the values of the shared pprof flags: -cpuprofile and
-// -memprofile on the batch CLIs (mbchar, mbcluster). Profiles are written
+// -memprofile on mbchar, mbcluster, mbsim and mbcalibrate. Profiles are written
 // with plain os.Create — not the atomic-write path — because a profile is a
 // diagnostic artifact, not a dataset: a torn profile from a crashed run is
 // useless either way, and pprof owns the file handle for the whole run.
@@ -24,14 +24,9 @@ type Profile struct {
 	cpuFile *os.File
 }
 
-// RegisterProfile registers the profiling flags on the default flag set and
-// returns the value holder; read it after flag.Parse.
-func RegisterProfile() *Profile {
-	return RegisterProfileOn(flag.CommandLine)
-}
-
-// RegisterProfileOn is RegisterProfile on an explicit flag set.
-func RegisterProfileOn(fs *flag.FlagSet) *Profile {
+// RegisterProfile registers the profiling flags on fs and returns the
+// value holder; read it after fs.Parse.
+func RegisterProfile(fs *flag.FlagSet) *Profile {
 	p := &Profile{}
 	fs.StringVar(&p.CPUPath, "cpuprofile", "",
 		"write a pprof CPU profile of the whole invocation to this file")
@@ -41,9 +36,9 @@ func RegisterProfileOn(fs *flag.FlagSet) *Profile {
 }
 
 // Start begins CPU profiling when -cpuprofile was given. Callers must pair
-// it with Stop (normally via defer) before exiting.
+// it with Stop before exiting. A nil Profile profiles nothing.
 func (p *Profile) Start() error {
-	if p.CPUPath == "" {
+	if p == nil || p.CPUPath == "" {
 		return nil
 	}
 	f, err := os.Create(p.CPUPath)
@@ -59,8 +54,11 @@ func (p *Profile) Start() error {
 }
 
 // Stop finishes the CPU profile and writes the heap profile, in that order.
-// It is safe to call when neither flag was given.
+// It is safe to call when neither flag was given, and on a nil Profile.
 func (p *Profile) Stop() error {
+	if p == nil {
+		return nil
+	}
 	if p.cpuFile != nil {
 		pprof.StopCPUProfile()
 		if err := p.cpuFile.Close(); err != nil {

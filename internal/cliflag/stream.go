@@ -15,14 +15,9 @@ type Stream struct {
 	KMin, KMax int
 }
 
-// RegisterStream registers the streaming-ingest flags on the default flag
-// set and returns the value holder; read it after flag.Parse.
-func RegisterStream() *Stream {
-	return RegisterStreamOn(flag.CommandLine)
-}
-
-// RegisterStreamOn is RegisterStream on an explicit flag set.
-func RegisterStreamOn(fs *flag.FlagSet) *Stream {
+// RegisterStream registers the streaming-ingest flags on fs and returns
+// the value holder; read it after fs.Parse.
+func RegisterStream(fs *flag.FlagSet) *Stream {
 	s := &Stream{}
 	fs.BoolVar(&s.Enable, "stream", false,
 		"enable the streaming ingest API (/v1/stream): records fold into an incrementally re-clustered analysis")

@@ -10,7 +10,7 @@ func parseStream(t *testing.T, args ...string) *Stream {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	s := RegisterStreamOn(fs)
+	s := RegisterStream(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,9 @@ type Timing struct {
 	ReplayDir string
 }
 
-// RegisterTiming registers the external-timing flags on the default flag
-// set and returns the value holder; read it after flag.Parse.
-func RegisterTiming() *Timing {
-	return RegisterTimingOn(flag.CommandLine)
-}
-
-// RegisterTimingOn is RegisterTiming on an explicit flag set.
-func RegisterTimingOn(fs *flag.FlagSet) *Timing {
+// RegisterTiming registers the external-timing flags on fs and returns the
+// value holder; read it after fs.Parse.
+func RegisterTiming(fs *flag.FlagSet) *Timing {
 	t := &Timing{}
 	fs.StringVar(&t.ModelCmd, "timing-model", "",
 		`external timing-model command serving the cosim protocol, e.g. "mbtiming -model qdram" ("" = in-process models)`)
@@ -40,9 +35,10 @@ func RegisterTimingOn(fs *flag.FlagSet) *Timing {
 	return t
 }
 
-// Validate rejects flag combinations before any child is spawned.
+// Validate rejects flag combinations before any child is spawned. A nil
+// Timing is valid.
 func (t *Timing) Validate() error {
-	if t.ReplayDir != "" && t.ModelCmd == "" {
+	if t != nil && t.ReplayDir != "" && t.ModelCmd == "" {
 		return fmt.Errorf("-timing-replay requires -timing-model to name the external model")
 	}
 	return nil
@@ -53,7 +49,8 @@ func (t *Timing) Validate() error {
 // completing the handshake and opening the replay log. It returns (nil,
 // nil) when -timing-model is unset — callers must then leave
 // sim.Config.Timing nil rather than storing a typed nil interface. Close
-// the provider after the collection.
+// the provider after the collection. A nil Timing selects the in-process
+// models too.
 func (t *Timing) Provider(plat *soc.Platform) (*cosim.Provider, error) {
 	return t.provider(plat, true)
 }
@@ -75,7 +72,7 @@ func (t *Timing) Fingerprint(plat *soc.Platform) (string, error) {
 }
 
 func (t *Timing) provider(plat *soc.Platform, withReplay bool) (*cosim.Provider, error) {
-	if t.ModelCmd == "" {
+	if t == nil || t.ModelCmd == "" {
 		return nil, nil
 	}
 	if plat == nil {

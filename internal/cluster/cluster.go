@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"mobilebench/internal/stats"
 )
 
 // Assignment maps each observation index to a cluster id in [0, K).
@@ -130,23 +128,6 @@ func validate(rows [][]float64, k int) error {
 		return fmt.Errorf("cluster: rows have no features")
 	}
 	return nil
-}
-
-// DistanceMatrix returns the full pairwise Euclidean distance matrix.
-func DistanceMatrix(rows [][]float64) [][]float64 {
-	n := len(rows)
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := stats.Euclidean(rows[i], rows[j])
-			d[i][j] = v
-			d[j][i] = v
-		}
-	}
-	return d
 }
 
 // centroid returns the mean vector of the given member rows.

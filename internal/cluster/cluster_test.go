@@ -147,13 +147,6 @@ func TestSameGrouping(t *testing.T) {
 	}
 }
 
-func TestDistanceMatrix(t *testing.T) {
-	d := DistanceMatrix([][]float64{{0, 0}, {3, 4}})
-	if d[0][1] != 5 || d[1][0] != 5 || d[0][0] != 0 {
-		t.Fatalf("matrix = %v", d)
-	}
-}
-
 func TestDendrogramCut(t *testing.T) {
 	h := NewHierarchical()
 	den, err := h.Dendrogram(blobs())

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"mobilebench/internal/wire"
-	"mobilebench/internal/xrand"
 )
 
 // CoordinatorConfig configures a Coordinator.
@@ -24,31 +23,14 @@ type CoordinatorConfig struct {
 	// LeaseTTL is how long a lease survives without a heartbeat before it
 	// is revoked and its job re-dispatched (default 10s).
 	LeaseTTL time.Duration
-	// DispatchBackoffBase is the delay before re-probing for a free
-	// worker when the fleet is saturated; it doubles per attempt, is
-	// capped at 2s and carries a deterministic ±50% jitter so a thundering
-	// herd of waiting jobs decorrelates (default 100ms).
-	DispatchBackoffBase time.Duration
-	// Seed feeds the deterministic backoff jitter (default 888, the
-	// pipeline's seed).
-	Seed uint64
 }
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 10 * time.Second
 	}
-	if c.DispatchBackoffBase <= 0 {
-		c.DispatchBackoffBase = 100 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 888
-	}
 	return c
 }
-
-// dispatchBackoffCap bounds the saturation re-probe delay.
-const dispatchBackoffCap = 2 * time.Second
 
 // ErrCoordinatorClosed reports an Execute attempted on a closed
 // coordinator.
@@ -78,9 +60,10 @@ type Coordinator struct {
 	leaseSeq int
 	closed   bool
 
-	// freed is pulsed whenever capacity may have appeared (a worker
-	// connected, a lease completed or was revoked), waking saturated
-	// Execute calls early instead of leaving them to their full backoff.
+	// freed is closed and replaced (under mu) whenever capacity may have
+	// appeared: a worker connected, a lease completed, was revoked or was
+	// abandoned. A saturated Execute waits on the channel current when it
+	// found no free slot, so no change after that look is ever missed.
 	freed chan struct{}
 	stop  chan struct{}
 	done  sync.WaitGroup
@@ -118,7 +101,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		cfg:     cfg.withDefaults(),
 		workers: make(map[string]*workerConn),
 		leases:  make(map[string]*lease),
-		freed:   make(chan struct{}, 1),
+		freed:   make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
 	c.done.Add(1)
@@ -182,7 +165,9 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	if err := stream.Send(Frame{Type: TypeWelcome, Proto: ProtoVersion}); err != nil {
 		return
 	}
-	c.pulseFreed() // fresh capacity: wake saturated dispatchers
+	c.mu.Lock()
+	c.capacityChanged() // fresh capacity: wake saturated dispatchers
+	c.mu.Unlock()
 
 	for {
 		f, err := stream.Next()
@@ -222,11 +207,11 @@ func (c *Coordinator) settle(leaseID string, out leaseOutcome) {
 		if l.w != nil {
 			delete(l.w.active, leaseID)
 		}
+		c.capacityChanged()
 	}
 	c.mu.Unlock()
 	if ok {
 		l.outcome <- out
-		c.pulseFreed()
 	}
 }
 
@@ -251,12 +236,12 @@ func (c *Coordinator) dropWorker(w *workerConn) {
 		delete(c.leases, id)
 		delete(w.active, id)
 	}
+	c.capacityChanged()
 	c.mu.Unlock()
 	_ = w.conn.Close()
 	for _, l := range revoked {
 		l.outcome <- leaseOutcome{revoked: true}
 	}
-	c.pulseFreed()
 }
 
 // monitor watches heartbeats: a lease silent for LeaseTTL means its
@@ -297,36 +282,39 @@ func (c *Coordinator) monitor() {
 	}
 }
 
-func (c *Coordinator) pulseFreed() {
-	select {
-	case c.freed <- struct{}{}:
-	default:
-	}
+// capacityChanged wakes every Execute waiting for a free slot. The caller
+// holds c.mu.
+func (c *Coordinator) capacityChanged() {
+	close(c.freed)
+	c.freed = make(chan struct{})
 }
 
 // Execute runs one job on the fleet and returns its result bytes. It
 // blocks until a worker finishes the job, re-dispatching on lease
-// revocation (worker death) and backing off with capped deterministic
-// jitter while every worker is saturated. The checkpoint path rides in
+// revocation (worker death) and waiting for the next capacity change
+// while every worker is saturated. The checkpoint path rides in
 // the dispatch frame, so every (re-)dispatch resumes from whatever the
 // previous holder durably finished.
 func (c *Coordinator) Execute(ctx context.Context, jobID string, spec json.RawMessage, checkpointPath string) (json.RawMessage, error) {
 	if len(spec) > MaxSpecBytes {
 		return nil, &SpecTooLargeError{Bytes: len(spec), Max: MaxSpecBytes}
 	}
-	for attempt := 0; ; attempt++ {
+	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		l, err := c.tryDispatch(jobID, spec, checkpointPath)
+		l, wait, err := c.tryDispatch(jobID, spec, checkpointPath)
 		if err != nil {
 			return nil, err
 		}
 		if l == nil {
-			// Saturated (or empty) fleet: back off, waking early if
-			// capacity frees up.
-			if err := c.waitCapacity(ctx, jobID, attempt); err != nil {
-				return nil, err
+			// Saturated (or empty) fleet: sleep until capacity changes.
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-c.stop:
+				return nil, ErrCoordinatorClosed
+			case <-wait:
 			}
 			continue
 		}
@@ -345,12 +333,13 @@ func (c *Coordinator) Execute(ctx context.Context, jobID string, spec json.RawMe
 
 // tryDispatch leases the job to the worker with the most free slots
 // (worker id breaking ties, so placement is deterministic for a given
-// fleet state). It returns nil with no error when no worker has capacity.
-func (c *Coordinator) tryDispatch(jobID string, spec json.RawMessage, checkpointPath string) (*lease, error) {
+// fleet state). When no worker has capacity it returns a nil lease and
+// the channel the next capacity change closes.
+func (c *Coordinator) tryDispatch(jobID string, spec json.RawMessage, checkpointPath string) (*lease, <-chan struct{}, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrCoordinatorClosed
+		return nil, nil, ErrCoordinatorClosed
 	}
 	ids := make([]string, 0, len(c.workers))
 	for id := range c.workers {
@@ -365,9 +354,10 @@ func (c *Coordinator) tryDispatch(jobID string, spec json.RawMessage, checkpoint
 			best, bestFree = w, free
 		}
 	}
+	wait := c.freed
 	if best == nil {
 		c.mu.Unlock()
-		return nil, nil
+		return nil, wait, nil
 	}
 	c.leaseSeq++
 	l := &lease{
@@ -384,12 +374,12 @@ func (c *Coordinator) tryDispatch(jobID string, spec json.RawMessage, checkpoint
 	frame := Frame{Type: TypeDispatch, Lease: l.id, Job: jobID, Spec: spec, Checkpoint: checkpointPath}
 	if err := best.stream.Send(frame); err != nil {
 		// The worker died between selection and write: drop it (revoking
-		// this lease among any others) and report "no capacity" so the
-		// caller retries against the remaining fleet.
+		// this lease among any others, which closes wait) so the caller
+		// retries at once against the remaining fleet.
 		c.dropWorker(best)
-		return nil, nil
+		return nil, wait, nil
 	}
-	return l, nil
+	return l, nil, nil
 }
 
 // abandon forgets a lease whose observer gave up (context expiry). A late
@@ -402,29 +392,9 @@ func (c *Coordinator) abandon(l *lease) {
 		if l.w != nil {
 			delete(l.w.active, l.id)
 		}
+		c.capacityChanged()
 	}
 	c.mu.Unlock()
-	c.pulseFreed()
-}
-
-// waitCapacity sleeps the capped-exponential, deterministically jittered
-// saturation backoff, returning early when capacity frees up or ctx ends.
-func (c *Coordinator) waitCapacity(ctx context.Context, jobID string, attempt int) error {
-	// Jitter derived from (seed, job, attempt): saturated dispatchers
-	// decorrelate, yet the schedule replays exactly.
-	rng := xrand.New(c.cfg.Seed).Split(xrand.HashString(jobID)).Split(uint64(attempt) + 0x5eed)
-	t := time.NewTimer(xrand.Backoff(c.cfg.DispatchBackoffBase, dispatchBackoffCap, attempt, rng))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-c.stop:
-		return ErrCoordinatorClosed
-	case <-c.freed:
-		return nil
-	case <-t.C:
-		return nil
-	}
 }
 
 // Stats reports the fleet's size and load: connected workers, their total

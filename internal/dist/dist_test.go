@@ -137,7 +137,7 @@ func TestExecuteShardsAcrossWorkers(t *testing.T) {
 }
 
 func TestSaturatedFleetBackpressure(t *testing.T) {
-	c, addr := startCoordinator(t, dist.CoordinatorConfig{DispatchBackoffBase: 10 * time.Millisecond})
+	c, addr := startCoordinator(t, dist.CoordinatorConfig{})
 	gate := make(chan struct{})
 	exec := func(_ context.Context, _ string, _ json.RawMessage, _ string) (json.RawMessage, error) {
 		<-gate
@@ -163,6 +163,59 @@ func TestSaturatedFleetBackpressure(t *testing.T) {
 	}
 	close(gate)
 	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSaturatedFleetWakesEveryWaiter: two leases that settle together
+// must wake both Execute calls waiting for a slot, not one of them with the
+// other left asleep while a slot stands free.
+func TestSaturatedFleetWakesEveryWaiter(t *testing.T) {
+	c, addr := startCoordinator(t, dist.CoordinatorConfig{})
+	gate := make(chan struct{})
+	started := make(chan string, 4)
+	exec := func(_ context.Context, jobID string, _ json.RawMessage, _ string) (json.RawMessage, error) {
+		started <- jobID
+		if jobID == "gated-0" || jobID == "gated-1" {
+			<-gate
+		}
+		return json.RawMessage(`{}`), nil
+	}
+	startWorker(t, dist.WorkerConfig{ID: "w1", Capacity: 2}, exec, addr)
+	waitWorkers(t, c, 1)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	results := make(chan error, 4)
+	execute := func(jobID string) {
+		_, err := c.Execute(ctx, jobID, json.RawMessage(`{}`), "")
+		results <- err
+	}
+	go execute("gated-0")
+	go execute("gated-1")
+	for i := 0; i < 2; i++ {
+		<-started
+	}
+	go execute("waiter-0")
+	go execute("waiter-1")
+	// Let both waiters find the fleet full and go to sleep.
+	time.Sleep(time.Second)
+	if _, _, active := c.Stats(); active != 2 {
+		t.Fatalf("active leases = %d, want 2 on a capacity-2 fleet", active)
+	}
+
+	released := time.Now()
+	close(gate)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-started:
+		case <-time.After(500*time.Millisecond - time.Since(released)):
+			t.Fatalf("%d of 2 waiters dispatched within 500ms of both slots freeing", i)
+		}
+	}
+	for i := 0; i < 4; i++ {
 		if err := <-results; err != nil {
 			t.Fatal(err)
 		}

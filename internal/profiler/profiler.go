@@ -8,7 +8,6 @@ package profiler
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"mobilebench/internal/trace"
@@ -226,11 +225,4 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// SortedMetrics returns metric names sorted lexically (stable for tests).
-func (t *Trace) SortedMetrics() []string {
-	out := t.Metrics()
-	sort.Strings(out)
-	return out
 }

@@ -60,10 +60,6 @@ func TestMetricsOrder(t *testing.T) {
 	if m[0] != "z" || m[1] != "a" {
 		t.Fatalf("first-sampled order lost: %v", m)
 	}
-	sorted := tr.SortedMetrics()
-	if sorted[0] != "a" {
-		t.Fatalf("sorted order wrong: %v", sorted)
-	}
 }
 
 func TestMeanTraces(t *testing.T) {

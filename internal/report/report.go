@@ -321,3 +321,105 @@ func Observations(obs []core.Observation) *Table {
 	}
 	return t
 }
+
+// WriteReport writes the full characterization report: Figure 1, Table
+// III, Table V, Table VI and the observation checks.
+func WriteReport(w io.Writer, d *core.Dataset) error {
+	t5, err := TableV(d)
+	if err != nil {
+		return err
+	}
+	reds, err := d.TableVI()
+	if err != nil {
+		return err
+	}
+	obs, err := d.Observations()
+	if err != nil {
+		return err
+	}
+	return writeSections(w, Figure1(d).Write, TableIII(d).Write, t5.Write,
+		TableVI(d, reds).Write, Observations(obs).Write)
+}
+
+// WriteSweep writes the Figure 4 sweep and the cluster count it selects.
+func WriteSweep(w io.Writer, scores []cluster.Scores) error {
+	return writeSections(w, Figure4(scores).Write,
+		text("optimal number of clusters: %d\n", cluster.BestK(scores)))
+}
+
+// WriteSubsets writes Table VI and the benchmarks with the highest average
+// GPU and AIE loads.
+func WriteSubsets(w io.Writer, d *core.Dataset) error {
+	reds, err := d.TableVI()
+	if err != nil {
+		return err
+	}
+	gpuName, gpuLoad := d.HighestAvgGPULoad()
+	aieName, aieLoad := d.HighestAvgAIELoad()
+	return writeSections(w, TableVI(d, reds).Write,
+		text("highest average GPU load: %s (%.2f)\nhighest average AIE load: %s (%.2f)\n",
+			gpuName, gpuLoad, aieName, aieLoad))
+}
+
+// WriteAnalysis writes the downstream analyses a calibration is reviewed
+// by: Table III, the three k=5 clusterings and whether they agree, the
+// Figure 4 sweep (WriteSweep), Table V, Table VI (WriteSubsets), Figure 7
+// and the observation checks.
+func WriteAnalysis(w io.Writer, d *core.Dataset) error {
+	const k = 5
+	agree, cs, err := d.AgreementAcrossAlgorithms(k)
+	if err != nil {
+		return err
+	}
+	scores, err := d.Figure4(2, 9)
+	if err != nil {
+		return err
+	}
+	t5, err := TableV(d)
+	if err != nil {
+		return err
+	}
+	curves, err := d.Figure7()
+	if err != nil {
+		return err
+	}
+	obs, err := d.Observations()
+	if err != nil {
+		return err
+	}
+	sections := []section{TableIII(d).Write, text("all algorithms agree at k=%d: %v\n", k, agree)}
+	for _, c := range cs {
+		sections = append(sections, Clusters(c).Write)
+	}
+	return writeSections(w, append(sections,
+		func(w io.Writer) error { return WriteSweep(w, scores) },
+		t5.Write,
+		func(w io.Writer) error { return WriteSubsets(w, d) },
+		Figure7(curves).Write, Observations(obs).Write)...)
+}
+
+// A section is one block of a multi-section report.
+type section func(io.Writer) error
+
+// text is a section of preformatted lines.
+func text(format string, args ...any) section {
+	return func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, format, args...)
+		return err
+	}
+}
+
+// writeSections writes the sections with a blank line between them.
+func writeSections(w io.Writer, sections ...section) error {
+	for i, s := range sections {
+		if i > 0 {
+			if _, err := fmt.Fprintln(w); err != nil {
+				return err
+			}
+		}
+		if err := s(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}

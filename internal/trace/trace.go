@@ -123,18 +123,6 @@ func (s *Series) Min() float64 {
 	return m
 }
 
-// Sum returns the sum of all samples.
-func (s *Series) Sum() float64 {
-	sum := 0.0
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum
-}
-
-// Integral returns the time integral (sum of value x DT).
-func (s *Series) Integral() float64 { return s.Sum() * s.DT }
-
 // Clone returns a deep copy.
 func (s *Series) Clone() *Series {
 	c := &Series{Name: s.Name, DT: s.DT, Values: make([]float64, len(s.Values))}
@@ -171,40 +159,6 @@ func (s *Series) Resample(n int) *Series {
 			sum += s.Values[j]
 		}
 		out.Values[i] = sum / float64(hi-lo)
-	}
-	return out
-}
-
-// Smooth returns a centered moving-average smoothing with the given window
-// (odd windows recommended; w <= 1 returns a clone).
-func (s *Series) Smooth(w int) *Series {
-	if w <= 1 {
-		return s.Clone()
-	}
-	out := &Series{Name: s.Name, DT: s.DT, Values: make([]float64, len(s.Values))}
-	half := w / 2
-	for i := range s.Values {
-		lo, hi := i-half, i+half+1
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(s.Values) {
-			hi = len(s.Values)
-		}
-		sum := 0.0
-		for j := lo; j < hi; j++ {
-			sum += s.Values[j]
-		}
-		out.Values[i] = sum / float64(hi-lo)
-	}
-	return out
-}
-
-// Scale returns the series with all values multiplied by f.
-func (s *Series) Scale(f float64) *Series {
-	out := s.Clone()
-	for i := range out.Values {
-		out.Values[i] *= f
 	}
 	return out
 }

@@ -22,11 +22,8 @@ func TestBasics(t *testing.T) {
 	if math.Abs(s.Duration()-0.4) > 1e-12 {
 		t.Fatalf("duration = %g", s.Duration())
 	}
-	if s.Mean() != 2.5 || s.Min() != 1 || s.Max() != 4 || s.Sum() != 10 {
-		t.Fatalf("stats wrong: mean=%g min=%g max=%g sum=%g", s.Mean(), s.Min(), s.Max(), s.Sum())
-	}
-	if math.Abs(s.Integral()-1.0) > 1e-12 {
-		t.Fatalf("integral = %g", s.Integral())
+	if s.Mean() != 2.5 || s.Min() != 1 || s.Max() != 4 {
+		t.Fatalf("stats wrong: mean=%g min=%g max=%g", s.Mean(), s.Min(), s.Max())
 	}
 }
 
@@ -88,27 +85,6 @@ func TestResampleDegenerate(t *testing.T) {
 	}
 	if r := NewSeries("e", 0.1).Resample(4); r.Len() != 4 {
 		t.Fatal("empty-series resample should be zero-filled at requested length")
-	}
-}
-
-func TestSmooth(t *testing.T) {
-	s := seriesOf(0, 10, 0, 10, 0)
-	sm := s.Smooth(3)
-	if sm.Values[2] != 20.0/3 {
-		t.Fatalf("smoothed center = %g", sm.Values[2])
-	}
-	same := s.Smooth(1)
-	for i := range s.Values {
-		if same.Values[i] != s.Values[i] {
-			t.Fatal("window 1 should be identity")
-		}
-	}
-}
-
-func TestScale(t *testing.T) {
-	s := seriesOf(1, 2).Scale(10)
-	if s.Values[0] != 10 || s.Values[1] != 20 {
-		t.Fatalf("scaled = %v", s.Values)
 	}
 }
 

@@ -27,7 +27,6 @@ package mobilebench
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -392,34 +391,4 @@ func (c *Characterization) RegionsOfInterest(name string, windowSec float64) (*R
 }
 
 // WriteReport writes a full human-readable characterization report.
-func (c *Characterization) WriteReport(w io.Writer) error {
-	if err := report.Figure1(c.ds).Write(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := report.TableIII(c.ds).Write(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	t5, err := report.TableV(c.ds)
-	if err != nil {
-		return err
-	}
-	if err := t5.Write(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	reds, err := c.Subsets()
-	if err != nil {
-		return err
-	}
-	if err := report.TableVI(c.ds, reds).Write(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	obs, err := c.Observations()
-	if err != nil {
-		return err
-	}
-	return report.Observations(obs).Write(w)
-}
+func (c *Characterization) WriteReport(w io.Writer) error { return report.WriteReport(w, c.ds) }
