@@ -26,16 +26,18 @@ const (
 	goldenFFDigest    = "ef9fa0f156efed9a3544fa41fbe40268fa558a63ec712e389ae6a307468003be"
 )
 
-// update rewrites testdata/analysis_exact.golden instead of comparing
-// against it:
+// update rewrites the testdata goldens instead of comparing against them:
 //
-//	go test -run TestGoldenDigests/exact -update
+//	go test -run 'TestGoldenDigests/exact|TestGoldenCheckpointLog' -update
 //
 // An intended change is committed with the rewritten file and a CHANGES.md
 // line that names the reason.
-var update = flag.Bool("update", false, "rewrite testdata/analysis_exact.golden")
+var update = flag.Bool("update", false, "rewrite the testdata goldens")
 
-const analysisGolden = "testdata/analysis_exact.golden"
+const (
+	analysisGolden   = "testdata/analysis_exact.golden"
+	checkpointGolden = "testdata/checkpoint_log.sha256"
+)
 
 // TestGoldenDigests pins the bytes of the exact and the fast-forwarded
 // pipeline: the WriteReport text plus every unit's JSON aggregates, hashed
@@ -100,20 +102,8 @@ func requireAnalysisGolden(t *testing.T, c *Characterization) {
 	if err := report.WriteAnalysis(&got, c.ds); err != nil {
 		t.Fatal(err)
 	}
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(analysisGolden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(analysisGolden, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(analysisGolden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if bytes.Equal(got.Bytes(), want) {
+	want, ok := readGolden(t, analysisGolden, got.Bytes())
+	if !ok || bytes.Equal(got.Bytes(), want) {
 		return
 	}
 	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
@@ -133,4 +123,61 @@ func requireAnalysisGolden(t *testing.T, c *Characterization) {
 		}
 	}
 	t.Fatalf("%s: %d lines moved (%d lines, want %d):\n%s", analysisGolden, moved, len(gl), len(wl), diff.String())
+}
+
+// readGolden returns the golden file's bytes; under -update it writes got
+// there instead and reports false.
+func readGolden(t *testing.T, path string, got []byte) ([]byte, bool) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return nil, false
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	return want, true
+}
+
+// TestGoldenCheckpointLog pins the bytes of a checkpointed two-unit
+// collection under injected aborts and NaN samples: every record, with
+// its provenance and the injected-fault strings of the retried attempts,
+// hashed with SHA-256.
+func TestGoldenCheckpointLog(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on amd64; on %s the compiler may fuse x*y+z into one FMA instruction, which rounds differently", runtime.GOARCH)
+	}
+	inj, err := ParseInjection("abort=0.5,nan=0.3,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []Workload
+	for _, name := range []string{"GFXBench Special", "3DMark Wild Life"} {
+		w, err := BenchmarkByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units = append(units, w)
+	}
+	path := filepath.Join(t.TempDir(), "collect.ckpt")
+	if _, err := Characterize(Options{
+		Units: units, Runs: 2, Workers: 1, MaxRetries: 3, Inject: inj, Checkpoint: path,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(log)
+	got := hex.EncodeToString(sum[:]) + "\n"
+	if want, ok := readGolden(t, checkpointGolden, []byte(got)); ok && got != string(want) {
+		t.Errorf("checkpoint log (%d bytes) SHA-256 %s, want %s", len(log), strings.TrimSpace(got), strings.TrimSpace(string(want)))
+	}
 }

@@ -39,6 +39,9 @@ func TestFingerprintPins(t *testing.T) {
 		{"cache key", func() (string, error) {
 			return Spec{Kind: "characterize", Units: []string{"Antutu Mem"}, Runs: 1, Seed: 7}.CacheKey("")
 		}, "84be19089ab88a390f6c3c5ff706f2c4973b8654789903d24bc7e8ceae068989"},
+		{"cache key with injection", func() (string, error) {
+			return Spec{Kind: "characterize", Units: []string{"Antutu Mem"}, Runs: 1, Seed: 7, Inject: "crash=0.2,seed=7"}.CacheKey("")
+		}, "ac3d81a228bcb364ed1c48683c269122174a088020aaf6b03e849c443c91090f"},
 	}
 	for _, tc := range cases {
 		got, err := tc.got()
