@@ -83,9 +83,9 @@ func (c *Collection) options(cfg sim.Config, units []workload.Workload) (core.Op
 	if err != nil {
 		return core.Options{}, err
 	}
-	cfg.Fault = inj
 	return core.Options{
 		Sim:        cfg,
+		Fault:      inj,
 		Runs:       c.Runs,
 		Units:      units,
 		Workers:    c.Workers,

@@ -108,8 +108,8 @@ func TestResilienceFlagParsing(t *testing.T) {
 	if opts.Resilience != want {
 		t.Fatalf("Resilience = %+v, want %+v", opts.Resilience, want)
 	}
-	if c.InjectSpec != "crash=0.2,nan=0.1,seed=7" || opts.Sim.Fault == nil {
-		t.Fatalf("InjectSpec = %q, injector %v", c.InjectSpec, opts.Sim.Fault)
+	if c.InjectSpec != "crash=0.2,nan=0.1,seed=7" || opts.Fault == nil {
+		t.Fatalf("InjectSpec = %q, injector %v", c.InjectSpec, opts.Fault)
 	}
 }
 
@@ -121,8 +121,8 @@ func TestResilienceDefaultsAreZero(t *testing.T) {
 	if opts.Resilience != (core.Resilience{}) {
 		t.Fatalf("default policy = %+v, want the strict zero policy", opts.Resilience)
 	}
-	if opts.Sim.Fault != nil {
-		t.Fatalf("default injector = %v, want nil", opts.Sim.Fault)
+	if opts.Fault != nil {
+		t.Fatalf("default injector = %v, want nil", opts.Fault)
 	}
 	if opts.Runs != 3 || opts.Workers != 0 || opts.Checkpoint != "" || opts.Resume {
 		t.Fatalf("default options = %+v", opts)
@@ -138,7 +138,7 @@ func TestInjectSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("options: %v", err)
 	}
-	inj := opts.Sim.Fault
+	inj := opts.Fault
 	if inj == nil {
 		t.Fatal("options built no injector for a non-empty spec")
 	}

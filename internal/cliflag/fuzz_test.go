@@ -28,8 +28,8 @@ func FuzzResilienceFlags(f *testing.F) {
 		if err := fs.Parse(strings.Fields(argv)); err != nil {
 			return
 		}
-		if opts, err := col.options(sim.Config{}, nil); err == nil && opts.Sim.Fault != nil {
-			_ = opts.Sim.Fault.PlanFor("unit", 0, 0)
+		if opts, err := col.options(sim.Config{}, nil); err == nil && opts.Fault != nil {
+			_ = opts.Fault.PlanFor("unit", 0, 0)
 		}
 	})
 }

@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"mobilebench/internal/checkpoint"
+	"mobilebench/internal/fault"
 	"mobilebench/internal/sim"
 	"mobilebench/internal/workload"
 )
@@ -30,9 +31,9 @@ import (
 // built with fault.NewFunc (the test seam) hash as their zero Config;
 // tests resuming across processes must install an equivalent plan
 // function themselves.
-func collectFingerprint(cfg sim.Config, runs int, units []workload.Workload, pol Resilience) uint64 {
+func collectFingerprint(cfg sim.Config, inj *fault.Injector, runs int, units []workload.Workload, pol Resilience) uint64 {
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(collectCanonical(cfg, runs, units, pol)))
+	_, _ = h.Write([]byte(collectCanonical(cfg, inj, runs, units, pol)))
 	return h.Sum64()
 }
 
@@ -41,7 +42,7 @@ func collectFingerprint(cfg sim.Config, runs int, units []workload.Workload, pol
 // Options.CheckpointCanonical) so callers needing a wider digest than the
 // u64 snapshot fingerprint can hash the full string instead of folding an
 // already-64-bit value.
-func collectCanonical(cfg sim.Config, runs int, units []workload.Workload, pol Resilience) string {
+func collectCanonical(cfg sim.Config, inj *fault.Injector, runs int, units []workload.Workload, pol Resilience) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mbckpt-v1|runs=%d", runs)
 	// branch/refresh/rjit/noise are the engine's sampling and noise
@@ -72,8 +73,8 @@ func collectCanonical(cfg sim.Config, runs int, units []workload.Workload, pol R
 	// %+v renders structs field by field and maps in sorted key order, so
 	// the rendering is deterministic for a given binary.
 	fmt.Fprintf(&b, "|plat=%+v", cfg.Platform)
-	if cfg.Fault != nil {
-		fmt.Fprintf(&b, "|fault=%+v", cfg.Fault.Config())
+	if inj != nil {
+		fmt.Fprintf(&b, "|fault=%+v", inj.Config())
 	}
 	fmt.Fprintf(&b, "|retries=%d|runtimeout=%d", pol.MaxRetries, int64(pol.RunTimeout))
 	for _, u := range units {
@@ -116,7 +117,7 @@ func (o Options) CheckpointCanonical() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return collectCanonical(eng.Config(), runs, units, o.Resilience), nil
+	return collectCanonical(eng.Config(), o.Fault, runs, units, o.Resilience), nil
 }
 
 // collectCheckpoint is the per-collection checkpoint state: the records

@@ -135,7 +135,8 @@ func TestCheckpointChaosResumeBitIdentical(t *testing.T) {
 		CleanAfter: 2,
 	})
 	chaosOpts := Options{
-		Sim:        sim.Config{Seed: 888, Fault: inj},
+		Sim:        sim.Config{Seed: 888},
+		Fault:      inj,
 		Runs:       2,
 		Units:      units,
 		Workers:    1,
@@ -179,7 +180,7 @@ func TestCheckpointMidFlightCancellationResume(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := CollectContext(ctx, Options{
-			Sim: sim.Config{Seed: 888, Fault: stall}, Runs: 2, Units: units, Workers: 1,
+			Sim: sim.Config{Seed: 888}, Fault: stall, Runs: 2, Units: units, Workers: 1,
 			Resilience: Resilience{MaxRetries: 1, BackoffBase: time.Millisecond},
 			Checkpoint: path,
 		})
@@ -208,7 +209,7 @@ func TestCheckpointMidFlightCancellationResume(t *testing.T) {
 	// plan is equivalent for the remaining attempts).
 	quiet := fault.NewFunc(func(string, int, int) fault.Plan { return fault.Plan{} })
 	resumed := collectOrFatal(t, context.Background(), Options{
-		Sim: sim.Config{Seed: 888, Fault: quiet}, Runs: 2, Units: units, Workers: 2,
+		Sim: sim.Config{Seed: 888}, Fault: quiet, Runs: 2, Units: units, Workers: 2,
 		Resilience: Resilience{MaxRetries: 1, BackoffBase: time.Millisecond},
 		Checkpoint: path, Resume: true,
 	})
@@ -227,7 +228,7 @@ func TestCheckpointRestoresPermanentFailure(t *testing.T) {
 	})
 	path := filepath.Join(t.TempDir(), "failed.ckpt")
 	opts := Options{
-		Sim: sim.Config{Seed: 888, Fault: doomed}, Runs: 2, Units: units, Workers: 1,
+		Sim: sim.Config{Seed: 888}, Fault: doomed, Runs: 2, Units: units, Workers: 1,
 		Resilience: Resilience{MaxRetries: 1, MinRuns: 1, BackoffBase: time.Millisecond},
 		Checkpoint: path,
 	}
@@ -244,7 +245,7 @@ func TestCheckpointRestoresPermanentFailure(t *testing.T) {
 		return fault.Plan{}
 	})
 	re := opts
-	re.Sim.Fault = counting
+	re.Fault = counting
 	re.Resume = true
 	second := collectOrFatal(t, context.Background(), re)
 	if n := plans.Load(); n != 0 {
@@ -271,7 +272,7 @@ func TestCheckpointAppendsInPlace(t *testing.T) {
 		return fault.Plan{}
 	})
 	collectOrFatal(t, context.Background(), Options{
-		Sim: sim.Config{Seed: 888, Fault: probe}, Runs: 2, Units: shortUnits()[:1], Workers: 1,
+		Sim: sim.Config{Seed: 888}, Fault: probe, Runs: 2, Units: shortUnits()[:1], Workers: 1,
 		Checkpoint: path,
 	})
 	if statErr != nil {
@@ -371,7 +372,7 @@ func TestCheckpointFingerprintSensitivity(t *testing.T) {
 	o.Resilience.MaxRetries = 2
 	differs["max retries"] = o
 	o = base
-	o.Sim.Fault = fault.New(fault.Config{Seed: 1, Crash: 0.5})
+	o.Fault = fault.New(fault.Config{Seed: 1, Crash: 0.5})
 	differs["fault config"] = o
 	o = base
 	o.Sim.FastForward = true

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 
+	"mobilebench/internal/fault"
 	"mobilebench/internal/par"
 	"mobilebench/internal/profiler"
 	"mobilebench/internal/sim"
@@ -35,6 +36,13 @@ type Options struct {
 	// independent random stream and results are merged in deterministic
 	// (unit, run) order.
 	Workers int
+	// Fault, when non-nil, injects deterministic measurement faults
+	// (crashes, aborts, hangs, panics, sample corruption, skew) for chaos
+	// testing. Each attempt's plan is keyed by (unit, run, attempt) and
+	// applied around a clean simulation, so injected chaos is reproducible
+	// for any worker count and never changes what a completed attempt
+	// simulated. nil (the default) injects nothing.
+	Fault *fault.Injector
 	// Resilience configures the self-healing collection path: retries
 	// with deterministic backoff, per-run timeouts, MAD-based outlier
 	// re-runs, trace repair and MinRuns degradation. The zero value keeps
@@ -147,7 +155,7 @@ func CollectContext(ctx context.Context, opts Options) (*Dataset, error) {
 
 	var ckpt *collectCheckpoint
 	if opts.Checkpoint != "" {
-		fp := collectFingerprint(eng.Config(), runs, units, pol)
+		fp := collectFingerprint(eng.Config(), opts.Fault, runs, units, pol)
 		if ckpt, err = openCollectCheckpoint(opts.Checkpoint, opts.Resume, fp); err != nil {
 			return nil, err
 		}
@@ -172,7 +180,7 @@ func CollectContext(ctx context.Context, opts Options) (*Dataset, error) {
 		if ckpt.restore(units[ui].Name, r, st) {
 			return nil
 		}
-		if err := collectRun(ctx, eng, units[ui], r, pol, st); err != nil {
+		if err := collectRun(ctx, eng, opts.Fault, units[ui], r, pol, st); err != nil {
 			return err
 		}
 		return ckpt.record(units[ui].Name, r, st)
@@ -182,7 +190,7 @@ func CollectContext(ctx context.Context, opts Options) (*Dataset, error) {
 	}
 	var failures []*RunError
 	for i, w := range units {
-		res, prov, err := assembleUnit(ctx, eng, w, pol, states[i])
+		res, prov, err := assembleUnit(ctx, eng, opts.Fault, w, pol, states[i])
 		if err != nil {
 			var ce *CollectError
 			if errors.As(err, &ce) {

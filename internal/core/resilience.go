@@ -256,7 +256,7 @@ type runState struct {
 // under FailFast); an ordinary permanent failure is recorded in st.perm
 // and reported as aggregate CollectError later, letting sibling runs
 // finish first.
-func collectRun(ctx context.Context, eng *sim.Engine, w workload.Workload, run int, pol Resilience, st *runState) error {
+func collectRun(ctx context.Context, eng *sim.Engine, inj *fault.Injector, w workload.Workload, run int, pol Resilience, st *runState) error {
 	var lastCorrupt *sim.Result
 	var lastErr error
 	budget := pol.MaxRetries + 1
@@ -265,7 +265,7 @@ func collectRun(ctx context.Context, eng *sim.Engine, w workload.Workload, run i
 		st.next++
 		st.prov.Attempts++
 
-		res, err := runAttempt(ctx, eng, w, run, attempt, pol.RunTimeout)
+		res, err := runAttempt(ctx, eng, inj.PlanFor(w.Name, run, attempt), w, run, attempt, pol.RunTimeout)
 		if err == nil && res.Trace != nil {
 			if verr := res.Trace.Validate(); verr != nil {
 				lastCorrupt, err = res, verr
@@ -329,11 +329,11 @@ func recordTiming(prov *RunProvenance, res *sim.Result) {
 // runAttempt executes one attempt with its own timeout and panic recovery:
 // a panicking worker (injected or real) surfaces as an error instead of
 // killing the process.
-func runAttempt(ctx context.Context, eng *sim.Engine, w workload.Workload, run, attempt int, timeout time.Duration) (res *sim.Result, err error) {
-	actx := fault.WithAttempt(ctx, attempt)
+func runAttempt(ctx context.Context, eng *sim.Engine, plan fault.Plan, w workload.Workload, run, attempt int, timeout time.Duration) (res *sim.Result, err error) {
+	actx := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(actx, timeout)
+		actx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 	defer func() {
@@ -341,13 +341,76 @@ func runAttempt(ctx context.Context, eng *sim.Engine, w workload.Workload, run, 
 			res, err = nil, &par.PanicError{Job: run, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	res, err = eng.RunContext(actx, w, run)
+	res, err = faultedRun(actx, eng, plan, w, run, attempt)
 	if err != nil && actx.Err() != nil && ctx.Err() == nil {
 		// The attempt's own deadline fired: report it as such even when
 		// the engine surfaced the bare context error.
 		err = fmt.Errorf("core: run exceeded the %v run-timeout: %w", timeout, err)
 	}
 	return res, err
+}
+
+// faultedRun applies the attempt's fault plan around one clean simulation,
+// the way a flaky profiling session fails around a deterministic
+// benchmark: crash and abort fail the attempt, panic panics it, hang
+// stalls it under its context, and skew, drop and NaN damage the finished
+// measurement. The simulation itself never sees the plan, so every
+// attempt that completes simulated exactly what an unfaulted one does.
+func faultedRun(ctx context.Context, eng *sim.Engine, plan fault.Plan, w workload.Workload, run, attempt int) (*sim.Result, error) {
+	switch {
+	case plan.Crash:
+		return nil, &fault.InjectedError{Mode: fault.ModeCrash, Unit: w.Name, Run: run, Attempt: attempt}
+	case plan.AbortFrac > 0:
+		return nil, &fault.InjectedError{Mode: fault.ModeAbort, Unit: w.Name, Run: run, Attempt: attempt, Frac: plan.AbortFrac}
+	case plan.PanicFrac > 0:
+		panic(fmt.Sprintf("fault: injected panic in %s run %d attempt %d", w.Name, run, attempt))
+	case plan.HangSec > 0:
+		// A hung profiling session; the attempt's run-timeout can cut it.
+		t := time.NewTimer(time.Duration(plan.HangSec * float64(time.Second)))
+		defer t.Stop()
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-t.C:
+		}
+	}
+	res, err := eng.RunContext(ctx, w, run)
+	if err != nil {
+		return nil, err
+	}
+	// Skew scales both the trace and the intensity aggregates: a
+	// self-consistent but non-representative run that only outlier
+	// rejection can catch. Drop and NaN damage the trace, so validation
+	// (and, failing that, repair) has real work to do.
+	if f := plan.SkewFactor; f != 0 && f != 1 {
+		res.Agg = skewAgg(res.Agg, f)
+	}
+	plan.Corrupt(res.Trace)
+	return res, nil
+}
+
+// skewAgg scales the intensity aggregates of a run by f, leaving the
+// extensive run identity (runtime) untouched. It models a run whose whole
+// measurement session was miscalibrated by a constant factor.
+func skewAgg(a sim.Aggregates, f float64) sim.Aggregates {
+	a.InstrCount *= f
+	a.IPC *= f
+	a.CacheMPKI *= f
+	a.BranchMPKI *= f
+	a.AvgCPULoad *= f
+	a.AvgGPULoad *= f
+	a.AvgShadersBusy *= f
+	a.AvgGPUBusBusy *= f
+	a.AvgAIELoad *= f
+	a.AvgUsedMemFrac *= f
+	a.AvgUsedMemMB *= f
+	a.PeakUsedMemMB *= f
+	for k := range a.ClusterLoad {
+		a.ClusterLoad[k] *= f
+	}
+	a.AvgPowerW *= f
+	a.EnergyJ *= f
+	return a
 }
 
 // sleepBackoff waits the capped-exponential, deterministically jittered
@@ -371,7 +434,7 @@ func sleepBackoff(ctx context.Context, pol Resilience, seed uint64, unit string,
 // rejection with automatic re-runs, then the deterministic run-order
 // average. The returned provenance documents every deviation from a
 // clean Runs-of-Runs collection.
-func assembleUnit(ctx context.Context, eng *sim.Engine, w workload.Workload, pol Resilience, states []*runState) (*sim.Result, UnitProvenance, error) {
+func assembleUnit(ctx context.Context, eng *sim.Engine, inj *fault.Injector, w workload.Workload, pol Resilience, states []*runState) (*sim.Result, UnitProvenance, error) {
 	runs := len(states)
 	prov := UnitProvenance{Unit: w.Name, RunsRequested: runs}
 
@@ -409,7 +472,7 @@ func assembleUnit(ctx context.Context, eng *sim.Engine, w workload.Workload, pol
 			st := states[ri]
 			prevRes := st.res
 			st.prov.OutlierReruns++
-			if err := collectRun(ctx, eng, w, ri, pol, st); err != nil {
+			if err := collectRun(ctx, eng, inj, w, ri, pol, st); err != nil {
 				return nil, prov, err
 			}
 			if st.perm != nil {

@@ -12,6 +12,7 @@ import (
 	"mobilebench/internal/fault"
 	"mobilebench/internal/par"
 	"mobilebench/internal/sim"
+	"mobilebench/internal/workload"
 )
 
 // chaosPolicy is the resilience policy the chaos tests run under: enough
@@ -50,7 +51,8 @@ func TestChaosBitIdenticalRecovery(t *testing.T) {
 	})
 	for _, workers := range []int{1, 4} {
 		chaos, err := CollectContext(context.Background(), Options{
-			Sim:        sim.Config{Seed: 888, Fault: inj},
+			Sim:        sim.Config{Seed: 888},
+			Fault:      inj,
 			Runs:       3,
 			Units:      units,
 			Workers:    workers,
@@ -83,7 +85,7 @@ func TestChaosPanicBecomesRunError(t *testing.T) {
 		return fault.Plan{PanicFrac: 0.5}
 	})
 	_, err := CollectContext(context.Background(), Options{
-		Sim:   sim.Config{Fault: inj},
+		Fault: inj,
 		Runs:  1,
 		Units: shortUnits()[:1],
 	})
@@ -100,6 +102,33 @@ func TestChaosPanicBecomesRunError(t *testing.T) {
 	}
 }
 
+// TestChaosFastForwardHangBitIdentical asserts a hang that ends on its own
+// (no run-timeout) leaves a fast-forwarded collection bit-identical to the
+// clean one: the stall happens outside the simulation, so it cannot move
+// where a fast-forward jump stops.
+func TestChaosFastForwardHangBitIdentical(t *testing.T) {
+	w, err := workload.ByName(workload.NameWildLife)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Sim: sim.Config{FastForward: true}, Runs: 2, Units: []workload.Workload{w}}
+	clean, err := CollectContext(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("clean: %v", err)
+	}
+	opts.Fault = fault.NewFunc(func(string, int, int) fault.Plan { return fault.Plan{HangSec: 0.001} })
+	hung, err := CollectContext(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("hung: %v", err)
+	}
+	if !reflect.DeepEqual(hung.Units[0].Agg, clean.Units[0].Agg) {
+		t.Fatalf("aggregates differ after a completed hang:\n hung  %+v\n clean %+v", hung.Units[0].Agg, clean.Units[0].Agg)
+	}
+	if !reflect.DeepEqual(hung.Units[0].Trace, clean.Units[0].Trace) {
+		t.Fatal("traces differ after a completed hang")
+	}
+}
+
 // TestCancelDuringBackoff asserts cancellation interrupts a retry backoff
 // promptly instead of sleeping it out.
 func TestCancelDuringBackoff(t *testing.T) {
@@ -113,7 +142,7 @@ func TestCancelDuringBackoff(t *testing.T) {
 	}()
 	start := time.Now()
 	_, err := CollectContext(ctx, Options{
-		Sim:   sim.Config{Fault: inj},
+		Fault: inj,
 		Runs:  1,
 		Units: shortUnits()[:1],
 		Resilience: Resilience{
@@ -137,7 +166,7 @@ func TestRunTimeoutConvertsHang(t *testing.T) {
 	})
 	start := time.Now()
 	_, err := CollectContext(context.Background(), Options{
-		Sim:   sim.Config{Fault: inj},
+		Fault: inj,
 		Runs:  1,
 		Units: shortUnits()[:1],
 		Resilience: Resilience{
@@ -168,7 +197,7 @@ func TestMinRunsDegradation(t *testing.T) {
 		return fault.Plan{}
 	})
 	ds, err := CollectContext(context.Background(), Options{
-		Sim:   sim.Config{Fault: inj},
+		Fault: inj,
 		Runs:  3,
 		Units: shortUnits()[:1],
 		Resilience: Resilience{
@@ -206,7 +235,7 @@ func TestStrictPolicyFailsCollection(t *testing.T) {
 		return fault.Plan{}
 	})
 	_, err := CollectContext(context.Background(), Options{
-		Sim:   sim.Config{Fault: inj},
+		Fault: inj,
 		Runs:  2,
 		Units: shortUnits()[:2],
 	})
@@ -235,7 +264,7 @@ func TestFailFastAbortsEarly(t *testing.T) {
 		return fault.Plan{Crash: true}
 	})
 	_, err := CollectContext(context.Background(), Options{
-		Sim:        sim.Config{Fault: inj},
+		Fault:      inj,
 		Runs:       3,
 		Units:      shortUnits()[:2],
 		Workers:    2,
@@ -277,7 +306,7 @@ func TestOutlierSkewRerun(t *testing.T) {
 			return fault.Plan{}
 		})
 		chaos, err := CollectContext(context.Background(), Options{
-			Sim:        sim.Config{Fault: inj},
+			Fault:      inj,
 			Runs:       3,
 			Units:      units,
 			Resilience: Resilience{MaxRetries: 2, BackoffBase: time.Millisecond},
@@ -303,7 +332,7 @@ func TestTraceRepairLastResort(t *testing.T) {
 		return fault.Plan{NaNFrac: 0.01}
 	})
 	ds, err := CollectContext(context.Background(), Options{
-		Sim:        sim.Config{Fault: inj},
+		Fault:      inj,
 		Runs:       1,
 		Units:      shortUnits()[:1],
 		Resilience: Resilience{MaxRetries: 1, BackoffBase: time.Millisecond},

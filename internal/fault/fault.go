@@ -11,15 +11,22 @@
 // per-(unit, run) RNG split, so a chaos run is bit-for-bit repeatable for
 // any worker count and a retried attempt is a fresh, independent draw.
 //
+// Faults fire at the attempt boundary: internal/core applies each
+// attempt's Plan around one clean simulation, which never sees the plan,
+// so every attempt that completes simulated exactly what an unfaulted one
+// does.
+//
 // Fault modes:
 //
-//   - crash: the run fails immediately (profiler session died at start).
-//   - abort: the run errors partway through (thermal shutdown mid-run).
-//   - hang: the run stalls mid-run for HangSec wall-clock seconds; with a
-//     per-run timeout configured upstream this manifests as a deadline
-//     error, without one it is merely a slow run.
-//   - panic: the run panics mid-run (a worker bug); the collection layer
-//     must convert this into an error instead of dying.
+//   - crash: the attempt fails before its run (profiler session died at
+//     start).
+//   - abort: the attempt fails with the progress fraction its run reached
+//     (thermal shutdown mid-run).
+//   - hang: the attempt stalls for HangSec wall-clock seconds before its
+//     run; with a per-run timeout configured upstream this manifests as a
+//     deadline error, without one it is merely a slow run.
+//   - panic: the attempt panics (a worker bug); the collection layer must
+//     convert this into an error instead of dying.
 //   - drop: trailing counter samples of some series are dropped, leaving
 //     a misaligned trace (Snapdragon Profiler's dropped-sample failure).
 //   - nan: scattered samples of some series are replaced with NaN.
@@ -29,7 +36,6 @@
 package fault
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -84,8 +90,7 @@ type InjectedError struct {
 	Unit    string
 	Run     int
 	Attempt int
-	// Frac is the run-progress fraction at which the fault fired (0 for
-	// crashes).
+	// Frac is the run-progress fraction an abort reports (0 for crashes).
 	Frac float64
 }
 
@@ -154,14 +159,15 @@ func (c Config) validate() error {
 // Plan is the injection decision for one (unit, run, attempt). The zero
 // Plan injects nothing.
 type Plan struct {
-	// Crash fails the run before it starts.
+	// Crash fails the attempt before its run starts.
 	Crash bool
-	// AbortFrac > 0 errors the run when its progress reaches the fraction.
+	// AbortFrac > 0 fails the attempt instead of its run, reporting the
+	// fraction as the progress the run reached.
 	AbortFrac float64
-	// HangSec > 0 stalls the run mid-way for this many wall-clock seconds
-	// (cancellable by the run's context).
+	// HangSec > 0 stalls the attempt for this many wall-clock seconds
+	// before its run (cancellable by the attempt's context).
 	HangSec float64
-	// PanicFrac > 0 panics the run when its progress reaches the fraction.
+	// PanicFrac > 0 panics the attempt instead of its run.
 	PanicFrac float64
 	// DropFrac > 0 truncates trailing samples from a subset of trace
 	// series, breaking alignment.
@@ -169,7 +175,7 @@ type Plan struct {
 	// NaNFrac > 0 replaces this fraction of samples in a subset of trace
 	// series with NaN.
 	NaNFrac float64
-	// SkewFactor != 0 scales the whole run (trace and intensity
+	// SkewFactor != 0 scales the finished run (trace and intensity
 	// aggregates) by the factor; values are drawn far outside normal
 	// run-to-run jitter so outlier detection has something to find.
 	SkewFactor float64
@@ -412,23 +418,4 @@ func Parse(spec string) (*Injector, error) {
 		return nil, err
 	}
 	return &Injector{cfg: cfg.normalize()}, nil
-}
-
-// attemptKey carries the retry-attempt number through a context, so the
-// engine (which only knows (workload, run)) can key injection decisions by
-// attempt without a signature change.
-type attemptKey struct{}
-
-// WithAttempt tags the context with the attempt number of the run it will
-// execute.
-func WithAttempt(ctx context.Context, attempt int) context.Context {
-	return context.WithValue(ctx, attemptKey{}, attempt)
-}
-
-// Attempt returns the context's attempt number (0 when untagged).
-func Attempt(ctx context.Context) int {
-	if v, ok := ctx.Value(attemptKey{}).(int); ok {
-		return v
-	}
-	return 0
 }

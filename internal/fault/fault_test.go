@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -154,15 +153,5 @@ func TestCorruptIsDeterministic(t *testing.T) {
 				t.Fatalf("series %s sample %d differs: %v vs %v", m, i, va[i], vb[i])
 			}
 		}
-	}
-}
-
-func TestAttemptContext(t *testing.T) {
-	ctx := context.Background()
-	if Attempt(ctx) != 0 {
-		t.Fatal("untagged context should report attempt 0")
-	}
-	if got := Attempt(WithAttempt(ctx, 3)); got != 3 {
-		t.Fatalf("Attempt = %d, want 3", got)
 	}
 }

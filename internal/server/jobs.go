@@ -129,7 +129,8 @@ func specOptions(sp Spec, checkpointPath string) (core.Options, error) {
 		return core.Options{}, err
 	}
 	return core.Options{
-		Sim:     sim.Config{Seed: sp.Seed, Fault: inj},
+		Sim:     sim.Config{Seed: sp.Seed},
+		Fault:   inj,
 		Runs:    sp.Runs,
 		Units:   units,
 		Workers: sp.Workers,

@@ -235,11 +235,10 @@ func relDelta(a, b float64) float64 {
 }
 
 // spanLength returns how many ticks after tick can be fast-forwarded while
-// staying inside the current phase, short of any injected fault event
-// (which must fire on its exact tick), and short of the next decimated
+// staying inside the current phase, and short of the next decimated
 // refresh stop (which must execute exactly to re-draw sampled statistics).
 // 0 means the jump is not worth it.
-func spanLength(jw workload.Workload, dt float64, tick, ticks, phaseIdx, abortTick, hangTick, panicTick int) int {
+func spanLength(jw workload.Workload, dt float64, tick, ticks, phaseIdx int) int {
 	// Last tick of the phase: estimate from the accumulated durations, then
 	// let phaseIndexAt (the tick loop's authority) confirm, stepping down
 	// over any float edge.
@@ -253,11 +252,6 @@ func spanLength(jw workload.Workload, dt float64, tick, ticks, phaseIdx, abortTi
 	}
 	for last > tick && phaseIndexAt(jw, (float64(last)+0.5)*dt) != phaseIdx {
 		last--
-	}
-	for _, ev := range [3]int{abortTick, hangTick, panicTick} {
-		if ev > tick && ev <= last {
-			last = ev - 1
-		}
 	}
 	// Land just short of the next refresh stop, so the loop resumes exactly
 	// on a tick where the miss profiles re-sample.

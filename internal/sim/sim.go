@@ -10,19 +10,21 @@
 // paper highlights are explicit: GPU bus pressure inflates CPU memory stall
 // time (low IPC in graphics benchmarks), unsupported codecs bounce work from
 // the AIE back to the CPU, and storage IO burns CPU submission time.
+//
+// A run is a pure function of (configuration, workload, run index): it
+// reads no clock and knows nothing of retries. Measurement faults are
+// injected around it, at the attempt boundary in internal/core.
 package sim
 
 import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"mobilebench/internal/aie"
 	"mobilebench/internal/branch"
 	"mobilebench/internal/cache"
 	"mobilebench/internal/cpu"
-	"mobilebench/internal/fault"
 	"mobilebench/internal/gpu"
 	"mobilebench/internal/mem"
 	"mobilebench/internal/power"
@@ -48,13 +50,6 @@ type Config struct {
 	// Seed is the root seed; every (workload, run) pair derives an
 	// independent stream from it.
 	Seed uint64
-	// Fault, when non-nil, injects deterministic measurement faults
-	// (crashes, hangs, aborts, panics, sample corruption) into runs for
-	// chaos testing. Decisions are keyed by (workload, run, attempt) —
-	// the attempt number travels in the run's context via
-	// fault.WithAttempt — so injected chaos is reproducible for any
-	// worker count. nil (the default) injects nothing.
-	Fault *fault.Injector
 	// FastForward enables phase fast-forwarding: once a phase reaches
 	// steady state (settled DVFS, converged miss profiles, decayed GPU/AIE
 	// transients) the remaining ticks are executed analytically instead of
@@ -459,17 +454,6 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		return nil, err
 	}
 	cfg := e.cfg
-
-	// Chaos hook: decide this attempt's injected faults up front. The plan
-	// is a pure function of (workload, run, attempt), so a faulted attempt
-	// is reproducible and a clean retry is bit-identical to an unfaulted
-	// run — the injector never touches the simulation RNG streams below.
-	attempt := fault.Attempt(ctx)
-	plan := cfg.Fault.PlanFor(w.Name, run, attempt)
-	if plan.Crash {
-		return nil, &fault.InjectedError{Mode: fault.ModeCrash, Unit: w.Name, Run: run, Attempt: attempt}
-	}
-
 	rng := xrand.New(cfg.Seed).Split(xrand.HashString(w.Name)).Split(uint64(run) + 1)
 
 	// Jitter phase durations for this run.
@@ -509,18 +493,6 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		em.rec = newTickRecord()
 	}
 
-	// Injected mid-run faults fire at deterministic tick positions.
-	abortTick, hangTick, panicTick := -1, -1, -1
-	if plan.AbortFrac > 0 {
-		abortTick = int(plan.AbortFrac * float64(ticks))
-	}
-	if plan.HangSec > 0 {
-		hangTick = ticks / 2
-	}
-	if plan.PanicFrac > 0 {
-		panicTick = int(plan.PanicFrac * float64(ticks))
-	}
-
 	var (
 		totInstr, totCycles         float64
 		totCacheMiss, totBranchMiss float64
@@ -552,24 +524,6 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		if ff != nil {
 			ffPrevCacheMiss, ffPrevBranchMiss = totCacheMiss, totBranchMiss
 			em.rec.begin(ff.idx())
-		}
-		switch tick {
-		case abortTick:
-			return nil, &fault.InjectedError{
-				Mode: fault.ModeAbort, Unit: w.Name, Run: run, Attempt: attempt, Frac: plan.AbortFrac,
-			}
-		case panicTick:
-			panic(fmt.Sprintf("fault: injected panic in %s run %d attempt %d", w.Name, run, attempt))
-		case hangTick:
-			// A hung profiling session: stall wall-clock time mid-run. The
-			// run's context (typically a per-run timeout) can cancel it.
-			timer := time.NewTimer(time.Duration(plan.HangSec * float64(time.Second)))
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return nil, ctx.Err()
-			case <-timer.C:
-			}
 		}
 		t := (float64(tick) + 0.5) * cfg.TickSec
 		phase, _ := jw.PhaseAt(t)
@@ -864,7 +818,7 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 				tickInstr, tickCycles,
 				totCacheMiss-ffPrevCacheMiss, totBranchMiss-ffPrevBranchMiss)
 			if p > 0 {
-				if k := spanLength(jw, cfg.TickSec, tick, ticks, phaseIdx, abortTick, hangTick, panicTick); k > 0 {
+				if k := spanLength(jw, cfg.TickSec, tick, ticks, phaseIdx); k > 0 {
 					if err := ctx.Err(); err != nil {
 						return nil, err
 					}
@@ -916,46 +870,11 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		return nil, err
 	}
 
-	// Chaos hook: corrupt the finished measurement the way a flaky
-	// profiler session would. Skew scales both the trace and the intensity
-	// aggregates — a self-consistent but non-representative run that only
-	// outlier rejection can catch; drop/NaN damage the trace so validation
-	// (and, failing that, repair) has real work to do.
-	if plan.Faulty() {
-		if f := plan.SkewFactor; f != 0 && f != 1 {
-			agg = skewAgg(agg, f)
-		}
-		plan.Corrupt(tr)
-	}
 	res := &Result{Workload: w.Name, Trace: tr, Agg: agg}
 	if rep, ok := timingModel.(TimingReporter); ok {
 		res.TimingNotes, res.TimingDegraded = rep.TimingReport()
 	}
 	return res, nil
-}
-
-// skewAgg scales the intensity aggregates of a run by f, leaving the
-// extensive run identity (runtime) untouched. It models a run whose whole
-// measurement session was miscalibrated by a constant factor.
-func skewAgg(a Aggregates, f float64) Aggregates {
-	a.InstrCount *= f
-	a.IPC *= f
-	a.CacheMPKI *= f
-	a.BranchMPKI *= f
-	a.AvgCPULoad *= f
-	a.AvgGPULoad *= f
-	a.AvgShadersBusy *= f
-	a.AvgGPUBusBusy *= f
-	a.AvgAIELoad *= f
-	a.AvgUsedMemFrac *= f
-	a.AvgUsedMemMB *= f
-	a.PeakUsedMemMB *= f
-	for k := range a.ClusterLoad {
-		a.ClusterLoad[k] *= f
-	}
-	a.AvgPowerW *= f
-	a.EnergyJ *= f
-	return a
 }
 
 // sampleMissProfile refreshes a cluster's measured memory/branch behaviour

@@ -250,12 +250,12 @@ func CharacterizeContext(ctx context.Context, opts Options) (*Characterization, 
 			Platform:    opts.Platform,
 			Seed:        opts.Seed,
 			TickSec:     opts.TickSec,
-			Fault:       opts.Inject,
 			FastForward: opts.FastForward,
 		},
 		Runs:    opts.Runs,
 		Units:   opts.Units,
 		Workers: opts.Workers,
+		Fault:   opts.Inject,
 		Resilience: core.Resilience{
 			MaxRetries: opts.MaxRetries,
 			RunTimeout: opts.RunTimeout,
