@@ -94,6 +94,33 @@ func TestNonFiniteDistances(t *testing.T) {
 	}
 }
 
+// TestDuplicateRowsKeepK asserts every algorithm returns exactly k
+// clusters when rows coincide: three identical rows at k = 3, and a
+// duplicated pair beside a distinct row at k = 2 and 3.
+func TestDuplicateRowsKeepK(t *testing.T) {
+	cases := []struct {
+		name string
+		rows [][]float64
+		ks   []int
+	}{
+		{"identical rows", [][]float64{{1, 2}, {1, 2}, {1, 2}}, []int{1, 2, 3}},
+		{"duplicated pair", [][]float64{{0, 0}, {0, 0}, {5, 1}}, []int{2, 3}},
+	}
+	for _, tc := range cases {
+		for _, k := range tc.ks {
+			for _, alg := range algorithms() {
+				a, err := alg.Cluster(tc.rows, k)
+				if err != nil {
+					t.Fatalf("%s, k=%d, %s: %v", tc.name, k, alg.Name(), err)
+				}
+				if a.K() != k {
+					t.Errorf("%s, k=%d, %s: %v has %d clusters", tc.name, k, alg.Name(), a, a.K())
+				}
+			}
+		}
+	}
+}
+
 func TestKEqualsN(t *testing.T) {
 	rows := blobs()
 	for _, alg := range algorithms() {

@@ -449,10 +449,12 @@ func refKMeansOnce(rows [][]float64, dm *DistMatrix, kk int, rng *xrand.Rand, re
 		for c := 0; c < kk; c++ {
 			members := assign.Members(c)
 			if len(members) == 0 {
-				far, farD := 0, -1.0
+				far, farD := -1, -1.0
 				for i, row := range rows {
-					d := stats.Euclidean(row, centers[assign[i]])
-					if d > farD {
+					if len(assign.Members(assign[i])) < 2 {
+						continue
+					}
+					if d := stats.Euclidean(row, centers[assign[i]]); far < 0 || d > farD {
 						far, farD = i, d
 					}
 				}

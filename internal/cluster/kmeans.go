@@ -148,18 +148,25 @@ func (s *kmeansScratch) once(rows [][]float64, dm *DistMatrix, kk int, rng *xran
 		clean = false
 		// Recompute centroids in c order, each against the centers
 		// already updated this pass; re-seed empty clusters on the
-		// farthest point from its center to keep k clusters alive.
+		// farthest point from its center to keep k clusters alive. The
+		// point comes from a cluster with at least two members, so the
+		// move never empties another cluster (one always exists, as
+		// kk <= len(rows)); size stays current across the moves.
 		for c := 0; c < kk; c++ {
 			if centroidOf(s.center(c), rows, assign, c) > 0 {
 				continue
 			}
-			far, farD := 0, -1.0
+			far, farD := -1, -1.0
 			for i, row := range rows {
-				d := stats.Euclidean(row, s.center(assign[i]))
-				if d > farD {
+				if size[assign[i]] < 2 {
+					continue
+				}
+				if d := stats.Euclidean(row, s.center(assign[i])); far < 0 || d > farD {
 					far, farD = i, d
 				}
 			}
+			size[assign[far]]--
+			size[c]++
 			assign[far] = c
 			centroidOf(s.center(c), rows, assign, c)
 		}

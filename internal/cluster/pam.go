@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mobilebench/internal/xrand"
 )
@@ -76,11 +77,17 @@ func (p *PAM) cluster(d *DistMatrix, k int) (Assignment, error) {
 }
 
 // assignToMedoids labels each observation with the index of its nearest
-// medoid (ties to the lowest index).
+// medoid (ties to the lowest index). A medoid takes its own slot, so
+// duplicate rows chosen as distinct medoids still give len(medoids)
+// clusters.
 func assignToMedoids(d *DistMatrix, medoids []int) Assignment {
 	n := d.N()
 	assign := make(Assignment, n)
 	for i := 0; i < n; i++ {
+		if c := slices.Index(medoids, i); c >= 0 {
+			assign[i] = c
+			continue
+		}
 		bc, bd := 0, math.Inf(1)
 		for c, m := range medoids {
 			if d.At(i, m) < bd {
