@@ -291,7 +291,14 @@ func (s *StreamState) Ingest(ctx context.Context, rec StreamRecord) (StreamDelta
 		// server avoids by ingesting under context.Background().
 		return StreamDelta{}, err
 	}
-	sum, err := s.summarize(scores, assigns)
+	sum, err := s.summarize(scores, func(k int) (cluster.Assignment, error) {
+		for i, sc := range scores {
+			if sc.Algorithm == streamHierName && sc.K == k {
+				return assigns[i], nil
+			}
+		}
+		return nil, fmt.Errorf("core: stream sweep has no %s cell at k=%d", streamHierName, k)
+	})
 	if err != nil {
 		return StreamDelta{}, err
 	}
@@ -415,8 +422,10 @@ func diffRows(prev, cur [][]float64) int {
 }
 
 // summarize builds the published Summary from the current fold and the
-// given sweep (nil while pending).
-func (s *StreamState) summarize(scores []cluster.Scores, assigns []cluster.Assignment) (Summary, error) {
+// given sweep's scores (nil while pending); group returns the hierarchical
+// grouping at the sweep's BestK. Shared by the incremental and batch paths
+// so the published fields cannot drift.
+func (s *StreamState) summarize(scores []cluster.Scores, group func(k int) (cluster.Assignment, error)) (Summary, error) {
 	sum := Summary{Gen: s.count, LastSeq: s.lastSeq}
 	if len(s.units) == 0 {
 		return sum, nil
@@ -446,12 +455,11 @@ func (s *StreamState) summarize(scores []cluster.Scores, assigns []cluster.Assig
 		}
 	}
 	sum.BestK = cluster.BestK(scores)
-	for i, sc := range scores {
-		if sc.Algorithm == streamHierName && sc.K == sum.BestK {
-			return finishSummary(sum, assigns[i])
-		}
+	assign, err := group(sum.BestK)
+	if err != nil {
+		return Summary{}, err
 	}
-	return Summary{}, fmt.Errorf("core: stream sweep has no %s cell at k=%d", streamHierName, sum.BestK)
+	return finishSummary(sum, assign)
 }
 
 // streamHierName is the algorithm whose grouping the stream publishes —
@@ -459,8 +467,7 @@ func (s *StreamState) summarize(scores []cluster.Scores, assigns []cluster.Assig
 var streamHierName = cluster.NewHierarchical().Name()
 
 // finishSummary derives the cluster groups and the Naive subset from the
-// hierarchical assignment at BestK. Shared by the incremental and batch
-// paths so the derived fields cannot drift.
+// hierarchical assignment at BestK.
 func finishSummary(sum Summary, assign cluster.Assignment) (Summary, error) {
 	groups := make([][]string, assign.K())
 	for i, c := range assign {
@@ -512,42 +519,14 @@ func StreamBatch(ctx context.Context, records []StreamRecord, opt StreamOptions)
 		}
 	}
 	s.norm = stats.NormalizeColumnsMinMax(s.meanRows())
-	sum := Summary{Gen: s.count, LastSeq: s.lastSeq}
-	if len(s.units) == 0 {
-		return sum, nil
-	}
-	maxNorm := stats.NormalizeColumnsMax(s.meanRows())
-	sum.Units = make([]StreamUnit, len(s.units))
-	for i, u := range s.units {
-		sum.Units[i] = StreamUnit{
-			Name:       u.name,
-			Runs:       u.runs,
-			RuntimeSec: u.sumRuntime / float64(u.runs),
-			Features:   maxNorm[i],
-		}
-	}
 	if len(s.norm) < s.opt.KMin+1 {
-		return sum, nil
+		return s.summarize(nil, nil)
 	}
 	scores, _, err := cluster.SweepContext(ctx, Algorithms(), s.norm, s.opt.KMin, s.opt.KMax, s.opt.Workers)
 	if err != nil {
 		return Summary{}, err
 	}
-	sum.Scores = make([]StreamScore, len(scores))
-	for i, sc := range scores {
-		sum.Scores[i] = StreamScore{
-			Algorithm:  sc.Algorithm,
-			K:          sc.K,
-			Dunn:       sc.Dunn,
-			Silhouette: sc.Silhouette,
-			APN:        sc.APN,
-			AD:         sc.AD,
-		}
-	}
-	sum.BestK = cluster.BestK(scores)
-	assign, err := cluster.NewHierarchical().Cluster(s.norm, sum.BestK)
-	if err != nil {
-		return Summary{}, err
-	}
-	return finishSummary(sum, assign)
+	return s.summarize(scores, func(k int) (cluster.Assignment, error) {
+		return cluster.NewHierarchical().Cluster(s.norm, k)
+	})
 }
