@@ -100,10 +100,11 @@ func DefaultConfig() *Config {
 		ModulePath: "mobilebench",
 		DeterministicPkgs: []string{
 			"core", "sim", "cluster", "stats", "subset", "fault", "checkpoint",
-			// The streaming-statistics path: summaries and sketches are
-			// folded per tick and merged across runs, so their accumulators
-			// must be free of map-iteration order and global randomness
-			// just like the collection pipeline that feeds them.
+			// The counter path: traces are appended per tick, repaired
+			// and averaged across runs from xrand's split streams, so
+			// they must be free of map-iteration order and global
+			// randomness just like the collection pipeline that feeds
+			// them.
 			"profiler", "trace", "xrand",
 		},
 		AtomicAllowPkgs: []string{"checkpoint"},
