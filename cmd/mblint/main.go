@@ -11,17 +11,17 @@
 //	go run ./cmd/mblint -sarif out.sarif ./...  # SARIF 2.1.0 for code scanning
 //	go run ./cmd/mblint -list              # describe the passes
 //
-// Exit status is 0 when no error-severity findings remain, 2 when some
-// were reported and 1 on usage or load errors. Findings are suppressed
-// per line with `//mblint:ignore <pass> <reason>` and per package via
-// the -config JSON (see internal/lint.Config).
+// The policy is lint.DefaultConfig; there is no config file. Exit status
+// is 0 when there are no findings, 2 when any were reported and 1 on
+// usage or load errors. A finding is accepted only in place, with a
+// reasoned `//mblint:ignore <pass> <reason>` on its line or the line
+// above.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"mobilebench/internal/checkpoint"
 	"mobilebench/internal/lint"
@@ -33,7 +33,6 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("mblint", flag.ContinueOnError)
-	configPath := fs.String("config", "", "JSON lint config overlaying the built-in policy (default: .mblint.json at the module root, if present)")
 	fix := fs.Bool("fix", false, "apply mechanical suggested fixes to the working tree")
 	list := fs.Bool("list", false, "describe the passes and exit")
 	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
@@ -52,12 +51,7 @@ func run(args []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	moduleDir, err := findModuleRoot()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mblint: %v\n", err)
-		return 1
-	}
-	cfg, err := loadConfig(*configPath, moduleDir)
+	moduleDir, err := lint.FindModuleRoot()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mblint: %v\n", err)
 		return 1
@@ -81,7 +75,7 @@ func run(args []string) int {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	findings, err := lint.RunAnalyzers(pkgs, lint.All(), cfg, loader.Fset)
+	findings, err := lint.RunAnalyzers(pkgs, lint.All(), lint.DefaultConfig(), loader.Fset)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mblint: %v\n", err)
 		return 1
@@ -89,7 +83,7 @@ func run(args []string) int {
 
 	lint.Print(os.Stderr, findings)
 	if *sarifPath != "" {
-		data, err := lint.EncodeSARIF(findings, cfg, moduleDir)
+		data, err := lint.EncodeSARIF(findings, moduleDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mblint: %v\n", err)
 			return 1
@@ -109,42 +103,8 @@ func run(args []string) int {
 			fmt.Fprintf(os.Stderr, "mblint: applied %d fix(es); re-run to verify\n", n)
 		}
 	}
-	for _, f := range findings {
-		if cfg.SeverityOf(f.Pass) == "error" {
-			return 2
-		}
+	if len(findings) > 0 {
+		return 2
 	}
 	return 0
-}
-
-// loadConfig resolves the lint config: an explicit -config path, else the
-// module's .mblint.json if present, else the built-in defaults.
-func loadConfig(explicit, moduleDir string) (*lint.Config, error) {
-	path := explicit
-	if path == "" {
-		candidate := filepath.Join(moduleDir, ".mblint.json")
-		if _, err := os.Stat(candidate); err != nil {
-			return lint.DefaultConfig(), nil
-		}
-		path = candidate
-	}
-	return lint.LoadConfig(path)
-}
-
-// findModuleRoot walks up from the working directory to the nearest go.mod.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above the working directory; run mblint inside the module")
-		}
-		dir = parent
-	}
 }

@@ -12,10 +12,18 @@ import (
 
 // seededTree is a module with one violation of every pass, plus a
 // cross-package fact case: b calls a's blocking helper while holding a
-// mutex, which mutexhold can only see through a's exported facts.
+// mutex, which mutexhold can only see through a's exported facts. It has
+// no config file, so the built-in policy alone must flag cosim's clock.
 var seededTree = map[string]string{
-	"go.mod":       "module seeded\n\ngo 1.24\n",
-	".mblint.json": `{"module": "seeded"}` + "\n",
+	"go.mod": "module seeded\n\ngo 1.24\n",
+	"cosim/cosim.go": `// Package cosim sits under a deterministic-package segment.
+package cosim
+
+import "time"
+
+// Stamp reads the wall clock.
+func Stamp() int64 { return time.Now().Unix() }
+`,
 	"core/core.go": `// Package core sits under a deterministic-package segment.
 package core
 
@@ -192,6 +200,9 @@ func TestSeededTreeFindsEveryPass(t *testing.T) {
 	if !strings.Contains(out, "b.go:16:2: [mutexhold] call to a.Blocky may block (time.Sleep) while t.mu is held") {
 		t.Errorf("cross-package mutexhold finding missing:\n%s", out)
 	}
+	if !strings.Contains(out, "cosim.go:7:29: [nondeterm] time.Now reads the wall clock") {
+		t.Errorf("wall clock in cosim not flagged:\n%s", out)
+	}
 
 	data, err := os.ReadFile(sarif)
 	if err != nil {
@@ -221,7 +232,11 @@ func TestCleanTreeExitsZero(t *testing.T) {
 }
 
 func TestUsageErrorExitsOne(t *testing.T) {
-	if code, _ := runCaptured(t, "-no-such-flag"); code != 1 {
-		t.Fatalf("exit %d, want 1", code)
+	// -config is gone with the overlay it loaded: the built-in policy is
+	// the only one, so naming a config file is a usage error.
+	for _, flag := range []string{"-no-such-flag", "-config"} {
+		if code, _ := runCaptured(t, flag, "x"); code != 1 {
+			t.Errorf("%s: exit %d, want 1", flag, code)
+		}
 	}
 }

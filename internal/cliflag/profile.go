@@ -13,8 +13,8 @@ import (
 // with plain os.Create — not the atomic-write path — because a profile is a
 // diagnostic artifact, not a dataset: a torn profile from a crashed run is
 // useless either way, and pprof owns the file handle for the whole run.
-// mblint's atomicwrite pass is excluded for this package in .mblint.json
-// for exactly that reason.
+// Each of the two os.Create calls carries an //mblint:ignore atomicwrite
+// line giving that reason.
 type Profile struct {
 	// CPUPath is the -cpuprofile output file ("" disables CPU profiling).
 	CPUPath string
@@ -41,6 +41,7 @@ func (p *Profile) Start() error {
 	if p == nil || p.CPUPath == "" {
 		return nil
 	}
+	//mblint:ignore atomicwrite a CPU profile is a diagnostic that pprof streams into for the whole run; a torn one is useless either way
 	f, err := os.Create(p.CPUPath)
 	if err != nil {
 		return fmt.Errorf("cliflag: -cpuprofile: %w", err)
@@ -69,6 +70,7 @@ func (p *Profile) Stop() error {
 	if p.MemPath == "" {
 		return nil
 	}
+	//mblint:ignore atomicwrite a heap profile is a diagnostic, not a dataset; a torn one is useless either way
 	f, err := os.Create(p.MemPath)
 	if err != nil {
 		return fmt.Errorf("cliflag: -memprofile: %w", err)

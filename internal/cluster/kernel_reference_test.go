@@ -890,3 +890,46 @@ func TestKMeansUnchangedFirstPassReseeds(t *testing.T) {
 		}
 	}
 }
+
+// TestKMeansTieFixedPointStops covers tied rows at k = n, where every pass
+// sends the tied rows to center 0 and the re-seed spreads them again: once
+// stops at that fixed point instead of running kmeansMaxIter passes per
+// restart, and every restart still returns the reference's assignment and
+// WCSS, which the reference reaches only after kmeansMaxIter passes.
+func TestKMeansTieFixedPointStops(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows [][]float64
+	}{
+		{"identical rows", [][]float64{{1, 2}, {1, 2}, {1, 2}}},
+		{"duplicated pair", [][]float64{{0, 0}, {0, 0}, {5, 1}}},
+	} {
+		const k = 3
+		s := newKMeansScratch(len(tc.rows), 2, k)
+		passes, reseeds := 0, 0
+		for r := 0; r < kmeansRestarts; r++ {
+			got := s.once(tc.rows, nil, k, xrand.New(kmeansSeed).Split(uint64(r)+1))
+			passes += s.passes
+			if s.converged {
+				t.Errorf("%s restart %d: converged on a re-seeding fixed point", tc.name, r)
+			}
+			want := refKMeansOnce(tc.rows, nil, k, xrand.New(kmeansSeed).Split(uint64(r)+1), &reseeds)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s restart %d: assignment %v, want %v", tc.name, r, got, want)
+			}
+			if g, w := s.withinClusterSS(tc.rows, got), refWithinClusterSS(tc.rows, want); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s restart %d: WCSS %v, want %v", tc.name, r, g, w)
+			}
+		}
+		if passes > 2*kmeansRestarts {
+			t.Errorf("%s: %d passes over %d restarts, want at most 2 each", tc.name, passes, kmeansRestarts)
+		}
+		got, err := NewKMeans().Cluster(tc.rows, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refKMeans(tc.rows, nil, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: KMeans = %v, want %v", tc.name, got, want)
+		}
+	}
+}

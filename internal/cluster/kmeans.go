@@ -66,31 +66,38 @@ func (k *KMeans) cluster(rows [][]float64, dm *DistMatrix, kk int) (Assignment, 
 }
 
 // kmeansScratch is one cluster call's working memory, reused by every
-// restart: the current and the best assignment, the cluster sizes of the
-// current assignment, the k-means++ row indices, running minimum distances
-// and D² weights, each row's distance to its center in the last pass, the
-// centers stored flat (center c is centers[c·nc:(c+1)·nc]) and one centroid
-// for withinClusterSS. converged reports that the last once call ended on
-// a pass whose distances withinClusterSS may reuse.
+// restart: the current and the best assignment, the assignment and centers
+// the previous re-seeding pass left, the cluster sizes of the current
+// assignment, the k-means++ row indices, running minimum distances and D²
+// weights, each row's distance to its center in the last pass, the centers
+// stored flat (center c is centers[c·nc:(c+1)·nc]) and one centroid for
+// withinClusterSS. converged reports that the last once call ended on a
+// pass whose distances withinClusterSS may reuse; passes counts its Lloyd
+// passes.
 type kmeansScratch struct {
 	assign, best Assignment
+	prevAssign   Assignment
 	size, idx    []int
 	minD, d2     []float64
 	dist         []float64
 	centers      []float64
+	prevCenters  []float64
 	cen          []float64
 	nc           int
 	converged    bool
+	passes       int
 }
 
 // newKMeansScratch returns the scratch by value, so that it can live on
 // its cluster call's stack: two slab allocations in all.
 func newKMeansScratch(n, nc, kk int) kmeansScratch {
-	ints := make([]int, 2*n+2*kk)
-	fl := make([]float64, 3*n+(kk+1)*nc)
+	ints := make([]int, 3*n+2*kk)
+	fl := make([]float64, 3*n+(2*kk+1)*nc)
 	return kmeansScratch{
-		assign: ints[:n], best: ints[n : 2*n], size: ints[2*n : 2*n+kk], idx: ints[2*n+kk : 2*n+kk : 2*n+2*kk],
-		minD: fl[:n], d2: fl[n : 2*n], dist: fl[2*n : 3*n], centers: fl[3*n : 3*n+kk*nc], cen: fl[3*n+kk*nc:], nc: nc,
+		assign: ints[:n], best: ints[n : 2*n], prevAssign: ints[2*n : 3*n],
+		size: ints[3*n : 3*n+kk], idx: ints[3*n+kk : 3*n+kk : 3*n+2*kk],
+		minD: fl[:n], d2: fl[n : 2*n], dist: fl[2*n : 3*n],
+		centers: fl[3*n : 3*n+kk*nc], prevCenters: fl[3*n+kk*nc : 3*n+2*kk*nc], cen: fl[3*n+2*kk*nc:], nc: nc,
 	}
 }
 
@@ -117,13 +124,24 @@ func (s *kmeansScratch) center(c int) []float64 { return s.centers[c*s.nc : (c+1
 // That last pass converged, for withinClusterSS, when the pass before it
 // ended with centroids, so that every center is centroidOf of the final
 // assignment, and every row took a candidate (a finite distance).
+//
+// A re-seeding pass is a function of the centers it starts from: its
+// assignment comes from the centers alone, and with a cluster empty it
+// re-seeds whatever the previous assignment was. So when a re-seeding pass
+// that follows another leaves the assignment and the centers bit-identical
+// to it, every pass after it up to kmeansMaxIter repeats it, and the loop
+// stops there with what the last pass would leave, converged false. Tied
+// rows at k = n reach that fixed point on their second pass: every row
+// goes to center 0 and the re-seed spreads them again.
 func (s *kmeansScratch) once(rows [][]float64, dm *DistMatrix, kk int, rng *xrand.Rand) Assignment {
 	s.plusPlusSeed(rows, dm, kk, rng)
 	assign, size := s.assign, s.size[:kk]
+	centers, prevCenters := s.centers[:kk*s.nc], s.prevCenters[:kk*s.nc]
 	clear(assign)
 	s.converged = false
 	clean := false
 	for iter := 0; iter < kmeansMaxIter; iter++ {
+		s.passes = iter + 1
 		clear(size)
 		changed, finite := false, true
 		for i, row := range rows {
@@ -145,6 +163,7 @@ func (s *kmeansScratch) once(rows [][]float64, dm *DistMatrix, kk int, rng *xran
 			clean = true
 			continue
 		}
+		afterReseed := iter > 0 && !clean
 		clean = false
 		// Recompute centroids in c order, each against the centers
 		// already updated this pass; re-seed empty clusters on the
@@ -170,9 +189,17 @@ func (s *kmeansScratch) once(rows [][]float64, dm *DistMatrix, kk int, rng *xran
 			assign[far] = c
 			centroidOf(s.center(c), rows, assign, c)
 		}
+		if afterReseed && slices.Equal(assign, s.prevAssign) && slices.EqualFunc(centers, prevCenters, sameBits) {
+			break
+		}
+		copy(s.prevAssign, assign)
+		copy(prevCenters, centers)
 	}
 	return assign
 }
+
+// sameBits reports whether x and y are the same float64, bit for bit.
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 // nearestCenter returns the center nearest to row by stats.Euclidean, the
 // lowest index on a tie, and its distance: the index a scan over

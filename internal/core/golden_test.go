@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -27,14 +28,20 @@ var update = flag.Bool("update", false, "rewrite the testdata goldens")
 // writes the shortest decimal that parses back to the same float64.
 func requireGolden(t *testing.T, name string, v any) {
 	t.Helper()
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("goldens are pinned on amd64; on %s the compiler may fuse x*y+z into one FMA instruction, which rounds differently", runtime.GOARCH)
-	}
 	got, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
+	requireGoldenBytes(t, name, append(got, '\n'))
+}
+
+// requireGoldenBytes compares got with testdata/name, or rewrites the file
+// under -update. A mismatch names every line that moved, up to ten.
+func requireGoldenBytes(t *testing.T, name string, got []byte) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("goldens are pinned on amd64; on %s the compiler may fuse x*y+z into one FMA instruction, which rounds differently", runtime.GOARCH)
+	}
 	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -53,12 +60,19 @@ func requireGolden(t *testing.T, name string, v any) {
 		return
 	}
 	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	var moved []string
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("%s differs from the golden at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+			moved = append(moved, fmt.Sprintf("line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i]))
 		}
 	}
-	t.Fatalf("%s differs from the golden in length: %d lines, want %d", path, len(gl), len(wl))
+	if len(gl) != len(wl) {
+		moved = append(moved, fmt.Sprintf("%d lines, want %d", len(gl), len(wl)))
+	}
+	if len(moved) > 10 {
+		moved = append(moved[:10], fmt.Sprintf("... and %d more", len(moved)-10))
+	}
+	t.Fatalf("%s differs from the golden:\n%s", path, strings.Join(moved, "\n"))
 }
 
 // noisyStreamRecords returns n records that visit 18 units in turn, the

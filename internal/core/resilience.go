@@ -362,7 +362,7 @@ func faultedRun(ctx context.Context, eng *sim.Engine, plan fault.Plan, w workloa
 		return nil, &fault.InjectedError{Mode: fault.ModeCrash, Unit: w.Name, Run: run, Attempt: attempt}
 	case plan.AbortFrac > 0:
 		return nil, &fault.InjectedError{Mode: fault.ModeAbort, Unit: w.Name, Run: run, Attempt: attempt, Frac: plan.AbortFrac}
-	case plan.PanicFrac > 0:
+	case plan.Panic:
 		panic(fmt.Sprintf("fault: injected panic in %s run %d attempt %d", w.Name, run, attempt))
 	case plan.HangSec > 0:
 		// A hung profiling session; the attempt's run-timeout can cut it.

@@ -82,7 +82,7 @@ func TestChaosBitIdenticalRecovery(t *testing.T) {
 // typed RunError instead of killing the process.
 func TestChaosPanicBecomesRunError(t *testing.T) {
 	inj := fault.NewFunc(func(unit string, run, attempt int) fault.Plan {
-		return fault.Plan{PanicFrac: 0.5}
+		return fault.Plan{Panic: true}
 	})
 	_, err := CollectContext(context.Background(), Options{
 		Fault: inj,

@@ -167,8 +167,8 @@ type Plan struct {
 	// HangSec > 0 stalls the attempt for this many wall-clock seconds
 	// before its run (cancellable by the attempt's context).
 	HangSec float64
-	// PanicFrac > 0 panics the attempt instead of its run.
-	PanicFrac float64
+	// Panic panics the attempt instead of its run.
+	Panic bool
 	// DropFrac > 0 truncates trailing samples from a subset of trace
 	// series, breaking alignment.
 	DropFrac float64
@@ -182,12 +182,6 @@ type Plan struct {
 
 	// seed drives the sample-level randomness of Corrupt.
 	seed uint64
-}
-
-// Faulty reports whether the plan injects anything.
-func (p Plan) Faulty() bool {
-	return p.Crash || p.AbortFrac > 0 || p.HangSec > 0 || p.PanicFrac > 0 ||
-		p.DropFrac > 0 || p.NaNFrac > 0 || p.SkewFactor != 0
 }
 
 // Injector decides, deterministically, which faults strike which attempt.
@@ -256,7 +250,8 @@ func (in *Injector) PlanFor(unit string, run, attempt int) Plan {
 		}
 	}
 	// At most one terminal mode per attempt, picked in fixed priority
-	// order so the draw count stays constant.
+	// order. Every draw, frac included, is made whatever the mode, so the
+	// draw count stays constant.
 	crash, abort, hang, pan := rng.Bool(c.Crash), rng.Bool(c.Abort), rng.Bool(c.Hang), rng.Bool(c.Panic)
 	frac := 0.1 + 0.8*rng.Float64()
 	switch {
@@ -267,7 +262,7 @@ func (in *Injector) PlanFor(unit string, run, attempt int) Plan {
 	case hang:
 		p.HangSec = c.HangSec
 	case pan:
-		p.PanicFrac = frac
+		p.Panic = true
 	}
 	return p
 }

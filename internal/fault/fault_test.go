@@ -20,7 +20,7 @@ func TestPlanForDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(pa, pb) {
 				t.Fatalf("run %d attempt %d: plans differ between identical injectors", run, attempt)
 			}
-			if pa.Faulty() {
+			if pa != (Plan{seed: pa.seed}) {
 				faulty++
 			}
 		}
@@ -48,7 +48,7 @@ func TestCleanAfterGuaranteesRecovery(t *testing.T) {
 		t.Fatal("crash=1 did not crash early attempts")
 	}
 	for attempt := 2; attempt < 5; attempt++ {
-		if in.PlanFor("x", 0, attempt).Faulty() {
+		if in.PlanFor("x", 0, attempt) != (Plan{}) {
 			t.Fatalf("attempt %d faulted despite clean_after=2", attempt)
 		}
 	}
@@ -56,7 +56,7 @@ func TestCleanAfterGuaranteesRecovery(t *testing.T) {
 
 func TestNilInjectorIsClean(t *testing.T) {
 	var in *Injector
-	if in.PlanFor("x", 0, 0).Faulty() {
+	if in.PlanFor("x", 0, 0) != (Plan{}) {
 		t.Fatal("nil injector injected a fault")
 	}
 }

@@ -30,13 +30,3 @@ func All() []*Analyzer {
 		WireFrame,
 	}
 }
-
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

@@ -303,7 +303,7 @@ func (st *FactStore) summarize(pass *Pass) {
 	}
 	st.done[path] = true
 
-	rules := pass.Config.fingerprintRules()
+	rules := pass.Config.Fingerprint
 	var decls []fnSummary
 	for _, file := range pass.Files {
 		if isTestFile(pass.Fset, file.Pos()) {

@@ -33,7 +33,7 @@ func runFpComplete(pass *Pass) error {
 		return nil
 	}
 	pass.Facts.summarize(pass)
-	for _, rule := range pass.Config.fingerprintRules() {
+	for _, rule := range pass.Config.Fingerprint {
 		checkRule(pass, rule)
 	}
 	return nil

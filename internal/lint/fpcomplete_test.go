@@ -21,7 +21,7 @@ func TestFpCompleteAllowlist(t *testing.T) {
 			cfg.Fingerprint[i].Allow = append(append([]string(nil), r.Allow...), "Shiny")
 		}
 	}
-	findings := runOn(t, lint.FpComplete, cfg, "fpcomplete/server")
+	findings := linttest.Findings(t, lint.FpComplete, cfg, "fpcomplete/server")
 	if len(findings) != 0 {
 		t.Fatalf("allowlisted field still flagged: %v", findings)
 	}

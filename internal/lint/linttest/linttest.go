@@ -7,7 +7,6 @@
 package linttest
 
 import (
-	"fmt"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -27,10 +26,59 @@ var wantRE = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")
 // every mismatch between findings and want comments as a test error.
 func Run(t *testing.T, a *lint.Analyzer, cfg *lint.Config, fixtures ...string) {
 	t.Helper()
+	fset, pkgs, findings := analyze(t, a, cfg, fixtures)
+
+	type key struct {
+		file string
+		line int
+	}
+	wants := make(map[key][]*regexp.Regexp)
+	for _, pkg := range pkgs {
+		for _, want := range collectWants(t, fset, pkg) {
+			k := key{want.file, want.line}
+			wants[k] = append(wants[k], want.re)
+		}
+	}
+	for _, f := range findings {
+		k := key{f.Pos.Filename, f.Pos.Line}
+		matched := -1
+		for i, re := range wants[k] {
+			if re.MatchString(f.Message) {
+				matched = i
+				break
+			}
+		}
+		if matched < 0 {
+			t.Errorf("%s: unexpected finding: %s", a.Name, f)
+			continue
+		}
+		wants[k] = append(wants[k][:matched], wants[k][matched+1:]...)
+	}
+	for k, res := range wants {
+		for _, re := range res {
+			t.Errorf("%s: %s:%d: expected finding matching %q, got none", a.Name, k.file, k.line, re)
+		}
+	}
+}
+
+// Findings loads the fixture packages like Run but returns the raw
+// findings instead of matching want comments, for tests that run a
+// non-default config, where the fixtures' want comments describe the
+// default policy.
+func Findings(t *testing.T, a *lint.Analyzer, cfg *lint.Config, fixtures ...string) []lint.Finding {
+	t.Helper()
+	_, _, findings := analyze(t, a, cfg, fixtures)
+	return findings
+}
+
+// analyze loads the fixtures (import paths mapped into testdata/src) and
+// runs the analyzer over them with cfg, nil meaning lint.DefaultConfig.
+func analyze(t *testing.T, a *lint.Analyzer, cfg *lint.Config, fixtures []string) (*token.FileSet, []*lint.Package, []lint.Finding) {
+	t.Helper()
 	if cfg == nil {
 		cfg = lint.DefaultConfig()
 	}
-	moduleDir, err := findModuleRoot()
+	moduleDir, err := lint.FindModuleRoot()
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}
@@ -61,38 +109,7 @@ func Run(t *testing.T, a *lint.Analyzer, cfg *lint.Config, fixtures ...string) {
 	if err != nil {
 		t.Fatalf("linttest: running %s: %v", a.Name, err)
 	}
-
-	type key struct {
-		file string
-		line int
-	}
-	wants := make(map[key][]*regexp.Regexp)
-	for _, pkg := range pkgs {
-		for _, want := range collectWants(t, loader.Fset, pkg) {
-			k := key{want.file, want.line}
-			wants[k] = append(wants[k], want.re)
-		}
-	}
-	for _, f := range findings {
-		k := key{f.Pos.Filename, f.Pos.Line}
-		matched := -1
-		for i, re := range wants[k] {
-			if re.MatchString(f.Message) {
-				matched = i
-				break
-			}
-		}
-		if matched < 0 {
-			t.Errorf("%s: unexpected finding: %s", a.Name, f)
-			continue
-		}
-		wants[k] = append(wants[k][:matched], wants[k][matched+1:]...)
-	}
-	for k, res := range wants {
-		for _, re := range res {
-			t.Errorf("%s: %s:%d: expected finding matching %q, got none", a.Name, k.file, k.line, re)
-		}
-	}
+	return loader.Fset, pkgs, findings
 }
 
 // lineWant is one expected-diagnostic marker.
@@ -134,22 +151,4 @@ func collectWants(t *testing.T, fset *token.FileSet, pkg *lint.Package) []lineWa
 		}
 	}
 	return wants
-}
-
-// findModuleRoot walks up from the working directory to the nearest go.mod.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod above %s", dir)
-		}
-		dir = parent
-	}
 }

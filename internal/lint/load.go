@@ -105,6 +105,26 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: %s has no module directive", gomod)
 }
 
+// FindModuleRoot walks up from the working directory to the nearest
+// directory holding a go.mod: the module the driver and the fixture
+// harness load packages from.
+func FindModuleRoot() (string, error) {
+	dir, err := os.Getwd()
+	if err != nil {
+		return "", err
+	}
+	for start := dir; ; {
+		if isFile(filepath.Join(dir, "go.mod")) {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("lint: no go.mod in or above %s", start)
+		}
+		dir = parent
+	}
+}
+
 // resolve maps an import path to a source directory, or ok=false when the
 // path is not loader-local (stdlib, or truly unknown).
 func (l *Loader) resolve(importPath string) (string, bool) {

@@ -6,9 +6,10 @@ import (
 )
 
 // NonDeterm forbids nondeterminism sources inside the deterministic
-// packages (core, sim, cluster, stats, subset, fault, checkpoint — the
-// pipeline whose outputs must be bit-identical across runs, worker counts
-// and crash-resumes): wall-clock reads, the globally-seeded math/rand, and
+// packages (Config.DeterministicPkgs: core, sim, cluster, stats, subset,
+// fault, checkpoint, cosim, profiler, trace and xrand — the pipeline whose
+// outputs must be bit-identical across runs, worker counts and
+// crash-resumes): wall-clock reads, the globally-seeded math/rand, and
 // fmt.Sprint over maps. Deterministic code draws randomness from
 // mobilebench/internal/xrand seeded splits and takes timestamps as inputs.
 var NonDeterm = &Analyzer{

@@ -24,13 +24,6 @@ func isParentRef(rel string) bool {
 	return len(rel) >= 3 && rel[:3] == ".."+string(filepath.Separator)
 }
 
-func severityOf(cfg *Config, pass string) string {
-	if cfg == nil {
-		return "error"
-	}
-	return cfg.SeverityOf(pass)
-}
-
 // --- SARIF 2.1.0 (the subset GitHub code scanning consumes) ---
 
 type sarifLog struct {
@@ -91,11 +84,12 @@ type sarifRegion struct {
 	EndColumn   int `json:"endColumn,omitempty"`
 }
 
-// EncodeSARIF renders findings as a SARIF 2.1.0 log. Rules list only
-// the passes that actually fired (plus any registered pass, keeping the
-// rule table stable for CI), severities map to SARIF levels, and file
-// URIs are root-relative so GitHub anchors annotations in the PR diff.
-func EncodeSARIF(findings []Finding, cfg *Config, root string) ([]byte, error) {
+// EncodeSARIF renders findings as a SARIF 2.1.0 log. Rules list every
+// registered pass (keeping the rule table stable for CI) plus any other
+// pass that fired, every result has level "error" (each finding fails
+// mblint), and file URIs are root-relative so GitHub anchors annotations
+// in the PR diff.
+func EncodeSARIF(findings []Finding, root string) ([]byte, error) {
 	ruleSet := make(map[string]string)
 	for _, a := range All() {
 		ruleSet[a.Name] = a.Doc
@@ -124,7 +118,7 @@ func EncodeSARIF(findings []Finding, cfg *Config, root string) ([]byte, error) {
 		}
 		results = append(results, sarifResult{
 			RuleID:  f.Pass,
-			Level:   severityOf(cfg, f.Pass),
+			Level:   "error",
 			Message: sarifMessage{Text: f.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysical{

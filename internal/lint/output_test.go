@@ -26,24 +26,24 @@ func sampleFindings(root string) []lint.Finding {
 	}
 }
 
-func TestEncodeSARIFSeverityOverride(t *testing.T) {
-	cfg := lint.DefaultConfig()
-	cfg.Severity = map[string]string{"mutexhold": "warning"}
-	data, err := lint.EncodeSARIF(sampleFindings("/repo"), cfg, "/repo")
+// TestEncodeSARIFLevelIsError pins that every result is an error: the
+// policy has no warning tier, and each finding fails mblint.
+func TestEncodeSARIFLevelIsError(t *testing.T) {
+	data, err := lint.EncodeSARIF(sampleFindings("/repo"), "/repo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"level": "warning"`) {
-		t.Fatalf("warning level missing from output:\n%s", data)
+	if got := strings.Count(string(data), `"level": "error"`); got != 2 {
+		t.Fatalf("%d results at level error, want 2:\n%s", got, data)
 	}
-	if !strings.Contains(string(data), `"level": "error"`) {
-		t.Fatalf("default error level missing from output:\n%s", data)
+	if strings.Contains(string(data), `"level": "warning"`) {
+		t.Fatalf("warning level in output:\n%s", data)
 	}
 }
 
 func TestEncodeSARIF(t *testing.T) {
 	root := string(filepath.Separator) + "repo"
-	data, err := lint.EncodeSARIF(sampleFindings(root), lint.DefaultConfig(), root)
+	data, err := lint.EncodeSARIF(sampleFindings(root), root)
 	if err != nil {
 		t.Fatal(err)
 	}

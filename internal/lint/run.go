@@ -43,9 +43,9 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Pass, f.Message)
 }
 
-// RunAnalyzers runs every analyzer over every package, honoring the
-// config's per-pass package exclusions and `//mblint:ignore pass reason`
-// suppression comments (on the finding's line or the line above). All
+// RunAnalyzers runs every analyzer over every package, honoring
+// `//mblint:ignore pass reason` suppression comments (on the finding's
+// line or the line above). All
 // packages share one fact store and run in dependency order, so facts a
 // pass exports while analyzing package A exist when package B (importing
 // A) is analyzed. Findings come back sorted by file, line, column and
@@ -57,9 +57,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, cfg *Config, fset *tok
 	for _, pkg := range topoSort(pkgs) {
 		ignores := ignoreIndex(fset, pkg.Files)
 		for _, a := range analyzers {
-			if cfg.Disabled(a.Name, pkg.Path) {
-				continue
-			}
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      fset,

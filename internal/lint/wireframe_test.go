@@ -23,7 +23,7 @@ func TestWireFrameSharedCodec(t *testing.T) {
 func TestWireFrameScope(t *testing.T) {
 	cfg := lint.DefaultConfig()
 	cfg.WireframePkgs = []string{"nosuchsegment"}
-	findings := runOn(t, lint.WireFrame, cfg, "wireframe/dist")
+	findings := linttest.Findings(t, lint.WireFrame, cfg, "wireframe/dist")
 	if len(findings) != 0 {
 		t.Fatalf("non-wire package still flagged: %v", findings)
 	}
