@@ -22,7 +22,7 @@ import (
 // testResult builds a small but realistic sim.Result: a few aligned series
 // plus populated aggregates, enough to exercise every wire field.
 func testResult(name string, scale float64) *sim.Result {
-	p := profiler.New(0.1)
+	p := profiler.New(0.1, 0)
 	for tick := 0; tick < 7; tick++ {
 		p.Sample("cpu.ipc", scale*float64(tick))
 		p.Sample("gpu.load", scale/(1+float64(tick)))

@@ -61,9 +61,9 @@ func (p *Provider) NewTimingModel(memHW soc.Memory, storHW soc.Storage) (sim.Tim
 
 // Session is one run's view of the external model: it batches the tick's
 // memory and storage queries into one frame and threads each kind's opaque
-// state document from reply to query. Implements sim.TimingModel and
-// sim.TimingReporter. Not safe for concurrent use (one Session per run,
-// like the in-process models).
+// state document from reply to query. Implements sim.TimingModel,
+// including its per-run health report. Not safe for concurrent use (one
+// Session per run, like the in-process models).
 type Session struct {
 	sup      *Supervisor
 	memState json.RawMessage
@@ -116,7 +116,7 @@ func (s *Session) Reset() error {
 	return nil
 }
 
-// TimingReport implements sim.TimingReporter: the supervision events and
+// TimingReport implements sim.TimingModel: the supervision events and
 // degradation flag accumulated since the last Reset, which the engine
 // copies into the run's provenance.
 func (s *Session) TimingReport() ([]string, bool) {

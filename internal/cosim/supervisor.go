@@ -31,7 +31,8 @@ const (
 	defaultMaxStrikes   = 3
 	defaultBackoffBase  = 50 * time.Millisecond
 	defaultBackoffCap   = 1 * time.Second
-	defaultSeed         = 888
+	// backoffSeed roots the deterministic backoff jitter stream.
+	backoffSeed = 888
 )
 
 // Config parameterizes a Supervisor.
@@ -54,11 +55,9 @@ type Config struct {
 	MaxStrikes int
 	// BackoffBase is the delay before the first restart; it doubles per
 	// restart, capped at BackoffCap, with a deterministic ±50% jitter from
-	// (Seed, restart count). Zero selects 50 ms / 1 s.
+	// the restart count. Zero selects 50 ms / 1 s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// Seed drives the backoff jitter stream (0 = 888).
-	Seed uint64
 	// ReplayPath names the replay-log file ("" disables replay logging).
 	ReplayPath string
 	// Stderr receives the child's stderr (nil discards it).
@@ -77,9 +76,6 @@ func (c Config) normalize() Config {
 	}
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = defaultBackoffCap
-	}
-	if c.Seed == 0 {
-		c.Seed = defaultSeed
 	}
 	return c
 }
@@ -384,7 +380,7 @@ func (s *Supervisor) restartUnlocking(info *ExchangeInfo) error {
 	// Jitter derived from (seed, restart count): the schedule is
 	// reproducible run to run, like every other delay in the collection
 	// pipeline.
-	rng := xrand.New(s.cfg.Seed).Split(0xc0517).Split(uint64(s.restarts) + 1)
+	rng := xrand.New(backoffSeed).Split(0xc0517).Split(uint64(s.restarts) + 1)
 	t := time.NewTimer(xrand.Backoff(s.cfg.BackoffBase, s.cfg.BackoffCap, s.restarts, rng))
 	defer t.Stop()
 	s.restarts++

@@ -83,7 +83,7 @@ func TestParse(t *testing.T) {
 // corruptibleTrace builds a small aligned trace.
 func corruptibleTrace(t *testing.T) *profiler.Trace {
 	t.Helper()
-	p := profiler.New(0.1)
+	p := profiler.New(0.1, 0)
 	for i := 0; i < 50; i++ {
 		p.Sample("m.a", float64(i))
 		p.Sample("m.b", 2*float64(i))

@@ -8,6 +8,7 @@ package profiler
 import (
 	"fmt"
 	"io"
+	"iter"
 	"strings"
 
 	"mobilebench/internal/trace"
@@ -38,18 +39,12 @@ type Profiler struct {
 	order   []string
 }
 
-// New creates a profiler sampling at interval dt seconds.
-func New(dt float64) *Profiler {
-	return &Profiler{dt: dt, series: make(map[string]*trace.Series)}
-}
-
-// NewCap is New with a per-series capacity hint: every series created by
-// Sample pre-sizes its backing array for capHint samples (the run's tick
-// count), so the ~190 engine counters never regrow mid-run.
-func NewCap(dt float64, capHint int) *Profiler {
-	p := New(dt)
-	p.capHint = capHint
-	return p
+// New creates a profiler sampling at interval dt seconds. Every series
+// created by Sample pre-sizes its backing array for capHint samples (the
+// run's tick count), so the ~190 engine counters never regrow mid-run; a
+// non-positive hint sizes nothing.
+func New(dt float64, capHint int) *Profiler {
+	return &Profiler{dt: dt, capHint: capHint, series: make(map[string]*trace.Series)}
 }
 
 // DT returns the sampling interval.
@@ -68,10 +63,18 @@ func (p *Profiler) Sample(metric string, v float64) {
 	s.Append(v)
 }
 
-// SeriesOf returns the live series backing a metric, or nil before its
-// first Sample. The simulator's fast-forward path uses it to bulk-extend
-// frozen metrics (trace.Series.AppendRepeat) without going through Sample.
-func (p *Profiler) SeriesOf(metric string) *trace.Series { return p.series[metric] }
+// All yields the live series in first-sampled order. The simulator's
+// fast-forward path uses it to bulk-extend frozen metrics
+// (trace.Series.AppendCycle) without going through Sample.
+func (p *Profiler) All() iter.Seq[*trace.Series] {
+	return func(yield func(*trace.Series) bool) {
+		for _, name := range p.order {
+			if !yield(p.series[name]) {
+				return
+			}
+		}
+	}
+}
 
 // Trace freezes the profiler into a Trace, verifying that all series have
 // the same length.

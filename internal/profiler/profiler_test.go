@@ -6,7 +6,7 @@ import (
 )
 
 func TestSampleAndTrace(t *testing.T) {
-	p := New(0.1)
+	p := New(0.1, 0)
 	for i := 0; i < 5; i++ {
 		p.Sample("a", float64(i))
 		p.Sample("b", float64(i)*2)
@@ -30,7 +30,7 @@ func TestSampleAndTrace(t *testing.T) {
 }
 
 func TestMisalignedSeriesRejected(t *testing.T) {
-	p := New(0.1)
+	p := New(0.1, 0)
 	p.Sample("a", 1)
 	p.Sample("a", 2)
 	p.Sample("b", 1)
@@ -40,7 +40,7 @@ func TestMisalignedSeriesRejected(t *testing.T) {
 }
 
 func TestMustSeriesPanics(t *testing.T) {
-	p := New(0.1)
+	p := New(0.1, 0)
 	p.Sample("a", 1)
 	tr, _ := p.Trace()
 	defer func() {
@@ -52,7 +52,7 @@ func TestMustSeriesPanics(t *testing.T) {
 }
 
 func TestMetricsOrder(t *testing.T) {
-	p := New(0.1)
+	p := New(0.1, 0)
 	p.Sample("z", 1)
 	p.Sample("a", 1)
 	tr, _ := p.Trace()
@@ -64,7 +64,7 @@ func TestMetricsOrder(t *testing.T) {
 
 func TestMeanTraces(t *testing.T) {
 	mk := func(base float64, n int) *Trace {
-		p := New(0.1)
+		p := New(0.1, 0)
 		for i := 0; i < n; i++ {
 			p.Sample("m", base+float64(i))
 		}
@@ -82,7 +82,7 @@ func TestMeanTraces(t *testing.T) {
 
 func TestMeanTracesResamplesJitteredRuns(t *testing.T) {
 	mk := func(n int) *Trace {
-		p := New(0.1)
+		p := New(0.1, 0)
 		for i := 0; i < n; i++ {
 			p.Sample("m", 1)
 		}
@@ -102,10 +102,10 @@ func TestMeanTracesErrors(t *testing.T) {
 	if _, err := MeanTraces(nil); err == nil {
 		t.Fatal("mean of no traces accepted")
 	}
-	p1 := New(0.1)
+	p1 := New(0.1, 0)
 	p1.Sample("a", 1)
 	t1, _ := p1.Trace()
-	p2 := New(0.1)
+	p2 := New(0.1, 0)
 	p2.Sample("b", 1)
 	t2, _ := p2.Trace()
 	if _, err := MeanTraces([]*Trace{t1, t2}); err == nil {
@@ -114,7 +114,7 @@ func TestMeanTracesErrors(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	p := New(0.5)
+	p := New(0.5, 0)
 	p.Sample("x", 1)
 	p.Sample("y", 2)
 	p.Sample("x", 3)

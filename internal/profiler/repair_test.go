@@ -7,7 +7,7 @@ import (
 
 func sampledTrace(t *testing.T, n int) *Trace {
 	t.Helper()
-	p := New(0.1)
+	p := New(0.1, 0)
 	for i := 0; i < n; i++ {
 		p.Sample("m.a", float64(i))
 		p.Sample("m.b", 10+float64(i))

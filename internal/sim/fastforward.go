@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"mobilebench/internal/mem"
 	"mobilebench/internal/power"
 	"mobilebench/internal/profiler"
 	"mobilebench/internal/soc"
@@ -25,11 +24,11 @@ import (
 //     reproduces the value it had p ticks earlier (p <= ffMaxPeriod) for
 //     ffCycleConfirm full cycles, the last p exact ticks are taken as one
 //     period of the steady state. The remaining span of the phase repeats
-//     them: frozen metrics are tiled into the trace in cycle order
-//     (trace.Series.AppendCycle), and the cheap evolving models (memory
-//     lag, power accumulation, thermal RC) step per tick with the
-//     cycle-position inputs, so frequency-driven oscillation in power and
-//     load survives the jump.
+//     them: the cheap evolving models (memory lag, power accumulation,
+//     thermal RC) step per tick with the cycle-position inputs, so
+//     frequency-driven oscillation in power and load survives the jump, and
+//     every metric the span did not sample is tiled in cycle order
+//     (trace.Series.AppendCycle) from its own series at those exact ticks.
 //   - Window-mean rates. Cumulative counters (instructions, cycles, cache
 //     and branch misses) advance at the mean per-tick rate measured over
 //     the phase's exact ticks after a warm-up of ffWarmupRefreshes refresh
@@ -112,10 +111,16 @@ type ffState struct {
 	phaseStart int
 
 	// nExact counts exact ticks executed this run. Jumps leave gaps in the
-	// tick numbering, so every fast-forward ring (hist here, the tick
-	// record, the input ring) indexes by this contiguous counter instead:
-	// the tick after a jump is still the recorded cycle's successor.
+	// tick numbering, so every fast-forward ring (hist, tickOf, ins)
+	// indexes by this contiguous counter instead: the tick after a jump is
+	// still the recorded cycle's successor.
 	nExact int
+	// tickOf and ins hold the last ffMaxPeriod exact ticks' tick numbers
+	// and inputs, indexed nExact % ffMaxPeriod. Every trace series holds
+	// tick t's sample at index t, so the tick numbers are all a span needs
+	// to tile the frozen metrics from the trace itself.
+	tickOf [ffMaxPeriod]int
+	ins    [ffMaxPeriod]tickIn
 
 	// hist holds the last ffMaxPeriod frequency snapshots, indexed
 	// nExact % ffMaxPeriod; histLen counts snapshots recorded this phase.
@@ -128,7 +133,7 @@ type ffState struct {
 	refreshes int
 
 	// Rate estimators. Cycle counts are periodic and replayed exactly from
-	// the ring; instructions and misses depend on the noisily re-sampled
+	// ins; instructions and misses depend on the noisily re-sampled
 	// miss profiles, so a span derives them from smoothed ratios instead:
 	// instr = cycles x IPC, misses = instr x misses-per-instr. The ratios
 	// are EWMA'd over the fresh draw at each exact refresh tick
@@ -156,17 +161,15 @@ func (st *ffState) resetPhase(tick, phaseIdx int) {
 	st.ewmaIPC, st.ewmaCachePI, st.ewmaBranchPI = 0, 0, 0
 }
 
-// idx returns the contiguous index of the exact tick currently executing
-// (the slot its ring entries land in).
-func (st *ffState) idx() int { return st.nExact }
-
-// observe folds one completed exact tick's state (the tick's frequency
+// observe folds one completed exact tick's state (its inputs, frequency
 // snapshot and counter deltas) and returns the detected steady-state period
 // p >= 1, or 0 while the phase has not proven itself steady.
-func (st *ffState) observe(tick, phaseIdx int, cur ffFreqState, dInstr, dCycles, dCacheMiss, dBranchMiss float64) int {
+func (st *ffState) observe(tick, phaseIdx int, in *tickIn, cur ffFreqState, dInstr, dCacheMiss, dBranchMiss float64) int {
 	if phaseIdx != st.phaseIdx {
 		st.resetPhase(tick, phaseIdx)
 	}
+	st.tickOf[st.nExact%ffMaxPeriod] = tick
+	st.ins[st.nExact%ffMaxPeriod] = *in
 
 	for p := 1; p <= ffMaxPeriod; p++ {
 		if p <= st.histLen && cur.match(&st.hist[(st.nExact-p)%ffMaxPeriod]) {
@@ -183,8 +186,8 @@ func (st *ffState) observe(tick, phaseIdx int, cur ffFreqState, dInstr, dCycles,
 		st.refreshes++
 		if tick-st.phaseStart >= ffWarmupRefreshes*refreshTicks {
 			ipc, cpi, bpi := 0.0, 0.0, 0.0
-			if dCycles > 0 && dInstr > 0 {
-				ipc = dInstr / dCycles
+			if in.cycles > 0 && dInstr > 0 {
+				ipc = dInstr / in.cycles
 				cpi = dCacheMiss / dInstr
 				bpi = dBranchMiss / dInstr
 			}
@@ -266,150 +269,33 @@ func spanLength(jw workload.Workload, dt float64, tick, ticks, phaseIdx int) int
 	return k
 }
 
-// ffEvolving lists the metrics that keep changing across a fast-forwarded
-// span (cumulative counters, first-order memory lag, thermal RC, energy);
-// everything else is tiled from the steady cycle's last exact values.
-// runSpan must emit exactly this set each span tick — Profiler.Trace's
-// alignment check fails the run otherwise, so the two cannot silently
-// drift apart.
-var ffEvolving = map[string]bool{
-	profiler.MetricUsedMem:     true,
-	profiler.MetricWorkloadMem: true,
-	"mem.used_mb":              true,
-	"mem.workload_mb":          true,
-	"mem.gpu_mb":               true,
-	"mem.heap_mb":              true,
-	"mem.media_mb":             true,
-	"mem.free_mb":              true,
-	"cpu.total_instr":          true,
-	"cpu.total_cycles":         true,
-	"energy.total_j":           true,
-	"thermal.cpu_c":            true,
-	"thermal.gpu_c":            true,
-	"thermal.soc_c":            true,
-	"thermal.skin_c":           true,
-	"thermal.cpu_throttled":    true,
-	profiler.MetricCacheMPKI:   true,
-	profiler.MetricBranchMPKI:  true,
-}
-
-// tickRecord captures every emitted metric's value over the last
-// ffMaxPeriod exact ticks (a ring indexed by the contiguous exact-tick
-// counter, ffState.idx), in first-emitted order, so a span can tile the
-// frozen ones in cycle order.
-type tickRecord struct {
-	idx   map[string]int
-	names []string
-	vals  [ffMaxPeriod][]float64
-	cur   int
-}
-
-func newTickRecord() *tickRecord {
-	return &tickRecord{idx: make(map[string]int, 200)}
-}
-
-// begin selects the ring slot the coming exact tick's samples land in.
-func (r *tickRecord) begin(exactIdx int) { r.cur = exactIdx % ffMaxPeriod }
-
-func (r *tickRecord) set(name string, v float64) {
-	i, ok := r.idx[name]
-	if !ok {
-		i = len(r.names)
-		r.idx[name] = i
-		r.names = append(r.names, name)
-		for s := range r.vals {
-			r.vals[s] = append(r.vals[s], 0)
-		}
-	}
-	r.vals[r.cur][i] = v
-}
-
-// cycleVals collects one metric's values over the steady cycle's p ticks in
-// span order: the first span tick continues the cycle position after exact
-// index last, i.e. the position of exact index last-p+1. out is reused
-// scratch.
-func (r *tickRecord) cycleVals(i, last, p int, out []float64) []float64 {
-	out = out[:0]
-	for j := 1; j <= p; j++ {
-		out = append(out, r.vals[(last-p+j)%ffMaxPeriod][i])
-	}
-	return out
-}
-
-// tickEmitter sends one counter sample to the trace profiler and, when
-// Config.FastForward is on, to the fast-forward tick record. On the exact
-// path it is exactly one Profiler.Sample call per sample.
-type tickEmitter struct {
-	prof *profiler.Profiler
-	rec  *tickRecord
-}
-
-func (em *tickEmitter) sample(name string, v float64) {
-	em.prof.Sample(name, v)
-	if em.rec != nil {
-		em.rec.set(name, v)
-	}
-}
-
-// fillFrozen tiles k span ticks of every frozen metric from its steady-cycle
-// values into the trace; last is the final exact tick's contiguous index, p
-// the cycle period.
-func (em *tickEmitter) fillFrozen(k, last, p int) {
-	var scratch [ffMaxPeriod]float64
-	for i, name := range em.rec.names {
-		if ffEvolving[name] {
-			continue
-		}
-		cyc := em.rec.cycleVals(i, last, p, scratch[:0])
-		em.prof.SeriesOf(name).AppendCycle(cyc, k)
-	}
-}
-
-// ffTickIn is one cycle position's model inputs and per-tick aggregate
-// contributions, captured on the exact tick and replayed across the span.
-type ffTickIn struct {
-	cpuLoad, gpuLoad, shadersBusy, gpuBusBusy, aieLoad float64
-	clusterLoad                                        [soc.NumClusters]float64
-	// cycles is the tick's CPU cycle count — periodic with the governor's
-	// limit cycle (utilization x frequency), so it replays exactly.
-	cycles    float64
-	footprint mem.Footprint
-	powerIn   power.Input
-	heat      [thermal.NumNodes]float64
-}
-
 // ffSpan carries everything a fast-forwarded span replays.
 type ffSpan struct {
-	k    int // span length in ticks
-	p    int // steady-state cycle period
-	last int // contiguous exact-tick index of the final exact tick
-	dt   float64
+	k  int // span length in ticks
+	p  int // steady-state cycle period
+	dt float64
 	// jitterDraws is how many demand-noise normals the exact tick loop
 	// would draw per tick in this phase (one per task instance).
 	jitterDraws int
 	// Smoothed counter ratios (ffState.rates): per-tick instructions are
 	// cycles x ipc, misses are instructions x the per-instr rates.
 	ipc, cachePI, branchPI float64
-	// ring holds the last ffMaxPeriod exact ticks' inputs, indexed
-	// exactIdx % ffMaxPeriod; the span replays positions last-p+1 .. last.
-	ring       *[ffMaxPeriod]ffTickIn
-	totalMemMB float64
+	totalMemMB             float64
 }
 
 // runSpan executes k fast-forwarded ticks: the parent RNG advances in
 // stride past the demand-noise draws, the cheap evolving models (memory
 // lag, power accumulation, thermal RC) step per tick with cycle-position
 // inputs, cumulative counters advance at the window-mean rate, and the
-// evolving metric set is emitted per tick while everything frozen was
-// tiled up front.
-func runSpan(sp *ffSpan, rng *xrand.Rand, pm *power.Model, tm *thermal.Model, timing TimingModel,
-	em *tickEmitter, agg *Aggregates, totInstr, totCycles, totCacheMiss, totBranchMiss *float64) error {
-	em.fillFrozen(sp.k, sp.last, sp.p)
-
+// evolving metrics are sampled per tick. Whatever the span samples is the
+// evolving set; tile then extends every other series.
+func (st *ffState) runSpan(sp *ffSpan, rng *xrand.Rand, pm *power.Model, tm *thermal.Model, timing TimingModel,
+	prof *profiler.Profiler, agg *Aggregates, totInstr, totCycles, totCacheMiss, totBranchMiss *float64) error {
 	for i := 1; i <= sp.k; i++ {
-		// Span tick i replays exact index sp.last-p+1+((i-1) mod p), the
-		// same position in the governor's limit cycle.
-		in := &sp.ring[(sp.last-sp.p+1+(i-1)%sp.p)%ffMaxPeriod]
+		// Span tick i replays the exact tick at cycle position (i-1) mod p
+		// of the last p exact ticks, the same position in the governor's
+		// limit cycle.
+		in := &st.ins[(st.nExact-sp.p+(i-1)%sp.p)%ffMaxPeriod]
 
 		rng.SkipNorm(sp.jitterDraws)
 		memRes, err := timing.MemStep(in.footprint, sp.dt)
@@ -424,43 +310,46 @@ func runSpan(sp *ffSpan, rng *xrand.Rand, pm *power.Model, tm *thermal.Model, ti
 		*totCycles += in.cycles
 		*totCacheMiss += ins * sp.cachePI
 		*totBranchMiss += ins * sp.branchPI
+		agg.fold(in, memRes, th.NodeC[thermal.NodeCPU])
 
-		agg.AvgCPULoad += in.cpuLoad
-		agg.AvgGPULoad += in.gpuLoad
-		agg.AvgShadersBusy += in.shadersBusy
-		agg.AvgGPUBusBusy += in.gpuBusBusy
-		agg.AvgAIELoad += in.aieLoad
-		for c := range in.clusterLoad {
-			agg.ClusterLoad[c] += in.clusterLoad[c]
-		}
-
-		em.sample(profiler.MetricUsedMem, memRes.UsedFrac)
-		em.sample(profiler.MetricWorkloadMem, memRes.WorkloadFrac)
-		em.sample("mem.used_mb", memRes.UsedMB)
-		em.sample("mem.workload_mb", memRes.WorkloadMB)
-		em.sample("mem.gpu_mb", memRes.FootprintByUse.GPUMB)
-		em.sample("mem.heap_mb", memRes.FootprintByUse.CPUHeapMB)
-		em.sample("mem.media_mb", memRes.FootprintByUse.MediaMB)
-		em.sample("mem.free_mb", sp.totalMemMB-memRes.UsedMB)
-		em.sample("cpu.total_instr", *totInstr)
-		em.sample("cpu.total_cycles", *totCycles)
-		em.sample("energy.total_j", pm.EnergyJ())
-		em.sample("thermal.cpu_c", th.NodeC[thermal.NodeCPU])
-		em.sample("thermal.gpu_c", th.NodeC[thermal.NodeGPU])
-		em.sample("thermal.soc_c", th.NodeC[thermal.NodeSoC])
-		em.sample("thermal.skin_c", th.SkinC)
-		em.sample("thermal.cpu_throttled", boolToFloat(th.Throttled[thermal.NodeCPU]))
-		em.sample(profiler.MetricCacheMPKI, safeDiv(*totCacheMiss, *totInstr)*1000)
-		em.sample(profiler.MetricBranchMPKI, safeDiv(*totBranchMiss, *totInstr)*1000)
-
-		if th.NodeC[thermal.NodeCPU] > agg.PeakCPUTempC {
-			agg.PeakCPUTempC = th.NodeC[thermal.NodeCPU]
-		}
-		agg.AvgUsedMemFrac += memRes.UsedFrac
-		agg.AvgUsedMemMB += memRes.UsedMB
-		if memRes.UsedMB > agg.PeakUsedMemMB {
-			agg.PeakUsedMemMB = memRes.UsedMB
-		}
+		prof.Sample(profiler.MetricUsedMem, memRes.UsedFrac)
+		prof.Sample(profiler.MetricWorkloadMem, memRes.WorkloadFrac)
+		prof.Sample("mem.used_mb", memRes.UsedMB)
+		prof.Sample("mem.workload_mb", memRes.WorkloadMB)
+		prof.Sample("mem.gpu_mb", memRes.FootprintByUse.GPUMB)
+		prof.Sample("mem.heap_mb", memRes.FootprintByUse.CPUHeapMB)
+		prof.Sample("mem.media_mb", memRes.FootprintByUse.MediaMB)
+		prof.Sample("mem.free_mb", sp.totalMemMB-memRes.UsedMB)
+		prof.Sample("cpu.total_instr", *totInstr)
+		prof.Sample("cpu.total_cycles", *totCycles)
+		prof.Sample("energy.total_j", pm.EnergyJ())
+		prof.Sample("thermal.cpu_c", th.NodeC[thermal.NodeCPU])
+		prof.Sample("thermal.gpu_c", th.NodeC[thermal.NodeGPU])
+		prof.Sample("thermal.soc_c", th.NodeC[thermal.NodeSoC])
+		prof.Sample("thermal.skin_c", th.SkinC)
+		prof.Sample("thermal.cpu_throttled", boolToFloat(th.Throttled[thermal.NodeCPU]))
+		prof.Sample(profiler.MetricCacheMPKI, safeDiv(*totCacheMiss, *totInstr)*1000)
+		prof.Sample(profiler.MetricBranchMPKI, safeDiv(*totBranchMiss, *totInstr)*1000)
 	}
+	st.tile(prof, sp.k, sp.p)
 	return nil
+}
+
+// tile extends every series still at its pre-span length (one sample per
+// tick through the last exact tick) by k ticks, cycling over its own values
+// at the last p exact ticks. The span's evolving series are already longer
+// and are skipped; a series of any other length is left short as well, so
+// Profiler.Trace rejects the run instead of hiding the misalignment.
+func (st *ffState) tile(prof *profiler.Profiler, k, p int) {
+	n := st.tickOf[(st.nExact-1)%ffMaxPeriod] + 1
+	var cyc [ffMaxPeriod]float64
+	for s := range prof.All() {
+		if s.Len() != n {
+			continue
+		}
+		for j := range p {
+			cyc[j] = s.Values[st.tickOf[(st.nExact-p+j)%ffMaxPeriod]]
+		}
+		s.AppendCycle(cyc[:p], k)
+	}
 }

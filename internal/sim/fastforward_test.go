@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,6 +106,60 @@ func TestFastForwardDifferential(t *testing.T) {
 				u.Name, a.IPC, b.IPC, a.CacheMPKI, b.CacheMPKI,
 				a.AvgCPULoad, b.AvgCPULoad, a.EnergyJ, b.EnergyJ)
 		})
+	}
+}
+
+// TestFastForwardTileReadsExactTicks pins how a span tiles its frozen
+// metrics: from the trace itself, at the tick numbers of the last p exact
+// ticks, even when those straddle an earlier span (exact ticks 38-40, a span
+// over 41-56, exact tick 57). The earlier span's tiles must never be read,
+// the span's own evolving series must be left alone, and a series of any
+// other length must stay short so Profiler.Trace rejects the run.
+func TestFastForwardTileReadsExactTicks(t *testing.T) {
+	const n, k = 58, 7 // trace length through tick 57; span length
+	exact := func(tick int) float64 { return 1000 + float64(tick) }
+	for _, p := range []int{1, 2, 4} {
+		st := &ffState{nExact: 4, tickOf: [ffMaxPeriod]int{38, 39, 40, 57}}
+		prof := profiler.New(0.1, 0)
+		for tick := 0; tick < n; tick++ {
+			v := exact(tick)
+			if tick > 40 && tick < 57 {
+				v = 2000 + float64(tick) // the earlier span's tiles
+			}
+			prof.Sample("frozen", v)
+			prof.Sample("evolving", v)
+			if tick < n-1 {
+				prof.Sample("short", v)
+			}
+		}
+		for i := 0; i < k; i++ {
+			prof.Sample("evolving", -float64(i))
+		}
+		st.tile(prof, k, p)
+
+		series := map[string][]float64{}
+		for s := range prof.All() {
+			series[s.Name] = s.Values
+		}
+		frozen := series["frozen"]
+		if len(frozen) != n+k {
+			t.Fatalf("p=%d: frozen series has %d samples, want %d", p, len(frozen), n+k)
+		}
+		for i := 0; i < k; i++ {
+			want := exact(st.tickOf[ffMaxPeriod-p+i%p])
+			if got := frozen[n+i]; got != want {
+				t.Errorf("p=%d: span tick %d tiled %g, want %g (exact tick %d)", p, i, got, want, st.tickOf[ffMaxPeriod-p+i%p])
+			}
+		}
+		if ev := series["evolving"]; len(ev) != n+k || ev[n+k-1] != -float64(k-1) {
+			t.Errorf("p=%d: the span's evolving series was tiled again (%d samples)", p, len(ev))
+		}
+		if l := len(series["short"]); l != n-1 {
+			t.Errorf("p=%d: misaligned series was tiled to %d samples, want it left at %d", p, l, n-1)
+		}
+		if _, err := prof.Trace(); err == nil || !strings.Contains(err.Error(), `"short"`) {
+			t.Errorf("p=%d: Trace accepted a misaligned series (err %v)", p, err)
+		}
 	}
 }
 

@@ -394,6 +394,42 @@ type Aggregates struct {
 	PeakCPUTempC float64
 }
 
+// tickIn is one tick's model inputs and aggregate contributions. Every tick
+// builds one and folds it into Aggregates; fast-forwarding keeps the last
+// ffMaxPeriod of them and replays them across a span.
+type tickIn struct {
+	cpuLoad, gpuLoad, shadersBusy, gpuBusBusy, aieLoad float64
+	clusterLoad                                        [soc.NumClusters]float64
+	// cycles is the tick's CPU cycle count — periodic with the governor's
+	// limit cycle (utilization x frequency), so it replays exactly.
+	cycles    float64
+	footprint mem.Footprint
+	powerIn   power.Input
+	heat      [thermal.NumNodes]float64
+}
+
+// fold adds one tick's loads, memory occupancy and CPU temperature to the
+// running sums and peaks that RunContext turns into averages. Exact ticks
+// and fast-forwarded span ticks both fold through here.
+func (a *Aggregates) fold(in *tickIn, m mem.Result, cpuC float64) {
+	a.AvgCPULoad += in.cpuLoad
+	a.AvgGPULoad += in.gpuLoad
+	a.AvgShadersBusy += in.shadersBusy
+	a.AvgGPUBusBusy += in.gpuBusBusy
+	a.AvgAIELoad += in.aieLoad
+	for c := range in.clusterLoad {
+		a.ClusterLoad[c] += in.clusterLoad[c]
+	}
+	a.AvgUsedMemFrac += m.UsedFrac
+	a.AvgUsedMemMB += m.UsedMB
+	if m.UsedMB > a.PeakUsedMemMB {
+		a.PeakUsedMemMB = m.UsedMB
+	}
+	if cpuC > a.PeakCPUTempC {
+		a.PeakCPUTempC = cpuC
+	}
+}
+
 // Result is one run of one workload.
 type Result struct {
 	Workload string
@@ -403,7 +439,7 @@ type Result struct {
 	Agg   Aggregates
 	// TimingNotes and TimingDegraded report the timing backend's health
 	// over this run (restarts, circuit-break degradation to the in-process
-	// model) when Config.Timing implements TimingReporter. They describe
+	// model), as TimingModel.TimingReport returns them. They describe
 	// the measuring process, not the measurement: checkpoints do not
 	// persist them, so restored runs carry none.
 	TimingNotes    []string
@@ -422,6 +458,11 @@ type clusterState struct {
 	branches *branch.Stream
 	miss     cpu.MissProfile
 	phaseIdx int
+
+	// The current tick's clamped utilization, achieved IPC (0 when idle)
+	// and summed misses per instruction across cache levels, computed by
+	// the tick loop's first cluster pass and sampled by its second.
+	util, ipc, missPI float64
 }
 
 // Run executes one run of the workload. run indexes the repetition (the
@@ -485,12 +526,10 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 	// Every counter appends one sample per tick; pre-sizing the series from
 	// the phase-timeline tick count makes each backing array grow exactly
 	// once instead of log(ticks) times per counter.
-	prof := profiler.NewCap(cfg.TickSec, ticks)
-	em := tickEmitter{prof: prof}
+	prof := profiler.New(cfg.TickSec, ticks)
 	var ff *ffState
 	if cfg.FastForward {
 		ff = newFFState()
-		em.rec = newTickRecord()
 	}
 
 	var (
@@ -505,13 +544,9 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		// reallocated once warm) at the top of every tick. Run-local, so
 		// concurrent RunContext calls never share it.
 		tasks []sched.Task
-		// Fast-forward bookkeeping: per-cluster load contributions this
-		// tick, cumulative-miss values at tick entry (to measure the tick's
-		// deltas for the rate window), and the ring of recent tick inputs a
-		// jump replays. Dead weight on the exact path.
-		tickClusterLoad                   [soc.NumClusters]float64
+		// Cumulative-miss values at tick entry, so fast-forwarding can
+		// measure the tick's deltas for its rate window.
 		ffPrevCacheMiss, ffPrevBranchMiss float64
-		ffRing                            [ffMaxPeriod]ffTickIn
 	)
 	agg.Name = w.Name
 
@@ -523,7 +558,6 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		}
 		if ff != nil {
 			ffPrevCacheMiss, ffPrevBranchMiss = totCacheMiss, totBranchMiss
-			em.rec.begin(ff.idx())
 		}
 		t := (float64(tick) + 0.5) * cfg.TickSec
 		phase, _ := jw.PhaseAt(t)
@@ -551,10 +585,10 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 			MemBandwidthLoad: 0.5 * prevGPU.BusBusy,
 		}
 
-		tickInstr, tickCycles := 0.0, 0.0
+		var in tickIn
+		tickInstr := 0.0
 		cpuLoadSum := 0.0
 		cpuDRAMBytes := 0.0
-		var powerIn power.Input
 		for _, cs := range clusters {
 			load := placement.Clusters[cs.kind]
 
@@ -573,9 +607,8 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 			}
 
 			clusterLoad := util * cs.freqHz / cs.cl.MaxFreqHz
-			agg.ClusterLoad[cs.kind] += clusterLoad
+			in.clusterLoad[cs.kind] = clusterLoad
 			cpuLoadSum += clusterLoad * float64(cs.cl.NumCores)
-			tickClusterLoad[cs.kind] = clusterLoad
 
 			active := util > 1e-4
 			if active && (cs.phaseIdx != phaseIdx || tick%refreshTicks == 0) {
@@ -588,82 +621,68 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 				}
 				cs.miss = e.sampleMissProfile(cs, phase.CPU)
 			}
+			cs.util, cs.ipc, cs.missPI = util, 0, 0
+			for _, mpi := range cs.miss.MissesPerInstr {
+				cs.missPI += mpi
+			}
 			if !active {
 				continue
 			}
 
-			ipc := cpu.IPC(cs.cl, phase.CPU.Mix, cs.miss, cs.pen, contention)
+			cs.ipc = cpu.IPC(cs.cl, phase.CPU.Mix, cs.miss, cs.pen, contention)
 			duty := phase.CPU.ComputeDuty
 			cores := float64(cs.cl.NumCores)
 			cyc := util * cs.freqHz * cores * cfg.TickSec * duty
-			ins := cyc * ipc
+			ins := cyc * cs.ipc
 			tickInstr += ins
-			tickCycles += cyc
+			in.cycles += cyc
 
-			cacheMiss := 0.0
-			for _, mpi := range cs.miss.MissesPerInstr {
-				cacheMiss += mpi
-			}
-			totCacheMiss += cacheMiss * ins
+			totCacheMiss += cs.missPI * ins
 			totBranchMiss += cs.miss.BranchMissPerInstr * ins
 			cpuDRAMBytes += cs.miss.MissesPerInstr[3] * ins * 64
 
 			nm := &e.names[cs.kind]
-			em.sample(nm.ipc, ipc)
-			em.sample(nm.cacheMPKI, cacheMiss*1000)
-			em.sample(nm.branchMPKI, cs.miss.BranchMissPerInstr*1000)
+			prof.Sample(nm.ipc, cs.ipc)
+			prof.Sample(nm.cacheMPKI, cs.missPI*1000)
+			prof.Sample(nm.branchMPKI, cs.miss.BranchMissPerInstr*1000)
 		}
 		// Clusters that were idle this tick still need aligned samples.
 		for _, cs := range clusters {
 			nm := &e.names[cs.kind]
 			load := placement.Clusters[cs.kind]
-			util := load.Util
-			if cs.freqHz > 0 {
-				util = load.Util * cs.cl.MaxFreqHz / cs.freqHz
+			clusterLoad := in.clusterLoad[cs.kind]
+			if cs.util <= 1e-4 {
+				prof.Sample(nm.ipc, 0)
+				prof.Sample(nm.cacheMPKI, 0)
+				prof.Sample(nm.branchMPKI, 0)
 			}
-			if util > 1 {
-				util = 1
-			}
-			if util <= 1e-4 {
-				em.sample(nm.ipc, 0)
-				em.sample(nm.cacheMPKI, 0)
-				em.sample(nm.branchMPKI, 0)
-			}
-			powerIn.Clusters[cs.kind] = power.ClusterInput{
+			in.powerIn.Clusters[cs.kind] = power.ClusterInput{
 				FreqHz:    cs.freqHz,
-				Util:      util,
+				Util:      cs.util,
 				MaxFreqHz: cs.cl.MaxFreqHz,
 				Cores:     cs.cl.NumCores,
 			}
-			em.sample(nm.util, util)
-			em.sample(nm.freqMHz, cs.freqHz/1e6)
-			em.sample(nm.load, util*cs.freqHz/cs.cl.MaxFreqHz)
-			em.sample(nm.activeCores, float64(load.ActiveCores))
-			em.sample(nm.overflow, load.Overflow)
+			prof.Sample(nm.util, cs.util)
+			prof.Sample(nm.freqMHz, cs.freqHz/1e6)
+			prof.Sample(nm.load, clusterLoad)
+			prof.Sample(nm.activeCores, float64(load.ActiveCores))
+			prof.Sample(nm.overflow, load.Overflow)
 			// Per-core views: cores within a cluster behave near
 			// identically (the paper averages them for the same reason).
-			ipcNow := 0.0
-			cacheSum := 0.0
-			for _, mpi := range cs.miss.MissesPerInstr {
-				cacheSum += mpi
-			}
-			if util > 1e-4 {
-				ipcNow = cpu.IPC(cs.cl, phase.CPU.Mix, cs.miss, cs.pen, contention)
-			}
 			for c := 0; c < cs.cl.NumCores; c++ {
 				cn := &nm.core[c]
-				em.sample(cn.load, util*cs.freqHz/cs.cl.MaxFreqHz)
-				em.sample(cn.util, util)
-				em.sample(cn.freqMHz, cs.freqHz/1e6)
-				em.sample(cn.ipc, ipcNow)
-				em.sample(cn.cacheMPKI, cacheSum*1000)
-				em.sample(cn.branchMPKI, cs.miss.BranchMissPerInstr*1000)
+				prof.Sample(cn.load, clusterLoad)
+				prof.Sample(cn.util, cs.util)
+				prof.Sample(cn.freqMHz, cs.freqHz/1e6)
+				prof.Sample(cn.ipc, cs.ipc)
+				prof.Sample(cn.cacheMPKI, cs.missPI*1000)
+				prof.Sample(cn.branchMPKI, cs.miss.BranchMissPerInstr*1000)
 				for i := range cn.level {
-					em.sample(cn.level[i], cs.miss.MissesPerInstr[i])
+					prof.Sample(cn.level[i], cs.miss.MissesPerInstr[i])
 				}
 			}
 			for i := range nm.level {
-				em.sample(nm.level[i], cs.miss.MissesPerInstr[i])
+				prof.Sample(nm.level[i], cs.miss.MissesPerInstr[i])
 			}
 			// DVFS residency: fraction of this tick at the top operating
 			// point (1 when pinned at max frequency).
@@ -671,11 +690,11 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 			if cs.freqHz >= cs.cl.MaxFreqHz-1 {
 				top = 1
 			}
-			em.sample(nm.topOPPFrac, top)
+			prof.Sample(nm.topOPPFrac, top)
 		}
 
 		totInstr += tickInstr
-		totCycles += tickCycles
+		totCycles += in.cycles
 
 		gpuRes := gpuModel.Step(phase.GPU, cfg.TickSec)
 		// GPU texture traffic flows through the SoC-wide system-level
@@ -693,9 +712,9 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 			models.slcPollute.Pollute(slc, int(gpuRes.BusBusy*float64(cfg.CacheSamples)*0.5))
 		}
 		aieRes := aieModel.Step(phase.AIE, cfg.TickSec)
-		footprint := phase.Mem
-		footprint.GPUMB += phase.GPU.TextureWorkingSetMB
-		memRes, ioRes, err := timingModel.Step(footprint, phase.IO, cfg.TickSec)
+		in.footprint = phase.Mem
+		in.footprint.GPUMB += phase.GPU.TextureWorkingSetMB
+		memRes, ioRes, err := timingModel.Step(in.footprint, phase.IO, cfg.TickSec)
 		if err != nil {
 			return nil, fmt.Errorf("sim: timing model at tick %d: %w", tick, err)
 		}
@@ -704,118 +723,92 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 
 		// Power and thermal extensions: observational counters only; the
 		// paper's development board never throttled.
-		powerIn.GPULoad = gpuRes.Load
-		powerIn.AIELoad = aieRes.Load
-		powerIn.DRAMBytes = gpuRes.BytesMoved + cpuDRAMBytes
-		powerIn.StorageUtil = ioRes.Util
-		powerIn.DTSec = cfg.TickSec
-		pw := powerModel.Step(powerIn)
-		var heat [thermal.NumNodes]float64
-		heat[thermal.NodeCPU] = pw.CPUW()
-		heat[thermal.NodeGPU] = pw.GPU
-		heat[thermal.NodeSoC] = pw.AIE + pw.DRAM + pw.Storage + pw.Base
-		th := thermalModel.Step(heat, cfg.TickSec)
-		if th.NodeC[thermal.NodeCPU] > agg.PeakCPUTempC {
-			agg.PeakCPUTempC = th.NodeC[thermal.NodeCPU]
-		}
+		in.powerIn.GPULoad = gpuRes.Load
+		in.powerIn.AIELoad = aieRes.Load
+		in.powerIn.DRAMBytes = gpuRes.BytesMoved + cpuDRAMBytes
+		in.powerIn.StorageUtil = ioRes.Util
+		in.powerIn.DTSec = cfg.TickSec
+		pw := powerModel.Step(in.powerIn)
+		in.heat[thermal.NodeCPU] = pw.CPUW()
+		in.heat[thermal.NodeGPU] = pw.GPU
+		in.heat[thermal.NodeSoC] = pw.AIE + pw.DRAM + pw.Storage + pw.Base
+		th := thermalModel.Step(in.heat, cfg.TickSec)
 
-		cpuLoad := cpuLoadSum / float64(e.plat.TotalCores())
-		em.sample(profiler.MetricCPULoad, cpuLoad)
-		em.sample(profiler.MetricGPULoad, gpuRes.Load)
-		em.sample(profiler.MetricShadersBusy, gpuRes.ShadersBusy)
-		em.sample(profiler.MetricGPUBusBusy, gpuRes.BusBusy)
-		em.sample(profiler.MetricAIELoad, aieRes.Load)
-		em.sample(profiler.MetricUsedMem, memRes.UsedFrac)
-		em.sample(profiler.MetricWorkloadMem, memRes.WorkloadFrac)
-		em.sample(profiler.MetricStorageUtil, ioRes.Util)
-		em.sample("mem.used_mb", memRes.UsedMB)
-		em.sample("mem.workload_mb", memRes.WorkloadMB)
-		em.sample("mem.gpu_mb", memRes.FootprintByUse.GPUMB)
-		em.sample("mem.heap_mb", memRes.FootprintByUse.CPUHeapMB)
-		em.sample("mem.media_mb", memRes.FootprintByUse.MediaMB)
-		em.sample("gpu.util", gpuRes.Util)
-		em.sample("gpu.freq_mhz", gpuRes.FreqHz/1e6)
-		em.sample("gpu.fps", gpuRes.FPS)
-		em.sample("gpu.tex_miss_ratio", gpuRes.TexMissRatio)
-		em.sample("gpu.bus_bytes", gpuRes.BytesMoved)
-		em.sample("aie.util", aieRes.Util)
-		em.sample("aie.freq_mhz", aieRes.FreqHz/1e6)
-		em.sample("aie.cpu_fallback", aieRes.CPUFallbackDemand)
-		em.sample("storage.bytes", ioRes.BytesMoved)
-		em.sample("storage.read_mbps", phase.IO.SeqReadMBs+phase.IO.RandReadIOPS*4096/1e6)
-		em.sample("storage.write_mbps", phase.IO.SeqWriteMBs+phase.IO.RandWriteIOPS*4096/1e6)
-		em.sample("storage.iops", phase.IO.RandReadIOPS+phase.IO.RandWriteIOPS)
-		em.sample("mem.free_mb", e.plat.Memory.TotalMB-memRes.UsedMB)
-		em.sample("gpu.frame_time_ms", frameTimeMS(gpuRes.FPS))
-		em.sample("gpu.drawcall_rate", gpuRes.FPS*phase.GPU.DrawCallsPerFrame)
-		em.sample("slc.accesses", float64(slc.Stats().Accesses))
-		em.sample("slc.misses", float64(slc.Stats().Misses))
-		em.sample("l3.accesses", float64(l3.Stats().Accesses))
-		em.sample("l3.misses", float64(l3.Stats().Misses))
-		em.sample("cpu.total_instr", totInstr)
-		em.sample("cpu.total_cycles", totCycles)
-		em.sample("power.total_w", pw.TotalW())
-		em.sample("power.cpu_w", pw.CPUW())
-		em.sample("power.little_w", pw.Cluster[soc.Little])
-		em.sample("power.mid_w", pw.Cluster[soc.Mid])
-		em.sample("power.big_w", pw.Cluster[soc.Big])
-		em.sample("power.gpu_w", pw.GPU)
-		em.sample("power.aie_w", pw.AIE)
-		em.sample("power.dram_w", pw.DRAM)
-		em.sample("power.storage_w", pw.Storage)
-		em.sample("energy.total_j", powerModel.EnergyJ())
-		em.sample("thermal.cpu_c", th.NodeC[thermal.NodeCPU])
-		em.sample("thermal.gpu_c", th.NodeC[thermal.NodeGPU])
-		em.sample("thermal.soc_c", th.NodeC[thermal.NodeSoC])
-		em.sample("thermal.skin_c", th.SkinC)
-		em.sample("thermal.cpu_throttled", boolToFloat(th.Throttled[thermal.NodeCPU]))
-		em.sample(profiler.MetricInstrRate, tickInstr/cfg.TickSec)
-		if tickCycles > 0 {
-			em.sample(profiler.MetricIPC, tickInstr/tickCycles)
+		in.cpuLoad = cpuLoadSum / float64(e.plat.TotalCores())
+		in.gpuLoad, in.shadersBusy, in.gpuBusBusy, in.aieLoad = gpuRes.Load, gpuRes.ShadersBusy, gpuRes.BusBusy, aieRes.Load
+		agg.fold(&in, memRes, th.NodeC[thermal.NodeCPU])
+		prof.Sample(profiler.MetricCPULoad, in.cpuLoad)
+		prof.Sample(profiler.MetricGPULoad, gpuRes.Load)
+		prof.Sample(profiler.MetricShadersBusy, gpuRes.ShadersBusy)
+		prof.Sample(profiler.MetricGPUBusBusy, gpuRes.BusBusy)
+		prof.Sample(profiler.MetricAIELoad, aieRes.Load)
+		prof.Sample(profiler.MetricUsedMem, memRes.UsedFrac)
+		prof.Sample(profiler.MetricWorkloadMem, memRes.WorkloadFrac)
+		prof.Sample(profiler.MetricStorageUtil, ioRes.Util)
+		prof.Sample("mem.used_mb", memRes.UsedMB)
+		prof.Sample("mem.workload_mb", memRes.WorkloadMB)
+		prof.Sample("mem.gpu_mb", memRes.FootprintByUse.GPUMB)
+		prof.Sample("mem.heap_mb", memRes.FootprintByUse.CPUHeapMB)
+		prof.Sample("mem.media_mb", memRes.FootprintByUse.MediaMB)
+		prof.Sample("gpu.util", gpuRes.Util)
+		prof.Sample("gpu.freq_mhz", gpuRes.FreqHz/1e6)
+		prof.Sample("gpu.fps", gpuRes.FPS)
+		prof.Sample("gpu.tex_miss_ratio", gpuRes.TexMissRatio)
+		prof.Sample("gpu.bus_bytes", gpuRes.BytesMoved)
+		prof.Sample("aie.util", aieRes.Util)
+		prof.Sample("aie.freq_mhz", aieRes.FreqHz/1e6)
+		prof.Sample("aie.cpu_fallback", aieRes.CPUFallbackDemand)
+		prof.Sample("storage.bytes", ioRes.BytesMoved)
+		prof.Sample("storage.read_mbps", phase.IO.SeqReadMBs+phase.IO.RandReadIOPS*4096/1e6)
+		prof.Sample("storage.write_mbps", phase.IO.SeqWriteMBs+phase.IO.RandWriteIOPS*4096/1e6)
+		prof.Sample("storage.iops", phase.IO.RandReadIOPS+phase.IO.RandWriteIOPS)
+		prof.Sample("mem.free_mb", e.plat.Memory.TotalMB-memRes.UsedMB)
+		prof.Sample("gpu.frame_time_ms", frameTimeMS(gpuRes.FPS))
+		prof.Sample("gpu.drawcall_rate", gpuRes.FPS*phase.GPU.DrawCallsPerFrame)
+		prof.Sample("slc.accesses", float64(slc.Stats().Accesses))
+		prof.Sample("slc.misses", float64(slc.Stats().Misses))
+		prof.Sample("l3.accesses", float64(l3.Stats().Accesses))
+		prof.Sample("l3.misses", float64(l3.Stats().Misses))
+		prof.Sample("cpu.total_instr", totInstr)
+		prof.Sample("cpu.total_cycles", totCycles)
+		prof.Sample("power.total_w", pw.TotalW())
+		prof.Sample("power.cpu_w", pw.CPUW())
+		prof.Sample("power.little_w", pw.Cluster[soc.Little])
+		prof.Sample("power.mid_w", pw.Cluster[soc.Mid])
+		prof.Sample("power.big_w", pw.Cluster[soc.Big])
+		prof.Sample("power.gpu_w", pw.GPU)
+		prof.Sample("power.aie_w", pw.AIE)
+		prof.Sample("power.dram_w", pw.DRAM)
+		prof.Sample("power.storage_w", pw.Storage)
+		prof.Sample("energy.total_j", powerModel.EnergyJ())
+		prof.Sample("thermal.cpu_c", th.NodeC[thermal.NodeCPU])
+		prof.Sample("thermal.gpu_c", th.NodeC[thermal.NodeGPU])
+		prof.Sample("thermal.soc_c", th.NodeC[thermal.NodeSoC])
+		prof.Sample("thermal.skin_c", th.SkinC)
+		prof.Sample("thermal.cpu_throttled", boolToFloat(th.Throttled[thermal.NodeCPU]))
+		prof.Sample(profiler.MetricInstrRate, tickInstr/cfg.TickSec)
+		if in.cycles > 0 {
+			prof.Sample(profiler.MetricIPC, tickInstr/in.cycles)
 		} else {
-			em.sample(profiler.MetricIPC, 0)
+			prof.Sample(profiler.MetricIPC, 0)
 		}
-		em.sample(profiler.MetricCacheMPKI, safeDiv(totCacheMiss, totInstr)*1000)
-		em.sample(profiler.MetricBranchMPKI, safeDiv(totBranchMiss, totInstr)*1000)
+		prof.Sample(profiler.MetricCacheMPKI, safeDiv(totCacheMiss, totInstr)*1000)
+		prof.Sample(profiler.MetricBranchMPKI, safeDiv(totBranchMiss, totInstr)*1000)
 
-		agg.AvgCPULoad += cpuLoad
-		agg.AvgGPULoad += gpuRes.Load
-		agg.AvgShadersBusy += gpuRes.ShadersBusy
-		agg.AvgGPUBusBusy += gpuRes.BusBusy
-		agg.AvgAIELoad += aieRes.Load
-		agg.AvgUsedMemFrac += memRes.UsedFrac
-		agg.AvgUsedMemMB += memRes.UsedMB
-		if memRes.UsedMB > agg.PeakUsedMemMB {
-			agg.PeakUsedMemMB = memRes.UsedMB
-		}
-
-		// Phase fast-forwarding: capture this tick's inputs in the replay
-		// ring, fold the steady-state evidence, and — once the governor's
+		// Phase fast-forwarding: fold this tick's inputs and steady-state
+		// evidence, and — once the governor's
 		// limit cycle and the counter rates have proven stationary — execute
 		// the rest of the phase analytically and jump to its boundary.
 		// Cancellation is honoured around every jump, matching the tick
 		// loop's ctxCheckTicks responsiveness even when a jump covers
 		// thousands of ticks.
 		if ff != nil {
-			ffRing[ff.idx()%ffMaxPeriod] = ffTickIn{
-				cpuLoad:     cpuLoad,
-				gpuLoad:     gpuRes.Load,
-				shadersBusy: gpuRes.ShadersBusy,
-				gpuBusBusy:  gpuRes.BusBusy,
-				aieLoad:     aieRes.Load,
-				clusterLoad: tickClusterLoad,
-				cycles:      tickCycles,
-				footprint:   footprint,
-				powerIn:     powerIn,
-				heat:        heat,
-			}
 			var snap ffFreqState
 			for _, cs := range clusters {
 				snap.cpu[cs.kind] = cs.freqHz
 			}
 			snap.gpu, snap.aie = gpuRes.FreqHz, aieRes.FreqHz
-			p := ff.observe(tick, phaseIdx, snap,
-				tickInstr, tickCycles,
+			p := ff.observe(tick, phaseIdx, &in, snap, tickInstr,
 				totCacheMiss-ffPrevCacheMiss, totBranchMiss-ffPrevBranchMiss)
 			if p > 0 {
 				if k := spanLength(jw, cfg.TickSec, tick, ticks, phaseIdx); k > 0 {
@@ -826,15 +819,10 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 					for _, ts := range phase.CPU.Tasks {
 						draws += ts.Count
 					}
-					sp := ffSpan{
-						k: k, p: p, last: ff.idx() - 1, dt: cfg.TickSec,
-						jitterDraws: draws,
-						ring:        &ffRing,
-						totalMemMB:  e.plat.Memory.TotalMB,
-					}
+					sp := ffSpan{k: k, p: p, dt: cfg.TickSec, jitterDraws: draws, totalMemMB: e.plat.Memory.TotalMB}
 					sp.ipc, sp.cachePI, sp.branchPI = ff.rates()
-					if err := runSpan(&sp, rng, powerModel, thermalModel, timingModel,
-						&em, &agg, &totInstr, &totCycles, &totCacheMiss, &totBranchMiss); err != nil {
+					if err := ff.runSpan(&sp, rng, powerModel, thermalModel, timingModel,
+						prof, &agg, &totInstr, &totCycles, &totCacheMiss, &totBranchMiss); err != nil {
 						return nil, err
 					}
 					tick += k
@@ -871,9 +859,7 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 	}
 
 	res := &Result{Workload: w.Name, Trace: tr, Agg: agg}
-	if rep, ok := timingModel.(TimingReporter); ok {
-		res.TimingNotes, res.TimingDegraded = rep.TimingReport()
-	}
+	res.TimingNotes, res.TimingDegraded = timingModel.TimingReport()
 	return res, nil
 }
 

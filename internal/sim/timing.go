@@ -27,6 +27,11 @@ type TimingModel interface {
 	// Reset restores the just-constructed state, so a pooled instance is
 	// bit-identical to a fresh one.
 	Reset() error
+	// TimingReport returns the backend's health notes accumulated since
+	// the last Reset and whether it degraded to a fallback path in that
+	// window. The engine reads it at the end of each run into
+	// Result.TimingNotes / Result.TimingDegraded.
+	TimingReport() (notes []string, degraded bool)
 }
 
 // TimingProvider mints TimingModel instances for an engine. Providers whose
@@ -41,16 +46,6 @@ type TimingProvider interface {
 	// Fingerprint identifies the backend when (and only when) its replies
 	// can differ from the in-process analytic models.
 	Fingerprint() string
-}
-
-// TimingReporter is optionally implemented by TimingModel instances that
-// want per-run health provenance: the engine reads the report at the end of
-// each run (the window since the last Reset) into Result.TimingNotes /
-// Result.TimingDegraded.
-type TimingReporter interface {
-	// TimingReport returns the notes accumulated since the last Reset and
-	// whether the backend degraded to its fallback path during the window.
-	TimingReport() (notes []string, degraded bool)
 }
 
 // analyticTiming is the built-in TimingModel: the exact mem.Model /
@@ -76,3 +71,7 @@ func (t *analyticTiming) Reset() error {
 	t.mem.Reset() // the storage model is stateless
 	return nil
 }
+
+// TimingReport implements TimingModel: the in-process models never restart
+// or degrade, so they have nothing to report.
+func (t *analyticTiming) TimingReport() ([]string, bool) { return nil, false }
