@@ -44,7 +44,8 @@ func benchDataset(b *testing.B) *core.Dataset {
 
 // BenchmarkCharacterizeAll measures the full pipeline the paper's
 // methodology implies: all 18 analysis units, three averaged runs each,
-// on the sequential (Workers=1) path.
+// one simulation at a time (Workers=1). Each exact simulation still steps
+// its GPU model on a second goroutine, so this path can use two cores.
 func BenchmarkCharacterizeAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ds, err := core.Collect(core.Options{Sim: sim.Config{}, Runs: 3, Workers: 1})

@@ -126,13 +126,15 @@ func (c Config) normalize() Config {
 // Engine executes workloads.
 //
 // An Engine is safe for concurrent use: every Run acquires its mutable
-// simulation state (caches, predictors, scheduler) exclusively from the
-// engine's model pool and builds the rest (power/thermal/GPU/AIE
-// models, profiler and RNG streams) afresh per invocation, sharing only the
-// immutable configuration, platform description and precomputed metric name
-// tables. Each (workload, run) pair derives an independent random stream
-// from the root seed, so concurrent runs produce bit-identical results to
-// sequential ones.
+// model state (caches, predictors, scheduler, power/thermal/GPU/AIE and
+// timing models) exclusively from the engine's model pool and builds its
+// profiler and RNG streams afresh, sharing only the immutable
+// configuration, platform description and precomputed metric name tables.
+// Each (workload, run) pair derives an independent random stream from the
+// root seed, so concurrent runs produce bit-identical results to
+// sequential ones. Each exact run uses one extra goroutine, which steps
+// its GPU model ahead of the tick loop (see gpuAhead) and has returned
+// before the run does.
 type Engine struct {
 	cfg  Config
 	plat *soc.Platform
@@ -172,6 +174,9 @@ type runModels struct {
 	// re-targets it per phase; it is kept across runs so its tables are
 	// reused.
 	slcPollute *cache.StreamGen
+	// gpuBuf backs an exact run's GPU chunks (see gpuAhead), so a run's
+	// hand-over costs the same few allocations however many ticks it has.
+	gpuBuf []gpu.Result
 }
 
 // newRunModels builds a fresh model set for one run.
@@ -225,6 +230,7 @@ func (e *Engine) newRunModels() (*runModels, error) {
 		aieM:       aie.NewModel(e.plat.AIE),
 		timingM:    timing,
 		slcPollute: new(cache.StreamGen),
+		gpuBuf:     make([]gpu.Result, gpuAheadDepth*gpuAheadChunk),
 	}, nil
 }
 
@@ -527,9 +533,21 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 	// the phase-timeline tick count makes each backing array grow exactly
 	// once instead of log(ticks) times per counter.
 	prof := profiler.New(cfg.TickSec, ticks)
-	var ff *ffState
+	var (
+		ff    *ffState
+		ahead *gpuAhead
+	)
 	if cfg.FastForward {
 		ff = newFFState()
+	} else {
+		// From here on only the helper touches gpuModel; the deferred halt
+		// joins it before releaseModels hands the models to another run.
+		dt := cfg.TickSec
+		ahead = startGPUAhead(ctx, models.gpuBuf, ticks, func(tick int) gpu.Result {
+			phase, _ := jw.PhaseAt((float64(tick) + 0.5) * dt)
+			return gpuModel.Step(phase.GPU, dt)
+		})
+		defer ahead.halt()
 	}
 
 	var (
@@ -696,7 +714,14 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		totInstr += tickInstr
 		totCycles += in.cycles
 
-		gpuRes := gpuModel.Step(phase.GPU, cfg.TickSec)
+		var gpuRes gpu.Result
+		if ahead != nil {
+			if gpuRes, err = ahead.next(); err != nil {
+				return nil, err
+			}
+		} else {
+			gpuRes = gpuModel.Step(phase.GPU, cfg.TickSec)
+		}
 		// GPU texture traffic flows through the SoC-wide system-level
 		// cache, displacing CPU lines; this is the mechanism behind the
 		// depressed IPC of graphics-heavy benchmarks (Section V-A).

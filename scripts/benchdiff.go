@@ -6,14 +6,26 @@
 //
 // For every benchmark and each of ns/op, B/op and allocs/op it prints both
 // medians, both median absolute deviations (MAD), the sample counts and the
-// head/base ratio of the medians. A metric regresses only when head's whole
-// interval clears base's stretched by the tolerance:
+// head/base ratio of the medians. A metric regresses under either of two
+// rules. The interval rule fires when head's whole interval clears base's
+// stretched by the tolerance:
 //
 //	median_head − MAD_head > (1 + tol) · (median_base + MAD_base)
 //
-// so noise within the MADs passes. ns/op gets 15% because wall time shifts
-// with the host; B/op and allocs/op are near-deterministic per build and get
-// 10%. A benchmark on one side only prints as NEW or MISSING and never fails.
+// so noise within the MADs passes. It misses a real slowdown smaller than
+// about tol + 2·MAD/median. The paired rule uses the interleaving: the i-th
+// sample of each side comes from the same round, so each round gives one
+// head/base ratio, and drift the two sides share cancels in it. It fires
+// when the median ratio exceeds 1 + tol and nearly every round was slower:
+// at most one round in ten was not, so with six rounds all six. (Five of
+// six flagged identical code on a noisy host: single-iteration samples
+// of SimulateWildLifeFastForward gave a median ratio of 1.175.) It applies
+// when both sides hold the same number of samples, at least minPairs, and
+// every base sample is positive.
+//
+// ns/op gets 15% because wall time shifts with the host; B/op and
+// allocs/op are near-deterministic per build and get 10%. A benchmark on
+// one side only prints as NEW or MISSING and never fails.
 //
 // Exit status is 1 when any metric regressed and 2 when an input cannot be
 // read or holds a malformed result line.
@@ -39,6 +51,10 @@ var metrics = [...]struct {
 	{"B/op", 0.10},
 	{"allocs/op", 0.10},
 }
+
+// minPairs is the fewest rounds the paired rule judges: with fewer, one
+// noisy round outweighs the rest.
+const minPairs = 4
 
 // samples holds one benchmark's values per metric, in input order. A line
 // without B/op or allocs/op adds no value to that metric.
@@ -140,7 +156,7 @@ func diff(w io.Writer, base, head *results) bool {
 				continue
 			}
 			status := "OK     "
-			if regressed(b[i], h[i], m.tol) {
+			if regressed(b[i], h[i], m.tol) || pairedRegressed(b[i], h[i], m.tol) {
 				status = "REGRESS"
 				failed = true
 			}
@@ -149,8 +165,12 @@ func diff(w io.Writer, base, head *results) bool {
 			if mb != 0 {
 				ratio = fmt.Sprintf("x%.3f", mh/mb)
 			}
-			fmt.Fprintf(w, "%s %-44s %-9s base %11.4g ±%-9.3g head %11.4g ±%-9.3g n=%d/%d %s\n",
-				status, name, m.unit, mb, stats.MAD(b[i]), mh, stats.MAD(h[i]), len(b[i]), len(h[i]), ratio)
+			paired := ""
+			if r, slower, ok := pairs(b[i], h[i]); ok {
+				paired = fmt.Sprintf(" paired x%.3f %d/%d slower", r, slower, len(h[i]))
+			}
+			fmt.Fprintf(w, "%s %-44s %-9s base %11.4g ±%-9.3g head %11.4g ±%-9.3g n=%d/%d %s%s\n",
+				status, name, m.unit, mb, stats.MAD(b[i]), mh, stats.MAD(h[i]), len(b[i]), len(h[i]), ratio, paired)
 		}
 	}
 	for _, name := range base.names {
@@ -166,6 +186,34 @@ func diff(w io.Writer, base, head *results) bool {
 // when head is above zero by more than its own MAD.
 func regressed(base, head []float64, tol float64) bool {
 	return stats.Median(head)-stats.MAD(head) > (1+tol)*(stats.Median(base)+stats.MAD(base))
+}
+
+// pairedRegressed reports whether the per-round ratios show head slower:
+// their median exceeds 1 + tol and at most one round in ten was not
+// slower.
+func pairedRegressed(base, head []float64, tol float64) bool {
+	r, slower, ok := pairs(base, head)
+	return ok && r > 1+tol && slower >= len(head)-len(head)/10
+}
+
+// pairs returns the median of the per-round ratios head[i]/base[i] and how
+// many rounds head was slower in. ok is false when the samples do not pair:
+// unequal counts, fewer than minPairs, or a base sample that is not positive.
+func pairs(base, head []float64) (median float64, slower int, ok bool) {
+	if len(base) != len(head) || len(base) < minPairs {
+		return 0, 0, false
+	}
+	ratios := make([]float64, len(base))
+	for i, b := range base {
+		if b <= 0 {
+			return 0, 0, false
+		}
+		ratios[i] = head[i] / b
+		if head[i] > b {
+			slower++
+		}
+	}
+	return stats.Median(ratios), slower, true
 }
 
 func fatal(err error) {

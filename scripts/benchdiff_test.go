@@ -16,15 +16,18 @@ func mustParse(t *testing.T, in string) *results {
 	return r
 }
 
-// streamFold renders one BenchmarkStreamFold line per ns/op sample, with the
-// same B/op and allocs/op on every line.
-func streamFold(ms ...float64) string {
+// benchLines renders one result line of the named benchmark per ns/op
+// sample (in ms, in round order), with the same B/op and allocs/op on
+// every line.
+func benchLines(name string, ms ...float64) string {
 	var b strings.Builder
 	for _, v := range ms {
-		fmt.Fprintf(&b, "BenchmarkStreamFold-2   \t     150\t   %.0f ns/op\t 1900000 B/op\t    5265 allocs/op\n", v*1e6)
+		fmt.Fprintf(&b, "%s-2   \t     150\t   %.0f ns/op\t 1900000 B/op\t    5265 allocs/op\n", name, v*1e6)
 	}
 	return b.String()
 }
+
+func streamFold(ms ...float64) string { return benchLines("BenchmarkStreamFold", ms...) }
 
 func TestParseBench(t *testing.T) {
 	r := mustParse(t, `goos: linux
@@ -83,8 +86,9 @@ func TestDiffIntervalRule(t *testing.T) {
 	}
 
 	// Noise: head's median is 16% above base's, but the two intervals
-	// overlap once base's upper end is stretched by 15%.
-	noisy := mustParse(t, streamFold(6.0, 7.0, 7.5, 8.5, 9.0, 10.0))
+	// overlap once base's upper end is stretched by 15%, and head was
+	// faster in two of the six rounds.
+	noisy := mustParse(t, streamFold(9.0, 6.0, 10.0, 7.0, 8.5, 7.5))
 	out.Reset()
 	if diff(&out, after, noisy) {
 		t.Errorf("noise within the MADs failed:\n%s", out.String())
@@ -120,5 +124,50 @@ func TestDiffNewAndMissingNeverFail(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+func TestDiffPairedRule(t *testing.T) {
+	// The slowdown the interval rule missed: six rounds of
+	// BenchmarkClusterSweep with the recorded medians 7.23 -> 9.11 ms and
+	// MADs 0.66 and 0.58 ms, in round order, where both sides drift
+	// together from round to round. head's interval starts at 8.53 ms,
+	// under base's stretched upper end of 9.07 ms, but every round's
+	// head/base ratio is 1.22 or more.
+	base := mustParse(t, benchLines("BenchmarkClusterSweep", 7.10, 6.40, 7.89, 7.36, 8.20, 6.57))
+	head := mustParse(t, benchLines("BenchmarkClusterSweep", 9.00, 8.40, 9.69, 9.22, 10.00, 8.53))
+	b, h := base.by["BenchmarkClusterSweep"][0], head.by["BenchmarkClusterSweep"][0]
+	if regressed(b, h, metrics[0].tol) {
+		t.Fatal("the interval rule alone now catches this case; it no longer shows the paired rule's use")
+	}
+	var out bytes.Buffer
+	if !diff(&out, base, head) {
+		t.Errorf("a +26%% slowdown slower in every round passed:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "REGRESS BenchmarkClusterSweep") ||
+		!strings.Contains(out.String(), "paired x1.260 6/6 slower") {
+		t.Errorf("output lacks the REGRESS line with the paired ratio:\n%s", out.String())
+	}
+
+	// Identical code on both sides (bench-ab.sh HEAD HEAD), single-iteration
+	// BenchmarkSimulateWildLifeFastForward samples on a noisy 2-CPU host:
+	// the median ratio is 1.175, but one round of six was faster.
+	out.Reset()
+	if diff(&out,
+		mustParse(t, benchLines("BenchmarkSimulateWildLifeFastForward", 34.76, 29.34, 38.56, 25.92, 24.19, 23.65)),
+		mustParse(t, benchLines("BenchmarkSimulateWildLifeFastForward", 36.49, 36.72, 30.97, 28.48, 33.95, 29.76))) {
+		t.Errorf("identical code slower in five of six rounds failed:\n%s", out.String())
+	}
+
+	// Too few rounds, or unequal counts, do not pair: the interval rule
+	// alone judges them.
+	out.Reset()
+	if diff(&out, mustParse(t, benchLines("BenchmarkClusterSweep", 7.10, 6.40, 7.89)),
+		mustParse(t, benchLines("BenchmarkClusterSweep", 9.00, 8.40, 9.69))) {
+		t.Errorf("three rounds were judged by the paired rule:\n%s", out.String())
+	}
+	out.Reset()
+	if diff(&out, base, mustParse(t, benchLines("BenchmarkClusterSweep", 9.00, 8.40, 9.69, 9.22, 10.00))) {
+		t.Errorf("unequal sample counts were paired:\n%s", out.String())
 	}
 }
