@@ -33,9 +33,10 @@ import (
 )
 
 // Version is the record schema version this package writes. It is bumped
-// whenever the record layout changes (including any change to the
-// serialized sim.Aggregates field set); records from other versions are
-// rejected with a *VersionError rather than decoded on luck.
+// whenever the record layout changes, including any change to
+// sim.Aggregates.Fields, whose order is the wire order of a result's
+// aggregates; records from other versions are rejected with a
+// *VersionError rather than decoded on luck.
 const Version uint32 = 2
 
 // CorruptError reports a checkpoint that failed structural verification:
@@ -157,22 +158,10 @@ func encodeRecord(b *bytes.Buffer, r *RunRecord) {
 	encodeResult(b, r.Result)
 }
 
-// aggFields flattens the serialized sim.Aggregates scalars in their fixed
-// wire order. Adding or reordering fields requires a Version bump.
-func aggFields(a *sim.Aggregates) []*float64 {
-	return []*float64{
-		&a.RuntimeSec, &a.InstrCount, &a.IPC, &a.CacheMPKI, &a.BranchMPKI,
-		&a.AvgCPULoad, &a.AvgGPULoad, &a.AvgShadersBusy, &a.AvgGPUBusBusy,
-		&a.AvgAIELoad, &a.AvgUsedMemFrac, &a.AvgUsedMemMB, &a.PeakUsedMemMB,
-		&a.ClusterLoad[0], &a.ClusterLoad[1], &a.ClusterLoad[2],
-		&a.AvgPowerW, &a.EnergyJ, &a.PeakCPUTempC,
-	}
-}
-
 func encodeResult(b *bytes.Buffer, r *sim.Result) {
 	putString(b, r.Workload)
 	putString(b, r.Agg.Name)
-	for _, f := range aggFields(&r.Agg) {
+	for _, f := range r.Agg.Fields() {
 		putF64(b, *f)
 	}
 	t := r.Trace
@@ -374,7 +363,7 @@ func (d *decoder) record() (RunRecord, error) {
 	res := &sim.Result{}
 	res.Workload = d.string()
 	res.Agg.Name = d.string()
-	for _, f := range aggFields(&res.Agg) {
+	for _, f := range res.Agg.Fields() {
 		*f = d.f64()
 	}
 	dt := d.f64()

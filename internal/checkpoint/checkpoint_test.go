@@ -145,6 +145,37 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRoundTripEveryAggregateField gives every float64 of sim.Aggregates,
+// array elements included, its own value, so a codec that dropped,
+// repeated or swapped any field would not read back what it wrote.
+func TestRoundTripEveryAggregateField(t *testing.T) {
+	snap := testSnapshot()
+	agg := reflect.ValueOf(&snap.Records[0].Result.Agg).Elem()
+	next := 1.0
+	var set func(v reflect.Value)
+	set = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Float64:
+			v.SetFloat(next + 0.125)
+			next++
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				set(v.Index(i))
+			}
+		}
+	}
+	for i := 0; i < agg.NumField(); i++ {
+		set(agg.Field(i))
+	}
+	got, err := readSnapshot("mem", encodeLog(snap), snap.Fingerprint)
+	if err != nil {
+		t.Fatalf("readSnapshot: %v", err)
+	}
+	if g, w := got.Records[0].Result.Agg, snap.Records[0].Result.Agg; g != w {
+		t.Fatalf("aggregates differ after round trip:\n got %+v\nwant %+v", g, w)
+	}
+}
+
 // TestSaveLoad: records appended through Log read back through Load and
 // Resume, and a resumed log keeps appending to the same file.
 func TestSaveLoad(t *testing.T) {

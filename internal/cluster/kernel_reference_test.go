@@ -552,11 +552,14 @@ func refKMeans(rows [][]float64, dm *DistMatrix, kk int) Assignment {
 
 // TestKMeansMatchesReference pins the scratch K-means to the allocating
 // reference restart by restart: the assignment, the within-cluster sum of
-// squares in bits and the RNG state afterwards, with and without the
-// distance matrix, for every k, on tied integer rows with duplicates, on
-// fractional rows where the centroid's summation order shows in the bits,
-// and on heavily duplicated rows that force empty-cluster re-seeds. One
-// scratch serves every restart, as it serves a cluster call's.
+// squares in bits and the RNG state afterwards, for every k, on tied
+// integer rows with duplicates, on fractional rows where the centroid's
+// summation order shows in the bits, and on heavily duplicated rows that
+// force empty-cluster re-seeds. One
+// scratch serves every restart, as it serves a cluster call's. The scratch
+// always seeds from a distance matrix; the reference also runs without
+// one, measuring with stats.Euclidean, which pins the matrix lookups to
+// the direct distances in bits.
 func TestKMeansMatchesReference(t *testing.T) {
 	rng := xrand.New(25)
 	var reseeds int
@@ -574,10 +577,14 @@ func TestKMeansMatchesReference(t *testing.T) {
 				for _, dm := range []*DistMatrix{nil, NewDistMatrix(rows)} {
 					tag := fmt.Sprintf("%s/n=%d/k=%d/dm=%t", name, n, k, dm != nil)
 					s := newKMeansScratch(n, len(rows[0]), k)
+					sdm := dm
+					if sdm == nil {
+						sdm = NewDistMatrix(rows)
+					}
 					for r := 0; r < kmeansRestarts; r++ {
 						gotRNG := xrand.New(kmeansSeed).Split(uint64(r) + 1)
 						wantRNG := xrand.New(kmeansSeed).Split(uint64(r) + 1)
-						got := s.once(rows, dm, k, gotRNG)
+						got := s.once(rows, sdm, k, gotRNG)
 						want := refKMeansOnce(rows, dm, k, wantRNG, &reseeds)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s restart %d: assignment %v, want %v", tag, r, got, want)
@@ -871,10 +878,10 @@ func TestKMeansUnchangedFirstPassReseeds(t *testing.T) {
 			rows[i] = []float64{0.25, 3}
 		}
 		for k := 2; k <= n; k++ {
-			s := newKMeansScratch(n, 2, k)
+			s, dm := newKMeansScratch(n, 2, k), NewDistMatrix(rows)
 			var reseeds int
 			for r := 0; r < kmeansRestarts; r++ {
-				got := s.once(rows, nil, k, xrand.New(kmeansSeed).Split(uint64(r)+1))
+				got := s.once(rows, dm, k, xrand.New(kmeansSeed).Split(uint64(r)+1))
 				want := refKMeansOnce(rows, nil, k, xrand.New(kmeansSeed).Split(uint64(r)+1), &reseeds)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("n=%d k=%d restart %d: assignment %v, want %v", n, k, r, got, want)
@@ -905,10 +912,10 @@ func TestKMeansTieFixedPointStops(t *testing.T) {
 		{"duplicated pair", [][]float64{{0, 0}, {0, 0}, {5, 1}}},
 	} {
 		const k = 3
-		s := newKMeansScratch(len(tc.rows), 2, k)
+		s, dm := newKMeansScratch(len(tc.rows), 2, k), NewDistMatrix(tc.rows)
 		passes, reseeds := 0, 0
 		for r := 0; r < kmeansRestarts; r++ {
-			got := s.once(tc.rows, nil, k, xrand.New(kmeansSeed).Split(uint64(r)+1))
+			got := s.once(tc.rows, dm, k, xrand.New(kmeansSeed).Split(uint64(r)+1))
 			passes += s.passes
 			if s.converged {
 				t.Errorf("%s restart %d: converged on a re-seeding fixed point", tc.name, r)

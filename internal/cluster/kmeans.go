@@ -34,7 +34,7 @@ func (k *KMeans) Cluster(rows [][]float64, kk int) (Assignment, error) {
 	if err := validate(rows, kk); err != nil {
 		return nil, err
 	}
-	return k.cluster(rows, nil, kk)
+	return k.cluster(rows, NewDistMatrix(rows), kk)
 }
 
 // ClusterDist implements DistAlgorithm. K-means++ seeding only measures
@@ -328,9 +328,8 @@ func centroidOf(dst []float64, rows [][]float64, a Assignment, c int) int {
 
 // plusPlusSeed picks kk initial centers with the k-means++ D^2 weighting
 // and copies them into the scratch's centers. Until Lloyd moves them,
-// centers are exact row copies, so when dm is non-nil every seeding
-// distance is a matrix lookup — bit-identical to the stats.Euclidean call
-// it replaces.
+// centers are exact row copies, so every seeding distance is a lookup in
+// dm, the rows' distance matrix.
 //
 // Each row's distance to its nearest chosen center is kept in minD and
 // lowered by the newest center only, O(n) per center. That is the minimum
@@ -347,13 +346,7 @@ func (s *kmeansScratch) plusPlusSeed(rows [][]float64, dm *DistMatrix, kk int, r
 		last := idx[len(idx)-1]
 		total := 0.0
 		for i := range rows {
-			var d float64
-			if dm != nil {
-				d = dm.At(i, last)
-			} else {
-				d = stats.Euclidean(rows[i], rows[last])
-			}
-			if d < minD[i] {
+			if d := dm.At(i, last); d < minD[i] {
 				minD[i] = d
 			}
 			d2[i] = minD[i] * minD[i]

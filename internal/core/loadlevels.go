@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"mobilebench/internal/sim"
 	"mobilebench/internal/soc"
 )
 
@@ -29,7 +30,7 @@ type ClusterLoadProfile struct {
 func (d *Dataset) Figure3() ([]ClusterLoadProfile, error) {
 	keys := [soc.NumClusters]string{}
 	for _, k := range soc.Clusters() {
-		keys[k] = clusterLoadKey(k)
+		keys[k] = sim.ClusterMetric(k, "load")
 	}
 	var lo, hi [soc.NumClusters]float64
 	for _, k := range soc.Clusters() {
@@ -104,15 +105,4 @@ func (d *Dataset) TableV() ([soc.NumClusters][NumLoadLevels]float64, error) {
 		}
 	}
 	return avg, nil
-}
-
-func clusterLoadKey(k soc.ClusterKind) string {
-	switch k {
-	case soc.Little:
-		return "cpu.little.load"
-	case soc.Mid:
-		return "cpu.mid.load"
-	default:
-		return "cpu.big.load"
-	}
 }

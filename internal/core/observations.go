@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mobilebench/internal/profiler"
+	"mobilebench/internal/sim"
 	"mobilebench/internal/soc"
 	"mobilebench/internal/workload"
 )
@@ -310,9 +311,9 @@ func (d *Dataset) obs9FewUseAllClusters() (Observation, error) {
 		busy := func(metric string) float64 {
 			return u.Trace.MustSeries(metric).FracAbove(0.25)
 		}
-		if busy("cpu.little.load") >= 0.30 &&
-			busy("cpu.mid.load") >= 0.30 &&
-			busy("cpu.big.load") >= 0.30 {
+		if busy(sim.ClusterMetric(soc.Little, "load")) >= 0.30 &&
+			busy(sim.ClusterMetric(soc.Mid, "load")) >= 0.30 &&
+			busy(sim.ClusterMetric(soc.Big, "load")) >= 0.30 {
 			allClusters = append(allClusters, u.Workload.Name)
 		}
 	}

@@ -390,26 +390,15 @@ func faultedRun(ctx context.Context, eng *sim.Engine, plan fault.Plan, w workloa
 }
 
 // skewAgg scales the intensity aggregates of a run by f, leaving the
-// extensive run identity (runtime) untouched. It models a run whose whole
-// measurement session was miscalibrated by a constant factor.
+// extensive run identity (runtime) and the CPU temperature peak untouched.
+// It models a run whose whole measurement session was miscalibrated by a
+// constant factor.
 func skewAgg(a sim.Aggregates, f float64) sim.Aggregates {
-	a.InstrCount *= f
-	a.IPC *= f
-	a.CacheMPKI *= f
-	a.BranchMPKI *= f
-	a.AvgCPULoad *= f
-	a.AvgGPULoad *= f
-	a.AvgShadersBusy *= f
-	a.AvgGPUBusBusy *= f
-	a.AvgAIELoad *= f
-	a.AvgUsedMemFrac *= f
-	a.AvgUsedMemMB *= f
-	a.PeakUsedMemMB *= f
-	for k := range a.ClusterLoad {
-		a.ClusterLoad[k] *= f
+	for _, p := range a.Fields() {
+		if p != &a.RuntimeSec && p != &a.PeakCPUTempC {
+			*p *= f
+		}
 	}
-	a.AvgPowerW *= f
-	a.EnergyJ *= f
 	return a
 }
 

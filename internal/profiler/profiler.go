@@ -23,6 +23,8 @@ const (
 	MetricGPUBusBusy  = "gpu.bus_busy"      // GPU memory-bus busy fraction
 	MetricAIELoad     = "aie.load"          // AIE frequency x utilization, 0..1
 	MetricUsedMem     = "mem.used_frac"     // used system memory fraction
+	MetricUsedMemMB   = "mem.used_mb"       // used system memory, MB
+	MetricCPUTempC    = "thermal.cpu_c"     // CPU thermal node temperature, °C
 	MetricIPC         = "cpu.ipc"           // instructions per busy cycle
 	MetricInstrRate   = "cpu.instr_rate"    // retired instructions per second
 	MetricCacheMPKI   = "cpu.cache_mpki"    // misses across all levels per kilo-instruction

@@ -30,8 +30,10 @@ import (
 
 // Job states. A job is accepted as StatusQueued, picked up as
 // StatusRunning, and ends as StatusDone, StatusFailed or — when the server
-// drains or dies mid-run — StatusInterrupted, from which a restarted
-// server resumes it.
+// drains mid-run — StatusInterrupted, from which a restarted server
+// resumes it. StatusRunning lives in memory only: the job's record stays
+// queued on disk until its terminal state is written, so a server that
+// dies mid-run leaves a queued record, which a restart re-enqueues.
 const (
 	StatusQueued      = "queued"
 	StatusRunning     = "running"
@@ -395,10 +397,11 @@ func (s *Server) runJob(job *Job) {
 		s.mu.Unlock()
 	}()
 
-	if err := s.setStatus(job, StatusRunning, "", nil); err != nil {
-		_ = s.setStatus(job, StatusFailed, err.Error(), nil)
-		return
-	}
+	// Running is kept in memory only; the record on disk stays queued
+	// until the terminal write (see the job states above).
+	s.mu.Lock()
+	job.Status = StatusRunning
+	s.mu.Unlock()
 	ctx := s.baseCtx
 	timeout := s.cfg.JobTimeout
 	if t := job.Spec.TimeoutSec; t > 0 {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -122,6 +124,60 @@ func TestJobLifecycle(t *testing.T) {
 	if len(list) != 1 || list[0].ID != acc.ID {
 		t.Fatalf("GET /jobs = %+v", list)
 	}
+}
+
+// TestRunningIsNotPersisted pins the job record's write budget: picking a
+// job up changes only its in-memory status. While it executes, GET reports
+// it running, but its <id>.json still reads queued — a restart re-enqueues
+// queued and running records alike, so persisting "running" would protect
+// nothing.
+func TestRunningIsNotPersisted(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	state := t.TempDir()
+	s := newTestServer(t, Config{StateDir: state,
+		Execute: func(ctx context.Context, _ string, _ Spec, _ string) (json.RawMessage, error) {
+			close(started)
+			<-release
+			return json.RawMessage(`{"ok":true}`), nil
+		}})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	job, err := s.Submit(Spec{Kind: "characterize", Units: []string{shortUnit()}, Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("job never started executing")
+	}
+
+	var got Job
+	getResp, err := http.Get(ts.URL + "/jobs/" + job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeBody(t, getResp, &got)
+	if got.Status != StatusRunning {
+		t.Errorf("GET status = %q while executing, want %q", got.Status, StatusRunning)
+	}
+	data, err := os.ReadFile(filepath.Join(state, job.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var disk Job
+	if err := json.Unmarshal(data, &disk); err != nil {
+		t.Fatal(err)
+	}
+	if disk.Status != StatusQueued {
+		t.Errorf("on-disk status = %q while executing, want %q", disk.Status, StatusQueued)
+	}
+
+	close(release)
+	waitStatus(t, s, job.ID, StatusDone, 10*time.Second)
 }
 
 func TestSubmitRejectsBadSpecs(t *testing.T) {

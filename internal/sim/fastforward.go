@@ -290,7 +290,7 @@ type ffSpan struct {
 // evolving metrics are sampled per tick. Whatever the span samples is the
 // evolving set; tile then extends every other series.
 func (st *ffState) runSpan(sp *ffSpan, rng *xrand.Rand, pm *power.Model, tm *thermal.Model, timing TimingModel,
-	prof *profiler.Profiler, agg *Aggregates, totInstr, totCycles, totCacheMiss, totBranchMiss *float64) error {
+	prof *profiler.Profiler, totInstr, totCycles, totCacheMiss, totBranchMiss *float64) error {
 	for i := 1; i <= sp.k; i++ {
 		// Span tick i replays the exact tick at cycle position (i-1) mod p
 		// of the last p exact ticks, the same position in the governor's
@@ -310,11 +310,10 @@ func (st *ffState) runSpan(sp *ffSpan, rng *xrand.Rand, pm *power.Model, tm *the
 		*totCycles += in.cycles
 		*totCacheMiss += ins * sp.cachePI
 		*totBranchMiss += ins * sp.branchPI
-		agg.fold(in, memRes, th.NodeC[thermal.NodeCPU])
 
 		prof.Sample(profiler.MetricUsedMem, memRes.UsedFrac)
 		prof.Sample(profiler.MetricWorkloadMem, memRes.WorkloadFrac)
-		prof.Sample("mem.used_mb", memRes.UsedMB)
+		prof.Sample(profiler.MetricUsedMemMB, memRes.UsedMB)
 		prof.Sample("mem.workload_mb", memRes.WorkloadMB)
 		prof.Sample("mem.gpu_mb", memRes.FootprintByUse.GPUMB)
 		prof.Sample("mem.heap_mb", memRes.FootprintByUse.CPUHeapMB)
@@ -323,7 +322,7 @@ func (st *ffState) runSpan(sp *ffSpan, rng *xrand.Rand, pm *power.Model, tm *the
 		prof.Sample("cpu.total_instr", *totInstr)
 		prof.Sample("cpu.total_cycles", *totCycles)
 		prof.Sample("energy.total_j", pm.EnergyJ())
-		prof.Sample("thermal.cpu_c", th.NodeC[thermal.NodeCPU])
+		prof.Sample(profiler.MetricCPUTempC, th.NodeC[thermal.NodeCPU])
 		prof.Sample("thermal.gpu_c", th.NodeC[thermal.NodeGPU])
 		prof.Sample("thermal.soc_c", th.NodeC[thermal.NodeSoC])
 		prof.Sample("thermal.skin_c", th.SkinC)

@@ -306,17 +306,17 @@ func buildMetricNames(plat *soc.Platform) [soc.NumClusters]clusterMetricNames {
 	var names [soc.NumClusters]clusterMetricNames
 	for _, k := range soc.Clusters() {
 		n := &names[k]
-		n.ipc = clusterMetric(k, "ipc")
-		n.cacheMPKI = clusterMetric(k, "cache_mpki")
-		n.branchMPKI = clusterMetric(k, "branch_mpki")
-		n.util = clusterMetric(k, "util")
-		n.freqMHz = clusterMetric(k, "freq_mhz")
-		n.load = clusterMetric(k, "load")
-		n.activeCores = clusterMetric(k, "active_cores")
-		n.overflow = clusterMetric(k, "overflow")
-		n.topOPPFrac = clusterMetric(k, "top_opp_frac")
+		n.ipc = ClusterMetric(k, "ipc")
+		n.cacheMPKI = ClusterMetric(k, "cache_mpki")
+		n.branchMPKI = ClusterMetric(k, "branch_mpki")
+		n.util = ClusterMetric(k, "util")
+		n.freqMHz = ClusterMetric(k, "freq_mhz")
+		n.load = ClusterMetric(k, "load")
+		n.activeCores = ClusterMetric(k, "active_cores")
+		n.overflow = ClusterMetric(k, "overflow")
+		n.topOPPFrac = ClusterMetric(k, "top_opp_frac")
 		for i, lvl := range cacheLevelSlugs {
-			n.level[i] = clusterMetric(k, lvl+"_miss_per_instr")
+			n.level[i] = ClusterMetric(k, lvl+"_miss_per_instr")
 		}
 		n.core = make([]coreMetricNames, plat.Clusters[k].NumCores)
 		for c := range n.core {
@@ -368,7 +368,11 @@ func (e *Engine) Platform() *soc.Platform { return e.plat }
 func (e *Engine) Config() Config { return e.cfg }
 
 // Aggregates are whole-run summary metrics (the Figure 1 quantities plus
-// the Table IV load averages used for clustering and subsetting).
+// the Table IV load averages used for clustering and subsetting). A run
+// reads them off its finished trace: the averages are series means, the
+// peaks series maxima, and the counters the run's final totals. Fields
+// lists every number in declaration order; code that handles all of them
+// (averaging, checkpoints, fault skew) iterates that list.
 type Aggregates struct {
 	Name       string
 	RuntimeSec float64
@@ -400,40 +404,35 @@ type Aggregates struct {
 	PeakCPUTempC float64
 }
 
-// tickIn is one tick's model inputs and aggregate contributions. Every tick
-// builds one and folds it into Aggregates; fast-forwarding keeps the last
+// Fields returns a pointer to every float64 of a, array elements included,
+// in declaration order. That order is also the checkpoint wire order, so
+// adding, removing or reordering a field requires a checkpoint.Version
+// bump.
+func (a *Aggregates) Fields() []*float64 {
+	return []*float64{
+		&a.RuntimeSec, &a.InstrCount, &a.IPC, &a.CacheMPKI, &a.BranchMPKI,
+		&a.AvgCPULoad, &a.AvgGPULoad, &a.AvgShadersBusy, &a.AvgGPUBusBusy,
+		&a.AvgAIELoad, &a.AvgUsedMemFrac, &a.AvgUsedMemMB, &a.PeakUsedMemMB,
+		&a.ClusterLoad[0], &a.ClusterLoad[1], &a.ClusterLoad[2],
+		&a.AvgPowerW, &a.EnergyJ, &a.PeakCPUTempC,
+	}
+}
+
+// isPeak reports whether p points at one of a's two run maxima, which
+// averaging across runs takes the maximum of instead of the mean.
+func (a *Aggregates) isPeak(p *float64) bool {
+	return p == &a.PeakUsedMemMB || p == &a.PeakCPUTempC
+}
+
+// tickIn is one tick's model inputs. Fast-forwarding keeps the last
 // ffMaxPeriod of them and replays them across a span.
 type tickIn struct {
-	cpuLoad, gpuLoad, shadersBusy, gpuBusBusy, aieLoad float64
-	clusterLoad                                        [soc.NumClusters]float64
 	// cycles is the tick's CPU cycle count — periodic with the governor's
 	// limit cycle (utilization x frequency), so it replays exactly.
 	cycles    float64
 	footprint mem.Footprint
 	powerIn   power.Input
 	heat      [thermal.NumNodes]float64
-}
-
-// fold adds one tick's loads, memory occupancy and CPU temperature to the
-// running sums and peaks that RunContext turns into averages. Exact ticks
-// and fast-forwarded span ticks both fold through here.
-func (a *Aggregates) fold(in *tickIn, m mem.Result, cpuC float64) {
-	a.AvgCPULoad += in.cpuLoad
-	a.AvgGPULoad += in.gpuLoad
-	a.AvgShadersBusy += in.shadersBusy
-	a.AvgGPUBusBusy += in.gpuBusBusy
-	a.AvgAIELoad += in.aieLoad
-	for c := range in.clusterLoad {
-		a.ClusterLoad[c] += in.clusterLoad[c]
-	}
-	a.AvgUsedMemFrac += m.UsedFrac
-	a.AvgUsedMemMB += m.UsedMB
-	if m.UsedMB > a.PeakUsedMemMB {
-		a.PeakUsedMemMB = m.UsedMB
-	}
-	if cpuC > a.PeakCPUTempC {
-		a.PeakCPUTempC = cpuC
-	}
 }
 
 // Result is one run of one workload.
@@ -465,10 +464,11 @@ type clusterState struct {
 	miss     cpu.MissProfile
 	phaseIdx int
 
-	// The current tick's clamped utilization, achieved IPC (0 when idle)
-	// and summed misses per instruction across cache levels, computed by
-	// the tick loop's first cluster pass and sampled by its second.
-	util, ipc, missPI float64
+	// The current tick's load (frequency x utilization), clamped
+	// utilization, achieved IPC (0 when idle) and summed misses per
+	// instruction across cache levels, computed by the tick loop's first
+	// cluster pass and sampled by its second.
+	load, util, ipc, missPI float64
 }
 
 // Run executes one run of the workload. run indexes the repetition (the
@@ -556,7 +556,6 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		prevGPU                     gpu.Result
 		prevAIE                     aie.Result
 		prevIO                      mem.IOResult
-		agg                         Aggregates
 		slcPolluteIdx               = -1
 		// tasks is this run's per-tick task scratch: truncated (never
 		// reallocated once warm) at the top of every tick. Run-local, so
@@ -566,7 +565,6 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		// measure the tick's deltas for its rate window.
 		ffPrevCacheMiss, ffPrevBranchMiss float64
 	)
-	agg.Name = w.Name
 
 	for tick := 0; tick < ticks; tick++ {
 		if tick%ctxCheckTicks == 0 {
@@ -624,9 +622,8 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 				util = 1
 			}
 
-			clusterLoad := util * cs.freqHz / cs.cl.MaxFreqHz
-			in.clusterLoad[cs.kind] = clusterLoad
-			cpuLoadSum += clusterLoad * float64(cs.cl.NumCores)
+			cs.load = util * cs.freqHz / cs.cl.MaxFreqHz
+			cpuLoadSum += cs.load * float64(cs.cl.NumCores)
 
 			active := util > 1e-4
 			if active && (cs.phaseIdx != phaseIdx || tick%refreshTicks == 0) {
@@ -668,7 +665,6 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		for _, cs := range clusters {
 			nm := &e.names[cs.kind]
 			load := placement.Clusters[cs.kind]
-			clusterLoad := in.clusterLoad[cs.kind]
 			if cs.util <= 1e-4 {
 				prof.Sample(nm.ipc, 0)
 				prof.Sample(nm.cacheMPKI, 0)
@@ -682,14 +678,14 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 			}
 			prof.Sample(nm.util, cs.util)
 			prof.Sample(nm.freqMHz, cs.freqHz/1e6)
-			prof.Sample(nm.load, clusterLoad)
+			prof.Sample(nm.load, cs.load)
 			prof.Sample(nm.activeCores, float64(load.ActiveCores))
 			prof.Sample(nm.overflow, load.Overflow)
 			// Per-core views: cores within a cluster behave near
 			// identically (the paper averages them for the same reason).
 			for c := 0; c < cs.cl.NumCores; c++ {
 				cn := &nm.core[c]
-				prof.Sample(cn.load, clusterLoad)
+				prof.Sample(cn.load, cs.load)
 				prof.Sample(cn.util, cs.util)
 				prof.Sample(cn.freqMHz, cs.freqHz/1e6)
 				prof.Sample(cn.ipc, cs.ipc)
@@ -759,10 +755,7 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		in.heat[thermal.NodeSoC] = pw.AIE + pw.DRAM + pw.Storage + pw.Base
 		th := thermalModel.Step(in.heat, cfg.TickSec)
 
-		in.cpuLoad = cpuLoadSum / float64(e.plat.TotalCores())
-		in.gpuLoad, in.shadersBusy, in.gpuBusBusy, in.aieLoad = gpuRes.Load, gpuRes.ShadersBusy, gpuRes.BusBusy, aieRes.Load
-		agg.fold(&in, memRes, th.NodeC[thermal.NodeCPU])
-		prof.Sample(profiler.MetricCPULoad, in.cpuLoad)
+		prof.Sample(profiler.MetricCPULoad, cpuLoadSum/float64(e.plat.TotalCores()))
 		prof.Sample(profiler.MetricGPULoad, gpuRes.Load)
 		prof.Sample(profiler.MetricShadersBusy, gpuRes.ShadersBusy)
 		prof.Sample(profiler.MetricGPUBusBusy, gpuRes.BusBusy)
@@ -770,7 +763,7 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		prof.Sample(profiler.MetricUsedMem, memRes.UsedFrac)
 		prof.Sample(profiler.MetricWorkloadMem, memRes.WorkloadFrac)
 		prof.Sample(profiler.MetricStorageUtil, ioRes.Util)
-		prof.Sample("mem.used_mb", memRes.UsedMB)
+		prof.Sample(profiler.MetricUsedMemMB, memRes.UsedMB)
 		prof.Sample("mem.workload_mb", memRes.WorkloadMB)
 		prof.Sample("mem.gpu_mb", memRes.FootprintByUse.GPUMB)
 		prof.Sample("mem.heap_mb", memRes.FootprintByUse.CPUHeapMB)
@@ -806,7 +799,7 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		prof.Sample("power.dram_w", pw.DRAM)
 		prof.Sample("power.storage_w", pw.Storage)
 		prof.Sample("energy.total_j", powerModel.EnergyJ())
-		prof.Sample("thermal.cpu_c", th.NodeC[thermal.NodeCPU])
+		prof.Sample(profiler.MetricCPUTempC, th.NodeC[thermal.NodeCPU])
 		prof.Sample("thermal.gpu_c", th.NodeC[thermal.NodeGPU])
 		prof.Sample("thermal.soc_c", th.NodeC[thermal.NodeSoC])
 		prof.Sample("thermal.skin_c", th.SkinC)
@@ -847,7 +840,7 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 					sp := ffSpan{k: k, p: p, dt: cfg.TickSec, jitterDraws: draws, totalMemMB: e.plat.Memory.TotalMB}
 					sp.ipc, sp.cachePI, sp.branchPI = ff.rates()
 					if err := ff.runSpan(&sp, rng, powerModel, thermalModel, timingModel,
-						prof, &agg, &totInstr, &totCycles, &totCacheMiss, &totBranchMiss); err != nil {
+						prof, &totInstr, &totCycles, &totCacheMiss, &totBranchMiss); err != nil {
 						return nil, err
 					}
 					tick += k
@@ -859,28 +852,34 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 		}
 	}
 
-	n := float64(ticks)
-	agg.AvgPowerW = powerModel.AveragePowerW()
-	agg.EnergyJ = powerModel.EnergyJ()
-	agg.RuntimeSec = duration
-	agg.InstrCount = totInstr
-	agg.IPC = safeDiv(totInstr, totCycles)
-	agg.CacheMPKI = safeDiv(totCacheMiss, totInstr) * 1000
-	agg.BranchMPKI = safeDiv(totBranchMiss, totInstr) * 1000
-	agg.AvgCPULoad /= n
-	agg.AvgGPULoad /= n
-	agg.AvgShadersBusy /= n
-	agg.AvgGPUBusBusy /= n
-	agg.AvgAIELoad /= n
-	agg.AvgUsedMemFrac /= n
-	agg.AvgUsedMemMB /= n
-	for k := range agg.ClusterLoad {
-		agg.ClusterLoad[k] /= n
-	}
-
 	tr, err := prof.Trace()
 	if err != nil {
 		return nil, err
+	}
+	mean := func(metric string) float64 { return tr.MustSeries(metric).Mean() }
+	agg := Aggregates{
+		Name:           w.Name,
+		RuntimeSec:     duration,
+		InstrCount:     totInstr,
+		IPC:            safeDiv(totInstr, totCycles),
+		CacheMPKI:      safeDiv(totCacheMiss, totInstr) * 1000,
+		BranchMPKI:     safeDiv(totBranchMiss, totInstr) * 1000,
+		AvgCPULoad:     mean(profiler.MetricCPULoad),
+		AvgGPULoad:     mean(profiler.MetricGPULoad),
+		AvgShadersBusy: mean(profiler.MetricShadersBusy),
+		AvgGPUBusBusy:  mean(profiler.MetricGPUBusBusy),
+		AvgAIELoad:     mean(profiler.MetricAIELoad),
+		AvgUsedMemFrac: mean(profiler.MetricUsedMem),
+		AvgUsedMemMB:   mean(profiler.MetricUsedMemMB),
+		PeakUsedMemMB:  tr.MustSeries(profiler.MetricUsedMemMB).Max(),
+		AvgPowerW:      powerModel.AveragePowerW(),
+		EnergyJ:        powerModel.EnergyJ(),
+		PeakCPUTempC:   tr.MustSeries(profiler.MetricCPUTempC).Max(),
+	}
+	// Absent clusters sample no load series and keep a zero load.
+	//mblint:ignore ctxloop bounded over at most NumClusters CPU clusters after the tick loop; the run is complete
+	for _, cs := range clusters {
+		agg.ClusterLoad[cs.kind] = mean(e.names[cs.kind].load)
 	}
 
 	res := &Result{Workload: w.Name, Trace: tr, Agg: agg}
@@ -908,9 +907,10 @@ func (e *Engine) sampleMissProfile(cs *clusterState, cp workload.CPUPhase) cpu.M
 }
 
 // AverageResults merges per-run results (ordered by run index) into the
-// run-averaged result: traces are averaged sample-wise and aggregates are
-// folded in run order. The fold order is fixed so that parallel collection
-// paths reproduce the sequential result exactly.
+// run-averaged result: traces are averaged sample-wise, and each aggregate
+// field is summed in run order and scaled by 1/n, except the two peaks,
+// which keep the run maximum. The order is fixed so that parallel
+// collection paths reproduce the sequential result exactly.
 func AverageResults(name string, results []*Result) (*Result, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("sim: no results to average for %s", name)
@@ -929,60 +929,25 @@ func AverageResults(name string, results []*Result) (*Result, error) {
 		return nil, err
 	}
 	agg := results[0].Agg
+	fields := agg.Fields()
 	for _, r := range results[1:] {
-		agg = addAgg(agg, r.Agg)
+		for i, p := range r.Agg.Fields() {
+			switch {
+			case !agg.isPeak(fields[i]):
+				*fields[i] += *p
+			case *p > *fields[i]:
+				*fields[i] = *p
+			}
+		}
 	}
-	agg = scaleAgg(agg, 1/float64(len(results)))
+	f := 1 / float64(len(results))
+	for _, p := range fields {
+		if !agg.isPeak(p) {
+			*p *= f
+		}
+	}
 	agg.Name = name
 	return &Result{Workload: name, Trace: mean, Agg: agg}, nil
-}
-
-func addAgg(a, b Aggregates) Aggregates {
-	a.RuntimeSec += b.RuntimeSec
-	a.InstrCount += b.InstrCount
-	a.IPC += b.IPC
-	a.CacheMPKI += b.CacheMPKI
-	a.BranchMPKI += b.BranchMPKI
-	a.AvgCPULoad += b.AvgCPULoad
-	a.AvgGPULoad += b.AvgGPULoad
-	a.AvgShadersBusy += b.AvgShadersBusy
-	a.AvgGPUBusBusy += b.AvgGPUBusBusy
-	a.AvgAIELoad += b.AvgAIELoad
-	a.AvgUsedMemFrac += b.AvgUsedMemFrac
-	a.AvgUsedMemMB += b.AvgUsedMemMB
-	if b.PeakUsedMemMB > a.PeakUsedMemMB {
-		a.PeakUsedMemMB = b.PeakUsedMemMB
-	}
-	for k := range a.ClusterLoad {
-		a.ClusterLoad[k] += b.ClusterLoad[k]
-	}
-	a.AvgPowerW += b.AvgPowerW
-	a.EnergyJ += b.EnergyJ
-	if b.PeakCPUTempC > a.PeakCPUTempC {
-		a.PeakCPUTempC = b.PeakCPUTempC
-	}
-	return a
-}
-
-func scaleAgg(a Aggregates, f float64) Aggregates {
-	a.RuntimeSec *= f
-	a.InstrCount *= f
-	a.IPC *= f
-	a.CacheMPKI *= f
-	a.BranchMPKI *= f
-	a.AvgCPULoad *= f
-	a.AvgGPULoad *= f
-	a.AvgShadersBusy *= f
-	a.AvgGPUBusBusy *= f
-	a.AvgAIELoad *= f
-	a.AvgUsedMemFrac *= f
-	a.AvgUsedMemMB *= f
-	for k := range a.ClusterLoad {
-		a.ClusterLoad[k] *= f
-	}
-	a.AvgPowerW *= f
-	a.EnergyJ *= f
-	return a
 }
 
 // appendSplitDemand appends a capacity demand to dst split into schedulable
@@ -1011,7 +976,9 @@ func phaseIndexAt(w workload.Workload, t float64) int {
 	return len(w.Phases) - 1
 }
 
-func clusterMetric(k soc.ClusterKind, name string) string {
+// ClusterMetric returns the trace name of a per-cluster counter, such as
+// ClusterMetric(soc.Little, "load") = "cpu.little.load".
+func ClusterMetric(k soc.ClusterKind, name string) string {
 	return fmt.Sprintf("cpu.%s.%s", clusterSlug(k), name)
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"mobilebench/internal/aie"
@@ -414,5 +415,184 @@ func TestRunOnMidrangePlatform(t *testing.T) {
 	}
 	if flag.Agg.IPC <= res.Agg.IPC {
 		t.Fatalf("flagship IPC %.2f not above midrange %.2f", flag.Agg.IPC, res.Agg.IPC)
+	}
+}
+
+// TestAggregatesMatchTrace pins that a run's aggregates are what its trace
+// says: every load and memory average is its series' mean, the two peaks
+// are series maxima, the cumulative counters are the last samples, and a
+// cluster the platform lacks reads 0. Exact and fast-forwarded runs, on a
+// tri-cluster and a dual-cluster platform.
+func TestAggregatesMatchTrace(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		w    workload.Workload
+	}{
+		{"exact", Config{}, tinyWorkload()},
+		{"exact/gpu", Config{}, gpuWorkload()},
+		{"exact/midrange", Config{Platform: soc.Midrange750G()}, tinyWorkload()},
+		{"ff", Config{FastForward: true}, stretched(tinyWorkload(), 30)},
+		{"ff/gpu", Config{FastForward: true}, stretched(gpuWorkload(), 30)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := MustNew(tc.cfg)
+			res, err := eng.Run(tc.w, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.cfg.FastForward {
+				// The case must take a span, or it only re-tests exact ticks.
+				ex, err := MustNew(Config{}).Run(tc.w, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.Agg == res.Agg {
+					t.Fatal("fast-forwarded run equals the exact one: no span was taken")
+				}
+			}
+			a, tr := res.Agg, res.Trace
+			mean := func(m string) float64 { return tr.MustSeries(m).Mean() }
+			last := func(m string) float64 {
+				v := tr.MustSeries(m).Values
+				return v[len(v)-1]
+			}
+			for _, c := range []struct {
+				field     string
+				got, want float64
+			}{
+				{"AvgCPULoad", a.AvgCPULoad, mean(profiler.MetricCPULoad)},
+				{"AvgGPULoad", a.AvgGPULoad, mean(profiler.MetricGPULoad)},
+				{"AvgShadersBusy", a.AvgShadersBusy, mean(profiler.MetricShadersBusy)},
+				{"AvgGPUBusBusy", a.AvgGPUBusBusy, mean(profiler.MetricGPUBusBusy)},
+				{"AvgAIELoad", a.AvgAIELoad, mean(profiler.MetricAIELoad)},
+				{"AvgUsedMemFrac", a.AvgUsedMemFrac, mean(profiler.MetricUsedMem)},
+				{"AvgUsedMemMB", a.AvgUsedMemMB, mean(profiler.MetricUsedMemMB)},
+				{"PeakUsedMemMB", a.PeakUsedMemMB, tr.MustSeries(profiler.MetricUsedMemMB).Max()},
+				{"PeakCPUTempC", a.PeakCPUTempC, tr.MustSeries(profiler.MetricCPUTempC).Max()},
+				{"InstrCount", a.InstrCount, last("cpu.total_instr")},
+				{"IPC", a.IPC, last("cpu.total_instr") / last("cpu.total_cycles")},
+				{"CacheMPKI", a.CacheMPKI, last(profiler.MetricCacheMPKI)},
+				{"BranchMPKI", a.BranchMPKI, last(profiler.MetricBranchMPKI)},
+				{"EnergyJ", a.EnergyJ, last("energy.total_j")},
+			} {
+				if math.Float64bits(c.got) != math.Float64bits(c.want) {
+					t.Errorf("%s = %v, trace says %v", c.field, c.got, c.want)
+				}
+			}
+			for _, k := range soc.Clusters() {
+				want := 0.0
+				if eng.Platform().Clusters[k].NumCores > 0 {
+					want = mean(ClusterMetric(k, "load"))
+				}
+				if got := a.ClusterLoad[k]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("ClusterLoad[%v] = %v, trace says %v", k, got, want)
+				}
+			}
+		})
+	}
+}
+
+// stretched returns w with every phase lasting sec seconds, long enough
+// for fast-forwarding to take spans.
+func stretched(w workload.Workload, sec float64) workload.Workload {
+	w.Phases = append([]workload.Phase(nil), w.Phases...)
+	for i := range w.Phases {
+		w.Phases[i].Duration = sec
+	}
+	return w
+}
+
+// TestAverageResultsFields pins the run-averaging rule: every aggregate
+// except the two peaks is the run mean (summed in run order, scaled by
+// 1/n); the peaks take the maximum over runs.
+func TestAverageResultsFields(t *testing.T) {
+	tr, err := profiler.New(0.1, 0).Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(base float64) *Result {
+		return &Result{Workload: "w", Trace: tr, Agg: Aggregates{
+			Name: "run", RuntimeSec: base, InstrCount: 2 * base, IPC: 3 * base,
+			CacheMPKI: 4 * base, BranchMPKI: 5 * base, AvgCPULoad: 6 * base,
+			AvgGPULoad: 7 * base, AvgShadersBusy: 8 * base, AvgGPUBusBusy: 9 * base,
+			AvgAIELoad: 10 * base, AvgUsedMemFrac: 11 * base, AvgUsedMemMB: 12 * base,
+			PeakUsedMemMB: 13 * base, ClusterLoad: [soc.NumClusters]float64{14 * base, 15 * base, 16 * base},
+			AvgPowerW: 17 * base, EnergyJ: 18 * base, PeakCPUTempC: 19 * base,
+		}}
+	}
+	bases := []float64{0.7, 1.9, 1.1}
+	runs := []*Result{mk(bases[0]), mk(bases[1]), mk(bases[2])}
+	res, err := AverageResults("avg", runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean := func(f func(a Aggregates) float64) float64 {
+		return (f(runs[0].Agg) + f(runs[1].Agg) + f(runs[2].Agg)) * (1.0 / 3)
+	}
+	a := res.Agg
+	if a.Name != "avg" {
+		t.Errorf("Name = %q, want avg", a.Name)
+	}
+	for _, c := range []struct {
+		field     string
+		got, want float64
+	}{
+		{"RuntimeSec", a.RuntimeSec, mean(func(a Aggregates) float64 { return a.RuntimeSec })},
+		{"InstrCount", a.InstrCount, mean(func(a Aggregates) float64 { return a.InstrCount })},
+		{"IPC", a.IPC, mean(func(a Aggregates) float64 { return a.IPC })},
+		{"CacheMPKI", a.CacheMPKI, mean(func(a Aggregates) float64 { return a.CacheMPKI })},
+		{"BranchMPKI", a.BranchMPKI, mean(func(a Aggregates) float64 { return a.BranchMPKI })},
+		{"AvgCPULoad", a.AvgCPULoad, mean(func(a Aggregates) float64 { return a.AvgCPULoad })},
+		{"AvgGPULoad", a.AvgGPULoad, mean(func(a Aggregates) float64 { return a.AvgGPULoad })},
+		{"AvgShadersBusy", a.AvgShadersBusy, mean(func(a Aggregates) float64 { return a.AvgShadersBusy })},
+		{"AvgGPUBusBusy", a.AvgGPUBusBusy, mean(func(a Aggregates) float64 { return a.AvgGPUBusBusy })},
+		{"AvgAIELoad", a.AvgAIELoad, mean(func(a Aggregates) float64 { return a.AvgAIELoad })},
+		{"AvgUsedMemFrac", a.AvgUsedMemFrac, mean(func(a Aggregates) float64 { return a.AvgUsedMemFrac })},
+		{"AvgUsedMemMB", a.AvgUsedMemMB, mean(func(a Aggregates) float64 { return a.AvgUsedMemMB })},
+		{"ClusterLoad[0]", a.ClusterLoad[0], mean(func(a Aggregates) float64 { return a.ClusterLoad[0] })},
+		{"ClusterLoad[1]", a.ClusterLoad[1], mean(func(a Aggregates) float64 { return a.ClusterLoad[1] })},
+		{"ClusterLoad[2]", a.ClusterLoad[2], mean(func(a Aggregates) float64 { return a.ClusterLoad[2] })},
+		{"AvgPowerW", a.AvgPowerW, mean(func(a Aggregates) float64 { return a.AvgPowerW })},
+		{"EnergyJ", a.EnergyJ, mean(func(a Aggregates) float64 { return a.EnergyJ })},
+		{"PeakUsedMemMB", a.PeakUsedMemMB, 13 * bases[1]},
+		{"PeakCPUTempC", a.PeakCPUTempC, 19 * bases[1]},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("%s = %v, want %v", c.field, c.got, c.want)
+		}
+	}
+}
+
+// TestAggregatesFieldsComplete pins Fields against the struct: it must
+// list every float64 of Aggregates, array elements included, in
+// declaration order, or averaging, checkpoints and fault skew would skip
+// or misorder a field.
+func TestAggregatesFieldsComplete(t *testing.T) {
+	var a Aggregates
+	var want []*float64
+	v := reflect.ValueOf(&a).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Float64:
+			want = append(want, f.Addr().Interface().(*float64))
+		case reflect.Array:
+			for j := 0; j < f.Len(); j++ {
+				want = append(want, f.Index(j).Addr().Interface().(*float64))
+			}
+		case reflect.String:
+		default:
+			t.Fatalf("field %s has kind %v; Fields does not cover it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	got := a.Fields()
+	if len(got) != len(want) {
+		t.Fatalf("Fields lists %d numbers, Aggregates has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("Fields()[%d] points at the wrong field", i)
+		}
 	}
 }

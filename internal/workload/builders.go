@@ -99,17 +99,6 @@ func accessStreaming(wsMB float64) cache.AccessPattern {
 	}
 }
 
-func accessRandom(wsMB float64) cache.AccessPattern {
-	return cache.AccessPattern{
-		WorkingSetBytes:  uint64(wsMB * mb),
-		SequentialFrac:   0.05,
-		ReuseSkew:        0.1,
-		StridedFrac:      0.3,
-		HotFrac:          0.50,
-		PrefetchCoverage: 0.20,
-	}
-}
-
 func accessPointerChase(wsMB float64) cache.AccessPattern {
 	return cache.AccessPattern{
 		WorkingSetBytes: uint64(wsMB * mb),

@@ -15,9 +15,11 @@ trap 'rm -rf "$work"' EXIT
 rounds=6
 
 # "package benchmark-regexp [extra test flags]": every benchmark CI gates.
-# A SimulateWildLife run already lasts ~0.1 s, so one iteration is a sample.
+# A SimulateWildLife run lasts 25-130 ms; one run per sample left paired
+# ratios on identical code as wide as benchdiff's 15% tolerance, so each
+# sample averages five.
 benches=(
-  ". ^(BenchmarkSimulateWildLife|BenchmarkSimulateWildLifeFastForward)$ -test.benchtime=1x"
+  ". ^(BenchmarkSimulateWildLife|BenchmarkSimulateWildLifeFastForward)$ -test.benchtime=5x"
   "internal/cluster ^(BenchmarkClusterSweep|BenchmarkStreamFold)$"
   "internal/core ^BenchmarkStreamIngest$"
   "internal/cache ^BenchmarkStreamGenBatch$"
