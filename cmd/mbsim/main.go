@@ -35,7 +35,7 @@ func main() {
 	list := flag.Bool("list", false, "list available benchmarks")
 	roiWindow := flag.Float64("roi", 0, "select representative regions of interest with this window length (seconds)")
 	fastForward := flag.Bool("fast-forward", false,
-		"skip steady-state phase ticks analytically (about 4x faster; counters drift within the differential-suite tolerances)")
+		"skip steady-state phase ticks analytically (2.6x faster per run, 3.3x for a 3-run analysis; biased: IPC reads 4-11% low on every unit, cache MPKI up to 22% high)")
 	flag.Parse()
 
 	if *list {

@@ -1,14 +1,9 @@
 package sim
 
 import (
-	"fmt"
-
-	"mobilebench/internal/power"
 	"mobilebench/internal/profiler"
 	"mobilebench/internal/soc"
-	"mobilebench/internal/thermal"
 	"mobilebench/internal/workload"
-	"mobilebench/internal/xrand"
 )
 
 // Phase fast-forwarding. The tick loop's expensive work — scheduling, DVFS,
@@ -23,36 +18,32 @@ import (
 //   - Cycle tiling. Once every cluster's OPP-quantized frequency exactly
 //     reproduces the value it had p ticks earlier (p <= ffMaxPeriod) for
 //     ffCycleConfirm full cycles, the last p exact ticks are taken as one
-//     period of the steady state. The remaining span of the phase repeats
-//     them: the cheap evolving models (memory lag, power accumulation,
-//     thermal RC) step per tick with the cycle-position inputs, so
-//     frequency-driven oscillation in power and load survives the jump, and
-//     every metric the span did not sample is tiled in cycle order
-//     (trace.Series.AppendCycle) from its own series at those exact ticks.
-//   - Window-mean rates. Cumulative counters (instructions, cycles, cache
-//     and branch misses) advance at the mean per-tick rate measured over
-//     the phase's exact ticks after a warm-up of ffWarmupRefreshes refresh
-//     periods. Freezing a single tick's delta would bake one draw of the
-//     miss-sampling noise (tens of percent) into the whole span; the
-//     window mean estimates the stationary rate with noise/sqrt(draws).
+//     period of the steady state, and a span (tickState.span) repeats them:
+//     the evolving models (memory lag, and power/thermal through the tick's
+//     own powerThermal stage) step per tick on the cycle-position inputs,
+//     and every series the span does not sample is tiled in cycle order
+//     (trace.Series.AppendCycle) from its own values at those exact ticks.
+//   - Smoothed rates. Cumulative counters (instructions, cache and branch
+//     misses) advance at ratios EWMA'd over the phase's exact refresh ticks
+//     after a warm-up of ffWarmupRefreshes refresh periods, since a single
+//     tick's delta carries one draw of the miss-sampling noise (tens of
+//     percent).
 //   - Decimated refresh stops. A jump never skips more than
 //     ffSpanRefreshPeriods refresh periods: it lands just short of a
-//     refresh tick, which then executes exactly — re-sampling the
+//     refresh tick, which then executes exactly (re-sampling the
 //     cache/branch streams, re-polluting the SLC, refreshing the replay
-//     ring — before the next jump. The rate window keeps folding these
-//     fresh draws, so its estimate of the stationary rates tightens as the
-//     phase progresses instead of freezing early-phase noise.
+//     ring), so the rate estimate keeps folding fresh draws.
 //
 // The parent RNG stream is advanced in stride (xrand.SkipNorm) past the
 // per-tick demand-noise draws, so every phase after a jump sees the exact
 // noise sequence it would have seen tick-by-tick, and xrand.Split-derived
 // child streams (which never consume parent state) are unaffected.
 //
-// The exact path (Config.FastForward == false) is untouched and remains
-// byte-identical; fast-forwarded runs drift only where the skipped work
-// would have re-sampled (miss-profile refreshes, SLC pollution, texture
-// sampling, per-tick demand noise in placement), which the differential
-// suite pins with per-metric tolerances.
+// The exact path (Config.FastForward == false) is byte-identical.
+// Fast-forwarded loads, power, energy and runtime agree with it; the
+// counters drift, and not only by noise: spans skip the refresh ticks'
+// cache traffic, so IPC reads low on every unit (3.6-11.3% in
+// TestFastForwardDifferential) and cache MPKI mostly high.
 
 const (
 	// ffMaxPeriod is the longest governor limit cycle the detector tracks.
@@ -217,11 +208,6 @@ func (st *ffState) observe(tick, phaseIdx int, in *tickIn, cur ffFreqState, dIns
 	return 0
 }
 
-// rates returns the smoothed counter ratios a span advances with.
-func (st *ffState) rates() (ipc, cachePI, branchPI float64) {
-	return st.ewmaIPC, st.ewmaCachePI, st.ewmaBranchPI
-}
-
 func relDelta(a, b float64) float64 {
 	d := a - b
 	if d < 0 {
@@ -243,7 +229,7 @@ func relDelta(a, b float64) float64 {
 // 0 means the jump is not worth it.
 func spanLength(jw workload.Workload, dt float64, tick, ticks, phaseIdx int) int {
 	// Last tick of the phase: estimate from the accumulated durations, then
-	// let phaseIndexAt (the tick loop's authority) confirm, stepping down
+	// let PhaseIndex (the tick loop's lookup) confirm, stepping down
 	// over any float edge.
 	endT := 0.0
 	for i := 0; i <= phaseIdx && i < len(jw.Phases); i++ {
@@ -253,7 +239,7 @@ func spanLength(jw workload.Workload, dt float64, tick, ticks, phaseIdx int) int
 	if last > ticks-1 {
 		last = ticks - 1
 	}
-	for last > tick && phaseIndexAt(jw, (float64(last)+0.5)*dt) != phaseIdx {
+	for last > tick && jw.PhaseIndex((float64(last)+0.5)*dt) != phaseIdx {
 		last--
 	}
 	// Land just short of the next refresh stop, so the loop resumes exactly
@@ -267,71 +253,6 @@ func spanLength(jw workload.Workload, dt float64, tick, ticks, phaseIdx int) int
 		return 0
 	}
 	return k
-}
-
-// ffSpan carries everything a fast-forwarded span replays.
-type ffSpan struct {
-	k  int // span length in ticks
-	p  int // steady-state cycle period
-	dt float64
-	// jitterDraws is how many demand-noise normals the exact tick loop
-	// would draw per tick in this phase (one per task instance).
-	jitterDraws int
-	// Smoothed counter ratios (ffState.rates): per-tick instructions are
-	// cycles x ipc, misses are instructions x the per-instr rates.
-	ipc, cachePI, branchPI float64
-	totalMemMB             float64
-}
-
-// runSpan executes k fast-forwarded ticks: the parent RNG advances in
-// stride past the demand-noise draws, the cheap evolving models (memory
-// lag, power accumulation, thermal RC) step per tick with cycle-position
-// inputs, cumulative counters advance at the window-mean rate, and the
-// evolving metrics are sampled per tick. Whatever the span samples is the
-// evolving set; tile then extends every other series.
-func (st *ffState) runSpan(sp *ffSpan, rng *xrand.Rand, pm *power.Model, tm *thermal.Model, timing TimingModel,
-	prof *profiler.Profiler, totInstr, totCycles, totCacheMiss, totBranchMiss *float64) error {
-	for i := 1; i <= sp.k; i++ {
-		// Span tick i replays the exact tick at cycle position (i-1) mod p
-		// of the last p exact ticks, the same position in the governor's
-		// limit cycle.
-		in := &st.ins[(st.nExact-sp.p+(i-1)%sp.p)%ffMaxPeriod]
-
-		rng.SkipNorm(sp.jitterDraws)
-		memRes, err := timing.MemStep(in.footprint, sp.dt)
-		if err != nil {
-			return fmt.Errorf("sim: timing model in fast-forward span: %w", err)
-		}
-		pm.Step(in.powerIn)
-		th := tm.Step(in.heat, sp.dt)
-
-		ins := in.cycles * sp.ipc
-		*totInstr += ins
-		*totCycles += in.cycles
-		*totCacheMiss += ins * sp.cachePI
-		*totBranchMiss += ins * sp.branchPI
-
-		prof.Sample(profiler.MetricUsedMem, memRes.UsedFrac)
-		prof.Sample(profiler.MetricWorkloadMem, memRes.WorkloadFrac)
-		prof.Sample(profiler.MetricUsedMemMB, memRes.UsedMB)
-		prof.Sample("mem.workload_mb", memRes.WorkloadMB)
-		prof.Sample("mem.gpu_mb", memRes.FootprintByUse.GPUMB)
-		prof.Sample("mem.heap_mb", memRes.FootprintByUse.CPUHeapMB)
-		prof.Sample("mem.media_mb", memRes.FootprintByUse.MediaMB)
-		prof.Sample("mem.free_mb", sp.totalMemMB-memRes.UsedMB)
-		prof.Sample("cpu.total_instr", *totInstr)
-		prof.Sample("cpu.total_cycles", *totCycles)
-		prof.Sample("energy.total_j", pm.EnergyJ())
-		prof.Sample(profiler.MetricCPUTempC, th.NodeC[thermal.NodeCPU])
-		prof.Sample("thermal.gpu_c", th.NodeC[thermal.NodeGPU])
-		prof.Sample("thermal.soc_c", th.NodeC[thermal.NodeSoC])
-		prof.Sample("thermal.skin_c", th.SkinC)
-		prof.Sample("thermal.cpu_throttled", boolToFloat(th.Throttled[thermal.NodeCPU]))
-		prof.Sample(profiler.MetricCacheMPKI, safeDiv(*totCacheMiss, *totInstr)*1000)
-		prof.Sample(profiler.MetricBranchMPKI, safeDiv(*totBranchMiss, *totInstr)*1000)
-	}
-	st.tile(prof, sp.k, sp.p)
-	return nil
 }
 
 // tile extends every series still at its pre-span length (one sample per

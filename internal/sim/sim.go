@@ -1,15 +1,17 @@
 // Package sim is the tick-based SoC simulation engine.
 //
 // The engine executes a workload (a phase timeline) against the platform
-// models: each tick it places the phase's thread demands with the EAS
-// scheduler, lets each cluster's schedutil governor pick its frequency,
-// drives sampled memory and branch streams through the cache hierarchy and
-// branch predictor to obtain miss profiles, converts those into achieved
-// IPC with the CPU performance model, steps the GPU, AIE, memory and
-// storage models, and emits every counter into the profiler. Cross-component couplings the
-// paper highlights are explicit: GPU bus pressure inflates CPU memory stall
-// time (low IPC in graphics benchmarks), unsupported codecs bounce work from
-// the AIE back to the CPU, and storage IO burns CPU submission time.
+// models. Each tick is a fixed sequence of per-layer stages (tickState):
+// schedule places the phase's thread demands with the EAS scheduler;
+// cpuClusters lets each schedutil governor pick a frequency, drives sampled
+// memory and branch streams through the cache hierarchy and predictor and
+// turns the miss profiles into IPC; gpuSLC, aieEngine and memStorage step
+// the GPU (and its SLC pollution), AIE and memory/storage timing models;
+// powerThermal steps power and thermal; sampleSystem emits the system
+// counters into the profiler. Cross-component couplings the paper
+// highlights are explicit: GPU bus pressure inflates CPU memory stall time
+// (low IPC in graphics benchmarks), unsupported codecs bounce work from the
+// AIE back to the CPU, and storage IO burns CPU submission time.
 //
 // A run is a pure function of (configuration, workload, run index): it
 // reads no clock and knows nothing of retries. Measurement faults are
@@ -21,19 +23,10 @@ import (
 	"fmt"
 	"sync"
 
-	"mobilebench/internal/aie"
-	"mobilebench/internal/branch"
-	"mobilebench/internal/cache"
-	"mobilebench/internal/cpu"
 	"mobilebench/internal/gpu"
-	"mobilebench/internal/mem"
-	"mobilebench/internal/power"
 	"mobilebench/internal/profiler"
-	"mobilebench/internal/sched"
 	"mobilebench/internal/soc"
-	"mobilebench/internal/thermal"
 	"mobilebench/internal/workload"
-	"mobilebench/internal/xrand"
 )
 
 // Config parameterizes the engine. Every run keeps its full per-tick
@@ -55,8 +48,8 @@ type Config struct {
 	// transients) the remaining ticks are executed analytically instead of
 	// one by one, with the RNG streams advanced in stride so later phases
 	// see the exact noise sequence. Off (the default) keeps the exact,
-	// byte-identical path; on, results drift within the tolerances pinned
-	// by the differential suite (TestFastForwardDifferential).
+	// byte-identical path; on, IPC reads low on every unit and cache MPKI
+	// mostly high, within TestFastForwardDifferential's tolerances.
 	FastForward bool
 	// Deprecated: ignored; every run keeps its full trace.
 	TraceMode TraceMode
@@ -151,114 +144,6 @@ type Engine struct {
 	// the peak number of concurrent runs and never shrinks.
 	mu   sync.Mutex
 	free []*runModels
-}
-
-// runModels is the per-run model state an Engine pools: the shared L3/SLC,
-// per-cluster cache hierarchies and branch predictors, the scheduler (whose
-// core list and sort scratch are reusable but not concurrency-safe), and
-// the auxiliary GPU/AIE/memory/storage/power/thermal models (cheap to
-// reset, formerly rebuilt per run). Exactly one Run uses a runModels at a
-// time, and the pool resets it before handing it to the next.
-type runModels struct {
-	l3, slc   *cache.Cache
-	clusters  []*clusterState
-	scheduler *sched.EAS
-
-	powerM   *power.Model
-	thermalM *thermal.Model
-	gpuM     *gpu.Model
-	aieM     *aie.Model
-	timingM  TimingModel
-
-	// slcPollute is the GPU texture stream polluting the SLC. Each run
-	// re-targets it per phase; it is kept across runs so its tables are
-	// reused.
-	slcPollute *cache.StreamGen
-	// gpuBuf backs an exact run's GPU chunks (see gpuAhead), so a run's
-	// hand-over costs the same few allocations however many ticks it has.
-	gpuBuf []gpu.Result
-}
-
-// newRunModels builds a fresh model set for one run.
-func (e *Engine) newRunModels() (*runModels, error) {
-	l3 := cache.MustNew(e.plat.L3)
-	slc := cache.MustNew(e.plat.SLC)
-	clusters := make([]*clusterState, 0, int(soc.NumClusters))
-	//mblint:ignore ctxloop bounded setup over at most NumClusters CPU clusters; the tick loop is the cancellation point
-	for _, k := range soc.Clusters() {
-		cl := e.plat.Clusters[k]
-		if cl.NumCores == 0 {
-			// Platforms may omit a cluster (mid-range SoCs have no prime
-			// core); absent clusters emit no counters.
-			continue
-		}
-		h, err := cache.NewHierarchy(cl, l3, slc)
-		if err != nil {
-			return nil, err
-		}
-		clusters = append(clusters, &clusterState{
-			kind: k,
-			cl:   cl,
-			gov:  cpu.NewSchedutil(),
-			pen:  cpu.DefaultPenalties(cl),
-			hier: h,
-			pred: branch.NewTournament(14, 14),
-			// Re-targeted at every phase change; kept across runs so
-			// their Zipf tables are reused.
-			stream:   new(cache.StreamGen),
-			branches: new(branch.Stream),
-		})
-	}
-	var timing TimingModel
-	if e.cfg.Timing != nil {
-		t, err := e.cfg.Timing.NewTimingModel(e.plat.Memory, e.plat.Storage)
-		if err != nil {
-			return nil, err
-		}
-		timing = t
-	} else {
-		timing = newAnalyticTiming(e.plat.Memory, e.plat.Storage)
-	}
-	return &runModels{
-		l3: l3, slc: slc, clusters: clusters, scheduler: sched.NewEAS(e.plat),
-		powerM:   power.NewModel(power.DefaultCoefficients()),
-		thermalM: thermal.NewModel(thermal.DefaultConfig()),
-		// The GPU model's texture RNG is per-run; RunContext re-seeds it via
-		// ResetSeed before the first tick, so the placeholder stream here is
-		// never consumed.
-		gpuM:       gpu.NewModel(e.plat.GPU, e.plat.Display, xrand.New(1)),
-		aieM:       aie.NewModel(e.plat.AIE),
-		timingM:    timing,
-		slcPollute: new(cache.StreamGen),
-		gpuBuf:     make([]gpu.Result, gpuAheadDepth*gpuAheadChunk),
-	}, nil
-}
-
-// reset returns a pooled model set to its initial state: caches flushed
-// (an invalid line's stale tag/LRU words are never consulted, so a flushed
-// cache is access-for-access identical to a new one), predictor tables
-// zeroed, and all per-run cluster fields restored. A reset model therefore
-// produces bit-identical runs to a freshly constructed one.
-func (m *runModels) reset() error {
-	m.l3.Flush()
-	m.slc.Flush()
-	for _, cs := range m.clusters {
-		cs.hier.Flush()
-		cs.pred.Reset()
-		cs.freqHz = cs.cl.MinFreqHz
-		// phaseIdx -1 re-targets stream and branches before the run's
-		// first sample.
-		cs.miss = cpu.MissProfile{}
-		cs.phaseIdx = -1
-	}
-	// Auxiliary models carry only accumulators and first-order state; their
-	// Resets restore the exact just-constructed state. The GPU model is
-	// re-seeded per run by RunContext instead, because its reset needs the
-	// run's RNG stream.
-	m.powerM.Reset()
-	m.thermalM.Reset()
-	m.aieM.Reset()
-	return m.timingM.Reset()
 }
 
 // acquireModels pops a pooled model set (resetting it) or builds one.
@@ -424,17 +309,6 @@ func (a *Aggregates) isPeak(p *float64) bool {
 	return p == &a.PeakUsedMemMB || p == &a.PeakCPUTempC
 }
 
-// tickIn is one tick's model inputs. Fast-forwarding keeps the last
-// ffMaxPeriod of them and replays them across a span.
-type tickIn struct {
-	// cycles is the tick's CPU cycle count — periodic with the governor's
-	// limit cycle (utilization x frequency), so it replays exactly.
-	cycles    float64
-	footprint mem.Footprint
-	powerIn   power.Input
-	heat      [thermal.NumNodes]float64
-}
-
 // Result is one run of one workload.
 type Result struct {
 	Workload string
@@ -449,26 +323,6 @@ type Result struct {
 	// persist them, so restored runs carry none.
 	TimingNotes    []string
 	TimingDegraded bool
-}
-
-type clusterState struct {
-	kind     soc.ClusterKind
-	cl       soc.CPUCluster
-	freqHz   float64
-	gov      *cpu.Schedutil
-	pen      cpu.Penalties
-	hier     *cache.Hierarchy
-	pred     *branch.Tournament
-	stream   *cache.StreamGen
-	branches *branch.Stream
-	miss     cpu.MissProfile
-	phaseIdx int
-
-	// The current tick's load (frequency x utilization), clamped
-	// utilization, achieved IPC (0 when idle) and summed misses per
-	// instruction across cache levels, computed by the tick loop's first
-	// cluster pass and sampled by its second.
-	load, util, ipc, missPI float64
 }
 
 // Run executes one run of the workload. run indexes the repetition (the
@@ -500,410 +354,44 @@ func (e *Engine) RunContext(ctx context.Context, w workload.Workload, run int) (
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := e.cfg
-	rng := xrand.New(cfg.Seed).Split(xrand.HashString(w.Name)).Split(uint64(run) + 1)
-
-	// Jitter phase durations for this run.
-	phases := make([]workload.Phase, len(w.Phases))
-	copy(phases, w.Phases)
-	//mblint:ignore ctxloop bounded per-run setup over a handful of phases; the tick loop below is the cancellation point
-	for i := range phases {
-		phases[i].Duration = rng.Jitter(phases[i].Duration, runtimeJitterRel)
-	}
-	jw := workload.Workload{Name: w.Name, Suite: w.Suite, Target: w.Target, Phases: phases}
-
-	l3, slc := models.l3, models.slc
-	clusters := models.clusters
-	scheduler := models.scheduler
-	powerModel := models.powerM
-	thermalModel := models.thermalM
-	gpuModel := models.gpuM
-	aieModel := models.aieM
-	timingModel := models.timingM
-	// Re-seed the pooled GPU model with this run's stream; Split leaves the
-	// parent untouched, so the derivation point does not matter.
-	gpuModel.ResetSeed(rng.Split(0x91))
-
-	duration := jw.Duration()
-	ticks := int(duration / cfg.TickSec)
-	if ticks < 1 {
-		ticks = 1
-	}
-	// Every counter appends one sample per tick; pre-sizing the series from
-	// the phase-timeline tick count makes each backing array grow exactly
-	// once instead of log(ticks) times per counter.
-	prof := profiler.New(cfg.TickSec, ticks)
-	var (
-		ff    *ffState
-		ahead *gpuAhead
-	)
-	if cfg.FastForward {
-		ff = newFFState()
+	st := e.newTickState(models, w, run)
+	if e.cfg.FastForward {
+		st.ff = newFFState()
 	} else {
-		// From here on only the helper touches gpuModel; the deferred halt
-		// joins it before releaseModels hands the models to another run.
-		dt := cfg.TickSec
-		ahead = startGPUAhead(ctx, models.gpuBuf, ticks, func(tick int) gpu.Result {
-			phase, _ := jw.PhaseAt((float64(tick) + 0.5) * dt)
-			return gpuModel.Step(phase.GPU, dt)
+		// From here on only the helper touches the GPU model; the deferred
+		// halt joins it before releaseModels hands the models to another run.
+		gpuModel, jw, dt := models.gpuM, st.jw, st.dt
+		st.ahead = startGPUAhead(ctx, models.gpuBuf, st.ticks, func(tick int) gpu.Result {
+			return gpuModel.Step(jw.Phases[jw.PhaseIndex((float64(tick)+0.5)*dt)].GPU, dt)
 		})
-		defer ahead.halt()
+		defer st.ahead.halt()
 	}
-
-	var (
-		totInstr, totCycles         float64
-		totCacheMiss, totBranchMiss float64
-		prevGPU                     gpu.Result
-		prevAIE                     aie.Result
-		prevIO                      mem.IOResult
-		slcPolluteIdx               = -1
-		// tasks is this run's per-tick task scratch: truncated (never
-		// reallocated once warm) at the top of every tick. Run-local, so
-		// concurrent RunContext calls never share it.
-		tasks []sched.Task
-		// Cumulative-miss values at tick entry, so fast-forwarding can
-		// measure the tick's deltas for its rate window.
-		ffPrevCacheMiss, ffPrevBranchMiss float64
-	)
-
-	for tick := 0; tick < ticks; tick++ {
+	for tick := 0; tick < st.ticks; tick++ {
 		if tick%ctxCheckTicks == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		if ff != nil {
-			ffPrevCacheMiss, ffPrevBranchMiss = totCacheMiss, totBranchMiss
+		st.schedule(tick)
+		st.cpuClusters()
+		if err := st.gpuSLC(); err != nil {
+			return nil, err
 		}
-		t := (float64(tick) + 0.5) * cfg.TickSec
-		phase, _ := jw.PhaseAt(t)
-		phaseIdx := phaseIndexAt(jw, t)
-
-		// Build the tick's task set: workload threads plus demand bounced
-		// back from the AIE (unsupported codecs) and the storage stack.
-		tasks = tasks[:0]
-		for _, ts := range phase.CPU.Tasks {
-			for i := 0; i < ts.Count; i++ {
-				d := rng.Jitter(ts.Demand, noiseRel)
-				tasks = append(tasks, sched.Task{Demand: d, Affinity: ts.Affinity})
-			}
+		st.aieEngine()
+		if err := st.memStorage(); err != nil {
+			return nil, err
 		}
-		if prevAIE.CPUFallbackDemand > 0 {
-			tasks = appendSplitDemand(tasks, prevAIE.CPUFallbackDemand)
-		}
-		if prevIO.CPUDemand > 0 {
-			tasks = appendSplitDemand(tasks, prevIO.CPUDemand)
-		}
-		placement := scheduler.Place(tasks)
-
-		contention := cpu.Contention{
-			GPUBusLoad:       prevGPU.BusBusy,
-			MemBandwidthLoad: 0.5 * prevGPU.BusBusy,
-		}
-
-		var in tickIn
-		tickInstr := 0.0
-		cpuLoadSum := 0.0
-		cpuDRAMBytes := 0.0
-		for _, cs := range clusters {
-			load := placement.Clusters[cs.kind]
-
-			// DVFS from the utilization seen this tick.
-			cs.freqHz = cs.gov.Next(cs.cl, cs.freqHz, load.Util)
-
-			// Realized utilization grows when the governor runs the
-			// cluster below peak frequency: the same work occupies more
-			// of each second.
-			util := load.Util
-			if cs.freqHz > 0 {
-				util = load.Util * cs.cl.MaxFreqHz / cs.freqHz
-			}
-			if util > 1 {
-				util = 1
-			}
-
-			cs.load = util * cs.freqHz / cs.cl.MaxFreqHz
-			cpuLoadSum += cs.load * float64(cs.cl.NumCores)
-
-			active := util > 1e-4
-			if active && (cs.phaseIdx != phaseIdx || tick%refreshTicks == 0) {
-				if cs.phaseIdx != phaseIdx {
-					cs.stream.Reset(phase.CPU.Access,
-						uint64(cs.kind)+1, rng.Split(uint64(phaseIdx)*16+uint64(cs.kind)))
-					cs.branches.Reset(phase.CPU.Branches,
-						rng.Split(uint64(phaseIdx)*64+uint64(cs.kind)+7))
-					cs.phaseIdx = phaseIdx
-				}
-				cs.miss = e.sampleMissProfile(cs, phase.CPU)
-			}
-			cs.util, cs.ipc, cs.missPI = util, 0, 0
-			for _, mpi := range cs.miss.MissesPerInstr {
-				cs.missPI += mpi
-			}
-			if !active {
-				continue
-			}
-
-			cs.ipc = cpu.IPC(cs.cl, phase.CPU.Mix, cs.miss, cs.pen, contention)
-			duty := phase.CPU.ComputeDuty
-			cores := float64(cs.cl.NumCores)
-			cyc := util * cs.freqHz * cores * cfg.TickSec * duty
-			ins := cyc * cs.ipc
-			tickInstr += ins
-			in.cycles += cyc
-
-			totCacheMiss += cs.missPI * ins
-			totBranchMiss += cs.miss.BranchMissPerInstr * ins
-			cpuDRAMBytes += cs.miss.MissesPerInstr[3] * ins * 64
-
-			nm := &e.names[cs.kind]
-			prof.Sample(nm.ipc, cs.ipc)
-			prof.Sample(nm.cacheMPKI, cs.missPI*1000)
-			prof.Sample(nm.branchMPKI, cs.miss.BranchMissPerInstr*1000)
-		}
-		// Clusters that were idle this tick still need aligned samples.
-		for _, cs := range clusters {
-			nm := &e.names[cs.kind]
-			load := placement.Clusters[cs.kind]
-			if cs.util <= 1e-4 {
-				prof.Sample(nm.ipc, 0)
-				prof.Sample(nm.cacheMPKI, 0)
-				prof.Sample(nm.branchMPKI, 0)
-			}
-			in.powerIn.Clusters[cs.kind] = power.ClusterInput{
-				FreqHz:    cs.freqHz,
-				Util:      cs.util,
-				MaxFreqHz: cs.cl.MaxFreqHz,
-				Cores:     cs.cl.NumCores,
-			}
-			prof.Sample(nm.util, cs.util)
-			prof.Sample(nm.freqMHz, cs.freqHz/1e6)
-			prof.Sample(nm.load, cs.load)
-			prof.Sample(nm.activeCores, float64(load.ActiveCores))
-			prof.Sample(nm.overflow, load.Overflow)
-			// Per-core views: cores within a cluster behave near
-			// identically (the paper averages them for the same reason).
-			for c := 0; c < cs.cl.NumCores; c++ {
-				cn := &nm.core[c]
-				prof.Sample(cn.load, cs.load)
-				prof.Sample(cn.util, cs.util)
-				prof.Sample(cn.freqMHz, cs.freqHz/1e6)
-				prof.Sample(cn.ipc, cs.ipc)
-				prof.Sample(cn.cacheMPKI, cs.missPI*1000)
-				prof.Sample(cn.branchMPKI, cs.miss.BranchMissPerInstr*1000)
-				for i := range cn.level {
-					prof.Sample(cn.level[i], cs.miss.MissesPerInstr[i])
-				}
-			}
-			for i := range nm.level {
-				prof.Sample(nm.level[i], cs.miss.MissesPerInstr[i])
-			}
-			// DVFS residency: fraction of this tick at the top operating
-			// point (1 when pinned at max frequency).
-			top := 0.0
-			if cs.freqHz >= cs.cl.MaxFreqHz-1 {
-				top = 1
-			}
-			prof.Sample(nm.topOPPFrac, top)
-		}
-
-		totInstr += tickInstr
-		totCycles += in.cycles
-
-		var gpuRes gpu.Result
-		if ahead != nil {
-			if gpuRes, err = ahead.next(); err != nil {
+		st.powerThermal(&st.in.powerIn)
+		st.sampleSystem()
+		if st.ff != nil {
+			k, err := st.fastForward(ctx)
+			if err != nil {
 				return nil, err
 			}
-		} else {
-			gpuRes = gpuModel.Step(phase.GPU, cfg.TickSec)
-		}
-		// GPU texture traffic flows through the SoC-wide system-level
-		// cache, displacing CPU lines; this is the mechanism behind the
-		// depressed IPC of graphics-heavy benchmarks (Section V-A).
-		if phase.GPU.TextureWorkingSetMB > 0 && gpuRes.BusBusy > 0 {
-			if slcPolluteIdx != phaseIdx {
-				models.slcPollute.Reset(cache.AccessPattern{
-					WorkingSetBytes: uint64(phase.GPU.TextureWorkingSetMB * 1024 * 1024),
-					SequentialFrac:  0.6,
-					ReuseSkew:       0.4,
-				}, 23, rng.Split(uint64(phaseIdx)*131+5))
-				slcPolluteIdx = phaseIdx
-			}
-			models.slcPollute.Pollute(slc, int(gpuRes.BusBusy*float64(cfg.CacheSamples)*0.5))
-		}
-		aieRes := aieModel.Step(phase.AIE, cfg.TickSec)
-		in.footprint = phase.Mem
-		in.footprint.GPUMB += phase.GPU.TextureWorkingSetMB
-		memRes, ioRes, err := timingModel.Step(in.footprint, phase.IO, cfg.TickSec)
-		if err != nil {
-			return nil, fmt.Errorf("sim: timing model at tick %d: %w", tick, err)
-		}
-
-		prevGPU, prevAIE, prevIO = gpuRes, aieRes, ioRes
-
-		// Power and thermal extensions: observational counters only; the
-		// paper's development board never throttled.
-		in.powerIn.GPULoad = gpuRes.Load
-		in.powerIn.AIELoad = aieRes.Load
-		in.powerIn.DRAMBytes = gpuRes.BytesMoved + cpuDRAMBytes
-		in.powerIn.StorageUtil = ioRes.Util
-		in.powerIn.DTSec = cfg.TickSec
-		pw := powerModel.Step(in.powerIn)
-		in.heat[thermal.NodeCPU] = pw.CPUW()
-		in.heat[thermal.NodeGPU] = pw.GPU
-		in.heat[thermal.NodeSoC] = pw.AIE + pw.DRAM + pw.Storage + pw.Base
-		th := thermalModel.Step(in.heat, cfg.TickSec)
-
-		prof.Sample(profiler.MetricCPULoad, cpuLoadSum/float64(e.plat.TotalCores()))
-		prof.Sample(profiler.MetricGPULoad, gpuRes.Load)
-		prof.Sample(profiler.MetricShadersBusy, gpuRes.ShadersBusy)
-		prof.Sample(profiler.MetricGPUBusBusy, gpuRes.BusBusy)
-		prof.Sample(profiler.MetricAIELoad, aieRes.Load)
-		prof.Sample(profiler.MetricUsedMem, memRes.UsedFrac)
-		prof.Sample(profiler.MetricWorkloadMem, memRes.WorkloadFrac)
-		prof.Sample(profiler.MetricStorageUtil, ioRes.Util)
-		prof.Sample(profiler.MetricUsedMemMB, memRes.UsedMB)
-		prof.Sample("mem.workload_mb", memRes.WorkloadMB)
-		prof.Sample("mem.gpu_mb", memRes.FootprintByUse.GPUMB)
-		prof.Sample("mem.heap_mb", memRes.FootprintByUse.CPUHeapMB)
-		prof.Sample("mem.media_mb", memRes.FootprintByUse.MediaMB)
-		prof.Sample("gpu.util", gpuRes.Util)
-		prof.Sample("gpu.freq_mhz", gpuRes.FreqHz/1e6)
-		prof.Sample("gpu.fps", gpuRes.FPS)
-		prof.Sample("gpu.tex_miss_ratio", gpuRes.TexMissRatio)
-		prof.Sample("gpu.bus_bytes", gpuRes.BytesMoved)
-		prof.Sample("aie.util", aieRes.Util)
-		prof.Sample("aie.freq_mhz", aieRes.FreqHz/1e6)
-		prof.Sample("aie.cpu_fallback", aieRes.CPUFallbackDemand)
-		prof.Sample("storage.bytes", ioRes.BytesMoved)
-		prof.Sample("storage.read_mbps", phase.IO.SeqReadMBs+phase.IO.RandReadIOPS*4096/1e6)
-		prof.Sample("storage.write_mbps", phase.IO.SeqWriteMBs+phase.IO.RandWriteIOPS*4096/1e6)
-		prof.Sample("storage.iops", phase.IO.RandReadIOPS+phase.IO.RandWriteIOPS)
-		prof.Sample("mem.free_mb", e.plat.Memory.TotalMB-memRes.UsedMB)
-		prof.Sample("gpu.frame_time_ms", frameTimeMS(gpuRes.FPS))
-		prof.Sample("gpu.drawcall_rate", gpuRes.FPS*phase.GPU.DrawCallsPerFrame)
-		prof.Sample("slc.accesses", float64(slc.Stats().Accesses))
-		prof.Sample("slc.misses", float64(slc.Stats().Misses))
-		prof.Sample("l3.accesses", float64(l3.Stats().Accesses))
-		prof.Sample("l3.misses", float64(l3.Stats().Misses))
-		prof.Sample("cpu.total_instr", totInstr)
-		prof.Sample("cpu.total_cycles", totCycles)
-		prof.Sample("power.total_w", pw.TotalW())
-		prof.Sample("power.cpu_w", pw.CPUW())
-		prof.Sample("power.little_w", pw.Cluster[soc.Little])
-		prof.Sample("power.mid_w", pw.Cluster[soc.Mid])
-		prof.Sample("power.big_w", pw.Cluster[soc.Big])
-		prof.Sample("power.gpu_w", pw.GPU)
-		prof.Sample("power.aie_w", pw.AIE)
-		prof.Sample("power.dram_w", pw.DRAM)
-		prof.Sample("power.storage_w", pw.Storage)
-		prof.Sample("energy.total_j", powerModel.EnergyJ())
-		prof.Sample(profiler.MetricCPUTempC, th.NodeC[thermal.NodeCPU])
-		prof.Sample("thermal.gpu_c", th.NodeC[thermal.NodeGPU])
-		prof.Sample("thermal.soc_c", th.NodeC[thermal.NodeSoC])
-		prof.Sample("thermal.skin_c", th.SkinC)
-		prof.Sample("thermal.cpu_throttled", boolToFloat(th.Throttled[thermal.NodeCPU]))
-		prof.Sample(profiler.MetricInstrRate, tickInstr/cfg.TickSec)
-		if in.cycles > 0 {
-			prof.Sample(profiler.MetricIPC, tickInstr/in.cycles)
-		} else {
-			prof.Sample(profiler.MetricIPC, 0)
-		}
-		prof.Sample(profiler.MetricCacheMPKI, safeDiv(totCacheMiss, totInstr)*1000)
-		prof.Sample(profiler.MetricBranchMPKI, safeDiv(totBranchMiss, totInstr)*1000)
-
-		// Phase fast-forwarding: fold this tick's inputs and steady-state
-		// evidence, and — once the governor's
-		// limit cycle and the counter rates have proven stationary — execute
-		// the rest of the phase analytically and jump to its boundary.
-		// Cancellation is honoured around every jump, matching the tick
-		// loop's ctxCheckTicks responsiveness even when a jump covers
-		// thousands of ticks.
-		if ff != nil {
-			var snap ffFreqState
-			for _, cs := range clusters {
-				snap.cpu[cs.kind] = cs.freqHz
-			}
-			snap.gpu, snap.aie = gpuRes.FreqHz, aieRes.FreqHz
-			p := ff.observe(tick, phaseIdx, &in, snap, tickInstr,
-				totCacheMiss-ffPrevCacheMiss, totBranchMiss-ffPrevBranchMiss)
-			if p > 0 {
-				if k := spanLength(jw, cfg.TickSec, tick, ticks, phaseIdx); k > 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					draws := 0
-					for _, ts := range phase.CPU.Tasks {
-						draws += ts.Count
-					}
-					sp := ffSpan{k: k, p: p, dt: cfg.TickSec, jitterDraws: draws, totalMemMB: e.plat.Memory.TotalMB}
-					sp.ipc, sp.cachePI, sp.branchPI = ff.rates()
-					if err := ff.runSpan(&sp, rng, powerModel, thermalModel, timingModel,
-						prof, &totInstr, &totCycles, &totCacheMiss, &totBranchMiss); err != nil {
-						return nil, err
-					}
-					tick += k
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-			}
+			tick += k
 		}
 	}
-
-	tr, err := prof.Trace()
-	if err != nil {
-		return nil, err
-	}
-	mean := func(metric string) float64 { return tr.MustSeries(metric).Mean() }
-	agg := Aggregates{
-		Name:           w.Name,
-		RuntimeSec:     duration,
-		InstrCount:     totInstr,
-		IPC:            safeDiv(totInstr, totCycles),
-		CacheMPKI:      safeDiv(totCacheMiss, totInstr) * 1000,
-		BranchMPKI:     safeDiv(totBranchMiss, totInstr) * 1000,
-		AvgCPULoad:     mean(profiler.MetricCPULoad),
-		AvgGPULoad:     mean(profiler.MetricGPULoad),
-		AvgShadersBusy: mean(profiler.MetricShadersBusy),
-		AvgGPUBusBusy:  mean(profiler.MetricGPUBusBusy),
-		AvgAIELoad:     mean(profiler.MetricAIELoad),
-		AvgUsedMemFrac: mean(profiler.MetricUsedMem),
-		AvgUsedMemMB:   mean(profiler.MetricUsedMemMB),
-		PeakUsedMemMB:  tr.MustSeries(profiler.MetricUsedMemMB).Max(),
-		AvgPowerW:      powerModel.AveragePowerW(),
-		EnergyJ:        powerModel.EnergyJ(),
-		PeakCPUTempC:   tr.MustSeries(profiler.MetricCPUTempC).Max(),
-	}
-	// Absent clusters sample no load series and keep a zero load.
-	//mblint:ignore ctxloop bounded over at most NumClusters CPU clusters after the tick loop; the run is complete
-	for _, cs := range clusters {
-		agg.ClusterLoad[cs.kind] = mean(e.names[cs.kind].load)
-	}
-
-	res := &Result{Workload: w.Name, Trace: tr, Agg: agg}
-	res.TimingNotes, res.TimingDegraded = timingModel.TimingReport()
-	return res, nil
-}
-
-// sampleMissProfile refreshes a cluster's measured memory/branch behaviour
-// by driving sampled synthetic streams through the cache hierarchy and
-// branch predictor.
-func (e *Engine) sampleMissProfile(cs *clusterState, cp workload.CPUPhase) cpu.MissProfile {
-	var miss cpu.MissProfile
-	n := e.cfg.CacheSamples
-	if n > 0 && cp.Mix.LoadStoreFrac > 0 {
-		counts := cs.stream.Batch(cs.hier, n)
-		for i := 0; i < 4; i++ {
-			miss.MissesPerInstr[i] = float64(counts[i]) / float64(n) * cp.Mix.LoadStoreFrac
-		}
-	}
-	if cp.Mix.BranchFrac > 0 {
-		wrong := cs.branches.Measure(cs.pred, branchSamples)
-		miss.BranchMissPerInstr = float64(wrong) / branchSamples * cp.Mix.BranchFrac
-	}
-	return miss
+	return st.readOff()
 }
 
 // AverageResults merges per-run results (ordered by run index) into the
@@ -948,32 +436,6 @@ func AverageResults(name string, results []*Result) (*Result, error) {
 	}
 	agg.Name = name
 	return &Result{Workload: name, Trace: mean, Agg: agg}, nil
-}
-
-// appendSplitDemand appends a capacity demand to dst split into schedulable
-// task chunks no larger than a Big core. Appending into the caller's scratch
-// keeps the tick loop free of per-tick slice garbage.
-func appendSplitDemand(dst []sched.Task, total float64) []sched.Task {
-	for total > 0 {
-		d := total
-		if d > 0.9 {
-			d = 0.9
-		}
-		dst = append(dst, sched.Task{Demand: d})
-		total -= d
-	}
-	return dst
-}
-
-func phaseIndexAt(w workload.Workload, t float64) int {
-	acc := 0.0
-	for i, p := range w.Phases {
-		if t < acc+p.Duration {
-			return i
-		}
-		acc += p.Duration
-	}
-	return len(w.Phases) - 1
 }
 
 // ClusterMetric returns the trace name of a per-cluster counter, such as

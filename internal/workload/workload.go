@@ -153,18 +153,17 @@ func (w Workload) Validate() error {
 	return nil
 }
 
-// PhaseAt returns the phase active at nominal time t and the time offset
-// within it. Past the end it returns the last phase.
-func (w Workload) PhaseAt(t float64) (Phase, float64) {
+// PhaseIndex returns the index of the phase active at nominal time t.
+// Past the end it returns the last phase's.
+func (w Workload) PhaseIndex(t float64) int {
 	acc := 0.0
-	for _, p := range w.Phases {
+	for i, p := range w.Phases {
 		if t < acc+p.Duration {
-			return p, t - acc
+			return i
 		}
 		acc += p.Duration
 	}
-	last := w.Phases[len(w.Phases)-1]
-	return last, last.Duration
+	return len(w.Phases) - 1
 }
 
 // Concat builds a workload by concatenating the phases of several

@@ -130,22 +130,18 @@ func TestAntutuGPUSceneProportions(t *testing.T) {
 	}
 }
 
-func TestPhaseAt(t *testing.T) {
+func TestPhaseIndex(t *testing.T) {
 	w := Workload{Name: "t", Phases: []Phase{
 		{Name: "p1", Duration: 10, CPU: CPUPhase{}},
 		{Name: "p2", Duration: 5, CPU: CPUPhase{}},
 	}}
-	p, off := w.PhaseAt(3)
-	if p.Name != "p1" || off != 3 {
-		t.Fatalf("PhaseAt(3) = %s @ %g", p.Name, off)
-	}
-	p, _ = w.PhaseAt(12)
-	if p.Name != "p2" {
-		t.Fatalf("PhaseAt(12) = %s", p.Name)
-	}
-	p, _ = w.PhaseAt(100)
-	if p.Name != "p2" {
-		t.Fatal("past-the-end should return the last phase")
+	for _, tc := range []struct {
+		t    float64
+		want int
+	}{{3, 0}, {10, 1}, {12, 1}, {100, 1}} {
+		if got := w.PhaseIndex(tc.t); got != tc.want {
+			t.Errorf("PhaseIndex(%g) = %d, want %d (past the end is the last phase)", tc.t, got, tc.want)
+		}
 	}
 }
 
