@@ -17,17 +17,19 @@ rounds=6
 # "package benchmark-regexp [extra test flags]": every benchmark CI gates.
 # A SimulateWildLife run lasts 25-130 ms; one run per sample left paired
 # ratios on identical code as wide as benchdiff's 15% tolerance, so each
-# sample averages five. TimingModelExternal's round trip time is set by
-# the child process it spawns (57-110 us on a 2-CPU host, however many
-# round trips each sample averages), so each round takes five samples of
-# 2000 round trips, each with its own child.
+# sample averages five. The two cosim benchmarks swing by a third between
+# samples of identical code however long a sample runs (TimingModelExternal
+# 57-110 us per round trip, with the child process it spawns; InProcess
+# 20-41 ns, within one process), and six single samples per side let the
+# paired rule fire on no change, so each round takes five short samples
+# of each.
 benches=(
   ". ^(BenchmarkSimulateWildLife|BenchmarkSimulateWildLifeFastForward)$ -test.benchtime=5x"
   "internal/cluster ^(BenchmarkClusterSweep|BenchmarkStreamFold)$"
   "internal/core ^BenchmarkStreamIngest$"
   "internal/cache ^BenchmarkStreamGenBatch$"
   "internal/subset ^BenchmarkSubsetSelect$"
-  "internal/cosim ^BenchmarkTimingModelInProcess$"
+  "internal/cosim ^BenchmarkTimingModelInProcess$ -test.benchtime=10000000x -test.count=5"
   "internal/cosim ^BenchmarkTimingModelExternal$ -test.benchtime=2000x -test.count=5"
 )
 
