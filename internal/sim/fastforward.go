@@ -41,9 +41,9 @@ import (
 //
 // The exact path (Config.FastForward == false) is byte-identical.
 // Fast-forwarded loads, power, energy and runtime agree with it; the
-// counters drift, and not only by noise: spans skip the refresh ticks'
-// cache traffic, so IPC reads low on every unit (3.6-11.3% in
-// TestFastForwardDifferential) and cache MPKI mostly high.
+// counter rates carry a systematic bias, partly from the rate window's
+// weight on cold-cache refreshes: IPC reads low on every unit (3.6-11.3%
+// in TestFastForwardDifferential) and cache MPKI mostly high.
 
 const (
 	// ffMaxPeriod is the longest governor limit cycle the detector tracks.
