@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkStreamGenBatch measures the sampled memory path of one sim
-// tick on its own: one Batch of 1500 accesses (the simulator's default
-// CacheSamples) from a fixed mixed pattern through a Big-core hierarchy
+// tick on its own: one Batch of 1500 accesses (the simulator's
+// cacheSamples) from a fixed mixed pattern through a Big-core hierarchy
 // of the Snapdragon 888, warm from earlier iterations.
 func BenchmarkStreamGenBatch(b *testing.B) {
 	p := soc.Snapdragon888HDK()

@@ -45,14 +45,14 @@ func collectFingerprint(cfg sim.Config, inj *fault.Injector, runs int, units []w
 func collectCanonical(cfg sim.Config, inj *fault.Injector, runs int, units []workload.Workload, pol Resilience) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mbckpt-v1|runs=%d", runs)
-	// branch/refresh/rjit/noise are the engine's sampling and noise
-	// constants, written as literals so every fingerprint already on disk
-	// still verifies. They must track the constants in internal/sim: a
-	// new value there changes what runs produce. gov/throttle are
+	// tick/cache/branch/refresh/rjit/noise are the engine's sampling and
+	// noise constants, written as literals so every fingerprint already on
+	// disk still verifies. They must track the constants in internal/sim:
+	// a new value there changes what runs produce. gov/throttle are
 	// literals for the same reason: the engine simulates one machine,
 	// schedutil and never throttling, and these are its pre-image bytes.
-	fmt.Fprintf(&b, "|seed=%d|tick=%g|cache=%d|branch=2000|refresh=5|rjit=0.01|noise=0.03|gov=\"\"|throttle=false",
-		cfg.Seed, cfg.TickSec, cfg.CacheSamples)
+	fmt.Fprintf(&b, "|seed=%d|tick=0.1|cache=1500|branch=2000|refresh=5|rjit=0.01|noise=0.03|gov=\"\"|throttle=false",
+		cfg.Seed)
 	// Appended only when non-default so every fingerprint minted before
 	// these options existed still verifies.
 	if cfg.FastForward {

@@ -370,8 +370,6 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"negative runs", Options{Runs: -1}, "Runs"},
 		{"negative workers", Options{Workers: -2}, "Workers"},
-		{"nan tick", Options{Sim: sim.Config{TickSec: math.NaN()}}, "Sim.TickSec"},
-		{"negative tick", Options{Sim: sim.Config{TickSec: -0.1}}, "Sim.TickSec"},
 		{"negative retries", Options{Resilience: Resilience{MaxRetries: -1}}, "Resilience.MaxRetries"},
 		{"negative timeout", Options{Resilience: Resilience{RunTimeout: -time.Second}}, "Resilience.RunTimeout"},
 		{"minruns above runs", Options{Runs: 2, Resilience: Resilience{MinRuns: 3}}, "Resilience.MinRuns"},

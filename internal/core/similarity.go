@@ -87,11 +87,6 @@ func (d *Dataset) Figure5() (Clustering, *cluster.Dendrogram, error) {
 	return c, den, nil
 }
 
-// Figure6 returns the K-means clustering at k=5.
-func (d *Dataset) Figure6() (Clustering, error) {
-	return d.ClusterWith(cluster.NewKMeans(), 5)
-}
-
 // AgreementAcrossAlgorithms reports whether all three algorithms produce
 // the identical grouping at k (the paper's validation that "all three
 // algorithms group the sub-benchmarks identically").

@@ -55,7 +55,7 @@ func TestAntutuSegmentsClusterTogether(t *testing.T) {
 	// Paper: "All of Antutu's segments are grouped in the same cluster
 	// except Antutu GPU."
 	d := dataset(t)
-	fig6, err := d.Figure6()
+	fig6, err := d.ClusterWith(cluster.NewKMeans(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestClusterWithUnknownAlgorithm(t *testing.T) {
 
 func TestGroupHelpers(t *testing.T) {
 	d := dataset(t)
-	fig6, err := d.Figure6()
+	fig6, err := d.ClusterWith(cluster.NewKMeans(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestGroupHelpers(t *testing.T) {
 func TestSilhouetteAtFiveReasonable(t *testing.T) {
 	d := dataset(t)
 	rows := d.NormalizedFeatures()
-	fig6, _ := d.Figure6()
+	fig6, _ := d.ClusterWith(cluster.NewKMeans(), 5)
 	s := cluster.Silhouette(rows, fig6.Assign)
 	if s < 0.3 {
 		t.Fatalf("silhouette at k=5 is %.3f; the 5-cluster structure should be meaningful", s)

@@ -3,14 +3,12 @@
 // into a surprising default.
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // OptionError reports one invalid collection option.
 type OptionError struct {
-	// Field names the offending option (e.g. "Runs", "Sim.TickSec").
+	// Field names the offending option (e.g. "Runs",
+	// "Resilience.MinRuns").
 	Field string
 	// Value is the rejected value.
 	Value any
@@ -24,19 +22,16 @@ func (e *OptionError) Error() string {
 }
 
 // Validate checks the options before any simulation starts. Zero values
-// remain "use the default" (Runs 0 → 3, Workers 0 → all cores, TickSec 0 →
-// 0.1 s); explicitly out-of-range values — negative counts, non-finite or
-// negative intervals, duplicate unit names, a MinRuns above Runs — return
-// a *OptionError instead of being silently defaulted.
+// remain "use the default" (Runs 0 → 3, Workers 0 → all cores);
+// explicitly out-of-range values — negative counts or durations, duplicate
+// unit names, a MinRuns above Runs — return a *OptionError instead of
+// being silently defaulted.
 func (o Options) Validate() error {
 	if o.Runs < 0 {
 		return &OptionError{"Runs", o.Runs, "must be >= 0 (0 selects the default of 3)"}
 	}
 	if o.Workers < 0 {
 		return &OptionError{"Workers", o.Workers, "must be >= 0 (0 selects one worker per CPU)"}
-	}
-	if t := o.Sim.TickSec; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return &OptionError{"Sim.TickSec", t, "must be a finite value >= 0 (0 selects the default of 0.1 s)"}
 	}
 	r := o.Resilience
 	if r.MaxRetries < 0 {

@@ -9,6 +9,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"mobilebench/internal/cluster"
 	"mobilebench/internal/core"
@@ -62,6 +63,13 @@ func (sp Spec) Validate() error {
 		if sp.K < 0 {
 			return fmt.Errorf("server: k must be >= 0")
 		}
+		units := len(sp.Units)
+		if units == 0 {
+			units = len(workload.AnalysisUnits())
+		}
+		if k := sp.clusterK(); k > units {
+			return fmt.Errorf("server: k=%d exceeds the %d units to cluster", k, units)
+		}
 		if sp.Algorithm != "" {
 			if _, err := cluster.ByName(sp.Algorithm); err != nil {
 				return fmt.Errorf("server: %w", err)
@@ -82,8 +90,10 @@ func (sp Spec) Validate() error {
 	default:
 		return fmt.Errorf("server: unknown job kind %q (want characterize, cluster, subset or streamreport)", sp.Kind)
 	}
-	if sp.TimeoutSec < 0 {
-		return fmt.Errorf("server: timeout_sec must be >= 0")
+	// A deadline of 2^63 ns or more overflows time.Duration into one
+	// already past.
+	if sp.TimeoutSec < 0 || sp.TimeoutSec*float64(time.Second) >= 1<<63 {
+		return fmt.Errorf("server: timeout_sec must be >= 0 and below 2^63 ns (about 292 years)")
 	}
 	// CacheKey and the collection apply the same checks later: failing
 	// here makes a 400 of a job that could only fail in the queue.
@@ -92,6 +102,14 @@ func (sp Spec) Validate() error {
 		return fmt.Errorf("server: %w", err)
 	}
 	return opts.Validate()
+}
+
+// clusterK is the "cluster" kind's cluster count: K, or 5 when unset.
+func (sp Spec) clusterK() int {
+	if sp.K == 0 {
+		return 5
+	}
+	return sp.K
 }
 
 // characterizeResult is the "characterize" kind's output.
@@ -183,10 +201,7 @@ func (sp Spec) CacheKey(timingFingerprint string) (string, error) {
 	// spellings address the same entry.
 	k, alg := 0, ""
 	if sp.Kind == "cluster" {
-		k = sp.K
-		if k == 0 {
-			k = 5
-		}
+		k = sp.clusterK()
 		alg = sp.Algorithm
 		if alg == "" {
 			alg = "kmeans"
@@ -289,10 +304,6 @@ func ExecuteSpecWith(ctx context.Context, sp Spec, checkpointPath string, eo Exe
 		}
 		result = res
 	case "cluster":
-		k := sp.K
-		if k == 0 {
-			k = 5
-		}
 		name := sp.Algorithm
 		if name == "" {
 			name = "kmeans"
@@ -301,7 +312,7 @@ func ExecuteSpecWith(ctx context.Context, sp Spec, checkpointPath string, eo Exe
 		if err != nil {
 			return nil, err
 		}
-		c, err := ds.ClusterWith(alg, k)
+		c, err := ds.ClusterWith(alg, sp.clusterK())
 		if err != nil {
 			return nil, err
 		}

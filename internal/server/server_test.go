@@ -196,6 +196,12 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		// too, not accept a job that can only fail in the queue.
 		{Kind: "characterize", Runs: 2, MinRuns: 3},
 		{Kind: "characterize", Units: []string{"GFXBench Special", "GFXBench Special"}},
+		// More clusters than units: k=19 over the 18 default units, and
+		// the default k=5 over two named units.
+		{Kind: "cluster", K: 19},
+		{Kind: "cluster", Units: []string{"GFXBench Special", "PCMark Storage"}},
+		// 1e10 s overflows time.Duration into a deadline already past.
+		{Kind: "characterize", TimeoutSec: 1e10},
 	} {
 		resp := submit(t, ts, spec)
 		resp.Body.Close()

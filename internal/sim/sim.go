@@ -30,16 +30,13 @@ import (
 )
 
 // Config parameterizes the engine. Every run keeps its full per-tick
-// counter trace (Result.Trace); no option trades it away.
+// counter trace (Result.Trace); no option trades it away. The tick length
+// and the sampling budgets are constants (tickSec, cacheSamples,
+// branchSamples), not options.
 type Config struct {
 	// Platform is the hardware description; nil selects the Snapdragon
 	// 888 HDK.
 	Platform *soc.Platform
-	// TickSec is the simulation step and profiler sampling interval.
-	TickSec float64
-	// CacheSamples is how many memory accesses are sampled per cluster per
-	// miss-profile refresh.
-	CacheSamples int
 	// Seed is the root seed; every (workload, run) pair derives an
 	// independent stream from it.
 	Seed uint64
@@ -75,6 +72,14 @@ const (
 // Sampling and noise constants every run uses. The checkpoint fingerprint
 // in internal/core writes their values as literals; change both together.
 const (
+	// tickSec is the simulation step and profiler sampling interval. It
+	// reaches the tick only through the typed tickState.dt: Go folds
+	// untyped constant arithmetic exactly (3*tickSec is 0.3), where the
+	// run computes in float64 (0.30000000000000004).
+	tickSec = 0.1
+	// cacheSamples is how many memory accesses are sampled per cluster per
+	// miss-profile refresh.
+	cacheSamples = 1500
 	// branchSamples is how many branches are sampled per cluster per
 	// refresh.
 	branchSamples = 2000
@@ -91,10 +96,8 @@ const (
 // DefaultConfig returns the configuration used throughout the repository.
 func DefaultConfig() Config {
 	return Config{
-		Platform:     soc.Snapdragon888HDK(),
-		TickSec:      0.1,
-		CacheSamples: 1500,
-		Seed:         888,
+		Platform: soc.Snapdragon888HDK(),
+		Seed:     888,
 	}
 }
 
@@ -103,12 +106,6 @@ func (c Config) normalize() Config {
 	d := DefaultConfig()
 	if c.Platform == nil {
 		c.Platform = d.Platform
-	}
-	if c.TickSec <= 0 {
-		c.TickSec = d.TickSec
-	}
-	if c.CacheSamples <= 0 {
-		c.CacheSamples = d.CacheSamples
 	}
 	if c.Seed == 0 {
 		c.Seed = d.Seed

@@ -240,7 +240,7 @@ func TestRunRejectsInvalidWorkload(t *testing.T) {
 func TestConfigNormalize(t *testing.T) {
 	eng := MustNew(Config{})
 	cfg := eng.Config()
-	if cfg.TickSec != 0.1 || cfg.Seed != 888 || cfg.Platform == nil {
+	if cfg.Seed != 888 || cfg.Platform == nil {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	if eng.Platform().Name == "" {

@@ -216,10 +216,11 @@ func (e *Engine) newTickState(m *runModels, w workload.Workload, run int) *tickS
 	}
 	jw := workload.Workload{Name: w.Name, Suite: w.Suite, Target: w.Target, Phases: phases}
 	m.gpuM.ResetSeed(rng.Split(0x91)) // Split leaves the parent untouched
-	ticks := max(int(jw.Duration()/e.cfg.TickSec), 1)
+	dt := float64(tickSec)
+	ticks := max(int(jw.Duration()/dt), 1)
 	// Series pre-sized to the tick count grow exactly once.
-	return &tickState{e: e, m: m, rng: rng, prof: profiler.New(e.cfg.TickSec, ticks),
-		jw: jw, dt: e.cfg.TickSec, ticks: ticks, slcPolluteIdx: -1}
+	return &tickState{e: e, m: m, rng: rng, prof: profiler.New(dt, ticks),
+		jw: jw, dt: dt, ticks: ticks, slcPolluteIdx: -1}
 }
 
 // schedule enters tick: it looks up the tick's phase, builds the task set
@@ -284,7 +285,7 @@ func (st *tickState) cpuClusters() {
 					st.rng.Split(uint64(st.phaseIdx)*64+uint64(cs.kind)+7))
 				cs.phaseIdx = st.phaseIdx
 			}
-			cs.miss = e.sampleMissProfile(cs, phase.CPU)
+			cs.miss = sampleMissProfile(cs, phase.CPU)
 		}
 		cs.util, cs.ipc, cs.missPI = util, 0, 0
 		for _, mpi := range cs.miss.MissesPerInstr {
@@ -353,13 +354,12 @@ func (st *tickState) cpuClusters() {
 // sampleMissProfile refreshes a cluster's measured memory/branch behaviour
 // by driving sampled synthetic streams through the cache hierarchy and
 // branch predictor.
-func (e *Engine) sampleMissProfile(cs *clusterState, cp workload.CPUPhase) cpu.MissProfile {
+func sampleMissProfile(cs *clusterState, cp workload.CPUPhase) cpu.MissProfile {
 	var miss cpu.MissProfile
-	n := e.cfg.CacheSamples
-	if n > 0 && cp.Mix.LoadStoreFrac > 0 {
-		counts := cs.stream.Batch(cs.hier, n)
+	if cp.Mix.LoadStoreFrac > 0 {
+		counts := cs.stream.Batch(cs.hier, cacheSamples)
 		for i := 0; i < 4; i++ {
-			miss.MissesPerInstr[i] = float64(counts[i]) / float64(n) * cp.Mix.LoadStoreFrac
+			miss.MissesPerInstr[i] = float64(counts[i]) / cacheSamples * cp.Mix.LoadStoreFrac
 		}
 	}
 	if cp.Mix.BranchFrac > 0 {
@@ -394,7 +394,7 @@ func (st *tickState) gpuSLC() error {
 			}, 23, st.rng.Split(uint64(st.phaseIdx)*131+5))
 			st.slcPolluteIdx = st.phaseIdx
 		}
-		st.m.slcPollute.Pollute(st.m.slc, int(st.gpuRes.BusBusy*float64(st.e.cfg.CacheSamples)*0.5))
+		st.m.slcPollute.Pollute(st.m.slc, int(st.gpuRes.BusBusy*cacheSamples*0.5))
 	}
 	st.in.powerIn.GPULoad = st.gpuRes.Load
 	st.in.powerIn.DRAMBytes += st.gpuRes.BytesMoved

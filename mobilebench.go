@@ -178,8 +178,6 @@ type Options struct {
 	Runs int
 	// Seed overrides the simulation seed (default 888).
 	Seed uint64
-	// TickSec overrides the sampling interval (default 0.1 s).
-	TickSec float64
 	// Units overrides the benchmark set (default: the 18 analysis units).
 	Units []Workload
 	// Workers bounds the parallelism of the simulation fan-out and the
@@ -249,7 +247,6 @@ func CharacterizeContext(ctx context.Context, opts Options) (*Characterization, 
 		Sim: sim.Config{
 			Platform:    opts.Platform,
 			Seed:        opts.Seed,
-			TickSec:     opts.TickSec,
 			FastForward: opts.FastForward,
 		},
 		Runs:    opts.Runs,

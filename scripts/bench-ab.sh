@@ -22,10 +22,13 @@ rounds=6
 # 57-110 us per round trip, with the child process it spawns; InProcess
 # 20-41 ns, within one process), and six single samples per side let the
 # paired rule fire on no change, so each round takes five short samples
-# of each.
+# of each. StreamFold (4-6 ms per fold) read paired x1.150 5/6 slower on
+# identical code, one round short of the rule, so it takes five samples
+# of 40 folds per round, about as long as one default 1 s sample.
 benches=(
   ". ^(BenchmarkSimulateWildLife|BenchmarkSimulateWildLifeFastForward)$ -test.benchtime=5x"
-  "internal/cluster ^(BenchmarkClusterSweep|BenchmarkStreamFold)$"
+  "internal/cluster ^BenchmarkClusterSweep$"
+  "internal/cluster ^BenchmarkStreamFold$ -test.benchtime=40x -test.count=5"
   "internal/core ^BenchmarkStreamIngest$"
   "internal/cache ^BenchmarkStreamGenBatch$"
   "internal/subset ^BenchmarkSubsetSelect$"
