@@ -21,79 +21,71 @@ import (
 	"mobilebench/internal/workload"
 )
 
-// collectFingerprint binds a checkpoint to everything that shapes per-run
-// results: the run count, the unit list, the simulator configuration
-// (seed, sampling, platform), the fault injector and the retry knobs that
-// decide which attempt of a faulted run finally lands (MaxRetries,
-// RunTimeout). Assembly-only knobs (MinRuns, FailFast, backoff pacing)
-// are deliberately excluded: they do not alter what a completed (unit,
-// run) measured, so restored records stay exact under them. Injectors
-// built with fault.NewFunc (the test seam) hash as their zero Config;
-// tests resuming across processes must install an equivalent plan
-// function themselves.
-func collectFingerprint(cfg sim.Config, inj *fault.Injector, runs int, units []workload.Workload, pol Resilience) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(collectCanonical(cfg, inj, runs, units, pol)))
-	return h.Sum64()
+// collection is Options resolved once, every default filled in: what
+// CollectContext runs, and what canonical names.
+type collection struct {
+	sim   sim.Config
+	runs  int
+	units []workload.Workload
+	fault *fault.Injector
+	pol   Resilience
 }
 
-// collectCanonical renders the fingerprint's canonical pre-image — the
-// exact byte stream collectFingerprint hashes. Exposed (via
-// Options.CheckpointCanonical) so callers needing a wider digest than the
-// u64 snapshot fingerprint can hash the full string instead of folding an
-// already-64-bit value.
-func collectCanonical(cfg sim.Config, inj *fault.Injector, runs int, units []workload.Workload, pol Resilience) string {
+// resolve validates the options and fills in their defaults, building
+// no engine.
+func (o Options) resolve() (*collection, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	cfg, err := o.Sim.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	return &collection{sim: cfg, runs: o.runCount(), units: o.CollectUnits(), fault: o.Fault, pol: o.Resilience}, nil
+}
+
+// canonical renders the checkpoint fingerprint's pre-image. It binds a
+// checkpoint to everything that shapes per-run results: the run count,
+// the simulator's segment (sim.Config.WriteCanonical: seed, sampling
+// constants, platform), the fault injector, the retry knobs that decide
+// which attempt of a faulted run finally lands (MaxRetries, RunTimeout)
+// and the unit list. Assembly-only knobs (MinRuns, FailFast, backoff
+// pacing) are deliberately excluded: they do not alter what a completed
+// (unit, run) measured, so restored records stay exact under them.
+// Injectors built with fault.NewFunc (the test seam) hash as their zero
+// Config; tests resuming across processes must install an equivalent
+// plan function themselves.
+func (c *collection) canonical() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "mbckpt-v1|runs=%d", runs)
-	// tick/cache/branch/refresh/rjit/noise are the engine's sampling and
-	// noise constants, written as literals so every fingerprint already on
-	// disk still verifies. They must track the constants in internal/sim:
-	// a new value there changes what runs produce. gov/throttle are
-	// literals for the same reason: the engine simulates one machine,
-	// schedutil and never throttling, and these are its pre-image bytes.
-	fmt.Fprintf(&b, "|seed=%d|tick=0.1|cache=1500|branch=2000|refresh=5|rjit=0.01|noise=0.03|gov=\"\"|throttle=false",
-		cfg.Seed)
-	// Appended only when non-default so every fingerprint minted before
-	// these options existed still verifies.
-	if cfg.FastForward {
-		fmt.Fprintf(&b, "|ff=true")
+	fmt.Fprintf(&b, "mbckpt-v1|runs=%d", c.runs)
+	c.sim.WriteCanonical(&b)
+	if c.fault != nil {
+		fmt.Fprintf(&b, "|fault=%+v", c.fault.Config())
 	}
-	// A timing backend joins the fingerprint only when its replies can
-	// differ from the in-process analytic models (Fingerprint() != ""):
-	// snapshots from an exact backend (cmd/mbtiming -model analytic) stay
-	// interchangeable with in-process ones — they hold the same bytes —
-	// while e.g. a queued-DRAM backend's snapshots never silently resume a
-	// collection that would finish with different numbers.
-	if tp := cfg.Timing; tp != nil {
-		if id := tp.Fingerprint(); id != "" {
-			fmt.Fprintf(&b, "|timing=%q", id)
-		}
-	}
-	// The platform digest covers every cluster/GPU/AIE/memory parameter;
-	// %+v renders structs field by field and maps in sorted key order, so
-	// the rendering is deterministic for a given binary.
-	fmt.Fprintf(&b, "|plat=%+v", cfg.Platform)
-	if inj != nil {
-		fmt.Fprintf(&b, "|fault=%+v", inj.Config())
-	}
-	fmt.Fprintf(&b, "|retries=%d|runtimeout=%d", pol.MaxRetries, int64(pol.RunTimeout))
-	for _, u := range units {
+	fmt.Fprintf(&b, "|retries=%d|runtimeout=%d", c.pol.MaxRetries, int64(c.pol.RunTimeout))
+	for _, u := range c.units {
 		fmt.Fprintf(&b, "|u=%q", u.Name)
 	}
 	return b.String()
+}
+
+// fingerprint is the u64 every checkpoint record carries: FNV-64a of
+// canonical.
+func (c *collection) fingerprint() uint64 {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(c.canonical()))
+	return h.Sum64()
 }
 
 // CheckpointFingerprint returns the fingerprint a checkpoint written for
 // these options carries — the value Load verifies before restoring a
 // single record. Exposed for tooling and tests that inspect snapshots.
 func (o Options) CheckpointFingerprint() (uint64, error) {
-	canon, err := o.CheckpointCanonical()
+	c, err := o.resolve()
 	if err != nil {
 		return 0, err
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(canon))
-	return h.Sum64(), nil
+	return c.fingerprint(), nil
 }
 
 // CheckpointCanonical returns the canonical options string the checkpoint
@@ -102,22 +94,11 @@ func (o Options) CheckpointFingerprint() (uint64, error) {
 // server's content-addressed cache key) hash this string with a wide
 // cryptographic digest instead of folding the 64-bit fingerprint.
 func (o Options) CheckpointCanonical() (string, error) {
-	if err := o.Validate(); err != nil {
-		return "", err
-	}
-	runs := o.Runs
-	if runs <= 0 {
-		runs = 3
-	}
-	units := o.Units
-	if units == nil {
-		units = workload.AnalysisUnits()
-	}
-	eng, err := sim.New(o.Sim)
+	c, err := o.resolve()
 	if err != nil {
 		return "", err
 	}
-	return collectCanonical(eng.Config(), o.Fault, runs, units, o.Resilience), nil
+	return c.canonical(), nil
 }
 
 // collectCheckpoint is the per-collection checkpoint state: the records

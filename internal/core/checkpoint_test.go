@@ -15,6 +15,7 @@ import (
 	"mobilebench/internal/checkpoint"
 	"mobilebench/internal/fault"
 	"mobilebench/internal/sim"
+	"mobilebench/internal/soc"
 )
 
 // collectOrFatal is the common "this collection must succeed" helper.
@@ -377,10 +378,25 @@ func TestCheckpointFingerprintSensitivity(t *testing.T) {
 	o = base
 	o.Sim.FastForward = true
 	differs["fast-forward"] = o
+	o = base
+	o.Sim.Platform = soc.Midrange750G()
+	differs["platform"] = o
+	o = base
+	o.Resilience.RunTimeout = time.Second
+	differs["run timeout"] = o
 	for what, opt := range differs {
 		if fp(opt) == got {
 			t.Errorf("changing %s did not change the fingerprint", what)
 		}
+	}
+
+	// The platform is validated where it is resolved, so an invalid one
+	// fails the pre-image, not only the collection.
+	bad := base
+	bad.Sim.Platform = soc.Snapdragon888HDK()
+	bad.Sim.Platform.GPU.NumShaders = 0
+	if _, err := bad.CheckpointCanonical(); err == nil {
+		t.Error("CheckpointCanonical accepted an invalid platform")
 	}
 
 	// Assembly-only knobs leave per-run results untouched, so snapshots stay

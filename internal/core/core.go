@@ -63,6 +63,24 @@ type Options struct {
 	Resume bool
 }
 
+// runCount is the number of runs a collection averages per unit: Runs,
+// or 3 when unset.
+func (o Options) runCount() int {
+	if o.Runs <= 0 {
+		return 3
+	}
+	return o.Runs
+}
+
+// CollectUnits returns the units a collection with these options
+// simulates: Units, or the 18 analysis units when Units is nil.
+func (o Options) CollectUnits() []workload.Workload {
+	if o.Units == nil {
+		return workload.AnalysisUnits()
+	}
+	return o.Units
+}
+
 // Unit is one characterized benchmark.
 type Unit struct {
 	Workload workload.Workload
@@ -86,9 +104,6 @@ type Dataset struct {
 	// went: attempts, retries, outlier re-runs, repaired samples and
 	// dropped runs. Empty on hand-built datasets.
 	Provenance []UnitProvenance
-	// index maps unit name to Units offset (nil on hand-built datasets,
-	// which fall back to a linear scan).
-	index map[string]int
 }
 
 // ProvenanceOf returns the named unit's collection record; ok is false on
@@ -135,28 +150,19 @@ func Collect(opts Options) (*Dataset, error) {
 // aggregated into a *CollectError (set Resilience.FailFast to abort on
 // the first failure instead).
 func CollectContext(ctx context.Context, opts Options) (*Dataset, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	runs := opts.Runs
-	if runs <= 0 {
-		runs = 3
-	}
-	units := opts.Units
-	if units == nil {
-		units = workload.AnalysisUnits()
-	}
-	eng, err := sim.New(opts.Sim)
+	c, err := opts.resolve()
 	if err != nil {
 		return nil, err
 	}
-	pol := opts.Resilience
-	ds := &Dataset{Runs: runs, Workers: opts.Workers}
+	eng, err := sim.New(c.sim)
+	if err != nil {
+		return nil, err
+	}
+	ds := &Dataset{Runs: c.runs, Workers: opts.Workers}
 
 	var ckpt *collectCheckpoint
 	if opts.Checkpoint != "" {
-		fp := collectFingerprint(eng.Config(), opts.Fault, runs, units, pol)
-		if ckpt, err = openCollectCheckpoint(opts.Checkpoint, opts.Resume, fp); err != nil {
+		if ckpt, err = openCollectCheckpoint(opts.Checkpoint, opts.Resume, c.fingerprint()); err != nil {
 			return nil, err
 		}
 		defer ckpt.close()
@@ -167,30 +173,30 @@ func CollectContext(ctx context.Context, opts Options) (*Dataset, error) {
 	// are far from uniform: one exact GFXBench High run is about a third of
 	// a one-run collection, so with Runs: 1 that single job bounds the tail
 	// whatever the worker count.
-	states := make([][]*runState, len(units))
+	states := make([][]*runState, len(c.units))
 	for i := range states {
-		states[i] = make([]*runState, runs)
+		states[i] = make([]*runState, c.runs)
 		for r := range states[i] {
 			states[i][r] = &runState{prov: RunProvenance{Run: r}}
 		}
 	}
-	err = par.ForEach(ctx, opts.Workers, len(units)*runs, func(ctx context.Context, j int) error {
-		ui, r := j/runs, j%runs
+	err = par.ForEach(ctx, opts.Workers, len(c.units)*c.runs, func(ctx context.Context, j int) error {
+		ui, r := j/c.runs, j%c.runs
 		st := states[ui][r]
-		if ckpt.restore(units[ui].Name, r, st) {
+		if ckpt.restore(c.units[ui].Name, r, st) {
 			return nil
 		}
-		if err := collectRun(ctx, eng, opts.Fault, units[ui], r, pol, st); err != nil {
+		if err := c.collectRun(ctx, eng, c.units[ui], r, st); err != nil {
 			return err
 		}
-		return ckpt.record(units[ui].Name, r, st)
+		return ckpt.record(c.units[ui].Name, r, st)
 	})
 	if err != nil {
 		return nil, err
 	}
 	var failures []*RunError
-	for i, w := range units {
-		res, prov, err := assembleUnit(ctx, eng, opts.Fault, w, pol, states[i])
+	for i, w := range c.units {
+		res, prov, err := c.assembleUnit(ctx, eng, w, states[i])
 		if err != nil {
 			var ce *CollectError
 			if errors.As(err, &ce) {
@@ -206,16 +212,7 @@ func CollectContext(ctx context.Context, opts Options) (*Dataset, error) {
 	if len(failures) > 0 {
 		return nil, &CollectError{Runs: failures}
 	}
-	ds.buildIndex()
 	return ds, nil
-}
-
-// buildIndex (re)builds the name -> offset map consulted by Unit.
-func (d *Dataset) buildIndex() {
-	d.index = make(map[string]int, len(d.Units))
-	for i, u := range d.Units {
-		d.index[u.Workload.Name] = i
-	}
 }
 
 // Names returns unit names in dataset order.
@@ -227,16 +224,9 @@ func (d *Dataset) Names() []string {
 	return out
 }
 
-// Unit returns the named unit. Datasets assembled by Collect resolve the
-// name through an index built once (every figure and report path funnels
-// through here); hand-built datasets fall back to a linear scan.
+// Unit returns the named unit. A dataset holds a few dozen units at most,
+// so a scan costs nothing next to the analyses that call it.
 func (d *Dataset) Unit(name string) (Unit, error) {
-	if d.index != nil {
-		if i, ok := d.index[name]; ok {
-			return d.Units[i], nil
-		}
-		return Unit{}, fmt.Errorf("core: dataset has no unit %q", name)
-	}
 	for _, u := range d.Units {
 		if u.Workload.Name == name {
 			return u, nil

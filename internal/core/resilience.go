@@ -247,7 +247,7 @@ type runState struct {
 }
 
 // collectRun drives one (unit, run) to a valid result or a permanent
-// failure, consuming up to pol.MaxRetries+1 attempts numbered from
+// failure, consuming up to c.pol.MaxRetries+1 attempts numbered from
 // st.next. Attempt numbering is monotonic across invocations, so outlier
 // re-runs keep drawing fresh fault-injection decisions.
 //
@@ -256,16 +256,16 @@ type runState struct {
 // under FailFast); an ordinary permanent failure is recorded in st.perm
 // and reported as aggregate CollectError later, letting sibling runs
 // finish first.
-func collectRun(ctx context.Context, eng *sim.Engine, inj *fault.Injector, w workload.Workload, run int, pol Resilience, st *runState) error {
+func (c *collection) collectRun(ctx context.Context, eng *sim.Engine, w workload.Workload, run int, st *runState) error {
 	var lastCorrupt *sim.Result
 	var lastErr error
-	budget := pol.MaxRetries + 1
+	budget := c.pol.MaxRetries + 1
 	for a := 0; a < budget; a++ {
 		attempt := st.next
 		st.next++
 		st.prov.Attempts++
 
-		res, err := runAttempt(ctx, eng, inj.PlanFor(w.Name, run, attempt), w, run, attempt, pol.RunTimeout)
+		res, err := runAttempt(ctx, eng, c.fault.PlanFor(w.Name, run, attempt), w, run, attempt, c.pol.RunTimeout)
 		if err == nil && res.Trace != nil {
 			if verr := res.Trace.Validate(); verr != nil {
 				lastCorrupt, err = res, verr
@@ -284,7 +284,7 @@ func collectRun(ctx context.Context, eng *sim.Engine, inj *fault.Injector, w wor
 		lastErr = err
 		st.prov.Faults = append(st.prov.Faults, fmt.Sprintf("attempt %d: %v", attempt, err))
 		if a+1 < budget {
-			if werr := sleepBackoff(ctx, pol, eng.Config().Seed, w.Name, run, attempt); werr != nil {
+			if werr := sleepBackoff(ctx, c.pol, c.sim.Seed, w.Name, run, attempt); werr != nil {
 				return werr
 			}
 		}
@@ -308,7 +308,7 @@ func collectRun(ctx context.Context, eng *sim.Engine, inj *fault.Injector, w wor
 		}
 	}
 	st.perm = &RunError{Unit: w.Name, Run: run, Attempt: st.next - 1, Cause: lastErr}
-	if pol.FailFast {
+	if c.pol.FailFast {
 		return st.perm
 	}
 	return nil
@@ -423,7 +423,7 @@ func sleepBackoff(ctx context.Context, pol Resilience, seed uint64, unit string,
 // rejection with automatic re-runs, then the deterministic run-order
 // average. The returned provenance documents every deviation from a
 // clean Runs-of-Runs collection.
-func assembleUnit(ctx context.Context, eng *sim.Engine, inj *fault.Injector, w workload.Workload, pol Resilience, states []*runState) (*sim.Result, UnitProvenance, error) {
+func (c *collection) assembleUnit(ctx context.Context, eng *sim.Engine, w workload.Workload, states []*runState) (*sim.Result, UnitProvenance, error) {
 	runs := len(states)
 	prov := UnitProvenance{Unit: w.Name, RunsRequested: runs}
 
@@ -438,7 +438,7 @@ func assembleUnit(ctx context.Context, eng *sim.Engine, inj *fault.Injector, w w
 		}
 	}
 	if len(failed) > 0 {
-		if pol.MinRuns <= 0 || live < pol.MinRuns {
+		if c.pol.MinRuns <= 0 || live < c.pol.MinRuns {
 			return nil, prov, &CollectError{Runs: failed}
 		}
 		for _, st := range states {
@@ -452,7 +452,7 @@ func assembleUnit(ctx context.Context, eng *sim.Engine, inj *fault.Injector, w w
 	// is internally consistent (or the round budget is spent). Attempt
 	// numbering stays monotonic, so with a fault injector that goes clean
 	// after N attempts this provably converges.
-	for round := 0; round < pol.MaxRetries+1; round++ {
+	for round := 0; round < c.pol.MaxRetries+1; round++ {
 		flagged := detectOutlierRuns(states)
 		if len(flagged) == 0 {
 			break
@@ -461,7 +461,7 @@ func assembleUnit(ctx context.Context, eng *sim.Engine, inj *fault.Injector, w w
 			st := states[ri]
 			prevRes := st.res
 			st.prov.OutlierReruns++
-			if err := collectRun(ctx, eng, inj, w, ri, pol, st); err != nil {
+			if err := c.collectRun(ctx, eng, w, ri, st); err != nil {
 				return nil, prov, err
 			}
 			if st.perm != nil {

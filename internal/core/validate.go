@@ -46,11 +46,7 @@ func (o Options) Validate() error {
 	if r.MinRuns < 0 {
 		return &OptionError{"Resilience.MinRuns", r.MinRuns, "must be >= 0 (0 requires every run)"}
 	}
-	runs := o.Runs
-	if runs == 0 {
-		runs = 3
-	}
-	if r.MinRuns > runs {
+	if runs := o.runCount(); r.MinRuns > runs {
 		return &OptionError{"Resilience.MinRuns", r.MinRuns,
 			fmt.Sprintf("cannot exceed the %d runs collected per unit", runs)}
 	}

@@ -63,17 +63,8 @@ func (sp Spec) Validate() error {
 		if sp.K < 0 {
 			return fmt.Errorf("server: k must be >= 0")
 		}
-		units := len(sp.Units)
-		if units == 0 {
-			units = len(workload.AnalysisUnits())
-		}
-		if k := sp.clusterK(); k > units {
-			return fmt.Errorf("server: k=%d exceeds the %d units to cluster", k, units)
-		}
-		if sp.Algorithm != "" {
-			if _, err := cluster.ByName(sp.Algorithm); err != nil {
-				return fmt.Errorf("server: %w", err)
-			}
+		if _, err := cluster.ByName(sp.clusterAlg()); err != nil {
+			return fmt.Errorf("server: %w", err)
 		}
 	case "streamreport":
 		if len(sp.StreamRecords) == 0 {
@@ -101,7 +92,15 @@ func (sp Spec) Validate() error {
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
-	return opts.Validate()
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if sp.Kind == "cluster" {
+		if k, units := sp.clusterK(), len(opts.CollectUnits()); k > units {
+			return fmt.Errorf("server: k=%d exceeds the %d units to cluster", k, units)
+		}
+	}
+	return nil
 }
 
 // clusterK is the "cluster" kind's cluster count: K, or 5 when unset.
@@ -110,6 +109,15 @@ func (sp Spec) clusterK() int {
 		return 5
 	}
 	return sp.K
+}
+
+// clusterAlg is the "cluster" kind's algorithm: Algorithm, or "kmeans"
+// when unset.
+func (sp Spec) clusterAlg() string {
+	if sp.Algorithm == "" {
+		return "kmeans"
+	}
+	return sp.Algorithm
 }
 
 // characterizeResult is the "characterize" kind's output.
@@ -182,10 +190,10 @@ func specOptions(sp Spec, checkpointPath string) (core.Options, error) {
 // The timing backend is process configuration, not part of the spec —
 // specOptions leaves Sim.Timing nil, so the canonical string alone never
 // carries it — yet a non-exact model changes every collected byte. It is
-// therefore appended here exactly as collectCanonical renders it on the
-// executing side, so a persistent cache directory shared across servers
-// with different -timing-model configurations can never serve one
-// configuration's bytes under another. An empty fingerprint appends
+// therefore appended here exactly as sim.Config.WriteCanonical renders
+// it on the executing side, so a persistent cache directory shared across
+// servers with different -timing-model configurations can never serve
+// one configuration's bytes under another. An empty fingerprint appends
 // nothing, keeping keys (and existing caches) identical to the
 // pre-timing format.
 func (sp Spec) CacheKey(timingFingerprint string) (string, error) {
@@ -201,11 +209,7 @@ func (sp Spec) CacheKey(timingFingerprint string) (string, error) {
 	// spellings address the same entry.
 	k, alg := 0, ""
 	if sp.Kind == "cluster" {
-		k = sp.clusterK()
-		alg = sp.Algorithm
-		if alg == "" {
-			alg = "kmeans"
-		}
+		k, alg = sp.clusterK(), sp.clusterAlg()
 	}
 	timing := ""
 	if timingFingerprint != "" {
@@ -304,11 +308,7 @@ func ExecuteSpecWith(ctx context.Context, sp Spec, checkpointPath string, eo Exe
 		}
 		result = res
 	case "cluster":
-		name := sp.Algorithm
-		if name == "" {
-			name = "kmeans"
-		}
-		alg, err := cluster.ByName(name)
+		alg, err := cluster.ByName(sp.clusterAlg())
 		if err != nil {
 			return nil, err
 		}

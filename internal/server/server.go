@@ -435,15 +435,17 @@ func (s *Server) runJob(job *Job) {
 		}
 	}
 
-	result, err, shared := s.flight.Do(ctx, key, func() (json.RawMessage, error) {
-		res, ferr := s.executeIsolated(ctx, job)
-		if ferr == nil && s.cache != nil {
+	// execute runs the job under its own deadline and caches a success.
+	execute := func() (json.RawMessage, error) {
+		res, err := s.executeIsolated(ctx, job)
+		if err == nil && s.cache != nil {
 			// Best effort: a failed cache write costs a future
 			// re-execution, not this job's result.
 			_ = s.cache.Put(key, res)
 		}
-		return res, ferr
-	})
+		return res, err
+	}
+	result, err, shared := s.flight.Do(ctx, key, execute)
 	if shared && err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		// The leader's cancellation is not this job's verdict: the key
 		// deliberately excludes TimeoutSec, so the leader may have run
@@ -454,10 +456,7 @@ func (s *Server) runJob(job *Job) {
 		// or the server is draining — the fallback exits immediately
 		// with the same error, and the switch below classifies it.)
 		shared = false
-		result, err = s.executeIsolated(ctx, job)
-		if err == nil && s.cache != nil {
-			_ = s.cache.Put(key, result)
-		}
+		result, err = execute()
 	}
 	if shared {
 		s.mu.Lock()

@@ -21,6 +21,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 
 	"mobilebench/internal/gpu"
@@ -69,8 +70,8 @@ const (
 	TraceAuto
 )
 
-// Sampling and noise constants every run uses. The checkpoint fingerprint
-// in internal/core writes their values as literals; change both together.
+// Sampling and noise constants every run uses. Config.WriteCanonical writes
+// their values into every collection's identity.
 const (
 	// tickSec is the simulation step and profiler sampling interval. It
 	// reaches the tick only through the typed tickState.dt: Go folds
@@ -93,24 +94,49 @@ const (
 	noiseRel = 0.03
 )
 
-// DefaultConfig returns the configuration used throughout the repository.
-func DefaultConfig() Config {
-	return Config{
-		Platform: soc.Snapdragon888HDK(),
-		Seed:     888,
-	}
-}
-
-// normalize fills zero fields with defaults.
-func (c Config) normalize() Config {
-	d := DefaultConfig()
+// Resolve returns c with its defaults filled in (the Snapdragon 888 HDK,
+// seed 888) and its platform validated: the configuration New builds an
+// engine from, and the one WriteCanonical renders.
+func (c Config) Resolve() (Config, error) {
 	if c.Platform == nil {
-		c.Platform = d.Platform
+		c.Platform = soc.Snapdragon888HDK()
 	}
 	if c.Seed == 0 {
-		c.Seed = d.Seed
+		c.Seed = 888
 	}
-	return c
+	if err := c.Platform.Validate(); err != nil {
+		return Config{}, err
+	}
+	return c, nil
+}
+
+// WriteCanonical writes the resolved c's segment of a collection's
+// identity (the checkpoint fingerprint's pre-image in internal/core) to
+// w: equal segments mean byte-identical runs.
+func (c Config) WriteCanonical(w io.Writer) {
+	// gov/throttle are the bytes of two knobs that are gone: the engine
+	// simulates one machine, schedutil and never throttling, and keeps
+	// writing them so every fingerprint already on disk still verifies.
+	fmt.Fprintf(w, "|seed=%d|tick=%v|cache=%d|branch=%d|refresh=%d|rjit=%v|noise=%v|gov=\"\"|throttle=false",
+		c.Seed, tickSec, cacheSamples, branchSamples, refreshTicks, runtimeJitterRel, noiseRel)
+	// Appended only when non-default so every fingerprint minted before
+	// these options existed still verifies.
+	if c.FastForward {
+		_, _ = io.WriteString(w, "|ff=true")
+	}
+	// A timing backend joins only when its replies can differ from the
+	// in-process models (Fingerprint() != ""): an exact backend's runs hold
+	// the same bytes, a queued-DRAM backend's never resume an in-process
+	// collection.
+	if c.Timing != nil {
+		if id := c.Timing.Fingerprint(); id != "" {
+			fmt.Fprintf(w, "|timing=%q", id)
+		}
+	}
+	// The platform digest covers every cluster/GPU/AIE/memory parameter;
+	// %+v renders structs field by field and maps in sorted key order, so
+	// the rendering is deterministic for a given binary.
+	fmt.Fprintf(w, "|plat=%+v", c.Platform)
 }
 
 // Engine executes workloads.
@@ -217,10 +243,11 @@ func buildMetricNames(plat *soc.Platform) [soc.NumClusters]clusterMetricNames {
 	return names
 }
 
-// New creates an engine. A zero Config selects defaults.
+// New creates an engine from the resolved cfg (see Resolve). A zero
+// Config selects defaults.
 func New(cfg Config) (*Engine, error) {
-	cfg = cfg.normalize()
-	if err := cfg.Platform.Validate(); err != nil {
+	cfg, err := cfg.Resolve()
+	if err != nil {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, plat: cfg.Platform, names: buildMetricNames(cfg.Platform)}
@@ -245,9 +272,6 @@ func MustNew(cfg Config) *Engine {
 
 // Platform returns the simulated platform.
 func (e *Engine) Platform() *soc.Platform { return e.plat }
-
-// Config returns the normalized configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Aggregates are whole-run summary metrics (the Figure 1 quantities plus
 // the Table IV load averages used for clustering and subsetting). A run

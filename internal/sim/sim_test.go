@@ -238,12 +238,14 @@ func TestRunRejectsInvalidWorkload(t *testing.T) {
 }
 
 func TestConfigNormalize(t *testing.T) {
-	eng := MustNew(Config{})
-	cfg := eng.Config()
+	cfg, err := Config{}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cfg.Seed != 888 || cfg.Platform == nil {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if eng.Platform().Name == "" {
+	if eng := MustNew(Config{}); eng.Platform().Name == "" {
 		t.Fatal("platform missing")
 	}
 }

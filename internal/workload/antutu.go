@@ -14,8 +14,10 @@ import (
 // AntutuGPUSegment returns the GPU component: the Swordsman, Refinery and
 // Terracotta Warriors game scenes (15%, 30% and 49% of the component's
 // duration, with 28%, 31% and 35% CPU load) followed by the Fisheye and
-// Blur image-processing tests. Scene-loading gaps at 16% and 49% of the
-// execution produce the CPU-load spikes Observation #4 describes.
+// Blur image-processing tests. The scene-loading phases at 15–17% and
+// 45–49% of the execution run one loader thread with the GPU idle, so the
+// CPU load dips there instead of spiking as Observation #4 describes
+// (EXPERIMENTS.md, Table IV / Figure 2: anchor not reproduced).
 func AntutuGPUSegment() Workload {
 	const total = 230.0
 	return applyDuty(Workload{
