@@ -11,9 +11,10 @@
 //	         [-cache-dir DIR] [-job-timeout D] [-drain-grace D] [-pprof ADDR]
 //
 // Fleet: one coordinator shards jobs across N worker processes over a
-// versioned JSON-lines protocol. Workers heartbeat their leases; a worker
-// that dies (kill -9 included) loses its lease and the job is
-// re-dispatched, resuming bit-identically from its checkpoint. The fleet
+// versioned JSON-lines protocol. Each worker heartbeats once per
+// connection; a worker that dies (kill -9 included) or falls silent for
+// -lease-ttl (SIGSTOP, busy or idle) is dropped, and its jobs are
+// re-dispatched, resuming bit-identically from their checkpoints. The fleet
 // shares one filesystem for -state (and -cache-dir): one box, or a shared
 // volume.
 //
@@ -76,8 +77,8 @@ func main() {
 	workerAddr := flag.String("worker", "", "run as fleet worker: connect to the coordinator at this address (no HTTP API)")
 	workerID := flag.String("worker-id", "", "worker identity, unique per fleet (default worker-<pid>)")
 	capacity := flag.Int("capacity", 1, "jobs this worker runs concurrently (worker mode)")
-	heartbeat := flag.Duration("heartbeat", time.Second, "per-lease heartbeat period (worker mode)")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "heartbeat silence after which a lease is revoked and its job re-dispatched (coordinator mode)")
+	heartbeat := flag.Duration("heartbeat", time.Second, "worker heartbeat period, one per connection; keep it well under the coordinator's -lease-ttl (worker mode)")
+	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "silence after which a worker is dropped and the jobs it held are re-dispatched (coordinator mode)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060 (off when empty)")
 	tf := cliflag.RegisterTiming(flag.CommandLine)
 	sf := cliflag.RegisterStream(flag.CommandLine)
@@ -181,10 +182,7 @@ func main() {
 			}
 			return coord.Execute(ctx, id, raw, checkpointPath)
 		}
-		cfg.Ready = func() bool {
-			workers, _, _ := coord.Stats()
-			return workers > 0
-		}
+		cfg.Ready = func() bool { return coord.Workers() > 0 }
 	}
 
 	srv, err := server.New(cfg)
@@ -228,7 +226,7 @@ func main() {
 // fleet must share one -timing-model configuration: a non-exact model
 // changes checkpoint fingerprints, and a job re-dispatched to a
 // differently-configured worker would refuse the first worker's snapshot.
-func runWorker(addr, id string, capacity int, heartbeat time.Duration, timing *cosim.Provider) {
+func runWorker(addr, id string, capacity int, heartbeat time.Duration, timing *cosim.Supervisor) {
 	if id == "" {
 		id = fmt.Sprintf("worker-%d", os.Getpid())
 	}

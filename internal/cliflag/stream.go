@@ -5,6 +5,8 @@ package cliflag
 import (
 	"flag"
 	"fmt"
+
+	"mobilebench/internal/core"
 )
 
 // Stream holds the values of the streaming-ingest flags.
@@ -16,29 +18,29 @@ type Stream struct {
 }
 
 // RegisterStream registers the streaming-ingest flags on fs and returns
-// the value holder; read it after fs.Parse.
+// the value holder; read it after fs.Parse. The range defaults are
+// core.StreamOptions' own.
 func RegisterStream(fs *flag.FlagSet) *Stream {
 	s := &Stream{}
+	d := core.StreamOptions{}.WithDefaults()
 	fs.BoolVar(&s.Enable, "stream", false,
 		"enable the streaming ingest API (/v1/stream): records fold into an incrementally re-clustered analysis")
-	fs.IntVar(&s.KMin, "stream-kmin", 2, "smallest cluster count the streaming sweep validates")
-	fs.IntVar(&s.KMax, "stream-kmax", 9, "largest cluster count the streaming sweep validates")
+	fs.IntVar(&s.KMin, "stream-kmin", d.KMin, "smallest cluster count the streaming sweep validates")
+	fs.IntVar(&s.KMax, "stream-kmax", d.KMax, "largest cluster count the streaming sweep validates")
 	return s
 }
 
-// Validate rejects flag combinations before the server starts.
+// Validate rejects flag combinations before the server starts; the range
+// rules are core.StreamOptions.Validate's.
 func (s *Stream) Validate() error {
 	if !s.Enable {
-		if s.KMin != 2 || s.KMax != 9 {
+		if d := (core.StreamOptions{}).WithDefaults(); s.KMin != d.KMin || s.KMax != d.KMax {
 			return fmt.Errorf("-stream-kmin/-stream-kmax require -stream")
 		}
 		return nil
 	}
-	if s.KMin < 2 {
-		return fmt.Errorf("-stream-kmin %d < 2", s.KMin)
-	}
-	if s.KMax < s.KMin {
-		return fmt.Errorf("-stream-kmax %d < -stream-kmin %d", s.KMax, s.KMin)
+	if err := (core.StreamOptions{KMin: s.KMin, KMax: s.KMax}).Validate(); err != nil {
+		return fmt.Errorf("-stream-kmin/-stream-kmax: %w", err)
 	}
 	return nil
 }

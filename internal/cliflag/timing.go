@@ -44,14 +44,14 @@ func (t *Timing) Validate() error {
 	return nil
 }
 
-// Provider builds the cosim provider for the platform (nil = the default
-// Snapdragon 888 HDK, matching sim.DefaultConfig): spawning the child,
-// completing the handshake and opening the replay log. It returns (nil,
-// nil) when -timing-model is unset — callers must then leave
-// sim.Config.Timing nil rather than storing a typed nil interface. Close
-// the provider after the collection. A nil Timing selects the in-process
-// models too.
-func (t *Timing) Provider(plat *soc.Platform) (*cosim.Provider, error) {
+// Provider builds the cosim supervisor, a sim.TimingProvider, for the
+// platform (nil = the default Snapdragon 888 HDK, matching
+// sim.Config.Resolve): spawning the child, completing the handshake and
+// opening the replay log. It returns (nil, nil) when -timing-model is
+// unset — callers must then leave sim.Config.Timing nil rather than
+// storing a typed nil interface. Close the supervisor after the
+// collection. A nil Timing selects the in-process models too.
+func (t *Timing) Provider(plat *soc.Platform) (*cosim.Supervisor, error) {
 	return t.provider(plat, true)
 }
 
@@ -71,7 +71,7 @@ func (t *Timing) Fingerprint(plat *soc.Platform) (string, error) {
 	return p.Fingerprint(), nil
 }
 
-func (t *Timing) provider(plat *soc.Platform, withReplay bool) (*cosim.Provider, error) {
+func (t *Timing) provider(plat *soc.Platform, withReplay bool) (*cosim.Supervisor, error) {
 	if t == nil || t.ModelCmd == "" {
 		return nil, nil
 	}
@@ -90,5 +90,5 @@ func (t *Timing) provider(plat *soc.Platform, withReplay bool) (*cosim.Provider,
 		}
 		cfg.ReplayPath = filepath.Join(t.ReplayDir, "cosim-replay.log")
 	}
-	return cosim.NewProvider(cfg)
+	return cosim.NewSupervisor(cfg)
 }

@@ -35,9 +35,9 @@ func BenchmarkTimingModelInProcess(b *testing.B) {
 // bookkeeping per tick.
 func BenchmarkTimingModelExternal(b *testing.B) {
 	p := soc.Snapdragon888HDK()
-	provider, err := cosim.NewProvider(childConfig("", ""))
+	provider, err := cosim.NewSupervisor(childConfig("", ""))
 	if err != nil {
-		b.Fatalf("NewProvider: %v", err)
+		b.Fatalf("NewSupervisor: %v", err)
 	}
 	defer provider.Close()
 	tm, err := provider.NewTimingModel(p.Memory, p.Storage)

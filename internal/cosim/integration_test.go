@@ -33,11 +33,11 @@ func collect(t *testing.T, opts core.Options) *core.Dataset {
 	return ds
 }
 
-func newProvider(t *testing.T, cfg cosim.Config) *cosim.Provider {
+func newProvider(t *testing.T, cfg cosim.Config) *cosim.Supervisor {
 	t.Helper()
-	p, err := cosim.NewProvider(cfg)
+	p, err := cosim.NewSupervisor(cfg)
 	if err != nil {
-		t.Fatalf("NewProvider: %v", err)
+		t.Fatalf("NewSupervisor: %v", err)
 	}
 	t.Cleanup(func() { p.Close() })
 	return p

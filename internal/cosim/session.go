@@ -1,4 +1,4 @@
-// The sim-facing adapter: Provider plugs a Supervisor into sim.Config as a
+// The sim-facing side: a Supervisor plugs into sim.Config as a
 // TimingProvider, and each run gets its own Session — a sim.TimingModel
 // that turns every tick into a protocol batch and threads the opaque model
 // state between queries. Sessions of concurrent runs share one supervisor
@@ -14,49 +14,26 @@ import (
 	"mobilebench/internal/soc"
 )
 
-// Provider adapts a Supervisor to sim.TimingProvider. One Provider serves
-// any number of runs; Close it after the collection (it owns the
-// supervisor).
-type Provider struct {
-	sup *Supervisor
-}
-
-// NewProvider builds the supervisor (spawning and handshaking the child)
-// and wraps it for sim.Config.Timing.
-func NewProvider(cfg Config) (*Provider, error) {
-	sup, err := NewSupervisor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Provider{sup: sup}, nil
-}
-
-// Supervisor exposes the underlying supervisor (tests and status surfaces).
-func (p *Provider) Supervisor() *Supervisor { return p.sup }
-
-// Close shuts the supervisor down (kills the child, flushes the replay
-// log).
-func (p *Provider) Close() error { return p.sup.Close() }
-
 // Fingerprint implements sim.TimingProvider. An exact child returns "" —
 // its datasets are bit-identical to in-process collection and share its
 // checkpoint fingerprint. Any other model contributes its name, so
 // snapshots collected under different timing never cross-resume.
-func (p *Provider) Fingerprint() string {
-	if p.sup.Exact() {
+func (s *Supervisor) Fingerprint() string {
+	if s.Exact() {
 		return ""
 	}
-	return "cosim:" + p.sup.Model()
+	return "cosim:" + s.Model()
 }
 
-// NewTimingModel implements sim.TimingProvider.
-func (p *Provider) NewTimingModel(memHW soc.Memory, storHW soc.Storage) (sim.TimingModel, error) {
+// NewTimingModel implements sim.TimingProvider: one Session per run, any
+// number of them sharing the supervisor.
+func (s *Supervisor) NewTimingModel(memHW soc.Memory, storHW soc.Storage) (sim.TimingModel, error) {
 	// The child computed against the hardware pinned in the handshake; a
 	// platform mismatch here would silently answer for the wrong SoC.
-	if memHW != p.sup.cfg.MemHW || storHW != p.sup.cfg.StorHW {
+	if memHW != s.cfg.MemHW || storHW != s.cfg.StorHW {
 		return nil, fmt.Errorf("cosim: platform mismatch: the supervisor handshook a different memory/storage description")
 	}
-	return &Session{sup: p.sup}, nil
+	return &Session{sup: s}, nil
 }
 
 // Session is one run's view of the external model: it batches the tick's

@@ -442,9 +442,9 @@ func TestSupervisorReplayKeepsDegradedProvenance(t *testing.T) {
 // TestProviderPlatformMismatch: a session for different hardware than the
 // handshake pinned is refused.
 func TestProviderPlatformMismatch(t *testing.T) {
-	p, err := cosim.NewProvider(childConfig("", ""))
+	p, err := cosim.NewSupervisor(childConfig("", ""))
 	if err != nil {
-		t.Fatalf("NewProvider: %v", err)
+		t.Fatalf("NewSupervisor: %v", err)
 	}
 	defer p.Close()
 	if fp := p.Fingerprint(); fp != "" {

@@ -1,6 +1,6 @@
 // The coordinator side of the fleet: accepts worker connections, shards
-// job executions across them under leases, watches heartbeats, and
-// re-dispatches the jobs of dead workers. Execution state lives in
+// job executions across them under leases, drops workers that fall silent,
+// and re-dispatches the jobs of dead workers. Execution state lives in
 // checkpoint logs on the shared filesystem, so a re-dispatched job resumes —
 // bit-identically — instead of restarting.
 package dist
@@ -10,8 +10,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,8 +21,9 @@ import (
 
 // CoordinatorConfig configures a Coordinator.
 type CoordinatorConfig struct {
-	// LeaseTTL is how long a lease survives without a heartbeat before it
-	// is revoked and its job re-dispatched (default 10s).
+	// LeaseTTL is how long a worker may send no frame at all before it is
+	// dropped, its leases revoked and their jobs re-dispatched (default
+	// 10s).
 	LeaseTTL time.Duration
 }
 
@@ -77,15 +79,15 @@ type workerConn struct {
 	conn     net.Conn
 	stream   *wire.Stream[Frame]
 	active   map[string]*lease
+	lastSeen time.Time // when its last frame arrived; guarded by Coordinator.mu
 }
 
 type lease struct {
-	id       string
-	job      string
-	w        *workerConn
-	lastBeat time.Time
-	outcome  chan leaseOutcome // buffered 1; exactly one send wins
-	settled  bool              // guarded by Coordinator.mu
+	id      string
+	job     string
+	w       *workerConn
+	outcome chan leaseOutcome // buffered 1; exactly one send wins
+	settled bool              // guarded by Coordinator.mu
 }
 
 type leaseOutcome struct {
@@ -146,7 +148,8 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 			Error: fmt.Sprintf("protocol version %d not supported (want %d)", f.Proto, ProtoVersion)})
 		return
 	}
-	w := &workerConn{id: f.Worker, capacity: f.Capacity, conn: conn, stream: stream, active: make(map[string]*lease)}
+	w := &workerConn{id: f.Worker, capacity: f.Capacity, conn: conn, stream: stream,
+		active: make(map[string]*lease), lastSeen: time.Now()}
 
 	c.mu.Lock()
 	if c.closed {
@@ -174,9 +177,11 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		if err != nil {
 			return // connection death revokes every lease via dropWorker
 		}
+		c.mu.Lock()
+		w.lastSeen = time.Now()
+		c.mu.Unlock()
 		switch f.Type {
-		case TypeHeartbeat:
-			c.beat(f.Lease)
+		case TypeHeartbeat: // its arrival was the point
 		case TypeResult:
 			c.settle(f.Lease, leaseOutcome{result: f.Result})
 		case TypeFail:
@@ -184,15 +189,6 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		default:
 			return // protocol violation: tear the connection down
 		}
-	}
-}
-
-// beat refreshes a lease's heartbeat clock.
-func (c *Coordinator) beat(leaseID string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if l, ok := c.leases[leaseID]; ok {
-		l.lastBeat = time.Now()
 	}
 }
 
@@ -221,13 +217,8 @@ func (c *Coordinator) dropWorker(w *workerConn) {
 	if c.workers[w.id] == w {
 		delete(c.workers, w.id)
 	}
-	ids := make([]string, 0, len(w.active))
-	for id := range w.active {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	var revoked []*lease
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(w.active)) {
 		l := w.active[id]
 		if !l.settled {
 			l.settled = true
@@ -244,12 +235,13 @@ func (c *Coordinator) dropWorker(w *workerConn) {
 	}
 }
 
-// monitor watches heartbeats: a lease silent for LeaseTTL means its
-// worker is presumed dead even if TCP disagrees (SIGSTOP, a wedged box, a
-// partitioned network), so the whole worker is dropped — revoking every
-// lease it held and closing its connection, lest deterministic placement
-// hand the re-dispatched job straight back to the wedged process. A
-// recovered worker re-registers through its reconnect loop.
+// monitor watches each worker's liveness clock: a worker silent for
+// LeaseTTL is presumed dead even if TCP disagrees (SIGSTOP, a wedged box,
+// a partitioned network), so it is dropped — revoking every lease it held
+// and closing its connection, lest deterministic placement hand a job to
+// the wedged process. An idle worker is held to the same clock, so the
+// next job never waits a TTL on it. A recovered worker re-registers
+// through its reconnect loop.
 func (c *Coordinator) monitor() {
 	defer c.done.Done()
 	tick := time.NewTicker(c.cfg.LeaseTTL / 4)
@@ -260,18 +252,10 @@ func (c *Coordinator) monitor() {
 			return
 		case now := <-tick.C:
 			c.mu.Lock()
-			ids := make([]string, 0, len(c.leases))
-			for id := range c.leases {
-				ids = append(ids, id)
-			}
-			sort.Strings(ids)
 			var stale []*workerConn
-			seen := make(map[*workerConn]bool)
-			for _, id := range ids {
-				l := c.leases[id]
-				if now.Sub(l.lastBeat) > c.cfg.LeaseTTL && l.w != nil && !seen[l.w] {
-					seen[l.w] = true
-					stale = append(stale, l.w)
+			for _, w := range c.sortedWorkers() {
+				if now.Sub(w.lastSeen) > c.cfg.LeaseTTL {
+					stale = append(stale, w)
 				}
 			}
 			c.mu.Unlock()
@@ -280,6 +264,17 @@ func (c *Coordinator) monitor() {
 			}
 		}
 	}
+}
+
+// sortedWorkers returns the connected workers in worker-id order, the one
+// order placement, liveness checks and shutdown walk them in. The caller
+// holds c.mu.
+func (c *Coordinator) sortedWorkers() []*workerConn {
+	ws := make([]*workerConn, 0, len(c.workers))
+	for _, id := range slices.Sorted(maps.Keys(c.workers)) {
+		ws = append(ws, c.workers[id])
+	}
+	return ws
 }
 
 // capacityChanged wakes every Execute waiting for a free slot. The caller
@@ -341,15 +336,9 @@ func (c *Coordinator) tryDispatch(jobID string, spec json.RawMessage, checkpoint
 		c.mu.Unlock()
 		return nil, nil, ErrCoordinatorClosed
 	}
-	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	var best *workerConn
 	bestFree := 0
-	for _, id := range ids {
-		w := c.workers[id]
+	for _, w := range c.sortedWorkers() {
 		if free := w.capacity - len(w.active); free > bestFree {
 			best, bestFree = w, free
 		}
@@ -361,11 +350,10 @@ func (c *Coordinator) tryDispatch(jobID string, spec json.RawMessage, checkpoint
 	}
 	c.leaseSeq++
 	l := &lease{
-		id:       fmt.Sprintf("L-%06d", c.leaseSeq),
-		job:      jobID,
-		w:        best,
-		lastBeat: time.Now(),
-		outcome:  make(chan leaseOutcome, 1),
+		id:      fmt.Sprintf("L-%06d", c.leaseSeq),
+		job:     jobID,
+		w:       best,
+		outcome: make(chan leaseOutcome, 1),
 	}
 	c.leases[l.id] = l
 	best.active[l.id] = l
@@ -397,18 +385,12 @@ func (c *Coordinator) abandon(l *lease) {
 	c.mu.Unlock()
 }
 
-// Stats reports the fleet's size and load: connected workers, their total
-// capacity, and the leases in flight. The serving layer folds these into
-// its readiness and Retry-After answers.
-func (c *Coordinator) Stats() (workers, capacity, active int) {
+// Workers reports how many workers are connected; the serving layer is
+// ready once it is positive.
+func (c *Coordinator) Workers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, w := range c.workers {
-		workers++
-		capacity += w.capacity
-		active += len(w.active)
-	}
-	return workers, capacity, active
+	return len(c.workers)
 }
 
 // Close shuts the coordinator down: the listener stops accepting, every
@@ -422,15 +404,7 @@ func (c *Coordinator) Close() {
 	}
 	c.closed = true
 	ln := c.ln
-	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	workers := make([]*workerConn, 0, len(ids))
-	for _, id := range ids {
-		workers = append(workers, c.workers[id])
-	}
+	workers := c.sortedWorkers()
 	c.mu.Unlock()
 
 	close(c.stop)

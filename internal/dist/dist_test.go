@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -54,11 +55,11 @@ func waitWorkers(t *testing.T, c *dist.Coordinator, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if w, _, _ := c.Stats(); w >= n {
+		if w := c.Workers(); w >= n {
 			return
 		}
 		if time.Now().After(deadline) {
-			w, _, _ := c.Stats()
+			w := c.Workers()
 			t.Fatalf("fleet stuck at %d workers, want %d", w, n)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -158,7 +159,7 @@ func TestSaturatedFleetBackpressure(t *testing.T) {
 	// With capacity 1, at most one lease may be active at once; the other
 	// Execute must wait in backoff, not over-dispatch.
 	time.Sleep(100 * time.Millisecond)
-	if _, _, active := c.Stats(); active > 1 {
+	if active := dist.ActiveLeases(c); active > 1 {
 		t.Fatalf("active leases = %d, want <= 1 on a capacity-1 fleet", active)
 	}
 	close(gate)
@@ -202,7 +203,7 @@ func TestSaturatedFleetWakesEveryWaiter(t *testing.T) {
 	go execute("waiter-1")
 	// Let both waiters find the fleet full and go to sleep.
 	time.Sleep(time.Second)
-	if _, _, active := c.Stats(); active != 2 {
+	if active := dist.ActiveLeases(c); active != 2 {
 		t.Fatalf("active leases = %d, want 2 on a capacity-2 fleet", active)
 	}
 
@@ -368,7 +369,7 @@ func TestWorkerDeathRedispatchBitIdentical(t *testing.T) {
 	}
 
 	// The survivor is the only worker left.
-	if w, _, _ := c.Stats(); w != 1 {
+	if w := c.Workers(); w != 1 {
 		t.Fatalf("fleet has %d workers after the kill, want 1", w)
 	}
 }
@@ -516,11 +517,57 @@ func TestLeaseTTLRevocation(t *testing.T) {
 	}
 }
 
+// TestSilentIdleWorkerDropped: liveness is per worker, not per lease. A
+// worker that handshakes and then goes silent while holding no lease
+// (SIGSTOP between jobs) must be dropped within two TTLs — its connection
+// closed — so placement never hands the next job to a dead process.
+func TestSilentIdleWorkerDropped(t *testing.T) {
+	const ttl = 300 * time.Millisecond
+	c, addr := startCoordinator(t, dist.CoordinatorConfig{LeaseTTL: ttl})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello, err := dist.EncodeFrame(dist.Frame{Type: dist.TypeHello, Proto: dist.ProtoVersion, Worker: "idle", Capacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatalf("reading welcome: %v", err)
+	}
+	if f, err := dist.ParseFrame(buf[:n]); err != nil || f.Type != dist.TypeWelcome {
+		t.Fatalf("hello answered with %q (%v), want welcome", buf[:n], err)
+	}
+	registered := time.Now()
+	if w := c.Workers(); w != 1 {
+		t.Fatalf("fleet has %d workers after the handshake, want 1", w)
+	}
+
+	// Silence from here on: the coordinator must close the connection.
+	if err := conn.SetReadDeadline(registered.Add(2 * ttl)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(buf); err == nil {
+		t.Fatalf("coordinator sent %q to a silent idle worker, want the connection closed", buf[:n])
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("silent idle worker still connected %v after its handshake (TTL %v)", 2*ttl, ttl)
+	}
+	if w := c.Workers(); w != 0 {
+		t.Fatalf("fleet has %d workers after the silence, want 0", w)
+	}
+}
+
 // TestWedgedWorkerDoesNotStallCoordinator is the PR-8 stall class on the
 // fleet's write path: a worker that handshakes and then stops reading
 // wedges dispatch writes to its connection once the socket buffer fills.
 // Those writes hold only that connection's write mutex — never the
-// coordinator's — so Stats stays responsive and jobs keep flowing to
+// coordinator's — so Workers stays responsive and jobs keep flowing to
 // healthy workers while the wedge is live.
 func TestWedgedWorkerDoesNotStallCoordinator(t *testing.T) {
 	c, addr := startCoordinator(t, dist.CoordinatorConfig{})
@@ -566,11 +613,11 @@ func TestWedgedWorkerDoesNotStallCoordinator(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, _, active := c.Stats(); active == 2 {
+		if active := dist.ActiveLeases(c); active == 2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			_, _, active := c.Stats()
+			active := dist.ActiveLeases(c)
 			t.Fatalf("wedged dispatches never leased: active = %d, want 2", active)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -581,14 +628,14 @@ func TestWedgedWorkerDoesNotStallCoordinator(t *testing.T) {
 	statsDone := make(chan struct{})
 	go func() {
 		for i := 0; i < 100; i++ {
-			c.Stats()
+			c.Workers()
 		}
 		close(statsDone)
 	}()
 	select {
 	case <-statsDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Stats wedged behind the stuck dispatch write")
+		t.Fatal("Workers wedged behind the stuck dispatch write")
 	}
 
 	// ...and a healthy worker must still receive and finish jobs.

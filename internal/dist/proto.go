@@ -1,21 +1,25 @@
 // Package dist is the distribution layer behind a multi-process mbserved
 // fleet: a coordinator shards jobs across worker processes over a
 // versioned JSON-lines protocol (handshake, lease, heartbeat, result
-// frames), revokes the lease of a worker that stops heartbeating or drops
-// its connection and re-dispatches the job elsewhere (the collection
+// frames), drops a worker that falls silent or loses its connection,
+// revokes its leases and re-dispatches their jobs elsewhere (the collection
 // resumes from its checkpoint log bit-identically), and backs the
 // serving layer's dedup story with a content-addressed result cache plus
 // request coalescing.
 //
 // The protocol is one JSON object per line in each direction:
 //
-//	worker → coordinator   {"type":"hello","proto":1,"worker":"w1","capacity":1}
-//	coordinator → worker   {"type":"welcome","proto":1}        (or "reject")
+//	worker → coordinator   {"type":"hello","proto":2,"worker":"w1","capacity":1}
+//	coordinator → worker   {"type":"welcome","proto":2}        (or "reject")
 //	coordinator → worker   {"type":"dispatch","lease":"L1","job":"job-000000",
 //	                        "spec":{...},"checkpoint":"/state/job-000000.ckpt"}
-//	worker → coordinator   {"type":"heartbeat","lease":"L1","active":1}   (periodic)
+//	worker → coordinator   {"type":"heartbeat"}   (periodic, once per session)
 //	worker → coordinator   {"type":"result","lease":"L1","job":"...","result":{...}}
 //	worker → coordinator   {"type":"fail","lease":"L1","job":"...","error":"..."}
+//
+// Liveness is per worker, not per lease: the coordinator stamps a worker's
+// clock on every frame it reads from it and drops the worker — revoking
+// every lease it holds — once the clock is older than the lease TTL.
 //
 // Workers and the coordinator share a filesystem for checkpoint and state
 // files (one box, or a shared volume): the dispatch frame names the
@@ -33,8 +37,9 @@ import (
 
 // ProtoVersion is the wire-protocol version this build speaks. A hello
 // carrying any other version is rejected during the handshake, before a
-// single job frame is exchanged.
-const ProtoVersion = 1
+// single job frame is exchanged. Version 2 made the heartbeat a bare
+// per-session frame; a version-1 coordinator would tear such a worker down.
+const ProtoVersion = 2
 
 // MaxFrameBytes bounds one encoded frame, its newline excluded. Specs and
 // results are small JSON documents; anything larger is a protocol error,
@@ -68,7 +73,7 @@ const (
 	TypeWelcome   = "welcome"   // coordinator → worker: handshake accept
 	TypeReject    = "reject"    // coordinator → worker: handshake refuse
 	TypeDispatch  = "dispatch"  // coordinator → worker: run this job under this lease
-	TypeHeartbeat = "heartbeat" // worker → coordinator: lease is alive
+	TypeHeartbeat = "heartbeat" // worker → coordinator: worker is alive
 	TypeResult    = "result"    // worker → coordinator: job finished
 	TypeFail      = "fail"      // worker → coordinator: job failed
 )
@@ -83,8 +88,7 @@ type Frame struct {
 	Worker string `json:"worker,omitempty"`
 	// Capacity is how many jobs the worker runs concurrently (hello).
 	Capacity int `json:"capacity,omitempty"`
-	// Lease identifies one dispatched execution (dispatch, heartbeat,
-	// result, fail).
+	// Lease identifies one dispatched execution (dispatch, result, fail).
 	Lease string `json:"lease,omitempty"`
 	// Job is the job ID the lease executes (dispatch, result, fail).
 	Job string `json:"job,omitempty"`
@@ -93,8 +97,6 @@ type Frame struct {
 	// Checkpoint is the job's checkpoint-log path on the shared filesystem
 	// (dispatch).
 	Checkpoint string `json:"checkpoint,omitempty"`
-	// Active is the worker's running-job count (heartbeat).
-	Active int `json:"active,omitempty"`
 	// Result is the job's output (result).
 	Result json.RawMessage `json:"result,omitempty"`
 	// Error is the failure cause (fail, reject).
@@ -142,12 +144,6 @@ func (f Frame) Validate() error {
 			return &ProtoError{Reason: "dispatch without a valid spec document"}
 		}
 	case TypeHeartbeat:
-		if f.Lease == "" {
-			return &ProtoError{Reason: "heartbeat without a lease id"}
-		}
-		if f.Active < 0 {
-			return &ProtoError{Reason: "heartbeat with a negative active count"}
-		}
 	case TypeResult:
 		if f.Lease == "" || f.Job == "" {
 			return &ProtoError{Reason: "result without lease and job ids"}

@@ -15,7 +15,7 @@ func validFrames() []Frame {
 		{Type: TypeWelcome, Proto: ProtoVersion},
 		{Type: TypeReject, Error: "protocol version 9 not supported"},
 		{Type: TypeDispatch, Lease: "L-000001", Job: "job-000000", Spec: json.RawMessage(`{"kind":"characterize"}`), Checkpoint: "/state/job-000000.ckpt"},
-		{Type: TypeHeartbeat, Lease: "L-000001", Active: 1},
+		{Type: TypeHeartbeat},
 		{Type: TypeResult, Lease: "L-000001", Job: "job-000000", Result: json.RawMessage(`{"units":[]}`)},
 		{Type: TypeFail, Lease: "L-000001", Job: "job-000000", Error: "deadline exceeded"},
 	}
@@ -58,8 +58,6 @@ func TestParseFrameRejects(t *testing.T) {
 		{"hello zero capacity", `{"type":"hello","proto":1,"worker":"w1"}` + "\n"},
 		{"dispatch without lease", `{"type":"dispatch","job":"j","spec":{}}` + "\n"},
 		{"dispatch without spec", `{"type":"dispatch","lease":"L","job":"j"}` + "\n"},
-		{"heartbeat without lease", `{"type":"heartbeat"}` + "\n"},
-		{"heartbeat negative active", `{"type":"heartbeat","lease":"L","active":-1}` + "\n"},
 		{"result without result", `{"type":"result","lease":"L","job":"j"}` + "\n"},
 		{"fail without error", `{"type":"fail","lease":"L","job":"j"}` + "\n"},
 		{"reject without error", `{"type":"reject"}` + "\n"},
@@ -76,7 +74,7 @@ func TestParseFrameAllowsUnknownFields(t *testing.T) {
 	// Forward compatibility: a newer peer may add fields; this build
 	// must parse around them (the handshake version gate handles real
 	// incompatibility).
-	f, err := ParseFrame([]byte(`{"type":"welcome","proto":1,"future_field":"x"}` + "\n"))
+	f, err := ParseFrame([]byte(`{"type":"welcome","proto":2,"future_field":"x"}` + "\n"))
 	if err != nil {
 		t.Fatalf("unknown field rejected: %v", err)
 	}

@@ -1,8 +1,9 @@
 // The worker side of the fleet: dial the coordinator, shake hands, then
-// execute dispatched jobs — heartbeating each lease while it runs — and
-// report results. Workers are stateless between jobs: every durable
-// artifact (checkpoints, job records) lives on the shared filesystem, so
-// any worker can pick up any job, including one a dead peer left behind.
+// heartbeat for as long as the session lives while executing dispatched
+// jobs and reporting their results. Workers are stateless between jobs:
+// every durable artifact (checkpoints, job records) lives on the shared
+// filesystem, so any worker can pick up any job, including one a dead peer
+// left behind.
 package dist
 
 import (
@@ -29,7 +30,7 @@ type WorkerConfig struct {
 	// Capacity is how many jobs run concurrently (default 1: collections
 	// already parallelize internally).
 	Capacity int
-	// Heartbeat is the per-lease heartbeat period (default 1s). It must
+	// Heartbeat is the session heartbeat period (default 1s). It must
 	// stay well under the coordinator's LeaseTTL.
 	Heartbeat time.Duration
 }
@@ -168,6 +169,25 @@ func (w *Worker) session(ctx context.Context, addr string) error {
 		return &ProtoError{Reason: fmt.Sprintf("handshake answered with %q, want welcome or reject", f.Type)}
 	}
 
+	// One heartbeat clock per session, on its own goroutine so a
+	// compute-bound collection still proves the process is alive; a job
+	// that hangs beyond its deadline is the deadline's problem, not the
+	// session's.
+	go func() {
+		tick := time.NewTicker(w.cfg.Heartbeat)
+		defer tick.Stop()
+		for {
+			select {
+			case <-sctx.Done():
+				return
+			case <-tick.C:
+				if stream.Send(Frame{Type: TypeHeartbeat}) != nil {
+					return
+				}
+			}
+		}
+	}()
+
 	var jobs sync.WaitGroup
 	defer func() {
 		// Teardown cancels the jobs riding on this connection before
@@ -177,7 +197,6 @@ func (w *Worker) session(ctx context.Context, addr string) error {
 		cancel()
 		jobs.Wait()
 	}()
-	active := &counter{}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -192,41 +211,14 @@ func (w *Worker) session(ctx context.Context, addr string) error {
 		jobs.Add(1)
 		go func(f Frame) {
 			defer jobs.Done()
-			w.runLease(sctx, stream, f, active)
+			w.runLease(sctx, stream, f)
 		}(f)
 	}
 }
 
-// runLease executes one dispatched job, heartbeating until it settles.
-func (w *Worker) runLease(ctx context.Context, stream *wire.Stream[Frame], f Frame, active *counter) {
-	active.add(1)
-	defer active.add(-1)
-
-	// Heartbeats flow on their own goroutine so a compute-bound
-	// collection still proves the process is alive; a job that hangs
-	// beyond its deadline is the deadline's problem, not the lease's.
-	hctx, hcancel := context.WithCancel(ctx)
-	var beats sync.WaitGroup
-	beats.Add(1)
-	go func() {
-		defer beats.Done()
-		tick := time.NewTicker(w.cfg.Heartbeat)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hctx.Done():
-				return
-			case <-tick.C:
-				if stream.Send(Frame{Type: TypeHeartbeat, Lease: f.Lease, Active: active.get()}) != nil {
-					return
-				}
-			}
-		}
-	}()
-
+// runLease executes one dispatched job and reports how it settled.
+func (w *Worker) runLease(ctx context.Context, stream *wire.Stream[Frame], f Frame) {
 	result, err := w.exec(ctx, f.Job, f.Spec, f.Checkpoint)
-	hcancel()
-	beats.Wait()
 	if err != nil {
 		// A cancellation that arrived through the session context is the
 		// worker stopping (SIGTERM) or the connection dying — not the job
@@ -241,24 +233,6 @@ func (w *Worker) runLease(ctx context.Context, stream *wire.Stream[Frame], f Fra
 		return
 	}
 	_ = stream.Send(Frame{Type: TypeResult, Lease: f.Lease, Job: f.Job, Result: result})
-}
-
-// counter is a tiny gauge for the heartbeat's active-job count.
-type counter struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (c *counter) add(d int) {
-	c.mu.Lock()
-	c.n += d
-	c.mu.Unlock()
-}
-
-func (c *counter) get() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
 }
 
 // sleepCtx pauses for d, aborting early when ctx ends.

@@ -49,9 +49,6 @@ func New(dt float64, capHint int) *Profiler {
 	return &Profiler{dt: dt, capHint: capHint, series: make(map[string]*trace.Series)}
 }
 
-// DT returns the sampling interval.
-func (p *Profiler) DT() float64 { return p.dt }
-
 // Sample records value v for the metric at the current tick. All metrics
 // sampled in a tick must be sampled every tick to stay aligned; Trace
 // verifies alignment.

@@ -190,12 +190,12 @@ func specOptions(sp Spec, checkpointPath string) (core.Options, error) {
 // The timing backend is process configuration, not part of the spec —
 // specOptions leaves Sim.Timing nil, so the canonical string alone never
 // carries it — yet a non-exact model changes every collected byte. It is
-// therefore appended here exactly as sim.Config.WriteCanonical renders
-// it on the executing side, so a persistent cache directory shared across
-// servers with different -timing-model configurations can never serve
-// one configuration's bytes under another. An empty fingerprint appends
-// nothing, keeping keys (and existing caches) identical to the
-// pre-timing format.
+// therefore appended here by sim.TimingSegment, the renderer
+// sim.Config.WriteCanonical uses on the executing side, so a persistent
+// cache directory shared across servers with different -timing-model
+// configurations can never serve one configuration's bytes under another.
+// An empty fingerprint appends nothing, keeping keys (and existing caches)
+// identical to the pre-timing format.
 func (sp Spec) CacheKey(timingFingerprint string) (string, error) {
 	opts, err := specOptions(sp, "")
 	if err != nil {
@@ -210,10 +210,6 @@ func (sp Spec) CacheKey(timingFingerprint string) (string, error) {
 	k, alg := 0, ""
 	if sp.Kind == "cluster" {
 		k, alg = sp.clusterK(), sp.clusterAlg()
-	}
-	timing := ""
-	if timingFingerprint != "" {
-		timing = fmt.Sprintf("|timing=%q", timingFingerprint)
 	}
 	// The streamreport kind's dataset is its records, not a collection:
 	// their canonical JSON (seq, unit, runtime, features — every byte that
@@ -231,7 +227,7 @@ func (sp Spec) CacheKey(timingFingerprint string) (string, error) {
 		so := sp.streamOptions().WithDefaults()
 		stream = fmt.Sprintf("|stream=%s|skmin=%d|skmax=%d", hex.EncodeToString(sum[:]), so.KMin, so.KMax)
 	}
-	h := sha256.Sum256(fmt.Appendf(nil, "mbcache-v2|%s|kind=%s|k=%d|alg=%s|minruns=%d%s%s", canon, sp.Kind, k, alg, sp.MinRuns, stream, timing))
+	h := sha256.Sum256(fmt.Appendf(nil, "mbcache-v2|%s|kind=%s|k=%d|alg=%s|minruns=%d%s%s", canon, sp.Kind, k, alg, sp.MinRuns, stream, sim.TimingSegment(timingFingerprint)))
 	return hex.EncodeToString(h[:]), nil
 }
 

@@ -129,14 +129,23 @@ func (c Config) WriteCanonical(w io.Writer) {
 	// the same bytes, a queued-DRAM backend's never resume an in-process
 	// collection.
 	if c.Timing != nil {
-		if id := c.Timing.Fingerprint(); id != "" {
-			fmt.Fprintf(w, "|timing=%q", id)
-		}
+		_, _ = io.WriteString(w, TimingSegment(c.Timing.Fingerprint()))
 	}
 	// The platform digest covers every cluster/GPU/AIE/memory parameter;
 	// %+v renders structs field by field and maps in sorted key order, so
 	// the rendering is deterministic for a given binary.
 	fmt.Fprintf(w, "|plat=%+v", c.Platform)
+}
+
+// TimingSegment renders a timing backend's fingerprint as the identity
+// segment WriteCanonical appends for it, and the result cache's keys carry
+// for the serving process's backend: "" for "" (the in-process models, or
+// an exact external backend), else |timing="<fingerprint>".
+func TimingSegment(fingerprint string) string {
+	if fingerprint == "" {
+		return ""
+	}
+	return fmt.Sprintf("|timing=%q", fingerprint)
 }
 
 // Engine executes workloads.

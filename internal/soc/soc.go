@@ -198,9 +198,6 @@ func (p *Platform) TotalCores() int {
 	return n
 }
 
-// Cluster returns the description of the given cluster kind.
-func (p *Platform) Cluster(k ClusterKind) CPUCluster { return p.Clusters[k] }
-
 // PeakInstrPerSec returns the theoretical peak instruction throughput across
 // all CPU cores, used to sanity-check calibrations.
 func (p *Platform) PeakInstrPerSec() float64 {

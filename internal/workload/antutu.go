@@ -403,10 +403,14 @@ func AntutuUXSegment() Workload {
 	})
 }
 
+// nameAntutu names the whole Antutu run, an executable but no analysis
+// unit.
+const nameAntutu = "Antutu"
+
 // AntutuFull returns the whole Antutu run in its execution order (GPU, Mem,
 // CPU, UX); users cannot execute the components individually.
 func AntutuFull() Workload {
-	return Concat("Antutu", "Antutu v9", TargetUX,
+	return Concat(nameAntutu, "Antutu v9", TargetUX,
 		AntutuGPUSegment(), AntutuMemSegment(), AntutuCPUSegment(), AntutuUXSegment())
 }
 

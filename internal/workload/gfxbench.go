@@ -70,12 +70,27 @@ var lowScenes = []gfxScene{
 	{"Tessellation off-screen", 74, gpu.OpenGL, fullHDW, fullHDH, 3100, 100, true, 6100, 0.8},
 }
 
+// specialScene describes one Special render-quality test.
+type specialScene struct {
+	name          string
+	dur, psnrRate float64
+}
+
+// specialScenes lists the 2 Special render-quality tests.
+var specialScenes = []specialScene{
+	{"Render Quality", 22.5, 3.4},
+	{"Render Quality (high precision)", 22.5, 4.4},
+}
+
+// gfxPrefix starts the name of every GFXBench micro-benchmark.
+const gfxPrefix = "GFXBench "
+
 // sceneWorkload builds the runnable workload of one micro-benchmark.
 func sceneWorkload(s gfxScene) Workload {
 	scene := sceneGame(s.api, s.w, s.h, s.wpp, s.texMB, s.offscreen)
 	scene.DrawCallsPerFrame = s.drawCalls
 	return Workload{
-		Name:   "GFXBench " + s.name,
+		Name:   gfxPrefix + s.name,
 		Suite:  "GFXBench v5",
 		Target: TargetGPU,
 		Phases: []Phase{
@@ -109,12 +124,12 @@ func sceneWorkload(s gfxScene) Workload {
 }
 
 // specialWorkload builds one render-quality test: render a reference frame,
-// then compute PSNR (based on mean square error) on the AIE. highPrecision
-// selects the second, higher-precision section.
-func specialWorkload(name string, dur float64, psnrRate float64) Workload {
-	render := 0.6 * dur
+// then compute PSNR (based on mean square error) on the AIE at the test's
+// rate.
+func specialWorkload(s specialScene) Workload {
+	render := 0.6 * s.dur
 	return Workload{
-		Name:   "GFXBench " + name,
+		Name:   gfxPrefix + s.name,
 		Suite:  "GFXBench v5",
 		Target: TargetGPU,
 		Phases: []Phase{
@@ -136,7 +151,7 @@ func specialWorkload(name string, dur float64, psnrRate float64) Workload {
 				// (the paper notes the high-load timestamps are not
 				// contiguous).
 				Name:     "PSNR compare",
-				Duration: dur - render,
+				Duration: s.dur - render,
 				CPU: CPUPhase{
 					Tasks:       bgUI(),
 					Mix:         mixImage(),
@@ -144,7 +159,7 @@ func specialWorkload(name string, dur float64, psnrRate float64) Workload {
 					Branches:    branchLoopy(),
 					ComputeDuty: 0.8,
 				},
-				AIE: aieOps(aieOp(aie.OpPSNR, psnrRate)),
+				AIE: aieOps(aieOp(aie.OpPSNR, s.psnrRate)),
 				Mem: footGraphics(280, 500),
 			},
 		},
@@ -153,10 +168,11 @@ func specialWorkload(name string, dur float64, psnrRate float64) Workload {
 
 // GFXSpecialScenes returns the two Special micro-benchmarks.
 func GFXSpecialScenes() []Workload {
-	return []Workload{
-		specialWorkload("Render Quality", 22.5, 3.4),
-		specialWorkload("Render Quality (high precision)", 22.5, 4.4),
+	out := make([]Workload, len(specialScenes))
+	for i, s := range specialScenes {
+		out[i] = specialWorkload(s)
 	}
+	return out
 }
 
 // GFXHighScenes returns the 19 High-Level micro-benchmarks.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"mobilebench/internal/soc"
@@ -222,6 +223,39 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown name accepted")
+	}
+}
+
+// TestByNameRoundTrip: every analysis unit and executable comes back from
+// ByName unchanged, and ByName knows no other name.
+func TestByNameRoundTrip(t *testing.T) {
+	names := map[string]bool{}
+	for _, w := range append(AnalysisUnits(), Executables()...) {
+		names[w.Name] = true
+		got, err := ByName(w.Name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", w.Name, err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("ByName(%q) differs from the listed workload", w.Name)
+		}
+	}
+	if len(constructors) != len(names) {
+		t.Fatalf("ByName knows %d names, the registry lists %d", len(constructors), len(names))
+	}
+}
+
+// TestByNameBuildsOnlyItsWorkload: a lookup costs what building the one
+// workload costs, not a build of the whole registry.
+func TestByNameBuildsOnlyItsWorkload(t *testing.T) {
+	direct := testing.AllocsPerRun(20, func() { _ = PCMarkStorage() })
+	lookup := testing.AllocsPerRun(20, func() {
+		if _, err := ByName(NamePCMarkStorage); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if lookup > direct {
+		t.Fatalf("ByName(%q) allocates %v times per call, building it directly %v", NamePCMarkStorage, lookup, direct)
 	}
 }
 

@@ -10,7 +10,12 @@
 #      zero-loss story: the job re-dispatches instead of failing, and the
 #      stopped worker exits promptly,
 #   5. run the spec on a plain single-process server and assert the
-#      fleet's kill-9-interrupted result is byte-identical to it.
+#      fleet's kill-9-interrupted result is byte-identical to it,
+#   6. on a fresh fleet with a short -lease-ttl, SIGSTOP the worker holding
+#      the lease (its TCP connection stays up, its heartbeats stop) and
+#      assert the coordinator drops it: the job finishes on the other
+#      worker with the same bytes, and after SIGCONT the stopped worker
+#      re-registers.
 set -euo pipefail
 
 # Hard timeout guard: the whole smoke test must finish inside
@@ -30,7 +35,7 @@ STATE=$(mktemp -d)
 CACHE=$STATE/cache
 LOG=$STATE/coordinator.log
 SPEC='{"kind":"characterize","units":["Antutu Mem"],"runs":2,"workers":1,"inject":"hang=1,hang_sec=2,clean_after=-1"}'
-trap 'kill $(jobs -p) 2>/dev/null || true; cat "$LOG" "$STATE"/w*.log 2>/dev/null || true' EXIT
+trap 'kill -CONT $(jobs -p) 2>/dev/null || true; kill $(jobs -p) 2>/dev/null || true; cat "$LOG" "$STATE"/w*.log 2>/dev/null || true' EXIT
 
 # Expiry diagnostics: when the timeout guard TERMs us, say where the fleet
 # was stuck (processes, job table, logs) before the EXIT trap cleans up.
@@ -172,8 +177,50 @@ RD=$(result_of "$D")
   exit 1
 }
 echo "fleet result byte-identical to undisturbed run"
-
 kill -TERM "$SRV"
 wait "$SRV"
+
+# SIGSTOP: a worker that is frozen, not dead, keeps its TCP connection, so
+# only the missing heartbeats can give it away. A fresh fleet without a
+# cache executes the spec again; s1 sorts first, so it takes the lease.
+STOPST=$(mktemp -d)
+"$BIN" -addr "$ADDR" -coordinator "$COORD" -state "$STOPST" -lease-ttl 2s \
+  -drain-grace 200ms >>"$LOG" 2>&1 &
+SRV=$!
+wait_http "$BASE/healthz" 10
+"$BIN" -worker "$COORD" -worker-id s1 -heartbeat 250ms >>"$STATE/w-s1.log" 2>&1 &
+S1=$!
+"$BIN" -worker "$COORD" -worker-id s2 -heartbeat 250ms >>"$STATE/w-s2.log" 2>&1 &
+S2=$!
+wait_http "$BASE/readyz" 10
+F=$(submit)
+for _ in $(seq 1 300); do
+  [ -s "$STOPST/$F.ckpt" ] && break
+  sleep 0.1
+done
+[ -s "$STOPST/$F.ckpt" ] || { echo "FAIL: SIGSTOP job never checkpointed" >&2; exit 1; }
+kill -STOP "$S1"
+wait_done "$F" 60 # s1 is still stopped, so s2 finished it
+RF=$(result_of "$F")
+[ "$RF" = "$RA" ] || { echo "FAIL: result after SIGSTOP diverges from the undisturbed run" >&2; exit 1; }
+echo "job $F finished on s2 while s1 was stopped, with identical bytes"
+
+# With s2 gone and s1 dropped the fleet is empty; SIGCONT must bring s1
+# back through its reconnect loop.
+kill -9 "$S2"
+wait "$S2" 2>/dev/null || true
+for _ in $(seq 1 100); do
+  [ "$(curl -s -o /dev/null -w '%{http_code}' "$BASE/readyz")" = 503 ] && break
+  sleep 0.1
+done
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/readyz")
+[ "$CODE" = 503 ] || { echo "FAIL: readyz=$CODE with s1 stopped and s2 killed, want 503" >&2; exit 1; }
+kill -CONT "$S1"
+wait_http "$BASE/readyz" 20
+echo "s1 re-registered after SIGCONT"
+
+kill -TERM "$SRV"
+wait "$SRV" || { echo "FAIL: coordinator exited non-zero on SIGTERM" >&2; exit 1; }
+kill -TERM "$S1" 2>/dev/null || true
 trap - EXIT
 echo "PASS"
