@@ -12,7 +12,8 @@ type zipfCase struct {
 
 // zipfProduction lists the (n, s) pairs the simulator draws from: the hot
 // region, the branch sites, GPU texture streams and SLC pollution at the
-// bundled texture working sets (MB * 16384 lines), and the CPU reuse skews.
+// bundled texture working sets (MB * 16384 lines), and the CPU reuse
+// working sets and skews.
 func zipfProduction() []zipfCase {
 	cs := []zipfCase{{384, 0.8}}
 	for _, n := range []int{256, 768, 1536, 4096} {
@@ -26,7 +27,15 @@ func zipfProduction() []zipfCase {
 			cs = append(cs, zipfCase{n, s})
 		}
 	}
-	return cs
+	// The remaining reuse working sets and skews of the bundled workloads
+	// (internal/sim's TestZipfGenCoversSimulatorPairs derives them all).
+	for _, n := range []int{65536, 98304, 131072, 163840, 229376, 262144, 294912, 327680, 393216, 524288} {
+		cs = append(cs, zipfCase{n, 1.4})
+	}
+	for _, n := range []int{229376, 262144, 294912, 393216, 524288, 1179648, 1310720} {
+		cs = append(cs, zipfCase{n, 1.1})
+	}
+	return append(cs, zipfCase{262144, 0.95})
 }
 
 // zipfGrid is zipfProduction plus edge cases: degenerate sizes, the s == 1
