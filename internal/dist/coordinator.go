@@ -80,6 +80,10 @@ type workerConn struct {
 	stream   *wire.Stream[Frame]
 	active   map[string]*lease
 	lastSeen time.Time // when its last frame arrived; guarded by Coordinator.mu
+	// welcomed is set once the welcome frame is written; placement skips
+	// a worker until then, so its first frame after hello is the welcome.
+	// Guarded by Coordinator.mu.
+	welcomed bool
 }
 
 type lease struct {
@@ -169,6 +173,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		return
 	}
 	c.mu.Lock()
+	w.welcomed = true
 	c.capacityChanged() // fresh capacity: wake saturated dispatchers
 	c.mu.Unlock()
 
@@ -339,7 +344,7 @@ func (c *Coordinator) tryDispatch(jobID string, spec json.RawMessage, checkpoint
 	var best *workerConn
 	bestFree := 0
 	for _, w := range c.sortedWorkers() {
-		if free := w.capacity - len(w.active); free > bestFree {
+		if free := w.capacity - len(w.active); w.welcomed && free > bestFree {
 			best, bestFree = w, free
 		}
 	}

@@ -676,3 +676,76 @@ func TestExecuteRefusesOversizedSpec(t *testing.T) {
 		t.Fatalf("error = %+v", tooLarge)
 	}
 }
+
+// TestWelcomePrecedesDispatch: a worker is placeable only once its welcome
+// is written. Jobs wait for capacity while raw workers handshake and hang
+// up over and over; every hang-up revokes whatever lease the worker got,
+// so the waiting jobs re-dispatch while the next workers register. Each
+// worker's first frame after hello must be its welcome, never a dispatch
+// that overtook it.
+func TestWelcomePrecedesDispatch(t *testing.T) {
+	c, addr := startCoordinator(t, dist.CoordinatorConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var jobs sync.WaitGroup
+	for j := range 4 {
+		jobs.Add(1)
+		go func() {
+			defer jobs.Done()
+			_, _ = c.Execute(ctx, fmt.Sprintf("job-%d", j), json.RawMessage(`{}`), "")
+		}()
+	}
+	defer jobs.Wait()
+	defer cancel()
+
+	const connectors, handshakes = 4, 1000
+	errs := make(chan error, connectors)
+	for g := range connectors {
+		go func() {
+			for i := range handshakes {
+				if err := handshakeOnce(addr, fmt.Sprintf("w%d-%d", g, i)); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range connectors {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// handshakeOnce connects a raw worker with one slot, sends hello, checks
+// that the first frame back is a welcome, and hangs up.
+func handshakeOnce(addr, id string) error {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	hello, err := dist.EncodeFrame(dist.Frame{Type: dist.TypeHello, Proto: dist.ProtoVersion, Worker: id, Capacity: 1})
+	if err != nil {
+		return err
+	}
+	if _, err := conn.Write(hello); err != nil {
+		return err
+	}
+	var line []byte
+	b := make([]byte, 1)
+	for { // exactly the first frame, nothing after it
+		if _, err := conn.Read(b); err != nil {
+			return fmt.Errorf("worker %s: reading its first frame: %w", id, err)
+		}
+		if b[0] == '\n' {
+			break
+		}
+		line = append(line, b[0])
+	}
+	if f, err := dist.ParseFrame(line); err != nil || f.Type != dist.TypeWelcome {
+		return fmt.Errorf("worker %s: hello answered with %q (%v), want welcome", id, line, err)
+	}
+	return nil
+}
