@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"slices"
 	"strings"
 
 	"mobilebench/internal/trace"
@@ -37,8 +38,19 @@ const (
 type Profiler struct {
 	dt      float64
 	capHint int
-	series  map[string]*trace.Series
-	order   []string
+	slots   map[string]Slot
+	named   []slotSeries    // by Slot
+	order   []*trace.Series // the sampled series, in first-sampled order
+}
+
+// Slot is a handle to one named metric of a Profiler, resolved once by
+// Profiler.Slot so a hot loop samples without looking the name up.
+type Slot int
+
+// slotSeries is a slot's name and its series, nil until first sampled.
+type slotSeries struct {
+	name string
+	s    *trace.Series
 }
 
 // New creates a profiler sampling at interval dt seconds. Every series
@@ -46,48 +58,56 @@ type Profiler struct {
 // run's tick count), so the ~190 engine counters never regrow mid-run; a
 // non-positive hint sizes nothing.
 func New(dt float64, capHint int) *Profiler {
-	return &Profiler{dt: dt, capHint: capHint, series: make(map[string]*trace.Series)}
+	return &Profiler{dt: dt, capHint: capHint, slots: make(map[string]Slot)}
+}
+
+// Slot returns the handle of the named metric. Resolving a name creates
+// no series: a metric joins the trace, and takes its place in the metric
+// order, at its first sample.
+func (p *Profiler) Slot(metric string) Slot {
+	sl, ok := p.slots[metric]
+	if !ok {
+		sl = Slot(len(p.named))
+		p.slots[metric] = sl
+		p.named = append(p.named, slotSeries{name: metric})
+	}
+	return sl
+}
+
+// Put records value v for the metric behind sl at the current tick.
+func (p *Profiler) Put(sl Slot, v float64) {
+	ns := &p.named[sl]
+	if ns.s == nil {
+		ns.s = trace.NewSeriesCap(ns.name, p.dt, p.capHint)
+		p.order = append(p.order, ns.s)
+	}
+	ns.s.Append(v)
 }
 
 // Sample records value v for the metric at the current tick. All metrics
 // sampled in a tick must be sampled every tick to stay aligned; Trace
 // verifies alignment.
-func (p *Profiler) Sample(metric string, v float64) {
-	s, ok := p.series[metric]
-	if !ok {
-		s = trace.NewSeriesCap(metric, p.dt, p.capHint)
-		p.series[metric] = s
-		p.order = append(p.order, metric)
-	}
-	s.Append(v)
-}
+func (p *Profiler) Sample(metric string, v float64) { p.Put(p.Slot(metric), v) }
 
 // All yields the live series in first-sampled order. The simulator's
 // fast-forward path uses it to bulk-extend frozen metrics
 // (trace.Series.AppendCycle) without going through Sample.
-func (p *Profiler) All() iter.Seq[*trace.Series] {
-	return func(yield func(*trace.Series) bool) {
-		for _, name := range p.order {
-			if !yield(p.series[name]) {
-				return
-			}
-		}
-	}
-}
+func (p *Profiler) All() iter.Seq[*trace.Series] { return slices.Values(p.order) }
 
 // Trace freezes the profiler into a Trace, verifying that all series have
 // the same length.
 func (p *Profiler) Trace() (*Trace, error) {
-	n := -1
-	for _, name := range p.order {
-		l := p.series[name].Len()
-		if n == -1 {
-			n = l
-		} else if l != n {
-			return nil, fmt.Errorf("profiler: series %q has %d samples, want %d", name, l, n)
+	t := &Trace{DT: p.dt, Samples: -1, series: make(map[string]*trace.Series, len(p.order)),
+		order: make([]string, len(p.order))}
+	for i, s := range p.order {
+		if l := s.Len(); t.Samples == -1 {
+			t.Samples = l
+		} else if l != t.Samples {
+			return nil, fmt.Errorf("profiler: series %q has %d samples, want %d", s.Name, l, t.Samples)
 		}
+		t.series[s.Name] = s
+		t.order[i] = s.Name
 	}
-	t := &Trace{DT: p.dt, Samples: n, series: p.series, order: append([]string(nil), p.order...)}
 	return t, nil
 }
 

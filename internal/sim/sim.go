@@ -164,10 +164,10 @@ type Engine struct {
 	cfg  Config
 	plat *soc.Platform
 	// names holds every per-cluster and per-core counter name the tick
-	// loop emits, formatted once at construction. The tick loop samples
-	// ~190 metrics per tick; formatting those names per sample used to be
-	// the pipeline's single largest allocation source.
-	names [soc.NumClusters]clusterMetricNames
+	// loop emits, formatted once at construction; each run resolves them
+	// into its profiler's slots (newTickState), so the ~190 samples per
+	// tick neither format nor look up a name.
+	names [soc.NumClusters]clusterMetrics[string]
 
 	// free pools runModels across runs: cache tag/valid/LRU arrays and
 	// predictor tables dominate per-run allocation after the name tables,
@@ -202,25 +202,49 @@ func (e *Engine) releaseModels(m *runModels) {
 	e.mu.Unlock()
 }
 
-// clusterMetricNames caches one cluster's counter names.
-type clusterMetricNames struct {
-	ipc, cacheMPKI, branchMPKI        string
-	util, freqMHz, load               string
-	activeCores, overflow, topOPPFrac string
-	level                             [4]string // l1d/l2/l3/slc _miss_per_instr
-	core                              []coreMetricNames
+// clusterMetrics holds one cluster's counters: their names, formatted
+// once per engine, or a run's profiler slots for them.
+type clusterMetrics[T any] struct {
+	ipc, cacheMPKI, branchMPKI        T
+	util, freqMHz, load               T
+	activeCores, overflow, topOPPFrac T
+	level                             [4]T // l1d/l2/l3/slc _miss_per_instr
+	core                              []coreMetrics[T]
 }
 
-// coreMetricNames caches one core's counter names.
-type coreMetricNames struct {
-	load, util, freqMHz, ipc, cacheMPKI, branchMPKI string
-	level                                           [4]string
+// coreMetrics holds one core's counters.
+type coreMetrics[T any] struct {
+	load, util, freqMHz, ipc, cacheMPKI, branchMPKI T
+	level                                           [4]T
+}
+
+// mapClusterMetrics applies f to every counter of n: a run resolves the
+// engine's names into its profiler's slots with it.
+func mapClusterMetrics[A, B any](n *clusterMetrics[A], f func(A) B) clusterMetrics[B] {
+	out := clusterMetrics[B]{
+		ipc: f(n.ipc), cacheMPKI: f(n.cacheMPKI), branchMPKI: f(n.branchMPKI),
+		util: f(n.util), freqMHz: f(n.freqMHz), load: f(n.load),
+		activeCores: f(n.activeCores), overflow: f(n.overflow), topOPPFrac: f(n.topOPPFrac),
+		core: make([]coreMetrics[B], len(n.core)),
+	}
+	for i, l := range n.level {
+		out.level[i] = f(l)
+	}
+	for c := range n.core {
+		cn, co := &n.core[c], &out.core[c]
+		*co = coreMetrics[B]{load: f(cn.load), util: f(cn.util), freqMHz: f(cn.freqMHz),
+			ipc: f(cn.ipc), cacheMPKI: f(cn.cacheMPKI), branchMPKI: f(cn.branchMPKI)}
+		for i, l := range cn.level {
+			co.level[i] = f(l)
+		}
+	}
+	return out
 }
 
 var cacheLevelSlugs = [4]string{"l1d", "l2", "l3", "slc"}
 
-func buildMetricNames(plat *soc.Platform) [soc.NumClusters]clusterMetricNames {
-	var names [soc.NumClusters]clusterMetricNames
+func buildMetricNames(plat *soc.Platform) [soc.NumClusters]clusterMetrics[string] {
+	var names [soc.NumClusters]clusterMetrics[string]
 	for _, k := range soc.Clusters() {
 		n := &names[k]
 		n.ipc = ClusterMetric(k, "ipc")
@@ -235,7 +259,7 @@ func buildMetricNames(plat *soc.Platform) [soc.NumClusters]clusterMetricNames {
 		for i, lvl := range cacheLevelSlugs {
 			n.level[i] = ClusterMetric(k, lvl+"_miss_per_instr")
 		}
-		n.core = make([]coreMetricNames, plat.Clusters[k].NumCores)
+		n.core = make([]coreMetrics[string], plat.Clusters[k].NumCores)
 		for c := range n.core {
 			cn := &n.core[c]
 			cn.load = coreMetric(k, c, "load")

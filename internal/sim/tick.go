@@ -155,6 +155,125 @@ type clusterState struct {
 	load, util, ipc, missPI float64
 }
 
+// sysMetric is a counter the tick samples outside the cluster loop:
+// powerThermal's, the system counters and the span's. A run samples each
+// through the profiler slot newTickState resolves for it.
+type sysMetric int
+
+const (
+	mPowerTotalW sysMetric = iota
+	mPowerCPUW
+	mPowerLittleW
+	mPowerMidW
+	mPowerBigW
+	mPowerGPUW
+	mPowerAIEW
+	mPowerDRAMW
+	mPowerStorageW
+	mEnergyTotalJ
+	mCPUTempC
+	mThermalGPUC
+	mThermalSoCC
+	mThermalSkinC
+	mThermalCPUThrottled
+	mCPULoad
+	mGPULoad
+	mShadersBusy
+	mGPUBusBusy
+	mAIELoad
+	mUsedMem
+	mWorkloadMem
+	mStorageUtil
+	mUsedMemMB
+	mMemWorkloadMB
+	mMemGPUMB
+	mMemHeapMB
+	mMemMediaMB
+	mGPUUtil
+	mGPUFreqMHz
+	mGPUFPS
+	mGPUTexMissRatio
+	mGPUBusBytes
+	mAIEUtil
+	mAIEFreqMHz
+	mAIECPUFallback
+	mStorageBytes
+	mStorageReadMBps
+	mStorageWriteMBps
+	mStorageIOPS
+	mMemFreeMB
+	mGPUFrameTimeMS
+	mGPUDrawcallRate
+	mSLCAccesses
+	mSLCMisses
+	mL3Accesses
+	mL3Misses
+	mCPUTotalInstr
+	mCPUTotalCycles
+	mInstrRate
+	mIPC
+	mCacheMPKI
+	mBranchMPKI
+	numSysMetrics
+)
+
+// sysMetricNames names each sysMetric.
+var sysMetricNames = [numSysMetrics]string{
+	mPowerTotalW:         "power.total_w",
+	mPowerCPUW:           "power.cpu_w",
+	mPowerLittleW:        "power.little_w",
+	mPowerMidW:           "power.mid_w",
+	mPowerBigW:           "power.big_w",
+	mPowerGPUW:           "power.gpu_w",
+	mPowerAIEW:           "power.aie_w",
+	mPowerDRAMW:          "power.dram_w",
+	mPowerStorageW:       "power.storage_w",
+	mEnergyTotalJ:        "energy.total_j",
+	mCPUTempC:            profiler.MetricCPUTempC,
+	mThermalGPUC:         "thermal.gpu_c",
+	mThermalSoCC:         "thermal.soc_c",
+	mThermalSkinC:        "thermal.skin_c",
+	mThermalCPUThrottled: "thermal.cpu_throttled",
+	mCPULoad:             profiler.MetricCPULoad,
+	mGPULoad:             profiler.MetricGPULoad,
+	mShadersBusy:         profiler.MetricShadersBusy,
+	mGPUBusBusy:          profiler.MetricGPUBusBusy,
+	mAIELoad:             profiler.MetricAIELoad,
+	mUsedMem:             profiler.MetricUsedMem,
+	mWorkloadMem:         profiler.MetricWorkloadMem,
+	mStorageUtil:         profiler.MetricStorageUtil,
+	mUsedMemMB:           profiler.MetricUsedMemMB,
+	mMemWorkloadMB:       "mem.workload_mb",
+	mMemGPUMB:            "mem.gpu_mb",
+	mMemHeapMB:           "mem.heap_mb",
+	mMemMediaMB:          "mem.media_mb",
+	mGPUUtil:             "gpu.util",
+	mGPUFreqMHz:          "gpu.freq_mhz",
+	mGPUFPS:              "gpu.fps",
+	mGPUTexMissRatio:     "gpu.tex_miss_ratio",
+	mGPUBusBytes:         "gpu.bus_bytes",
+	mAIEUtil:             "aie.util",
+	mAIEFreqMHz:          "aie.freq_mhz",
+	mAIECPUFallback:      "aie.cpu_fallback",
+	mStorageBytes:        "storage.bytes",
+	mStorageReadMBps:     "storage.read_mbps",
+	mStorageWriteMBps:    "storage.write_mbps",
+	mStorageIOPS:         "storage.iops",
+	mMemFreeMB:           "mem.free_mb",
+	mGPUFrameTimeMS:      "gpu.frame_time_ms",
+	mGPUDrawcallRate:     "gpu.drawcall_rate",
+	mSLCAccesses:         "slc.accesses",
+	mSLCMisses:           "slc.misses",
+	mL3Accesses:          "l3.accesses",
+	mL3Misses:            "l3.misses",
+	mCPUTotalInstr:       "cpu.total_instr",
+	mCPUTotalCycles:      "cpu.total_cycles",
+	mInstrRate:           profiler.MetricInstrRate,
+	mIPC:                 profiler.MetricIPC,
+	mCacheMPKI:           profiler.MetricCacheMPKI,
+	mBranchMPKI:          profiler.MetricBranchMPKI,
+}
+
 // tickIn is one tick's model inputs. Fast-forwarding keeps the last
 // ffMaxPeriod of them and replays them across a span.
 type tickIn struct {
@@ -190,6 +309,11 @@ type tickState struct {
 	ff            *ffState     // set when fast-forwarding
 	ahead         *gpuAhead    // set in an exact run
 
+	// The run's profiler slots, resolved once by newTickState: the
+	// sysMetrics and each present cluster's counters.
+	sys          [numSysMetrics]profiler.Slot
+	clusterSlots [soc.NumClusters]clusterMetrics[profiler.Slot]
+
 	// The current tick: its number, phase and inputs, the instructions
 	// retired and the summed per-core load, the cumulative misses at its
 	// entry (fast-forward measures the tick's deltas against them), and
@@ -219,9 +343,21 @@ func (e *Engine) newTickState(m *runModels, w workload.Workload, run int) *tickS
 	dt := float64(tickSec)
 	ticks := max(int(jw.Duration()/dt), 1)
 	// Series pre-sized to the tick count grow exactly once.
-	return &tickState{e: e, m: m, rng: rng, prof: profiler.New(dt, ticks),
+	st := &tickState{e: e, m: m, rng: rng, prof: profiler.New(dt, ticks),
 		jw: jw, dt: dt, ticks: ticks, slcPolluteIdx: -1}
+	// Resolving a slot creates no series, so the trace's metric order
+	// stays tick 0's sampling order.
+	for i, name := range sysMetricNames {
+		st.sys[i] = st.prof.Slot(name)
+	}
+	for _, cs := range m.clusters {
+		st.clusterSlots[cs.kind] = mapClusterMetrics(&e.names[cs.kind], st.prof.Slot)
+	}
+	return st
 }
+
+// put samples a sysMetric through its slot.
+func (st *tickState) put(m sysMetric, v float64) { st.prof.Put(st.sys[m], v) }
 
 // schedule enters tick: it looks up the tick's phase, builds the task set
 // (the phase's threads with demand noise, plus the demand the AIE and the
@@ -254,7 +390,7 @@ func (st *tickState) schedule(tick int) {
 // contention. A first pass samples the active clusters' IPC and MPKI; the
 // second, the idle clusters' zeros and then every cluster's other counters.
 func (st *tickState) cpuClusters() {
-	e, in, phase, prof := st.e, &st.in, st.phase, st.prof
+	in, phase, prof := &st.in, st.phase, st.prof
 	st.cacheMissIn, st.branchMissIn = st.totCacheMiss, st.totBranchMiss
 	contention := cpu.Contention{GPUBusLoad: st.gpuRes.BusBusy, MemBandwidthLoad: 0.5 * st.gpuRes.BusBusy}
 	st.instr, st.cpuLoad = 0, 0
@@ -306,46 +442,46 @@ func (st *tickState) cpuClusters() {
 		// The CPU's share of the DRAM traffic; gpuSLC adds the GPU's.
 		in.powerIn.DRAMBytes += cs.miss.MissesPerInstr[3] * ins * 64
 
-		nm := &e.names[cs.kind]
-		prof.Sample(nm.ipc, cs.ipc)
-		prof.Sample(nm.cacheMPKI, cs.missPI*1000)
-		prof.Sample(nm.branchMPKI, cs.miss.BranchMissPerInstr*1000)
+		nm := &st.clusterSlots[cs.kind]
+		prof.Put(nm.ipc, cs.ipc)
+		prof.Put(nm.cacheMPKI, cs.missPI*1000)
+		prof.Put(nm.branchMPKI, cs.miss.BranchMissPerInstr*1000)
 	}
 	// Clusters that were idle this tick still need aligned samples.
 	for _, cs := range st.m.clusters {
-		nm := &e.names[cs.kind]
+		nm := &st.clusterSlots[cs.kind]
 		load := st.placement.Clusters[cs.kind]
 		if cs.util <= 1e-4 {
-			prof.Sample(nm.ipc, 0)
-			prof.Sample(nm.cacheMPKI, 0)
-			prof.Sample(nm.branchMPKI, 0)
+			prof.Put(nm.ipc, 0)
+			prof.Put(nm.cacheMPKI, 0)
+			prof.Put(nm.branchMPKI, 0)
 		}
 		in.powerIn.Clusters[cs.kind] = power.ClusterInput{
 			FreqHz: cs.freqHz, Util: cs.util, MaxFreqHz: cs.cl.MaxFreqHz, Cores: cs.cl.NumCores}
-		prof.Sample(nm.util, cs.util)
-		prof.Sample(nm.freqMHz, cs.freqHz/1e6)
-		prof.Sample(nm.load, cs.load)
-		prof.Sample(nm.activeCores, float64(load.ActiveCores))
-		prof.Sample(nm.overflow, load.Overflow)
+		prof.Put(nm.util, cs.util)
+		prof.Put(nm.freqMHz, cs.freqHz/1e6)
+		prof.Put(nm.load, cs.load)
+		prof.Put(nm.activeCores, float64(load.ActiveCores))
+		prof.Put(nm.overflow, load.Overflow)
 		// Per-core views: cores within a cluster behave near
 		// identically (the paper averages them for the same reason).
 		for c := 0; c < cs.cl.NumCores; c++ {
 			cn := &nm.core[c]
-			prof.Sample(cn.load, cs.load)
-			prof.Sample(cn.util, cs.util)
-			prof.Sample(cn.freqMHz, cs.freqHz/1e6)
-			prof.Sample(cn.ipc, cs.ipc)
-			prof.Sample(cn.cacheMPKI, cs.missPI*1000)
-			prof.Sample(cn.branchMPKI, cs.miss.BranchMissPerInstr*1000)
+			prof.Put(cn.load, cs.load)
+			prof.Put(cn.util, cs.util)
+			prof.Put(cn.freqMHz, cs.freqHz/1e6)
+			prof.Put(cn.ipc, cs.ipc)
+			prof.Put(cn.cacheMPKI, cs.missPI*1000)
+			prof.Put(cn.branchMPKI, cs.miss.BranchMissPerInstr*1000)
 			for i := range cn.level {
-				prof.Sample(cn.level[i], cs.miss.MissesPerInstr[i])
+				prof.Put(cn.level[i], cs.miss.MissesPerInstr[i])
 			}
 		}
 		for i := range nm.level {
-			prof.Sample(nm.level[i], cs.miss.MissesPerInstr[i])
+			prof.Put(nm.level[i], cs.miss.MissesPerInstr[i])
 		}
 		// DVFS residency: 1 when the tick ran at the top operating point.
-		prof.Sample(nm.topOPPFrac, boolToFloat(cs.freqHz >= cs.cl.MaxFreqHz-1))
+		prof.Put(nm.topOPPFrac, boolToFloat(cs.freqHz >= cs.cl.MaxFreqHz-1))
 	}
 	st.totInstr += st.instr
 	st.totCycles += in.cycles
@@ -441,70 +577,70 @@ func (st *tickState) powerThermal(pin *power.Input) {
 // samplePowerThermal samples powerThermal's counters, for an exact tick
 // and for a span tick alike.
 func (st *tickState) samplePowerThermal() {
-	prof, pw, th := st.prof, &st.pw, &st.th
-	prof.Sample("power.total_w", pw.TotalW())
-	prof.Sample("power.cpu_w", pw.CPUW())
-	prof.Sample("power.little_w", pw.Cluster[soc.Little])
-	prof.Sample("power.mid_w", pw.Cluster[soc.Mid])
-	prof.Sample("power.big_w", pw.Cluster[soc.Big])
-	prof.Sample("power.gpu_w", pw.GPU)
-	prof.Sample("power.aie_w", pw.AIE)
-	prof.Sample("power.dram_w", pw.DRAM)
-	prof.Sample("power.storage_w", pw.Storage)
-	prof.Sample("energy.total_j", st.m.powerM.EnergyJ())
-	prof.Sample(profiler.MetricCPUTempC, th.NodeC[thermal.NodeCPU])
-	prof.Sample("thermal.gpu_c", th.NodeC[thermal.NodeGPU])
-	prof.Sample("thermal.soc_c", th.NodeC[thermal.NodeSoC])
-	prof.Sample("thermal.skin_c", th.SkinC)
-	prof.Sample("thermal.cpu_throttled", boolToFloat(th.Throttled[thermal.NodeCPU]))
+	pw, th := &st.pw, &st.th
+	st.put(mPowerTotalW, pw.TotalW())
+	st.put(mPowerCPUW, pw.CPUW())
+	st.put(mPowerLittleW, pw.Cluster[soc.Little])
+	st.put(mPowerMidW, pw.Cluster[soc.Mid])
+	st.put(mPowerBigW, pw.Cluster[soc.Big])
+	st.put(mPowerGPUW, pw.GPU)
+	st.put(mPowerAIEW, pw.AIE)
+	st.put(mPowerDRAMW, pw.DRAM)
+	st.put(mPowerStorageW, pw.Storage)
+	st.put(mEnergyTotalJ, st.m.powerM.EnergyJ())
+	st.put(mCPUTempC, th.NodeC[thermal.NodeCPU])
+	st.put(mThermalGPUC, th.NodeC[thermal.NodeGPU])
+	st.put(mThermalSoCC, th.NodeC[thermal.NodeSoC])
+	st.put(mThermalSkinC, th.SkinC)
+	st.put(mThermalCPUThrottled, boolToFloat(th.Throttled[thermal.NodeCPU]))
 }
 
 // sampleSystem samples the tick's system counters. Their interleaving of
 // CPU, GPU, memory, AIE, storage, cache, power and thermal counters is
 // tick 0's metric order, so they stay one stage.
 func (st *tickState) sampleSystem() {
-	prof, ph := st.prof, st.phase
+	ph := st.phase
 	gpuRes, aieRes, memRes, ioRes := &st.gpuRes, &st.aieRes, &st.memRes, &st.ioRes
 	slc, l3 := st.m.slc.Stats(), st.m.l3.Stats()
-	prof.Sample(profiler.MetricCPULoad, st.cpuLoad/float64(st.e.plat.TotalCores()))
-	prof.Sample(profiler.MetricGPULoad, gpuRes.Load)
-	prof.Sample(profiler.MetricShadersBusy, gpuRes.ShadersBusy)
-	prof.Sample(profiler.MetricGPUBusBusy, gpuRes.BusBusy)
-	prof.Sample(profiler.MetricAIELoad, aieRes.Load)
-	prof.Sample(profiler.MetricUsedMem, memRes.UsedFrac)
-	prof.Sample(profiler.MetricWorkloadMem, memRes.WorkloadFrac)
-	prof.Sample(profiler.MetricStorageUtil, ioRes.Util)
-	prof.Sample(profiler.MetricUsedMemMB, memRes.UsedMB)
-	prof.Sample("mem.workload_mb", memRes.WorkloadMB)
-	prof.Sample("mem.gpu_mb", memRes.FootprintByUse.GPUMB)
-	prof.Sample("mem.heap_mb", memRes.FootprintByUse.CPUHeapMB)
-	prof.Sample("mem.media_mb", memRes.FootprintByUse.MediaMB)
-	prof.Sample("gpu.util", gpuRes.Util)
-	prof.Sample("gpu.freq_mhz", gpuRes.FreqHz/1e6)
-	prof.Sample("gpu.fps", gpuRes.FPS)
-	prof.Sample("gpu.tex_miss_ratio", gpuRes.TexMissRatio)
-	prof.Sample("gpu.bus_bytes", gpuRes.BytesMoved)
-	prof.Sample("aie.util", aieRes.Util)
-	prof.Sample("aie.freq_mhz", aieRes.FreqHz/1e6)
-	prof.Sample("aie.cpu_fallback", aieRes.CPUFallbackDemand)
-	prof.Sample("storage.bytes", ioRes.BytesMoved)
-	prof.Sample("storage.read_mbps", ph.IO.SeqReadMBs+ph.IO.RandReadIOPS*4096/1e6)
-	prof.Sample("storage.write_mbps", ph.IO.SeqWriteMBs+ph.IO.RandWriteIOPS*4096/1e6)
-	prof.Sample("storage.iops", ph.IO.RandReadIOPS+ph.IO.RandWriteIOPS)
-	prof.Sample("mem.free_mb", st.e.plat.Memory.TotalMB-memRes.UsedMB)
-	prof.Sample("gpu.frame_time_ms", frameTimeMS(gpuRes.FPS))
-	prof.Sample("gpu.drawcall_rate", gpuRes.FPS*ph.GPU.DrawCallsPerFrame)
-	prof.Sample("slc.accesses", float64(slc.Accesses))
-	prof.Sample("slc.misses", float64(slc.Misses))
-	prof.Sample("l3.accesses", float64(l3.Accesses))
-	prof.Sample("l3.misses", float64(l3.Misses))
-	prof.Sample("cpu.total_instr", st.totInstr)
-	prof.Sample("cpu.total_cycles", st.totCycles)
+	st.put(mCPULoad, st.cpuLoad/float64(st.e.plat.TotalCores()))
+	st.put(mGPULoad, gpuRes.Load)
+	st.put(mShadersBusy, gpuRes.ShadersBusy)
+	st.put(mGPUBusBusy, gpuRes.BusBusy)
+	st.put(mAIELoad, aieRes.Load)
+	st.put(mUsedMem, memRes.UsedFrac)
+	st.put(mWorkloadMem, memRes.WorkloadFrac)
+	st.put(mStorageUtil, ioRes.Util)
+	st.put(mUsedMemMB, memRes.UsedMB)
+	st.put(mMemWorkloadMB, memRes.WorkloadMB)
+	st.put(mMemGPUMB, memRes.FootprintByUse.GPUMB)
+	st.put(mMemHeapMB, memRes.FootprintByUse.CPUHeapMB)
+	st.put(mMemMediaMB, memRes.FootprintByUse.MediaMB)
+	st.put(mGPUUtil, gpuRes.Util)
+	st.put(mGPUFreqMHz, gpuRes.FreqHz/1e6)
+	st.put(mGPUFPS, gpuRes.FPS)
+	st.put(mGPUTexMissRatio, gpuRes.TexMissRatio)
+	st.put(mGPUBusBytes, gpuRes.BytesMoved)
+	st.put(mAIEUtil, aieRes.Util)
+	st.put(mAIEFreqMHz, aieRes.FreqHz/1e6)
+	st.put(mAIECPUFallback, aieRes.CPUFallbackDemand)
+	st.put(mStorageBytes, ioRes.BytesMoved)
+	st.put(mStorageReadMBps, ph.IO.SeqReadMBs+ph.IO.RandReadIOPS*4096/1e6)
+	st.put(mStorageWriteMBps, ph.IO.SeqWriteMBs+ph.IO.RandWriteIOPS*4096/1e6)
+	st.put(mStorageIOPS, ph.IO.RandReadIOPS+ph.IO.RandWriteIOPS)
+	st.put(mMemFreeMB, st.e.plat.Memory.TotalMB-memRes.UsedMB)
+	st.put(mGPUFrameTimeMS, frameTimeMS(gpuRes.FPS))
+	st.put(mGPUDrawcallRate, gpuRes.FPS*ph.GPU.DrawCallsPerFrame)
+	st.put(mSLCAccesses, float64(slc.Accesses))
+	st.put(mSLCMisses, float64(slc.Misses))
+	st.put(mL3Accesses, float64(l3.Accesses))
+	st.put(mL3Misses, float64(l3.Misses))
+	st.put(mCPUTotalInstr, st.totInstr)
+	st.put(mCPUTotalCycles, st.totCycles)
 	st.samplePowerThermal()
-	prof.Sample(profiler.MetricInstrRate, st.instr/st.dt)
-	prof.Sample(profiler.MetricIPC, safeDiv(st.instr, st.in.cycles))
-	prof.Sample(profiler.MetricCacheMPKI, safeDiv(st.totCacheMiss, st.totInstr)*1000)
-	prof.Sample(profiler.MetricBranchMPKI, safeDiv(st.totBranchMiss, st.totInstr)*1000)
+	st.put(mInstrRate, st.instr/st.dt)
+	st.put(mIPC, safeDiv(st.instr, st.in.cycles))
+	st.put(mCacheMPKI, safeDiv(st.totCacheMiss, st.totInstr)*1000)
+	st.put(mBranchMPKI, safeDiv(st.totBranchMiss, st.totInstr)*1000)
 }
 
 // fastForward folds the exact tick just run into the steady-state detector
@@ -561,19 +697,19 @@ func (st *tickState) span(k, p int) error {
 		st.totCacheMiss += ins * ff.ewmaCachePI
 		st.totBranchMiss += ins * ff.ewmaBranchPI
 
-		prof.Sample(profiler.MetricUsedMem, memRes.UsedFrac)
-		prof.Sample(profiler.MetricWorkloadMem, memRes.WorkloadFrac)
-		prof.Sample(profiler.MetricUsedMemMB, memRes.UsedMB)
-		prof.Sample("mem.workload_mb", memRes.WorkloadMB)
-		prof.Sample("mem.gpu_mb", memRes.FootprintByUse.GPUMB)
-		prof.Sample("mem.heap_mb", memRes.FootprintByUse.CPUHeapMB)
-		prof.Sample("mem.media_mb", memRes.FootprintByUse.MediaMB)
-		prof.Sample("mem.free_mb", st.e.plat.Memory.TotalMB-memRes.UsedMB)
-		prof.Sample("cpu.total_instr", st.totInstr)
-		prof.Sample("cpu.total_cycles", st.totCycles)
+		st.put(mUsedMem, memRes.UsedFrac)
+		st.put(mWorkloadMem, memRes.WorkloadFrac)
+		st.put(mUsedMemMB, memRes.UsedMB)
+		st.put(mMemWorkloadMB, memRes.WorkloadMB)
+		st.put(mMemGPUMB, memRes.FootprintByUse.GPUMB)
+		st.put(mMemHeapMB, memRes.FootprintByUse.CPUHeapMB)
+		st.put(mMemMediaMB, memRes.FootprintByUse.MediaMB)
+		st.put(mMemFreeMB, st.e.plat.Memory.TotalMB-memRes.UsedMB)
+		st.put(mCPUTotalInstr, st.totInstr)
+		st.put(mCPUTotalCycles, st.totCycles)
 		st.samplePowerThermal()
-		prof.Sample(profiler.MetricCacheMPKI, safeDiv(st.totCacheMiss, st.totInstr)*1000)
-		prof.Sample(profiler.MetricBranchMPKI, safeDiv(st.totBranchMiss, st.totInstr)*1000)
+		st.put(mCacheMPKI, safeDiv(st.totCacheMiss, st.totInstr)*1000)
+		st.put(mBranchMPKI, safeDiv(st.totBranchMiss, st.totInstr)*1000)
 	}
 	ff.tile(prof, k, p)
 	return nil

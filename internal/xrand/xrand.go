@@ -12,7 +12,10 @@ package xrand
 import (
 	"hash/fnv"
 	"math"
+	"runtime"
+	"sync"
 	"time"
+	"weak"
 )
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
@@ -300,13 +303,36 @@ type zipfBucket struct {
 	r  float64 // c1/A0, so t = d*r; 0 when the bucket is exact-only
 }
 
+// The rank arrays' marks for a bucket the series decides draw by draw.
+const (
+	zipfNoRank16 = math.MaxUint16
+	zipfNoRank32 = -1
+)
+
+// zipfTable is the guide table of one (n, s): the series length and
+// coefficients, the guard band, the bucket anchors and the single-rank
+// buckets' ranks. It is immutable once built, and every ZipfGen targeting
+// (n, s) shares the one canonical table (see sharedZipfTable).
+type zipfTable struct {
+	deg        int                       // series degree, K-1
+	coef       [zipfMaxTerms + 1]float64 // C(inv, k)
+	rho0, rho1 float64                   // h-scaled band: g = (rho0 + rho1*|r|)*g0
+	// A single-rank bucket is one whose every offset truncates to the
+	// same rank; a draw reads that rank here, before the bucket. rank16
+	// (n < 65535) or rank32 (larger n) holds it, and zipfNoRank16 or
+	// zipfNoRank32 marks every other bucket.
+	rank16 *[zipfBuckets]uint16
+	rank32 *[zipfBuckets]int32
+	bk     [zipfBuckets]zipfBucket
+}
+
 // ZipfGen draws ranks with exactly the values and generator consumption of
 // Rand.Zipf(n, s), without a math.Pow per draw. It consumes one Uint64 per
 // draw, the same one Float64 would, so RNG striding and checkpoint
 // resumption see no difference.
 //
-// NewZipfGen tabulates, for each of 4096 buckets of u, the anchor g0 and
-// slope r, and picks a series length K. A draw evaluates
+// Its guide table tabulates, for each of 4096 buckets of u, the anchor g0
+// and slope r, and picks a series length K. A draw evaluates
 //
 //	x = g0 * sum_{k<K} C(inv,k) t^k - 1
 //
@@ -345,20 +371,31 @@ type zipfBucket struct {
 // The relative band, rho0 + rho1*|r|, is twice the truncation bound plus
 // zipfMargin times the other terms. Since y <= h*g0 in the bucket, the
 // absolute band is g = (rho0 + rho1*|r|)*h*g0, which a draw computes
-// alongside the series rather than after it. NewZipfGen keeps no table when
+// alongside the series rather than after it. There is no table when
 // s == 1, when n is outside [2, 2^40], when no series length meets the
 // truncation bound, or when the band would exceed zipfMaxGuard (|inv|
 // huge: s very close to 1); then every draw is exact. A bucket is
 // exact-only when its |t| or its band is too wide.
+//
+// Single-rank buckets. The exact expression's real value X(u) is monotone
+// in u, and the series and the reference each lie within g of it. So with
+// x1 and x2 the series at a bucket's first and last offsets, every
+// reference value in the bucket lies in [min(x1,x2) - 2g, max(x1,x2) +
+// 2g]; when both ends of that interval truncate to the same integer, that
+// integer, clamped, is the rank of every draw in the bucket, and the
+// table records it.
+//
+// The table of an (n, s) is shared: every generator targeting (n, s)
+// holds the same immutable table, built once and dropped when the last
+// holder lets go. A ZipfGen is a small value; copies draw independently
+// and may be used from different goroutines, each with its own Rand.
 type ZipfGen struct {
 	zipfExact
-	tab        *[zipfBuckets]zipfBucket  // nil: every draw is exact
-	deg        int                       // series degree, K-1
-	coef       [zipfMaxTerms + 1]float64 // C(inv, k)
-	rho0, rho1 float64                   // h-scaled band: g = (rho0 + rho1*|r|)*g0
+	tab *zipfTable // nil: every draw is exact
 }
 
-// NewZipfGen precomputes the draw constants and guide table for (n, s).
+// NewZipfGen returns a generator for (n, s), sharing the (n, s) table any
+// live generator holds and building it otherwise.
 func NewZipfGen(n int, s float64) ZipfGen {
 	var z ZipfGen
 	z.Reset(n, s)
@@ -366,70 +403,153 @@ func NewZipfGen(n int, s float64) ZipfGen {
 }
 
 // Reset re-targets z at (n, s): afterwards z draws exactly as
-// NewZipfGen(n, s) would. An unchanged (n, s) keeps the table as it is,
-// and a new one is built in the old table's memory, so an owner that
-// re-targets its sampler per phase allocates and tabulates only when the
-// parameters move. Copies of z share its table: Reset z only while no
-// copy is drawing.
+// NewZipfGen(n, s) would. An unchanged (n, s) keeps z as it is; otherwise
+// z takes the shared table of (n, s), so re-targeting to parameters some
+// live generator holds allocates and tabulates nothing.
 func (z *ZipfGen) Reset(n int, s float64) {
 	if z.tab != nil && z.n == n && z.s == s {
 		return
 	}
-	tab := z.tab
-	*z = ZipfGen{zipfExact: newZipfExact(n, s)}
-	if n < 2 || int64(n) > 1<<40 || s == 1 || !isFinite(z.c1) || !isFinite(z.inv) || z.c1 == 0 {
-		return
+	z.zipfExact = newZipfExact(n, s)
+	z.tab = sharedZipfTable(&z.zipfExact)
+}
+
+// zipfTables maps each (n, s) to its canonical table, weakly: a table
+// lives exactly as long as some ZipfGen holds it, and its cleanup then
+// deletes the entry. Concurrent runs targeting the same (n, s) share one
+// table; nothing keeps a table that no generator holds.
+var zipfTables = struct {
+	sync.Mutex
+	m map[zipfKey]weak.Pointer[zipfTable]
+}{m: make(map[zipfKey]weak.Pointer[zipfTable])}
+
+type zipfKey struct {
+	n int
+	s uint64 // math.Float64bits(s)
+}
+
+// sharedZipfTable returns the canonical table of e's (n, s), building and
+// registering it when no live generator holds one; nil when (n, s) gets
+// no table.
+func sharedZipfTable(e *zipfExact) *zipfTable {
+	if !e.tabulable() {
+		return nil
 	}
+	key := zipfKey{e.n, math.Float64bits(e.s)}
+	zipfTables.Lock()
+	defer zipfTables.Unlock()
+	if t := zipfTables.m[key].Value(); t != nil {
+		return t
+	}
+	t := newZipfTable(e)
+	if t != nil {
+		zipfTables.m[key] = weak.Make(t)
+		runtime.AddCleanup(t, dropZipfTable, key)
+	}
+	return t
+}
+
+// dropZipfTable deletes key's entry once its table is gone. A table built
+// for key since then is alive and keeps its entry.
+func dropZipfTable(key zipfKey) {
+	zipfTables.Lock()
+	if zipfTables.m[key].Value() == nil {
+		delete(zipfTables.m, key)
+	}
+	zipfTables.Unlock()
+}
+
+// tabulable reports whether (n, s) may have a table at all: finite
+// constants, s != 1 and n in [2, 2^40].
+func (e *zipfExact) tabulable() bool {
+	return e.n >= 2 && int64(e.n) <= 1<<40 && e.s != 1 && isFinite(e.c1) && isFinite(e.inv) && e.c1 != 0
+}
+
+// newZipfTable builds the guide table for e, or returns nil when no table
+// meets the error budget.
+func newZipfTable(e *zipfExact) *zipfTable {
 	const eps = 0x1p-53
 	const dmax = float64(zipfTailMask) * eps // largest offset d
-	ainv := math.Abs(z.inv)
+	ainv := math.Abs(e.inv)
 
-	if tab == nil {
-		tab = new([zipfBuckets]zipfBucket)
-	}
+	t := new(zipfTable)
 	T := 0.0 // widest |t| among the buckets the series may cover
-	for b := range tab {
-		a0 := float64(b)/zipfBuckets*z.c1 + 1
-		bk := zipfBucket{g0: math.Pow(a0, z.inv), r: z.c1 / a0}
+	for b := range t.bk {
+		a0 := float64(b)/zipfBuckets*e.c1 + 1
+		bk := zipfBucket{g0: math.Pow(a0, e.inv), r: e.c1 / a0}
 		if tb := math.Abs(bk.r) * dmax; tb <= zipfMaxT && tb > T && bk.g0 > 0 && isFinite(bk.g0) {
 			T = tb
 		}
-		tab[b] = bk
+		t.bk[b] = bk
 	}
 
-	z.coef[0] = 1
+	t.coef[0] = 1
 	for k := 1; k <= zipfMaxTerms; k++ {
-		z.coef[k] = z.coef[k-1] * (z.inv - float64(k-1)) / float64(k)
+		t.coef[k] = t.coef[k-1] * (e.inv - float64(k-1)) / float64(k)
 	}
 	// Narrow T, leaving the widest buckets exact-only, until a series
 	// length meets the truncation bound (or the table is too narrow to
 	// be worth keeping).
-	K, trunc := zipfTerms(&z.coef, ainv, T)
+	K, trunc := zipfTerms(&t.coef, ainv, T)
 	for K == 0 && T >= 0x1p-24 {
 		T /= 2
-		K, trunc = zipfTerms(&z.coef, ainv, T)
+		K, trunc = zipfTerms(&t.coef, ainv, T)
 	}
 	if K == 0 {
-		return
+		return nil
 	}
-	z.deg = K - 1
+	t.deg = K - 1
 
 	h := math.Pow(1-T, -ainv) // y <= h*g0
-	rho0 := 2*trunc + zipfMargin*eps*(5*float64(z.deg)*h*h+2*ainv*T/(1-T)+3+
-		2*(ainv+math.Abs(math.Log1p(z.c1))+2*math.Log2(ainv+2)+8)+2*ainv)
+	rho0 := 2*trunc + zipfMargin*eps*(5*float64(t.deg)*h*h+2*ainv*T/(1-T)+3+
+		2*(ainv+math.Abs(math.Log1p(e.c1))+2*math.Log2(ainv+2)+8)+2*ainv)
 	rho1 := zipfMargin * eps * 2 * ainv / (1 - T)
 	if !(rho0 <= zipfMaxGuard) {
-		return
+		return nil
 	}
-	z.rho0, z.rho1 = h*rho0, h*rho1
-	for b := range tab {
-		bk := &tab[b]
+	t.rho0, t.rho1 = h*rho0, h*rho1
+	for b := range t.bk {
+		bk := &t.bk[b]
 		ar := math.Abs(bk.r)
 		if !(ar*dmax <= T && bk.g0 > 0 && isFinite(bk.g0) && rho0+rho1*ar <= zipfMaxGuard) {
 			*bk = zipfBucket{} // x = -1 with a zero band: never decided
 		}
 	}
-	z.tab = tab
+	t.markSingleRank(e)
+	return t
+}
+
+// markSingleRank fills the rank array: each decided bucket whose series
+// ends, widened by twice the band, truncate to one integer is single-rank
+// (see ZipfGen).
+func (t *zipfTable) markSingleRank(e *zipfExact) {
+	if e.n < zipfNoRank16 {
+		t.rank16 = new([zipfBuckets]uint16)
+	} else {
+		t.rank32 = new([zipfBuckets]int32)
+	}
+	for b := range t.bk {
+		k := -1
+		if bk := &t.bk[b]; bk.g0 > 0 {
+			x1, g := t.series(bk, 0)
+			x2, _ := t.series(bk, zipfTailMask)
+			lo, hi := min(x1, x2)-2*g, max(x1, x2)+2*g
+			if j := int(lo); lo > -1 && j == int(hi) {
+				k = e.clamp(j)
+			}
+		}
+		switch {
+		case t.rank16 != nil:
+			t.rank16[b] = zipfNoRank16
+			if k >= 0 {
+				t.rank16[b] = uint16(k)
+			}
+		case k <= math.MaxInt32:
+			t.rank32[b] = int32(k)
+		default:
+			t.rank32[b] = zipfNoRank32
+		}
+	}
 }
 
 // zipfTerms returns the least series length K in [1, zipfMaxTerms] whose
@@ -467,22 +587,35 @@ func (z *ZipfGen) Draw(r *Rand) int {
 // decided it; otherwise the generator or bucket is exact-only, or x lay
 // inside the guard band, and the exact expression did.
 func (z *ZipfGen) draw(m uint64) (k int, table bool) {
-	if z.tab == nil {
+	t := z.tab
+	if t == nil {
 		return z.rank(m), false
 	}
-	b := &z.tab[m>>zipfTailBits&(zipfBuckets-1)]
-	t := float64(m&zipfTailMask) * 0x1p-53 * b.r
-	p := z.coef[z.deg]
-	for i := z.deg - 1; i >= 0; i-- {
-		p = p*t + z.coef[i]
+	i := m >> zipfTailBits & (zipfBuckets - 1)
+	if t.rank16 != nil {
+		if k := t.rank16[i]; k != zipfNoRank16 {
+			return int(k), true
+		}
+	} else if k := t.rank32[i]; k != zipfNoRank32 {
+		return int(k), true
 	}
-	x := b.g0*p - 1
+	x, g := t.series(&t.bk[i], m&zipfTailMask)
 	// The exact value lies in [lo, hi], and int truncates monotonically,
 	// so one shared truncation is the exact rank.
-	g := (z.rho0 + z.rho1*math.Abs(b.r)) * b.g0
 	lo, hi := x-g, x+g
 	if k = int(lo); lo > -1 && k == int(hi) {
 		return z.clamp(k), true
 	}
 	return z.rank(m), false
+}
+
+// series evaluates bucket b's series at offset d (the draw's low
+// zipfTailBits): x and its absolute guard band g.
+func (t *zipfTable) series(b *zipfBucket, d uint64) (x, g float64) {
+	tt := float64(d) * 0x1p-53 * b.r
+	p := t.coef[t.deg]
+	for i := t.deg - 1; i >= 0; i-- {
+		p = p*tt + t.coef[i]
+	}
+	return b.g0*p - 1, (t.rho0 + t.rho1*math.Abs(b.r)) * b.g0
 }

@@ -2,7 +2,9 @@ package xrand
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 )
 
 type zipfCase struct {
@@ -135,9 +137,7 @@ func TestZipfGenTableEngages(t *testing.T) {
 }
 
 // TestZipfGenReset pins Reset to NewZipfGen: a generator re-targeted
-// through production and edge parameters draws exactly as a fresh one,
-// keeps its table for unchanged parameters and reuses its memory
-// otherwise.
+// through production and edge parameters draws exactly as a fresh one.
 func TestZipfGenReset(t *testing.T) {
 	var z ZipfGen
 	for _, c := range zipfGrid() {
@@ -150,16 +150,55 @@ func TestZipfGenReset(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestZipfGenSharesTables pins table ownership: generators at one (n, s)
+// share one table, re-targeting to an (n, s) a live generator holds
+// allocates nothing, and a table no generator holds is dropped.
+func TestZipfGenSharesTables(t *testing.T) {
+	a, b := NewZipfGen(384, 0.8), NewZipfGen(384, 0.8)
+	if a.tab == nil || a.tab != b.tab {
+		t.Fatalf("two generators at (384, 0.8) hold tables %p and %p, want one shared table", a.tab, b.tab)
+	}
+	held := NewZipfGen(1536, 1.1)
+	var z ZipfGen
 	z.Reset(384, 0.8)
 	if allocs := testing.AllocsPerRun(10, func() {
 		z.Reset(1536, 1.1)
 		z.Reset(384, 0.8)
 	}); allocs != 0 {
-		t.Fatalf("re-targeting a tabled generator allocated %v times", allocs)
+		t.Fatalf("re-targeting to held parameters allocated %v times", allocs)
 	}
-	z.tab[0].g0 = -7 // a marker only a rebuild would overwrite
-	if z.Reset(384, 0.8); z.tab[0].g0 != -7 {
-		t.Fatal("Reset with unchanged parameters rebuilt the table")
+	if z.Reset(1536, 1.1); z.tab != held.tab {
+		t.Fatal("re-targeting to (1536, 1.1) did not take the held table")
+	}
+	runtime.KeepAlive(&a)
+	runtime.KeepAlive(&b)
+	runtime.KeepAlive(&held)
+
+	// A table lives exactly as long as some generator holds it.
+	key := zipfKey{12345, math.Float64bits(0.85)}
+	func() {
+		g := NewZipfGen(12345, 0.85)
+		zipfTables.Lock()
+		registered := zipfTables.m[key].Value()
+		zipfTables.Unlock()
+		if g.tab == nil || registered != g.tab {
+			t.Fatal("(12345, 0.85) has no registered table")
+		}
+	}()
+	for i := 0; ; i++ {
+		runtime.GC()
+		zipfTables.Lock()
+		_, live := zipfTables.m[key]
+		zipfTables.Unlock()
+		if !live {
+			break
+		}
+		if i == 100 {
+			t.Fatal("the table of (12345, 0.85) outlived its last generator")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -189,7 +228,9 @@ func FuzzZipfGenDraw(f *testing.F) {
 }
 
 // BenchmarkZipfGenDraw times one draw with the GPU texture stream's
-// parameters and with the branch sites'.
+// parameters and with the branch sites', and one draw round-robin over a
+// generator for each production pair, whose tables compete for the host's
+// caches as they do in a run.
 func BenchmarkZipfGenDraw(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -206,6 +247,22 @@ func BenchmarkZipfGenDraw(b *testing.B) {
 			zipfSink = sum
 		})
 	}
+	b.Run("mixed", func(b *testing.B) {
+		var zs []ZipfGen
+		for _, c := range zipfProduction() {
+			zs = append(zs, NewZipfGen(c.n, c.s))
+		}
+		r := New(1)
+		sum, j := 0, 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sum += zs[j].Draw(r)
+			if j++; j == len(zs) {
+				j = 0
+			}
+		}
+		zipfSink = sum
+	})
 }
 
 // BenchmarkNewZipfGen times building a generator for the texture stream.
@@ -219,3 +276,102 @@ var (
 	zipfSink    int
 	zipfGenSink ZipfGen
 )
+
+// singleRank returns bucket b's recorded rank, if b is single-rank.
+func singleRank(tab *zipfTable, b int) (int, bool) {
+	if tab.rank16 != nil {
+		k := tab.rank16[b]
+		return int(k), k != zipfNoRank16
+	}
+	k := tab.rank32[b]
+	return int(k), k != zipfNoRank32
+}
+
+// checkSingleRanks checks every single-rank bucket of z against the
+// exact expression at its first and last offsets and at 64 interior
+// offsets drawn from r.
+func checkSingleRanks(t *testing.T, z *ZipfGen, r *Rand) {
+	t.Helper()
+	for b := range zipfBuckets {
+		k, ok := singleRank(z.tab, b)
+		if !ok {
+			continue
+		}
+		first := uint64(b) << zipfTailBits
+		offs := []uint64{0, zipfTailMask}
+		for range 64 {
+			offs = append(offs, r.Uint64()&zipfTailMask)
+		}
+		for _, d := range offs {
+			if want := z.rank(first | d); k != want {
+				t.Fatalf("n=%d s=%v bucket %d offset %#x: single rank %d, exact %d", z.n, z.s, b, d, k, want)
+			}
+		}
+	}
+}
+
+// zipfEdgeCases searches below s0 for up to want exponents s at which a
+// rank boundary j falls at the last offset of a bucket that is single-rank
+// at s0, with the series there still below j and the exact expression
+// already at j. A single-rank test that took the series ends at face
+// value would record such a bucket as rank j-1.
+func zipfEdgeCases(n int, s0 float64, want int) []zipfCase {
+	var found []zipfCase
+	z0 := NewZipfGen(n, s0)
+	for b := zipfBuckets - 1; b >= 0 && len(found) < want; b-- {
+		k, ok := singleRank(z0.tab, b)
+		if !ok {
+			continue
+		}
+		last := uint64(b)<<zipfTailBits | zipfTailMask
+		j := k + 1
+		rankAt := func(s float64) int { e := newZipfExact(n, s); return e.rank(last) }
+		// The ranks grow as s falls: bisect the float bits for the
+		// crossing into j.
+		lo, hi := math.Float64bits(s0-0.05), math.Float64bits(s0)
+		if rankAt(math.Float64frombits(lo)) < j || rankAt(s0) >= j {
+			continue
+		}
+		for hi-lo > 1 {
+			if mid := lo + (hi-lo)/2; rankAt(math.Float64frombits(mid)) >= j {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		for bits := lo - 8; bits <= lo+8; bits++ {
+			s := math.Float64frombits(bits)
+			e := newZipfExact(n, s)
+			tab := newZipfTable(&e)
+			if tab == nil || tab.bk[b].g0 == 0 {
+				continue
+			}
+			x1, _ := tab.series(&tab.bk[b], 0)
+			x2, _ := tab.series(&tab.bk[b], zipfTailMask)
+			if int(x1) == j-1 && int(x2) == j-1 && e.rank(last) == j {
+				found = append(found, zipfCase{n, s})
+				break
+			}
+		}
+	}
+	return found
+}
+
+// TestZipfGenSingleRankExact checks the single-rank buckets: every one of
+// every production pair, and of exponents tuned so that a rank boundary
+// sits at a bucket's last offset, just past where the series puts it.
+func TestZipfGenSingleRankExact(t *testing.T) {
+	for _, c := range zipfProduction() {
+		z := NewZipfGen(c.n, c.s)
+		checkSingleRanks(t, &z, New(uint64(c.n)^math.Float64bits(c.s)))
+	}
+	edges := append(zipfEdgeCases(384, 0.8, 3), zipfEdgeCases(1536, 1.1, 3)...)
+	if len(edges) == 0 {
+		t.Fatal("no edge case found")
+	}
+	for _, c := range edges {
+		t.Logf("edge case n=%d s=%v", c.n, c.s)
+		z := NewZipfGen(c.n, c.s)
+		checkSingleRanks(t, &z, New(uint64(c.n)))
+	}
+}
