@@ -123,7 +123,8 @@ type Model struct {
 	tex    *cache.Cache
 	texGen *cache.StreamGen
 	// texLive reports whether texGen has been re-targeted since the last
-	// Reset. A stale texGen is kept so its tables can be reused.
+	// Reset. A stale texGen still holds its Zipf tables, so a run at the
+	// same texture working sets takes them instead of rebuilding them.
 	texLive bool
 	rng     *xrand.Rand
 }

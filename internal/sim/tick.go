@@ -45,8 +45,9 @@ type runModels struct {
 	timingM  TimingModel
 
 	// slcPollute is the GPU texture stream polluting the SLC. Each run
-	// re-targets it per phase; it is kept across runs so its tables are
-	// reused.
+	// re-targets it per phase. It is kept across runs, so the Zipf tables
+	// it holds stay alive for the next run (xrand keeps a shared table
+	// only while some generator holds it).
 	slcPollute *cache.StreamGen
 	// gpuBuf backs an exact run's GPU chunks (see gpuAhead), so a run's
 	// hand-over costs the same few allocations however many ticks it has.
@@ -77,7 +78,7 @@ func (e *Engine) newRunModels() (*runModels, error) {
 			hier: h,
 			pred: branch.NewTournament(14, 14),
 			// Re-targeted at every phase change; kept across runs so
-			// their Zipf tables are reused.
+			// the Zipf tables they hold stay alive for the next run.
 			stream:   new(cache.StreamGen),
 			branches: new(branch.Stream),
 		})
