@@ -529,7 +529,7 @@ func (t *zipfTable) markSingleRank(e *zipfExact) {
 		t.rank32 = new([zipfBuckets]int32)
 	}
 	for b := range t.bk {
-		k := -1
+		k := zipfNoRank32 // the bucket's rank, if single-rank
 		if bk := &t.bk[b]; bk.g0 > 0 {
 			x1, g := t.series(bk, 0)
 			x2, _ := t.series(bk, zipfTailMask)
