@@ -135,3 +135,31 @@ func TestWriteCSV(t *testing.T) {
 		t.Fatalf("first row = %q", lines[1])
 	}
 }
+
+// TestSlotsKeepFirstSampleOrder: resolving a slot creates no series, so
+// the trace's metric order is the order of first samples, through Put and
+// Sample alike, and a slot never sampled stays out of the trace.
+func TestSlotsKeepFirstSampleOrder(t *testing.T) {
+	p := New(0.1, 0)
+	b, a := p.Slot("b"), p.Slot("a")
+	p.Slot("unused")
+	if p.Slot("b") != b {
+		t.Fatal("resolving a name twice gave two slots")
+	}
+	for i := 0; i < 3; i++ {
+		p.Put(a, float64(i))
+		p.Sample("b", 10+float64(i))
+	}
+	p.Put(b, 13)
+	p.Put(a, 3)
+	tr, err := p.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(tr.Metrics(), ","); got != "a,b" {
+		t.Fatalf("metrics %q, want a,b", got)
+	}
+	if tr.Samples != 4 || tr.MustSeries("b").Values[3] != 13 {
+		t.Fatalf("samples %d, b %v", tr.Samples, tr.MustSeries("b").Values)
+	}
+}
