@@ -99,3 +99,32 @@ func TestZipfGenCoversSimulatorPairs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkZipfGenDrawRun times one draw round-robin over a generator for
+// each (n, s) one run draws from, 3DMark Wild Life on the Snapdragon 888
+// HDK, so the tables competing for the host's caches are the ones a run
+// holds at once. A round-robin over every production pair holds about 90
+// tables, which no run does, and ranks table layouts differently from a
+// characterization.
+func BenchmarkZipfGenDrawRun(b *testing.B) {
+	w, err := workload.ByName("3DMark Wild Life")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var zs []xrand.ZipfGen
+	for _, p := range drawnZipfPairs(soc.Snapdragon888HDK(), []workload.Workload{w}) {
+		zs = append(zs, xrand.NewZipfGen(p.n, p.s))
+	}
+	r := xrand.New(1)
+	sum, j := 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += zs[j].Draw(r)
+		if j++; j == len(zs) {
+			j = 0
+		}
+	}
+	zipfSink = sum
+}
+
+var zipfSink int

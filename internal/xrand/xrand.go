@@ -303,10 +303,18 @@ type zipfBucket struct {
 	r  float64 // c1/A0, so t = d*r; 0 when the bucket is exact-only
 }
 
-// The rank arrays' marks for a bucket the series decides draw by draw.
 const (
-	zipfNoRank16 = math.MaxUint16
-	zipfNoRank32 = -1
+	// zipfNoRank marks, in a table's rank array, a bucket the series
+	// decides draw by draw.
+	zipfNoRank = -1
+
+	// zipfMinSingleRank is the fewest single-rank buckets a table needs to
+	// keep its rank array. A draw branches on the array's entry, and when
+	// both outcomes are common that branch is mispredicted often enough
+	// to cost more than the series it skips: in isolated draws the array
+	// cost time at 54% single-rank buckets, broke even near 70% and saved
+	// a third at 91% (DESIGN §11).
+	zipfMinSingleRank = zipfBuckets * 2 / 3
 )
 
 // zipfTable is the guide table of one (n, s): the series length and
@@ -318,12 +326,12 @@ type zipfTable struct {
 	coef       [zipfMaxTerms + 1]float64 // C(inv, k)
 	rho0, rho1 float64                   // h-scaled band: g = (rho0 + rho1*|r|)*g0
 	// A single-rank bucket is one whose every offset truncates to the
-	// same rank; a draw reads that rank here, before the bucket. rank16
-	// (n < 65535) or rank32 (larger n) holds it, and zipfNoRank16 or
-	// zipfNoRank32 marks every other bucket.
-	rank16 *[zipfBuckets]uint16
-	rank32 *[zipfBuckets]int32
-	bk     [zipfBuckets]zipfBucket
+	// same rank; a draw reads that rank here, before the bucket, and
+	// zipfNoRank marks every other bucket. nil when fewer than
+	// zipfMinSingleRank buckets are single-rank: those tables' draws all
+	// take the series.
+	rank *[zipfBuckets]int32
+	bk   [zipfBuckets]zipfBucket
 }
 
 // ZipfGen draws ranks with exactly the values and generator consumption of
@@ -383,7 +391,8 @@ type zipfTable struct {
 // reference value in the bucket lies in [min(x1,x2) - 2g, max(x1,x2) +
 // 2g]; when both ends of that interval truncate to the same integer, that
 // integer, clamped, is the rank of every draw in the bucket, and the
-// table records it.
+// table records it (when enough buckets are single-rank; see
+// zipfMinSingleRank).
 //
 // The table of an (n, s) is shared: every generator targeting (n, s)
 // holds the same immutable table, built once and dropped when the last
@@ -521,34 +530,27 @@ func newZipfTable(e *zipfExact) *zipfTable {
 
 // markSingleRank fills the rank array: each decided bucket whose series
 // ends, widened by twice the band, truncate to one integer is single-rank
-// (see ZipfGen).
+// (see ZipfGen). A rank past MaxInt32 stays unmarked. The table keeps the
+// array only when at least zipfMinSingleRank buckets are marked.
 func (t *zipfTable) markSingleRank(e *zipfExact) {
-	if e.n < zipfNoRank16 {
-		t.rank16 = new([zipfBuckets]uint16)
-	} else {
-		t.rank32 = new([zipfBuckets]int32)
-	}
+	var rank [zipfBuckets]int32
+	marked := 0
 	for b := range t.bk {
-		k := zipfNoRank32 // the bucket's rank, if single-rank
+		rank[b] = zipfNoRank
 		if bk := &t.bk[b]; bk.g0 > 0 {
 			x1, g := t.series(bk, 0)
 			x2, _ := t.series(bk, zipfTailMask)
 			lo, hi := min(x1, x2)-2*g, max(x1, x2)+2*g
 			if j := int(lo); lo > -1 && j == int(hi) {
-				k = e.clamp(j)
+				if k := e.clamp(j); k <= math.MaxInt32 {
+					rank[b] = int32(k)
+					marked++
+				}
 			}
 		}
-		switch {
-		case t.rank16 != nil:
-			t.rank16[b] = zipfNoRank16
-			if k >= 0 {
-				t.rank16[b] = uint16(k)
-			}
-		case k <= math.MaxInt32:
-			t.rank32[b] = int32(k)
-		default:
-			t.rank32[b] = zipfNoRank32
-		}
+	}
+	if marked >= zipfMinSingleRank {
+		t.rank = &rank
 	}
 }
 
@@ -592,12 +594,10 @@ func (z *ZipfGen) draw(m uint64) (k int, table bool) {
 		return z.rank(m), false
 	}
 	i := m >> zipfTailBits & (zipfBuckets - 1)
-	if t.rank16 != nil {
-		if k := t.rank16[i]; k != zipfNoRank16 {
+	if t.rank != nil {
+		if k := t.rank[i]; k != zipfNoRank {
 			return int(k), true
 		}
-	} else if k := t.rank32[i]; k != zipfNoRank32 {
-		return int(k), true
 	}
 	x, g := t.series(&t.bk[i], m&zipfTailMask)
 	// The exact value lies in [lo, hi], and int truncates monotonically,

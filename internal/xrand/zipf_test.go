@@ -228,9 +228,8 @@ func FuzzZipfGenDraw(f *testing.F) {
 }
 
 // BenchmarkZipfGenDraw times one draw with the GPU texture stream's
-// parameters and with the branch sites', and one draw round-robin over a
-// generator for each production pair, whose tables compete for the host's
-// caches as they do in a run.
+// parameters and with the branch sites'. internal/sim's
+// BenchmarkZipfGenDrawRun times draws over one run's tables at once.
 func BenchmarkZipfGenDraw(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -247,22 +246,6 @@ func BenchmarkZipfGenDraw(b *testing.B) {
 			zipfSink = sum
 		})
 	}
-	b.Run("mixed", func(b *testing.B) {
-		var zs []ZipfGen
-		for _, c := range zipfProduction() {
-			zs = append(zs, NewZipfGen(c.n, c.s))
-		}
-		r := New(1)
-		sum, j := 0, 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sum += zs[j].Draw(r)
-			if j++; j == len(zs) {
-				j = 0
-			}
-		}
-		zipfSink = sum
-	})
 }
 
 // BenchmarkNewZipfGen times building a generator for the texture stream.
@@ -279,12 +262,11 @@ var (
 
 // singleRank returns bucket b's recorded rank, if b is single-rank.
 func singleRank(tab *zipfTable, b int) (int, bool) {
-	if tab.rank16 != nil {
-		k := tab.rank16[b]
-		return int(k), k != zipfNoRank16
+	if tab.rank == nil {
+		return 0, false
 	}
-	k := tab.rank32[b]
-	return int(k), k != zipfNoRank32
+	k := tab.rank[b]
+	return int(k), k != zipfNoRank
 }
 
 // checkSingleRanks checks every single-rank bucket of z against the
@@ -361,6 +343,17 @@ func zipfEdgeCases(n int, s0 float64, want int) []zipfCase {
 // every production pair, and of exponents tuned so that a rank boundary
 // sits at a bucket's last offset, just past where the series puts it.
 func TestZipfGenSingleRankExact(t *testing.T) {
+	// A rank array only where most buckets are single-rank: the hot
+	// region's (91%) but not the GPU textures' (13.5% at s = 0.9, none at
+	// s = 0.4).
+	for _, c := range []struct {
+		zipfCase
+		array bool
+	}{{zipfCase{384, 0.8}, true}, {zipfCase{6553600, 0.9}, false}, {zipfCase{6553600, 0.4}, false}} {
+		if z := NewZipfGen(c.n, c.s); (z.tab.rank != nil) != c.array {
+			t.Errorf("n=%d s=%v: rank array %v, want %v", c.n, c.s, z.tab.rank != nil, c.array)
+		}
+	}
 	for _, c := range zipfProduction() {
 		z := NewZipfGen(c.n, c.s)
 		checkSingleRanks(t, &z, New(uint64(c.n)^math.Float64bits(c.s)))

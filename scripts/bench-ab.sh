@@ -25,8 +25,8 @@ rounds=6
 # of each. StreamFold (4-6 ms per fold) read paired x1.150 5/6 slower on
 # identical code, one round short of the rule, so it takes five samples
 # of 40 folds per round, about as long as one default 1 s sample.
-# ZipfGenDraw (10-100 ns per draw, its mixed case bound by the host's
-# caches) takes five samples of 2M draws per round, like the cosim pair.
+# ZipfGenDraw and ZipfGenDrawRun (10-20 ns per draw) take five samples of
+# 2M draws per round, like the cosim pair.
 benches=(
   ". ^(BenchmarkSimulateWildLife|BenchmarkSimulateWildLifeFastForward)$ -test.benchtime=5x"
   "internal/cluster ^BenchmarkClusterSweep$"
@@ -34,6 +34,7 @@ benches=(
   "internal/core ^BenchmarkStreamIngest$"
   "internal/cache ^BenchmarkStreamGenBatch$"
   "internal/xrand ^BenchmarkZipfGenDraw$ -test.benchtime=2000000x -test.count=5"
+  "internal/sim ^BenchmarkZipfGenDrawRun$ -test.benchtime=2000000x -test.count=5"
   "internal/subset ^BenchmarkSubsetSelect$"
   "internal/cosim ^BenchmarkTimingModelInProcess$ -test.benchtime=10000000x -test.count=5"
   "internal/cosim ^BenchmarkTimingModelExternal$ -test.benchtime=2000x -test.count=5"
